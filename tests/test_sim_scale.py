@@ -15,6 +15,14 @@ assert the current engine still matches them, cell by cell:
   used to cover);
 * ``ClusterSimulator`` — every router over a 3-replica diurnal fleet.
 
+Five more cells pin the prefix-cache paths: every scheduler over a
+multi-tenant prefix-shared workload at a tight budget (preemption,
+prefix detach/re-attach and eviction in every step), and a 3-replica
+``prefix-affinity`` fleet playing the same traffic through seeded crashes
+(crash wipes of live prefix stores, retries).  They were recorded from
+the engine that still ran separate prefix-aware grow/admission paths, so
+they pin that behaviour across any later restructuring of the engine.
+
 Regenerate the goldens (ONLY when a deliberate behavioural change is being
 made, never to paper over an optimization bug) with::
 
@@ -37,12 +45,14 @@ import pytest
 from repro.e2e import ModelConfig
 from repro.serving import (
     ClusterSimulator,
+    FaultSchedule,
     ROUTERS,
     SCHEDULERS,
     ServingSimulator,
     bursty_workload,
     diurnal_workload,
     make_workload,
+    prefix_shared_workload,
     steady_workload,
 )
 from repro.serving.memory import blocks_for_tokens
@@ -109,6 +119,16 @@ def _pressure_budget(workload) -> int:
     )
 
 
+def _prefix_workload(num_requests: int = 2000):
+    # 8 tenants whose 64-token prefix spans four whole blocks, long outputs:
+    # at the pressure budget every scheduler preempts and evicts.
+    return prefix_shared_workload(
+        num_requests=num_requests, rate_rps=1200.0, num_tenants=8,
+        system_prompt_tokens=48, tenant_template_tokens=16,
+        mean_unique_tokens=16, mean_output_tokens=96, seed=11,
+    )
+
+
 def _run_sim(scheduler: str, workload_name: str, workload, **kwargs):
     sim = ServingSimulator(
         SIM_MODEL, backend="hexcute", scheduler=scheduler, arch=ARCH,
@@ -123,6 +143,20 @@ def _run_cluster(router: str, workload):
         scheduler="fcfs", arch=ARCH, max_batch_size=MAX_BATCH, seed=11,
     )
     return cluster.simulate(workload, workload="diurnal")
+
+
+def _run_prefix_faults(workload):
+    span = max(r.arrival_ms for r in workload)
+    faults = FaultSchedule.generate(
+        3, horizon_ms=span, seed=11, mean_uptime_ms=span / 3.0,
+        mean_downtime_ms=span / 10.0,
+    )
+    cluster = ClusterSimulator(
+        SIM_MODEL, replicas=3, router="prefix-affinity", backend="hexcute",
+        scheduler="fcfs", arch=ARCH, max_batch_size=MAX_BATCH, seed=11,
+        kv_budget_blocks=_pressure_budget(workload),
+    )
+    return cluster.simulate(workload, workload="prefix-shared", faults=faults)
 
 
 def _cluster_workload(num_requests: int = 2000):
@@ -148,9 +182,16 @@ def compute_digests():
         digests[f"sim/{scheduler}/pressure"] = _run_sim(
             scheduler, "memory-pressure", pressure, kv_budget_blocks=budget
         ).digest()
+    shared = _prefix_workload()
+    shared_budget = _pressure_budget(shared)
+    for scheduler in sorted(SCHEDULERS):
+        digests[f"sim/{scheduler}/prefix-pressure"] = _run_sim(
+            scheduler, "prefix-shared", shared, kv_budget_blocks=shared_budget
+        ).digest()
     fleet = _cluster_workload()
     for router in sorted(ROUTERS):
         digests[f"cluster/{router}/diurnal"] = _run_cluster(router, fleet).digest()
+    digests["cluster/prefix-affinity/prefix-faults"] = _run_prefix_faults(shared).digest()
     return digests
 
 
@@ -202,6 +243,30 @@ def test_sim_digest_matches_golden_under_preemption(golden, scheduler):
     )
 
 
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_sim_digest_matches_golden_under_prefix_pressure(golden, scheduler):
+    """Preemption with live prefix attachments: victims detach, survivors
+    evict cached prefixes, readmissions re-attach."""
+    workload = _prefix_workload()
+    report = _run_sim(
+        scheduler, "prefix-shared", workload,
+        kv_budget_blocks=_pressure_budget(workload),
+    )
+    assert report.preemptions > 0 and report.prefix_evictions > 0
+    assert report.digest() == golden[f"sim/{scheduler}/prefix-pressure"], (
+        f"engine diverged under prefix pressure ({scheduler})"
+    )
+
+
+def test_cluster_digest_matches_golden_under_prefix_faults(golden):
+    report = _run_prefix_faults(_prefix_workload())
+    assert report.num_requests == 2000
+    assert report.crashes > 0 and report.retries > 0 and report.preemptions > 0
+    assert report.digest() == golden["cluster/prefix-affinity/prefix-faults"], (
+        "prefix-affinity fleet diverged under crashes"
+    )
+
+
 @pytest.mark.parametrize("router", sorted(ROUTERS))
 def test_cluster_digest_matches_golden(golden, router):
     report = _run_cluster(router, _cluster_workload())
@@ -217,8 +282,10 @@ def test_golden_matrix_is_complete(golden):
     expected = {
         f"sim/{s}/{w}"
         for s in SCHEDULERS
-        for w in ["steady", "bursty", "diurnal", "pressure"]
-    } | {f"cluster/{r}/diurnal" for r in ROUTERS}
+        for w in ["steady", "bursty", "diurnal", "pressure", "prefix-pressure"]
+    } | {f"cluster/{r}/diurnal" for r in ROUTERS} | {
+        "cluster/prefix-affinity/prefix-faults"
+    }
     assert set(golden) == expected
 
 
@@ -315,8 +382,8 @@ def _record():
     digests = compute_digests()
     payload = {
         "comment": (
-            "Golden ServeReport/ClusterReport digests recorded from the "
-            "pre-optimization discrete-event loop; see tests/test_sim_scale.py"
+            "Golden ServeReport/ClusterReport digests; tests/test_sim_scale.py "
+            "says which engine each group of cells was recorded from"
         ),
         "model": SIM_MODEL.name,
         "arch": ARCH,
