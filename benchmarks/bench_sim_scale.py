@@ -24,13 +24,15 @@ Results land in ``BENCH_sim_scale.json`` (schema documented in
 seconds, simulated-requests-per-second and the report digest, plus the
 recorded pre-optimization baseline so the speedup is tracked in-repo.
 
-The CI guards (``--smoke``): the 10k tier only; every cell is run twice
-and must produce bit-equal digests; the fcfs cell must clear a minimum
-requests-per-second floor (a catastrophic-regression tripwire, far below
-the measured rate); the crash-recovery cell must see at least one crash,
-report availability < 1 with positive goodput and complete every request
-(conservation under crashes at benchmark scale); and the emitted JSON is
-validated against the schema.  Any violation exits nonzero.
+The CI guards (``--smoke``): one cell of each kind at the 10k tier; every
+cell is run twice and must produce bit-equal digests; the fcfs cell must
+clear a minimum requests-per-second floor (a catastrophic-regression
+tripwire, far below the measured rate); the crash-recovery cell must see
+at least one crash, report availability < 1 with positive goodput and
+complete every request (conservation under crashes at benchmark scale);
+and the results are validated against the schema.  Smoke mode writes the
+JSON only when ``--output`` is given, so it never overwrites the
+committed trajectory.  Any violation exits nonzero.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_sim_scale.py [--smoke]
 """
@@ -41,6 +43,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -106,7 +109,9 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="comma list of tiers to run (10k, 100k, 1m); default all (full mode)",
     )
     parser.add_argument(
-        "--output", default=str(OUTPUT_PATH), help="where to write the JSON trajectory"
+        "--output", default=None,
+        help="where to write the JSON trajectory (default: BENCH_sim_scale.json "
+        "in full mode; smoke mode writes only when this is given)",
     )
     parser.add_argument("--seed", type=int, default=0)
     return parser.parse_args(argv)
@@ -166,142 +171,134 @@ def prefix_tier_workload(num_requests: int, seed: int) -> List:
     )
 
 
-def run_prefix_cell(tier: str, workload, seed: int) -> Dict:
-    sim = ServingSimulator(
-        SIM_MODEL, backend="hexcute", scheduler="fcfs", arch=ARCH,
-        max_batch_size=MAX_BATCH,
+@dataclass(frozen=True)
+class Cell:
+    """One benchmark cell: a simulator shape over one traffic generator.
+
+    ``traffic`` picks the generator (a :data:`TRAFFIC` key); ``faults``
+    plays a seeded crash-recovery schedule (uptime ~1/3 of the span,
+    downtime ~1/10), so crash wipes, retry re-routing and downtime
+    accounting are all inside the timed region.
+    """
+
+    scheduler: str = "fcfs"
+    replicas: int = 1
+    router: Optional[str] = None
+    traffic: str = "diurnal"
+    faults: bool = False
+
+
+# Traffic generator per cell kind, with the workload label it reports.
+TRAFFIC = {
+    "diurnal": ("diurnal", tier_workload),
+    "fleet-diurnal": ("diurnal", cluster_workload),
+    "prefix-shared": ("prefix-shared", prefix_tier_workload),
+}
+
+FLEET_CELL = Cell(replicas=2, router="round-robin", traffic="fleet-diurnal")
+PREFIX_CELL = Cell(traffic="prefix-shared")
+FAULT_CELL = Cell(replicas=2, router="least-loaded", traffic="fleet-diurnal", faults=True)
+
+TIER_CELLS = {
+    "10k": [Cell("fcfs"), Cell("slo"), Cell("max-batch"), Cell("memory-aware")],
+    "100k": [
+        Cell("fcfs"), Cell("slo"), FLEET_CELL,
+        Cell(replicas=4, router="round-robin", traffic="fleet-diurnal"), PREFIX_CELL, FAULT_CELL,
+    ],
+    "1m": [Cell("fcfs")],
+}
+# CI runs one cell of each kind, fast enough at the 10k tier.
+SMOKE_CELLS = [Cell("fcfs"), Cell("slo"), FLEET_CELL, PREFIX_CELL, FAULT_CELL]
+
+
+def run_cell(tier: str, cell: Cell, workload, seed: int) -> Dict:
+    label = TRAFFIC[cell.traffic][0]
+    common = dict(
+        backend="hexcute", scheduler=cell.scheduler, arch=ARCH, max_batch_size=MAX_BATCH
     )
+    config = {
+        "tier": tier,
+        "num_requests": len(workload),
+        "scheduler": cell.scheduler,
+        "replicas": cell.replicas,
+        "router": cell.router,
+        "workload": label,
+        "model": SIM_MODEL.name,
+        "arch": ARCH,
+        "max_batch_size": MAX_BATCH,
+        "seed": seed,
+    }
+    faults = None
+    if cell.faults:
+        span_ms = max(r.arrival_ms for r in workload)
+        faults = FaultSchedule.generate(
+            num_replicas=cell.replicas,
+            horizon_ms=span_ms,
+            seed=seed,
+            mean_uptime_ms=span_ms / 3.0,
+            mean_downtime_ms=span_ms / 10.0,
+            mean_time_between_slowdowns_ms=0.0,
+        )
+        config["fault_events"] = len(faults)
+    if cell.replicas == 1:
+        sim, extra = ServingSimulator(SIM_MODEL, **common), {}
+    else:
+        sim = ClusterSimulator(
+            SIM_MODEL, replicas=cell.replicas, router=cell.router, seed=seed, **common
+        )
+        extra = {"faults": faults}
     start = time.perf_counter()
-    report = sim.simulate(workload, workload="prefix-shared")
+    report = sim.simulate(workload, workload=label, **extra)
     wall = time.perf_counter() - start
-    return {
-        "config": {
-            "tier": tier,
-            "num_requests": len(workload),
-            "scheduler": "fcfs",
-            "replicas": 1,
-            "router": None,
-            "workload": "prefix-shared",
-            "model": SIM_MODEL.name,
-            "arch": ARCH,
-            "max_batch_size": MAX_BATCH,
-            "seed": seed,
-        },
+    entry = {
+        "config": config,
         "wall_seconds": wall,
         "rps": len(workload) / wall,
         "digest": report.digest(),
-        "steps": report.steps,
-        "preemptions": report.preemptions,
-        "prefix_hit_rate": report.prefix_hit_rate,
-    }
-
-
-def run_sim_cell(tier: str, scheduler: str, workload, seed: int) -> Dict:
-    sim = ServingSimulator(
-        SIM_MODEL, backend="hexcute", scheduler=scheduler, arch=ARCH,
-        max_batch_size=MAX_BATCH,
-    )
-    start = time.perf_counter()
-    report = sim.simulate(workload, workload="diurnal")
-    wall = time.perf_counter() - start
-    return {
-        "config": {
-            "tier": tier,
-            "num_requests": len(workload),
-            "scheduler": scheduler,
-            "replicas": 1,
-            "router": None,
-            "workload": "diurnal",
-            "model": SIM_MODEL.name,
-            "arch": ARCH,
-            "max_batch_size": MAX_BATCH,
-            "seed": seed,
-        },
-        "wall_seconds": wall,
-        "rps": len(workload) / wall,
-        "digest": report.digest(),
-        "steps": report.steps,
+        "steps": sum(r.steps for r in getattr(report, "replicas", [report])),
         "preemptions": report.preemptions,
     }
+    if cell.traffic == "prefix-shared":
+        entry["prefix_hit_rate"] = report.prefix_hit_rate
+    if cell.faults:
+        entry.update(
+            completed=report.num_requests,
+            crashes=report.crashes,
+            retries=report.retries,
+            failovers=report.failovers,
+            availability=report.availability,
+            goodput_tok_s=report.goodput_tok_s,
+        )
+    return entry
 
 
-def run_cluster_cell(tier: str, replicas: int, workload, seed: int) -> Dict:
-    cluster = ClusterSimulator(
-        SIM_MODEL, replicas=replicas, router="round-robin", backend="hexcute",
-        scheduler="fcfs", arch=ARCH, max_batch_size=MAX_BATCH, seed=seed,
-    )
-    start = time.perf_counter()
-    report = cluster.simulate(workload, workload="diurnal")
-    wall = time.perf_counter() - start
-    return {
-        "config": {
-            "tier": tier,
-            "num_requests": len(workload),
-            "scheduler": "fcfs",
-            "replicas": replicas,
-            "router": "round-robin",
-            "workload": "diurnal",
-            "model": SIM_MODEL.name,
-            "arch": ARCH,
-            "max_batch_size": MAX_BATCH,
-            "seed": seed,
-        },
-        "wall_seconds": wall,
-        "rps": len(workload) / wall,
-        "digest": report.digest(),
-        "steps": sum(r.steps for r in report.replicas),
-        "preemptions": report.preemptions,
-    }
-
-
-def run_fault_cell(tier: str, workload, seed: int) -> Dict:
-    """Crash-recovery cell: the fleet-rate diurnal traffic through a
-    2-replica cluster while a seeded ``FaultSchedule`` (uptime ~1/3 of the
-    span, downtime ~1/10) kills and revives replicas mid-run — the event
-    merge, crash wipes, retry re-routing and downtime accounting are all
-    inside the timed region."""
-    span_ms = max(r.arrival_ms for r in workload)
-    faults = FaultSchedule.generate(
-        num_replicas=2,
-        horizon_ms=span_ms,
-        seed=seed,
-        mean_uptime_ms=span_ms / 3.0,
-        mean_downtime_ms=span_ms / 10.0,
-        mean_time_between_slowdowns_ms=0.0,
-    )
-    cluster = ClusterSimulator(
-        SIM_MODEL, replicas=2, router="least-loaded", backend="hexcute",
-        scheduler="fcfs", arch=ARCH, max_batch_size=MAX_BATCH, seed=seed,
-    )
-    start = time.perf_counter()
-    report = cluster.simulate(workload, workload="diurnal", faults=faults)
-    wall = time.perf_counter() - start
-    return {
-        "config": {
-            "tier": tier,
-            "num_requests": len(workload),
-            "scheduler": "fcfs",
-            "replicas": 2,
-            "router": "least-loaded",
-            "workload": "diurnal",
-            "model": SIM_MODEL.name,
-            "arch": ARCH,
-            "max_batch_size": MAX_BATCH,
-            "seed": seed,
-            "fault_events": len(faults),
-        },
-        "wall_seconds": wall,
-        "rps": len(workload) / wall,
-        "digest": report.digest(),
-        "steps": sum(r.steps for r in report.replicas),
-        "preemptions": report.preemptions,
-        "completed": report.num_requests,
-        "crashes": report.crashes,
-        "retries": report.retries,
-        "failovers": report.failovers,
-        "availability": report.availability,
-        "goodput_tok_s": report.goodput_tok_s,
-    }
+def cell_failures(entry: Dict) -> List[str]:
+    """The per-cell gates: a prefix cell must hit the cache, and a
+    crash-recovery cell must crash, show the outage, do useful work and
+    finish every request."""
+    cfg = entry["config"]
+    where = cell_label(entry).strip()
+    failures = []
+    if "prefix_hit_rate" in entry and entry["prefix_hit_rate"] <= 0.0:
+        failures.append(f"{where} never hit the prefix cache")
+    if "crashes" in entry:
+        if entry["crashes"] < 1:
+            failures.append(
+                f"{where} saw no crash — the generated schedule no longer "
+                "covers the workload span"
+            )
+        elif not entry["availability"] < 1.0:
+            failures.append(
+                f"{where} reports full availability despite {entry['crashes']} crashes"
+            )
+        if entry["goodput_tok_s"] <= 0.0:
+            failures.append(f"{where} has zero goodput")
+        if entry["completed"] != cfg["num_requests"]:
+            failures.append(
+                f"{where} lost requests: {entry['completed']} completed of "
+                f"{cfg['num_requests']} (conservation under crashes broken)"
+            )
+    return failures
 
 
 def cell_label(entry: Dict) -> str:
@@ -343,6 +340,7 @@ def validate_schema(payload: Dict, failures: List[str]) -> None:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    output = args.output or (None if args.smoke else str(OUTPUT_PATH))
     failures: List[str] = []
     entries: List[Dict] = []
 
@@ -364,112 +362,45 @@ def main(argv=None) -> int:
         warm.step_model.step_latency_ms(SIM_MODEL, "hexcute", batch)
     print(f"warmed step buckets in {time.perf_counter() - warm_start:.1f} s")
 
-    tier_schedulers = {
-        "10k": ["fcfs", "slo"] if args.smoke else ["fcfs", "slo", "max-batch", "memory-aware"],
-        "100k": ["fcfs", "slo"],
-        "1m": ["fcfs"],
-    }
-
     for tier in tiers:
         num_requests = TIER_REQUESTS[tier]
-        gen_start = time.perf_counter()
-        workload = tier_workload(num_requests, args.seed)
-        gen_seconds = time.perf_counter() - gen_start
-        print(f"[{tier}] generated {num_requests} diurnal requests in {gen_seconds:.1f} s")
-        for scheduler in tier_schedulers[tier]:
-            entry = run_sim_cell(tier, scheduler, workload, args.seed)
+        workloads = {}
+        for cell in SMOKE_CELLS if args.smoke else TIER_CELLS[tier]:
+            if cell.traffic not in workloads:
+                gen_start = time.perf_counter()
+                workloads[cell.traffic] = TRAFFIC[cell.traffic][1](num_requests, args.seed)
+                print(
+                    f"[{tier}] generated {num_requests} {cell.traffic} requests in "
+                    f"{time.perf_counter() - gen_start:.1f} s"
+                )
+            workload = workloads[cell.traffic]
+            entry = run_cell(tier, cell, workload, args.seed)
             entries.append(entry)
+            details = [
+                f"{entry['wall_seconds']:.2f} s wall",
+                f"{entry['steps']} steps",
+                f"{entry['preemptions']} preemptions",
+            ]
+            if "prefix_hit_rate" in entry:
+                details.append(f"prefix hit rate {entry['prefix_hit_rate']:.2f}")
+            if "crashes" in entry:
+                details.append(
+                    f"{entry['crashes']} crashes, {entry['retries']} retries, "
+                    f"availability {entry['availability'] * 100.0:.1f}%, "
+                    f"goodput {entry['goodput_tok_s']:,.0f} tok/s"
+                )
             print(
                 f"[{tier}] {cell_label(entry)}: {entry['rps']:,.0f} req/s "
-                f"({entry['wall_seconds']:.2f} s wall, {entry['steps']} steps, "
-                f"{entry['preemptions']} preemptions)"
+                f"({', '.join(details)})"
             )
+            failures.extend(cell_failures(entry))
             if args.smoke:
-                rerun = run_sim_cell(tier, scheduler, workload, args.seed)
+                rerun = run_cell(tier, cell, workload, args.seed)
                 if rerun["digest"] != entry["digest"]:
                     failures.append(
                         f"digest instability at {cell_label(entry)}: "
                         f"{entry['digest'][:12]} vs {rerun['digest'][:12]}"
                     )
-
-        # Cluster cells ride the 100k tier in full mode and the 10k tier in
-        # smoke mode (to keep CI fast while still covering the event heap).
-        if tier == "100k" and not args.smoke:
-            cluster_reqs = cluster_workload(num_requests, args.seed)
-            for replicas in (2, 4):
-                entry = run_cluster_cell(tier, replicas, cluster_reqs, args.seed)
-                entries.append(entry)
-                print(
-                    f"[{tier}] {cell_label(entry)}: {entry['rps']:,.0f} req/s "
-                    f"({entry['wall_seconds']:.2f} s wall)"
-                )
-        if tier == "10k" and args.smoke:
-            cluster_reqs = cluster_workload(num_requests, args.seed)
-            entry = run_cluster_cell(tier, 2, cluster_reqs, args.seed)
-            entries.append(entry)
-            print(
-                f"[{tier}] {cell_label(entry)}: {entry['rps']:,.0f} req/s "
-                f"({entry['wall_seconds']:.2f} s wall)"
-            )
-            rerun = run_cluster_cell(tier, 2, cluster_reqs, args.seed)
-            if rerun["digest"] != entry["digest"]:
-                failures.append("digest instability in the smoke cluster cell")
-
-        # The prefix-shared cell rides the 100k tier in full mode and the
-        # 10k tier in smoke mode: the same loop, with a live prefix store.
-        if (tier == "100k" and not args.smoke) or (tier == "10k" and args.smoke):
-            prefix_reqs = prefix_tier_workload(num_requests, args.seed)
-            entry = run_prefix_cell(tier, prefix_reqs, args.seed)
-            entries.append(entry)
-            print(
-                f"[{tier}] {cell_label(entry)}: {entry['rps']:,.0f} req/s "
-                f"({entry['wall_seconds']:.2f} s wall, prefix hit rate "
-                f"{entry['prefix_hit_rate']:.2f})"
-            )
-            if entry["prefix_hit_rate"] <= 0.0:
-                failures.append(
-                    f"prefix-shared {tier} cell never hit the prefix cache"
-                )
-            if args.smoke:
-                rerun = run_prefix_cell(tier, prefix_reqs, args.seed)
-                if rerun["digest"] != entry["digest"]:
-                    failures.append("digest instability in the smoke prefix cell")
-
-        # The crash-recovery cell rides the same tiers: the cluster event
-        # loop with a live fault schedule (crash wipes, retries, downtime).
-        if (tier == "100k" and not args.smoke) or (tier == "10k" and args.smoke):
-            fault_reqs = cluster_workload(num_requests, args.seed)
-            entry = run_fault_cell(tier, fault_reqs, args.seed)
-            entries.append(entry)
-            print(
-                f"[{tier}] {cell_label(entry)}: {entry['rps']:,.0f} req/s "
-                f"({entry['wall_seconds']:.2f} s wall, {entry['crashes']} crashes, "
-                f"{entry['retries']} retries, availability "
-                f"{entry['availability'] * 100.0:.1f}%, goodput "
-                f"{entry['goodput_tok_s']:,.0f} tok/s)"
-            )
-            if entry["crashes"] < 1:
-                failures.append(
-                    f"crash-recovery {tier} cell saw no crash — the generated "
-                    "schedule no longer covers the workload span"
-                )
-            elif not entry["availability"] < 1.0:
-                failures.append(
-                    f"crash-recovery {tier} cell reports full availability "
-                    f"despite {entry['crashes']} crashes"
-                )
-            if entry["goodput_tok_s"] <= 0.0:
-                failures.append(f"crash-recovery {tier} cell has zero goodput")
-            if entry["completed"] != len(fault_reqs):
-                failures.append(
-                    f"crash-recovery {tier} cell lost requests: "
-                    f"{entry['completed']} completed of {len(fault_reqs)} "
-                    "(conservation under crashes broken)"
-                )
-            if args.smoke:
-                rerun = run_fault_cell(tier, fault_reqs, args.seed)
-                if rerun["digest"] != entry["digest"]:
-                    failures.append("digest instability in the smoke crash-recovery cell")
 
     # ------------------------------------------------------------------ #
     # Floors and trajectory
@@ -516,8 +447,9 @@ def main(argv=None) -> int:
         "entries": entries,
     }
     validate_schema(payload, failures)
-    Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {len(entries)} cells -> {args.output}")
+    if output is not None:
+        Path(output).write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"\nwrote {len(entries)} cells -> {output}")
 
     if failures:
         print("\nFAILURES:")

@@ -7,14 +7,15 @@ is unique to the user.  This walk plays one seeded high-sharing day
 templates, short unique suffixes) through a 4-replica fleet under a
 deliberately tight KV block budget, three ways:
 
-1. **No sharing** — ``kv-aware`` routing with prefix caching disabled:
-   every request stores its full prompt privately, the baseline;
-2. **Sharing, prefix-blind routing** — ``kv-aware`` with caching on:
-   each replica caches the prefixes it happens to receive, so every
-   tenant's prefix is duplicated across the fleet;
-3. **Sharing + affinity** — ``prefix-affinity`` routing with caching on:
-   a tenant's traffic lands where its prefix already lives, so the
-   fleet stores each prefix about once.
+1. **No sharing** — ``kv-aware`` routing over the same traffic with its
+   prefix ids removed: every request stores its full prompt privately,
+   the baseline;
+2. **Sharing, prefix-blind routing** — ``kv-aware`` on the shared
+   traffic: each replica caches the prefixes it happens to receive, so
+   every tenant's prefix is duplicated across the fleet;
+3. **Sharing + affinity** — ``prefix-affinity`` routing on the shared
+   traffic: a tenant's traffic lands where its prefix already lives, so
+   the fleet stores each prefix about once.
 
 The prefix subsystem (refcounted copy-on-write block sharing, cached
 zero-refcount entries, eviction) and the affinity router are documented
@@ -23,6 +24,8 @@ gate over this comparison is ``tests/test_prefix.py``.
 
 Run with:  PYTHONPATH=src python examples/prefix_sharing.py
 """
+
+import dataclasses
 
 from repro.e2e import DEEPSEEK_R1_AWQ
 from repro.serving import (
@@ -64,13 +67,14 @@ def main():
     )
     print(f"per-replica KV budget: {budget} blocks of 16 tokens\n")
 
+    stripped = [dataclasses.replace(r, prefix_id=None, prefix_tokens=0) for r in workload]
     cells = [
-        ("no sharing", "kv-aware", False),
-        ("sharing, kv-aware", "kv-aware", True),
-        ("sharing + affinity", "prefix-affinity", True),
+        ("no sharing", "kv-aware", stripped),
+        ("sharing, kv-aware", "kv-aware", workload),
+        ("sharing + affinity", "prefix-affinity", workload),
     ]
     reports = []
-    for label, router, caching in cells:
+    for label, router, requests in cells:
         cluster = ClusterSimulator(
             DEEPSEEK_R1_AWQ,
             replicas=REPLICAS,
@@ -80,9 +84,8 @@ def main():
             arch="h100",
             max_batch_size=8,
             kv_budget_blocks=budget,
-            prefix_caching=caching,
         )
-        report = cluster.simulate(workload, workload="prefix-shared")
+        report = cluster.simulate(requests, workload="prefix-shared")
         reports.append((label, report))
         print(f"[{label}]")
         print(report.summary())

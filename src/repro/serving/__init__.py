@@ -49,12 +49,13 @@ seeded workload therefore produce bit-identical ``ServeReport`` /
 ``ClusterReport`` digests — CI enforces this.
 
 **Digest compatibility.** ``ServeReport.digest()`` hashes only the
-per-request trace (plus run identity), so a feature that does not perturb
-the trace must not perturb the digest: a KV-budget run that never hits
-the budget is bit-identical to ``kv_memory=False``, a single-replica
-cluster is bit-identical to the bare ``ServingSimulator`` under every
-routing policy, and an empty ``FaultSchedule`` (with no deadlines) is
-bit-identical to ``faults=None``.  See ``docs/serving.md``.
+per-request trace (plus run identity), and every replica runs one code
+path whose extra machinery is inert until used: a KV budget that is
+never reached changes nothing, removing prefix ids from a trace whose
+prefixes nobody shares changes nothing, an empty ``FaultSchedule``
+changes nothing, and a single-replica cluster is bit-identical to the
+bare ``ServingSimulator`` under every routing policy.  See
+``docs/serving.md``.
 """
 
 from repro.serving.cluster import (

@@ -34,22 +34,23 @@ sees the same request sequence at the same loop boundaries, and
 ``ClusterReport.digest()`` of a 1-replica fleet is *defined* as that
 replica's ``ServeReport.digest()`` — so the gate in
 ``tests/test_serving.py`` (and ``benchmarks/bench_serving.py --smoke``) is
-a literal digest equality, the same shape as the KV model's
-infinite-budget equivalence check.
+a literal digest equality.
 
-**Fault injection.** :meth:`ClusterSimulator.simulate` optionally takes a
-:class:`~repro.serving.faults.FaultSchedule` and merges its timed events
-into the arrival loop (ties process faults first).  A crash wipes the
-replica — KV pool, prefix cache, every owned request — and the lost
-requests re-enter global routing (each re-placement is a *retry*; landing
-on a different replica than before is a *failover*).  Health-aware
+**Fault injection.** :meth:`ClusterSimulator.simulate` takes a
+:class:`~repro.serving.faults.FaultSchedule` (empty by default) and
+merges its timed events into the arrival loop (ties process faults
+first).  A crash wipes the replica — KV pool, prefix cache, every owned
+request — and the lost requests re-enter global routing (each
+re-placement is a *retry*; landing on a different replica than before is
+a *failover*).  Health-aware
 routing (the default) shows routers only healthy snapshots; the
 health-blind baseline (``health_aware=False``) routes into the dark and
 pays for it, which is exactly the comparison ``tests/test_faults.py``
 gates on.  The robustness rollups (retries, failovers, shed, downtime,
-availability, goodput) live outside :meth:`ClusterReport.digest`, and an
-*empty* schedule takes the exact ``faults=None`` code path — digest
-bit-identity, the same no-op contract the KV model and prefix cache obey.
+availability, goodput) live outside :meth:`ClusterReport.digest`.  With
+every replica healthy, health filtering shows the router every snapshot
+and there is nothing to evacuate or account as downtime, so an empty
+schedule changes nothing.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.reporting.tables import TableRow, format_table
 from repro.serving.faults import FaultSchedule, ReplicaCrash, ReplicaRecover
-from repro.serving.report import RequestMetrics, ServeReport, percentile
+from repro.serving.report import ReportRates, RequestMetrics, ServeReport, percentile
 from repro.serving.router import ReplicaSnapshot, Router, get_router
 from repro.serving.scheduler import Scheduler
 from repro.serving.simulator import ReplicaEngine, ServingSimulator
@@ -79,19 +80,28 @@ __all__ = [
 ]
 
 
+# Per-replica ServeReport counters a ClusterReport exposes as fleet sums.
+FLEET_SUMS = (
+    "num_requests", "total_output_tokens", "preemptions", "prefix_hits",
+    "prefix_misses", "prefix_blocks_saved", "prefix_evictions",
+    "prefix_resident_peak", "crashes", "downtime_ms",
+)
+
+
 @dataclass
-class ClusterReport:
+class ClusterReport(ReportRates):
     """Aggregate outcome of one simulated fleet serve.
 
     Carries the per-replica :class:`ServeReport`\\ s plus fleet-level
     rollups: combined throughput and latency/TTFT percentiles, SLO
-    attainment, total preemptions, the spread of per-replica KV peak
-    utilization, and a load-imbalance coefficient (population coefficient
-    of variation of per-replica generated tokens — 0.0 is a perfectly
-    balanced fleet).  Under fault injection it also carries the
-    robustness rollups: retries, failovers, shed requests, crash count,
-    total downtime, availability and goodput — all zero fault-free, and
-    all outside :meth:`digest`.
+    attainment, the spread of per-replica KV peak utilization, and a
+    load-imbalance coefficient (population coefficient of variation of
+    per-replica generated tokens — 0.0 is a perfectly balanced fleet).
+    Every counter named in :data:`FLEET_SUMS` reads as the sum over the
+    replicas.  Under fault injection it also carries the robustness
+    rollups: retries, failovers, shed requests, crash count, downtime,
+    availability and goodput — all zero fault-free, and all outside
+    :meth:`digest`.
     """
 
     model: str
@@ -105,9 +115,8 @@ class ClusterReport:
     # request_id -> replica index, as routed (the *final* placement for a
     # request re-routed after a crash).
     assignments: Dict[int, int] = field(default_factory=dict, repr=False)
-    # Robustness rollups (zeros on a fault-free run).  Outside digest()
-    # like every other non-trace stat: an empty fault schedule digests
-    # identically to faults=None.
+    # Robustness rollups (zeros on a fault-free run), outside digest()
+    # like every other non-trace stat.
     retries: int = 0
     failovers: int = 0
     shed_while_down: int = 0
@@ -124,17 +133,13 @@ class ClusterReport:
         merged.sort(key=lambda m: m.request_id)
         return merged
 
-    @property
-    def num_requests(self) -> int:
-        return sum(r.num_requests for r in self.replicas)
-
-    @property
-    def total_output_tokens(self) -> int:
-        return sum(r.total_output_tokens for r in self.replicas)
-
-    @property
-    def preemptions(self) -> int:
-        return sum(r.preemptions for r in self.replicas)
+    def __getattr__(self, name: str):
+        # Only reached for names the instance and its class lack.
+        if name in FLEET_SUMS:
+            return sum(getattr(report, name) for report in self.replicas)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     @property
     def duration_ms(self) -> float:
@@ -144,25 +149,11 @@ class ClusterReport:
             return 0.0
         return max(m.finish_ms for m in finished) - min(m.arrival_ms for m in finished)
 
-    @property
-    def throughput_tok_s(self) -> float:
-        """Fleet-generated tokens per second of simulated wall time."""
-        if self.duration_ms <= 0:
-            return 0.0
-        return self.total_output_tokens / (self.duration_ms / 1000.0)
-
     def latency_percentile_ms(self, pct: float) -> float:
         return percentile([m.latency_ms for m in self.requests], pct)
 
     def ttft_percentile_ms(self, pct: float) -> float:
         return percentile([m.ttft_ms for m in self.requests], pct)
-
-    @property
-    def slo_attainment(self) -> float:
-        finished = self.requests
-        if not finished:
-            return 1.0
-        return sum(1 for m in finished if m.slo_met) / len(finished)
 
     @property
     def mean_batch_size(self) -> float:
@@ -174,51 +165,9 @@ class ClusterReport:
 
     @property
     def kv_utilization_spread(self) -> float:
-        """Max minus min per-replica KV *peak* utilization (0 if untracked)."""
-        tracked = [r.kv_peak_utilization for r in self.replicas if r.kv_total_blocks]
-        if not tracked:
-            return 0.0
-        return max(tracked) - min(tracked)
-
-    # Prefix-cache rollups: fleet sums of the per-replica counters (all 0
-    # when no request declared a shared prefix), outside digest() like
-    # every other non-trace stat.
-    @property
-    def prefix_hits(self) -> int:
-        return sum(r.prefix_hits for r in self.replicas)
-
-    @property
-    def prefix_misses(self) -> int:
-        return sum(r.prefix_misses for r in self.replicas)
-
-    @property
-    def prefix_blocks_saved(self) -> int:
-        return sum(r.prefix_blocks_saved for r in self.replicas)
-
-    @property
-    def prefix_hit_rate(self) -> float:
-        """Fleet-wide fraction of prefix lookups that hit a resident
-        prefix.  An affinity router raises this over memory-blind routing
-        by not duplicating hot prefixes across replicas."""
-        lookups = self.prefix_hits + self.prefix_misses
-        return self.prefix_hits / lookups if lookups else 0.0
-
-    @property
-    def prefix_resident_peak(self) -> int:
-        """Sum of per-replica peak resident-prefix counts — the fleet's
-        total prefix-cache footprint at each replica's own peak (a lower
-        number for the same traffic means less duplication)."""
-        return sum(r.prefix_resident_peak for r in self.replicas)
-
-    # Robustness rollups: per-replica sums plus the cluster-level
-    # counters, all zeros fault-free.
-    @property
-    def crashes(self) -> int:
-        return sum(r.crashes for r in self.replicas)
-
-    @property
-    def total_downtime_ms(self) -> float:
-        return sum(r.downtime_ms for r in self.replicas)
+        """Max minus min per-replica KV *peak* utilization."""
+        peaks = [r.kv_peak_utilization for r in self.replicas]
+        return max(peaks) - min(peaks)
 
     @property
     def shed(self) -> int:
@@ -234,17 +183,7 @@ class ClusterReport:
         span = self.duration_ms * len(self.replicas)
         if span <= 0:
             return 1.0
-        return max(0.0, 1.0 - self.total_downtime_ms / span)
-
-    @property
-    def goodput_tok_s(self) -> float:
-        """Fleet throughput counting useful work only: tokens of
-        completed requests that met their hard deadline.  Equal to
-        ``throughput_tok_s`` when no request carries one."""
-        if self.duration_ms <= 0:
-            return 0.0
-        useful = sum(m.output_tokens for m in self.requests if m.deadline_met)
-        return useful / (self.duration_ms / 1000.0)
+        return max(0.0, 1.0 - self.downtime_ms / span)
 
     @property
     def load_imbalance(self) -> float:
@@ -359,14 +298,14 @@ class ClusterSimulator:
     instance) or a :class:`Scheduler` instance (shared — safe because
     schedulers hold no per-run mutable state).
 
-    Remaining keyword arguments (e.g. ``prefix_caching=False``) pass
-    through to every replica's :class:`ServingSimulator`.  Prefix caches
-    are strictly per replica — sharing happens *within* a replica's pool,
-    and the ``prefix-affinity`` router is what keeps a fleet from
-    duplicating hot prefixes across pools.
+    Remaining keyword arguments (e.g. ``kv_block_tokens``) pass through
+    to every replica's :class:`ServingSimulator`.  Prefix caches are
+    strictly per replica — sharing happens *within* a replica's pool, and
+    the ``prefix-affinity`` router is what keeps a fleet from duplicating
+    hot prefixes across pools.
 
-    ``health_aware`` only matters when :meth:`simulate` is given a fault
-    schedule: ``True`` (the default) filters crashed replicas out of the
+    ``health_aware`` only matters once a fault schedule crashes a
+    replica: ``True`` (the default) filters crashed replicas out of the
     snapshots shown to the router, so every policy fails over
     automatically; ``False`` is the health-blind baseline — the router
     keeps routing into dead replicas, whose queues wait out the outage.
@@ -384,7 +323,6 @@ class ClusterSimulator:
         prefill_parallelism: float = 8.0,
         step_model: Optional[StepLatencyModel] = None,
         seed: int = 0,
-        kv_memory: bool = True,
         kv_budget_blocks: Union[int, Sequence[int], None] = None,
         health_aware: bool = True,
         **replica_kwargs,
@@ -415,7 +353,6 @@ class ClusterSimulator:
                 max_batch_size=max_batch_size,
                 prefill_parallelism=prefill_parallelism,
                 step_model=step_model,
-                kv_memory=kv_memory,
                 kv_budget_blocks=budgets[index],
                 **replica_kwargs,
             )
@@ -444,8 +381,8 @@ class ClusterSimulator:
             waiting=engine.assigned - len(engine.running),
             running=len(engine.running),
             max_batch_size=engine.sim.max_batch_size,
-            kv_total_blocks=manager.total_blocks if manager is not None else 0,
-            kv_free_blocks=manager.free_blocks if manager is not None else 0,
+            kv_total_blocks=manager.total_blocks,
+            kv_free_blocks=manager.free_blocks,
             kv_reserved_blocks=engine.kv_reserved_blocks,
             preemptions=engine.preemptions,
             finished=len(engine.finished),
@@ -461,9 +398,10 @@ class ClusterSimulator:
     ) -> ClusterReport:
         """Route ``requests`` across the fleet and play every replica out.
 
-        ``faults`` optionally merges a timed
+        ``faults`` merges a timed
         :class:`~repro.serving.faults.FaultSchedule` into the arrival
-        loop (ties process the fault first).  A crash wipes the replica
+        loop (ties process the fault first); ``None`` is the empty
+        schedule.  A crash wipes the replica
         and its lost requests re-enter global routing — each
         re-placement is a *retry*, landing on a different replica than
         before is a *failover*.  Health-aware mode routes around down
@@ -472,9 +410,9 @@ class ClusterSimulator:
         evacuated to the survivors.  With the whole fleet down, arrivals
         are held for the next recovery — or, when none remains, the run
         fails with ``ValueError`` rather than losing traffic silently.
-        An *empty* schedule takes the exact ``faults=None`` code path,
-        so its digest is bit-identical.
         """
+        if faults is None:
+            faults = FaultSchedule()
         ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
         engines = [
             ReplicaEngine(sim, replica_id=index)
@@ -482,13 +420,13 @@ class ClusterSimulator:
         ]
         self.router.reset(len(engines), seed=self.seed)
         assignments: Dict[int, int] = {}
-        fault_events = list(faults.events) if faults is not None else []
-        if fault_events and faults.max_replica_id() >= len(engines):
+        fault_events = faults.events
+        if faults.max_replica_id() >= len(engines):
             raise ValueError(
                 f"fault schedule targets replica {faults.max_replica_id()} "
                 f"but the fleet has {len(engines)} replicas"
             )
-        healthy_only = bool(fault_events) and self.health_aware
+        healthy_only = self.health_aware
         retry_counts: Dict[int, int] = {}
         failovers = 0
         shed_while_down = 0
@@ -534,11 +472,11 @@ class ClusterSimulator:
         def place(request: Request, healthy_required: bool) -> None:
             nonlocal failovers
             previous = assignments.get(request.request_id)
-            snapshots = [
+            candidates = [
                 self._snapshot(index, engine) for index, engine in enumerate(engines)
             ]
             if healthy_required:
-                candidates = [s for s in snapshots if s.healthy]
+                candidates = [s for s in candidates if s.healthy]
                 if not candidates:
                     # Whole fleet down: hold the arrival for the next
                     # recovery — and fail loudly if none is coming.
@@ -552,8 +490,6 @@ class ClusterSimulator:
                         )
                     deferred.append(request)
                     return
-            else:
-                candidates = snapshots
             choice = self.router.route(request, candidates)
             if not isinstance(choice, int) or not 0 <= choice < len(engines):
                 raise RuntimeError(
@@ -618,24 +554,21 @@ class ClusterSimulator:
                 ai += 1
                 advance_to(request.arrival_ms, True)
                 place(request, healthy_only)
-        if fault_events:
-            # Final failover: whatever health-blind routing stranded on a
-            # replica still down when the schedule ends would never
-            # finish — evacuate it to the survivors (health stops being
-            # optional here: even a blind frontend eventually declares a
-            # backend dead).
-            for engine in engines:
-                if not engine.healthy and engine.assigned:
-                    reroute(engine.evacuate(), True)
+        # Final failover: whatever health-blind routing stranded on a
+        # replica still down when the schedule ends would never finish —
+        # evacuate it to the survivors (health stops being optional here:
+        # even a blind frontend eventually declares a backend dead).
+        for engine in engines:
+            if not engine.healthy and engine.assigned:
+                reroute(engine.evacuate(), True)
         for engine in engines:
             while engine.advance():
                 pass
-        if fault_events:
-            # Replicas down at the end of the run accrue downtime to the
-            # fleet's last event, so availability reflects the outage.
-            fleet_end = max(engine.now for engine in engines)
-            for engine in engines:
-                engine.close_downtime(fleet_end)
+        # Replicas down at the end of the run accrue downtime to the
+        # fleet's last event, so availability reflects the outage.
+        fleet_end = max(engine.now for engine in engines)
+        for engine in engines:
+            engine.close_downtime(fleet_end)
         reports = [engine.report(workload) for engine in engines]
         return ClusterReport(
             model=self.model_config.name,

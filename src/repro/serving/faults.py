@@ -26,11 +26,11 @@ so the same arguments always yield the identical event list.  Every
 generated crash is paired with its recovery, so a generated schedule can
 never leave the fleet permanently dead.
 
-**Digest contract.** An *empty* schedule injects nothing and the cluster
-takes its exact pre-fault code path — runs with ``FaultSchedule()`` are
-digest-identical to ``faults=None`` under every scheduler and router
-(``tests/test_faults.py`` gates this, mirroring the prefix store's
-empty-store gate).
+**Digest contract.** An *empty* schedule changes nothing: with every
+replica healthy, health-aware filtering shows the router every snapshot,
+nothing is evacuated and no downtime accrues, so the run digests
+identically to health-blind routing under every scheduler and router
+(``tests/test_faults.py`` gates this).
 """
 
 from __future__ import annotations

@@ -27,9 +27,9 @@ simulator.
 
 **Digest compatibility.** The budget only ever *removes* admissions or
 *adds* preemptions; a run that never touches either limit executes the
-exact slot-only trace, which is why an infinite budget (or light traffic
-against the real one) is bit-identical — digest-equal — to
-``kv_memory=False``.  Tests assert this per scheduler and workload.
+same trace at any budget size, which is why an infinite budget and a
+pool just large enough for the whole workload digest identically.  Tests
+assert this per scheduler and workload.
 """
 
 from __future__ import annotations
@@ -171,11 +171,10 @@ class KvMemoryView:
     ``used_blocks`` / ``peak_used_blocks`` expose the pool's pressure so a
     policy (or the prefix store) never has to reach into the mutable
     manager.  ``resident_prefixes`` maps a shared prefix id to the tokens
-    of that prefix currently resident in the pool (whole blocks only) —
-    empty unless the replica runs a :class:`~repro.serving.prefix.\
-    PrefixStore` with live entries, in which case ``free_blocks`` also
-    counts the store's reclaimable (zero-refcount, evict-on-demand)
-    blocks as free.
+    of that prefix pinned in the pool (whole blocks only), and
+    ``free_blocks`` counts reclaimable prefix blocks as free; see
+    :meth:`repro.serving.prefix.PrefixStore.view`, which builds the view
+    the engine hands its scheduler.
     """
 
     block_tokens: int
@@ -198,8 +197,7 @@ class KvMemoryView:
         blocks (the copy-on-write tail).  A non-resident prefix is charged
         in full — the shared and private parts of a block-aligned split
         sum to exactly ``blocks_for(prompt + 1)``, so without residency
-        (or without a prefix) this is the pre-prefix arithmetic, bit for
-        bit.
+        the prefix changes nothing.
         """
         prefix_id = getattr(request, "prefix_id", None)
         if prefix_id is not None:
@@ -261,15 +259,6 @@ class KvBlockManager:
 
     def holdings(self) -> Dict[int, int]:
         return dict(self._held)
-
-    def view(self) -> KvMemoryView:
-        return KvMemoryView(
-            block_tokens=self.block_tokens,
-            total_blocks=self.total_blocks,
-            free_blocks=self.free_blocks,
-            used_blocks=self._used,
-            peak_used_blocks=self.peak_used_blocks,
-        )
 
     # ------------------------------------------------------------------ #
     def fits(self, request_id: int, tokens: int) -> bool:

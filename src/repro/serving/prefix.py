@@ -32,12 +32,13 @@ model, layered on :class:`~repro.serving.memory.KvBlockManager`:
 inputs: hit/miss is dictionary membership, eviction order is a FIFO of
 release events — no randomness, so prefix-cached runs digest bit-stably.
 
-**Digest compatibility.** A store with no entries changes nothing: the
-engine only takes the prefix-aware paths when at least one entry is
-resident, so zero-sharing workloads (and every pre-existing generator,
-whose requests carry no ``prefix_id``) execute the exact pre-prefix trace
-and digest identically.  ``tests/test_prefix.py`` asserts this per
-scheduler x router.
+**Digest compatibility.** A request without a prefix never touches the
+store, and a prefix only one request uses saves nothing: its whole-block
+entry plus the request's private tail is exactly the request's
+unshared footprint, and a cached entry counts as free to the scheduler.
+So a trace whose prefixes nobody shares digests identically to the same
+trace with its prefix ids removed; ``tests/test_prefix.py`` asserts this
+per scheduler x router.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.serving.memory import KvBlockManager
+from repro.serving.memory import KvBlockManager, KvMemoryView
 
 __all__ = ["PrefixStore"]
 
@@ -141,6 +142,28 @@ class PrefixStore:
             for key, entry in self._entries.items()
             if entry.refcount > 0
         }
+
+    def view(self) -> KvMemoryView:
+        """The pool as the scheduler sees it.
+
+        Reclaimable (zero-refcount, evictable-on-demand) blocks count as
+        free, and the residency map holds only *referenced* prefixes, so
+        admission policies charge a request attached to a pinned prefix
+        only its private suffix.  Cached zero-refcount prefixes are
+        deliberately absent from the map: their blocks are already in the
+        free figure (eviction may hand them to any admission this round),
+        so a request hoping to re-attach is charged in full — if the
+        entry survives, admission simply under-uses its charge.
+        """
+        manager = self.manager
+        return KvMemoryView(
+            block_tokens=manager.block_tokens,
+            total_blocks=manager.total_blocks,
+            free_blocks=manager.free_blocks + self._reclaimable_blocks,
+            used_blocks=manager.used_blocks,
+            peak_used_blocks=manager.peak_used_blocks,
+            resident_prefixes=self.referenced_tokens(),
+        )
 
     # ------------------------------------------------------------------ #
     def ensure_free(self, blocks: int) -> None:

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 from repro.reporting.tables import TableRow, format_table
 
 __all__ = [
+    "ReportRates",
     "RequestMetrics",
     "ServeReport",
     "format_reports",
@@ -48,9 +49,8 @@ class RequestMetrics:
 
     ``deadline_ms`` carries the request's optional hard deadline so
     goodput can tell useful completions from too-late ones.  It is
-    deliberately absent from :meth:`record` — the digest hashes the
-    pre-fault trace fields only, so deadline-free runs digest identically
-    to the pre-fault engine.
+    deliberately absent from :meth:`record`: the digest hashes what was
+    served and when, so deadlines that never lapse leave it unchanged.
     """
 
     request_id: int
@@ -102,8 +102,47 @@ class RequestMetrics:
         ]
 
 
+class ReportRates:
+    """The rates a replica report and a fleet report derive the same way,
+    from ``requests``, ``total_output_tokens``, ``duration_ms`` and the
+    prefix-cache counters."""
+
+    @property
+    def throughput_tok_s(self) -> float:
+        """Generated tokens per second of simulated wall time."""
+        if self.duration_ms <= 0:
+            return 0.0
+        return self.total_output_tokens / (self.duration_ms / 1000.0)
+
+    @property
+    def goodput_tok_s(self) -> float:
+        """Throughput counting useful work only: tokens of completed,
+        non-shed requests that met their hard deadline (shed requests
+        generate nothing; a deadline-carrying request that finished late
+        produced tokens nobody wanted).  Equal to ``throughput_tok_s``
+        when no request carries a deadline."""
+        if self.duration_ms <= 0:
+            return 0.0
+        useful = sum(m.output_tokens for m in self.requests if m.deadline_met)
+        return useful / (self.duration_ms / 1000.0)
+
+    @property
+    def slo_attainment(self) -> float:
+        """Fraction of requests that met their end-to-end SLO."""
+        if not self.requests:
+            return 1.0
+        return sum(1 for r in self.requests if r.slo_met) / len(self.requests)
+
+    @property
+    def prefix_hit_rate(self) -> float:
+        """Fraction of prefix lookups that attached to a resident prefix
+        (0.0 when the workload declared no prefixes)."""
+        lookups = self.prefix_hits + self.prefix_misses
+        return self.prefix_hits / lookups if lookups else 0.0
+
+
 @dataclass
-class ServeReport:
+class ServeReport(ReportRates):
     """Aggregate outcome of one simulated serve."""
 
     model: str
@@ -119,44 +158,25 @@ class ServeReport:
     mean_queue_depth: float
     max_queue_depth: int
     requests: List[RequestMetrics] = field(default_factory=list, repr=False)
-    # KV-cache memory model (zeros when the accounting is disabled).
-    # Deliberately *not* part of digest(): the digest hashes the per-request
-    # trace, which preemption already perturbs — so a run that never hits
-    # the budget stays bit-identical to one with the model disabled.
+    # Counters, all outside digest(), which hashes only the per-request
+    # trace.  KV-cache memory model:
     preemptions: int = 0
     kv_block_tokens: int = 0
     kv_total_blocks: int = 0
     kv_peak_utilization: float = 0.0
     mean_kv_utilization: float = 0.0
-    # Prefix-cache rollups (zeros when no request declared a shared
-    # prefix).  Also outside digest(), same reasoning: a zero-sharing run
-    # must digest identically to the pre-prefix engine.
+    # Prefix cache (zeros when no request declared a shared prefix):
     prefix_hits: int = 0
     prefix_misses: int = 0
     prefix_blocks_saved: int = 0
     prefix_evictions: int = 0
     prefix_resident_peak: int = 0
-    # Robustness rollups (zeros on a fault-free run).  Also outside
-    # digest(), same reasoning again: a run with an empty fault schedule
-    # and no deadlines must digest identically to faults=None.
+    # Robustness (zeros on a fault-free run):
     shed: int = 0
     crashes: int = 0
     downtime_ms: float = 0.0
-    # Lazy-compilation rollups from the replica's StepLatencyModel (zeros
-    # when the model is eager).  Outside digest() by the same reasoning:
-    # lazy and eager runs of the same traffic must digest identically —
-    # only *when* kernels compile differs, never what is served.
-    buckets_compiled: int = 0
-    compiles_deferred: int = 0
 
     # ------------------------------------------------------------------ #
-    @property
-    def throughput_tok_s(self) -> float:
-        """Generated tokens per second of simulated wall time."""
-        if self.duration_ms <= 0:
-            return 0.0
-        return self.total_output_tokens / (self.duration_ms / 1000.0)
-
     def _sorted_metric(self, name: str) -> List[float]:
         # Lazily cached sorted samples: a summary line reads several
         # percentiles of the same million-entry series, and the records
@@ -174,37 +194,11 @@ class ServeReport:
         return percentile(self._sorted_metric("ttft_ms"), pct)
 
     @property
-    def slo_attainment(self) -> float:
-        """Fraction of requests that met their end-to-end SLO."""
-        if not self.requests:
-            return 1.0
-        return sum(1 for r in self.requests if r.slo_met) / len(self.requests)
-
-    @property
-    def prefix_hit_rate(self) -> float:
-        """Fraction of prefix lookups that attached to a resident prefix
-        (0.0 when the workload declared no prefixes)."""
-        lookups = self.prefix_hits + self.prefix_misses
-        return self.prefix_hits / lookups if lookups else 0.0
-
-    @property
     def availability(self) -> float:
         """Fraction of the serve this replica was up (1.0 fault-free)."""
         if self.duration_ms <= 0:
             return 1.0
         return max(0.0, 1.0 - self.downtime_ms / self.duration_ms)
-
-    @property
-    def goodput_tok_s(self) -> float:
-        """Throughput counting useful work only: tokens of completed,
-        non-shed requests that met their hard deadline (shed requests
-        generate nothing; a deadline-carrying request that finished late
-        produced tokens nobody wanted).  Equal to ``throughput_tok_s``
-        when no request carries a deadline."""
-        if self.duration_ms <= 0:
-            return 0.0
-        useful = sum(m.output_tokens for m in self.requests if m.deadline_met)
-        return useful / (self.duration_ms / 1000.0)
 
     # ------------------------------------------------------------------ #
     def digest(self) -> str:
@@ -288,14 +282,11 @@ class ServeReport:
             f"{self.latency_percentile_ms(95):.0f}/{self.latency_percentile_ms(99):.0f} ms, "
             f"SLO attainment {self.slo_attainment * 100.0:.1f}%, "
             f"mean batch {self.mean_batch_size:.1f}, "
-            f"max queue depth {self.max_queue_depth}"
+            f"max queue depth {self.max_queue_depth}, "
+            f"{self.preemptions} preemptions, "
+            f"KV peak {self.kv_peak_utilization * 100.0:.0f}% of "
+            f"{self.kv_total_blocks} blocks"
         )
-        if self.kv_total_blocks:
-            text += (
-                f", {self.preemptions} preemptions, "
-                f"KV peak {self.kv_peak_utilization * 100.0:.0f}% of "
-                f"{self.kv_total_blocks} blocks"
-            )
         if self.prefix_hits + self.prefix_misses:
             text += (
                 f", prefix hit rate {self.prefix_hit_rate * 100.0:.0f}% "

@@ -19,8 +19,7 @@ policies are provided:
   worst-case demand already assigned to the replica), falling back to the
   fewest preemptions so far (then least loaded): balances *memory*
   headroom rather than request count, which is what actually decides
-  preemptions under long-context traffic.  With the KV model disabled it
-  degrades to least-loaded;
+  preemptions under long-context traffic;
 * :class:`PowerOfTwoRouter` — power-of-two-choices: sample two distinct
   replicas from a private seeded RNG and keep the less loaded.  Nearly
   the balance of join-shortest-queue at a fraction of the state
@@ -77,13 +76,12 @@ class ReplicaSnapshot:
     currently held); ``kv_reserved_blocks`` is the worst-case demand of
     every outstanding request at its full context length — the number a
     memory-balancing router actually wants, since queued requests hold no
-    blocks yet.  Both (and ``kv_total_blocks``) are 0 when the replica's
-    KV memory model is disabled.
+    blocks yet.
 
     ``resident_prefixes`` maps shared prefix ids to the tokens of that
-    prefix resident in the replica's prefix cache — empty unless the
-    replica runs prefix caching and some prefix is resident.  This is
-    what :class:`PrefixAffinityRouter` keys on.
+    prefix resident in the replica's prefix cache — empty until some
+    request with a prefix has been admitted.  This is what
+    :class:`PrefixAffinityRouter` keys on.
 
     ``healthy`` is ``False`` while the replica is crashed
     (:mod:`repro.serving.faults`).  Under the cluster's default
@@ -198,16 +196,13 @@ class KvAwareRouter(Router):
     ``kv_free_blocks``: a replica whose queue is stacked with marathons
     looks free *now* but is committed, and routing into it buys a
     preemption later.  Preemption count breaks ties toward the replica
-    whose pool has been calmest.  Without any KV budget (the memory model
-    disabled) it degrades to :class:`LeastLoadedRouter`.
+    whose pool has been calmest.
     """
 
     name = "kv-aware"
 
     def route(self, request, replicas):
         _require_replicas(replicas)
-        if all(s.kv_total_blocks == 0 for s in replicas):
-            return min(replicas, key=lambda s: (s.load, s.replica_id)).replica_id
         return min(
             replicas,
             key=lambda s: (-s.kv_unreserved_blocks, s.preemptions, s.load, s.replica_id),

@@ -18,8 +18,7 @@ provided:
   into the budget), with an FCFS aging escape so long prompts cannot
   starve.
 
-Since the KV-cache memory model, policies also expose two hooks the
-memory-aware simulator drives:
+Policies also expose two hooks the engine drives:
 
 * :meth:`Scheduler.select_memory` — admission with a
   :class:`~repro.serving.memory.KvMemoryView` attached; the base
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Type, Union
+from typing import Dict, List, Type, Union
 
 from repro.serving.memory import KvMemoryView
 from repro.serving.workload import Request
@@ -112,7 +111,7 @@ class Scheduler:
         free_slots: int,
         now_ms: float,
         more_arrivals: bool,
-        memory: Optional[KvMemoryView],
+        memory: KvMemoryView,
     ) -> List[Request]:
         """Admission with the KV block pool attached.
 
@@ -121,12 +120,9 @@ class Scheduler:
         free pool — a prefix, not a filter, so no request sneaks past one
         the policy ranked ahead of it (FCFS stays FCFS under memory
         pressure).  Policies that only override ``select`` therefore keep
-        working unchanged; ``memory=None`` (memory model disabled) is the
-        exact pre-KV behaviour.
+        working unchanged.
         """
         chosen = self.select(waiting, running, free_slots, now_ms, more_arrivals)
-        if memory is None:
-            return chosen
         admitted: List[Request] = []
         free = memory.free_blocks
         for request in chosen:
@@ -237,11 +233,12 @@ class MemoryAwareScheduler(Scheduler):
     long prompts, so any request that has waited longer than
     ``max_wait_ms`` jumps to the head of the line *in arrival order* and
     blocks everything behind it until it fits (head-of-line aging, the same
-    liveness escape ``max-batch`` uses for time).
+    liveness escape ``max-batch`` uses for time).  Preemption targets the
+    largest block holder first — evicting one marathon context frees the
+    most blocks per recompute.
 
-    Without a memory view (the KV model disabled) the policy degrades to
-    plain FCFS, and preemption targets the largest block holder first —
-    evicting one marathon context frees the most blocks per recompute.
+    :meth:`select`, the slot-only view that knows no block costs, is plain
+    FCFS; the engine admits through :meth:`select_memory`.
     """
 
     name = "memory-aware"
@@ -255,8 +252,6 @@ class MemoryAwareScheduler(Scheduler):
         return list(waiting[:free_slots])
 
     def select_memory(self, waiting, running, free_slots, now_ms, more_arrivals, memory):
-        if memory is None:
-            return self.select(waiting, running, free_slots, now_ms, more_arrivals)
         if not waiting or free_slots <= 0:
             return []
         aged = [r for r in waiting if now_ms - r.arrival_ms >= self.max_wait_ms]

@@ -40,9 +40,9 @@ The KV budget defaults to the replica's real capacity — the architecture's
 HBM (``GpuArch.hbm_gb``) times a utilization headroom, minus the sharded
 model weights, in :data:`~repro.serving.memory.DEFAULT_KV_BLOCK_TOKENS`-token
 blocks (see :mod:`repro.serving.memory`).  Pass ``kv_budget_blocks`` to
-model a smaller (or effectively infinite) pool, or ``kv_memory=False`` to
-disable the accounting entirely; a run that never hits the budget is
-bit-identical to one with the model disabled.
+model a smaller (or effectively infinite) pool.  The budget only ever
+defers admissions or forces preemptions, so a run that never reaches it
+produces the same trace at any budget size.
 
 Everything is deterministic: the only randomness lives in the seeded
 workload generators, schedulers break ties on request ids, block accounting
@@ -61,7 +61,6 @@ from repro.serving.memory import (
     DEFAULT_HBM_UTILIZATION,
     DEFAULT_KV_BLOCK_TOKENS,
     KvBlockManager,
-    KvMemoryView,
     kv_budget_blocks as _derive_kv_budget_blocks,
 )
 from repro.serving.prefix import PrefixStore
@@ -122,16 +121,13 @@ class ServingSimulator:
     the model config and the architecture's HBM capacity
     (:func:`repro.serving.memory.kv_budget_blocks`); an explicit block
     count overrides it (e.g. a tiny pool to study preemption, or a huge
-    one to make memory irrelevant).  ``kv_memory=False`` turns the
-    accounting off entirely — the pre-KV simulator.
+    one to make memory irrelevant).
 
-    ``prefix_caching`` (on by default, meaningful only with the KV model
-    enabled) shares the KV blocks of requests that declare a common
-    prompt prefix (``Request.prefix_id``) through a refcounted
-    copy-on-write :class:`~repro.serving.prefix.PrefixStore`: admission
-    charges only the unshared suffix when the prefix is resident.
-    Workloads that declare no prefixes never populate the store, so they
-    are bit-identical — digest-equal — with the flag on or off.
+    Requests that declare a common prompt prefix (``Request.prefix_id``)
+    share its KV blocks through each replica's refcounted copy-on-write
+    :class:`~repro.serving.prefix.PrefixStore`: admission charges only the
+    unshared suffix when the prefix is resident.  A request without a
+    prefix never touches the store.
     """
 
     def __init__(
@@ -143,11 +139,9 @@ class ServingSimulator:
         max_batch_size: int = 32,
         prefill_parallelism: float = 8.0,
         step_model: Optional[StepLatencyModel] = None,
-        kv_memory: bool = True,
         kv_block_tokens: int = DEFAULT_KV_BLOCK_TOKENS,
         kv_budget_blocks: Optional[int] = None,
         hbm_utilization: float = DEFAULT_HBM_UTILIZATION,
-        prefix_caching: bool = True,
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -165,10 +159,7 @@ class ServingSimulator:
         # every step is timed at a bucket covering the actual batch.
         self.step_model.ensure_bucket(max_batch_size)
         self.kv_block_tokens = kv_block_tokens
-        self.prefix_caching = bool(prefix_caching)
-        if not kv_memory:
-            self.kv_budget_blocks: Optional[int] = None
-        elif kv_budget_blocks is not None:
+        if kv_budget_blocks is not None:
             if kv_budget_blocks < 1:
                 raise ValueError(f"kv_budget_blocks must be >= 1, got {kv_budget_blocks}")
             self.kv_budget_blocks = int(kv_budget_blocks)
@@ -222,18 +213,11 @@ class ReplicaEngine:
     def __init__(self, sim: ServingSimulator, requests: Sequence[Request] = (), replica_id: int = 0):
         self.sim = sim
         self.replica_id = replica_id
-        self.manager: Optional[KvBlockManager] = None
-        self.prefix_store: Optional[PrefixStore] = None
+        self.manager = KvBlockManager(sim.kv_budget_blocks, sim.kv_block_tokens)
+        self.prefix_store = PrefixStore(self.manager)
         self._reserved_blocks = 0
-        if sim.kv_budget_blocks is not None:
-            self.manager = KvBlockManager(sim.kv_budget_blocks, sim.kv_block_tokens)
-            if sim.prefix_caching:
-                self.prefix_store = PrefixStore(self.manager)
-            for request in requests:
-                self._check_fits_budget(request)
-                self._reserved_blocks += self.manager.blocks_for(
-                    request.prompt_tokens + request.output_tokens
-                )
+        for request in requests:
+            self._reserve(request)
         self.queue = RequestQueue(requests)
         # ``waiting`` is maintained sorted by (arrival_ms, request_id) at
         # all times — arrivals append (the queue pops in exactly that
@@ -260,8 +244,7 @@ class ReplicaEngine:
         # while its window is open.  ``shed`` holds the ids of requests
         # dropped past their hard deadline.  All of it is inert — and the
         # hot loop's checks short-circuit — unless faults or deadlines are
-        # actually injected, which is what keeps fault-free runs
-        # bit-identical to the pre-fault engine.
+        # actually injected.
         self.healthy = True
         self.crashes = 0
         self.downtime_ms = 0.0
@@ -278,7 +261,9 @@ class ReplicaEngine:
         self._step_cache: dict = {}
 
     # ------------------------------------------------------------------ #
-    def _check_fits_budget(self, request: Request) -> None:
+    def _reserve(self, request: Request) -> None:
+        """Validate ``request`` against the KV budget and add its
+        full-context footprint to :attr:`kv_reserved_blocks`."""
         full = self.manager.blocks_for(request.prompt_tokens + request.output_tokens)
         if full > self.manager.total_blocks:
             raise ValueError(
@@ -286,6 +271,7 @@ class ReplicaEngine:
                 f"context ({request.prompt_tokens}+{request.output_tokens} tokens) "
                 f"but the replica budget is {self.manager.total_blocks} blocks"
             )
+        self._reserved_blocks += full
 
     def inject(self, request: Request) -> None:
         """Hand this replica one more request (cluster routing).
@@ -293,11 +279,7 @@ class ReplicaEngine:
         The request is validated against the replica's KV budget exactly
         like ``simulate()`` validates its whole workload up front.
         """
-        if self.manager is not None:
-            self._check_fits_budget(request)
-            self._reserved_blocks += self.manager.blocks_for(
-                request.prompt_tokens + request.output_tokens
-            )
+        self._reserve(request)
         if request.deadline_ms is not None:
             self._has_deadlines = True
         self.queue.push(request)
@@ -325,10 +307,8 @@ class ReplicaEngine:
         self.waiting = []
         self._waiting_reqs = []
         self.running = []
-        if self.prefix_store is not None:
-            self.prefix_store.clear()
-        if self.manager is not None:
-            self.manager.reset()
+        self.prefix_store.clear()
+        self.manager.reset()
         self._reserved_blocks = 0
         self.healthy = False
         self.crashes += 1
@@ -403,53 +383,32 @@ class ReplicaEngine:
         (a real deployment would use the request's ``max_tokens`` bound).
         Maintained incrementally — add on assignment, subtract on finish;
         preemption does not change it (the victim is still outstanding).
-        0 when the KV memory model is disabled.
 
         Deliberately *not* prefix-aware: the worst case assumes no
         sharing (a resident prefix may be evicted before the queued
-        request runs), which keeps the figure conservative and
-        zero-sharing runs bit-identical.
+        request runs), which keeps the figure conservative.
         """
         return self._reserved_blocks
 
     def resident_prefix_tokens(self) -> dict:
         """Prefix id -> resident shared tokens, for router snapshots."""
-        store = self.prefix_store
-        if store is None or not store.entry_count:
-            return {}
-        return store.resident_tokens()
-
-    def _memory_view(self) -> KvMemoryView:
-        """The scheduler's snapshot of the pool.
-
-        With live prefix entries the view counts the store's reclaimable
-        (zero-refcount, evictable-on-demand) blocks as free and carries
-        the *referenced* residency map, so admission policies charge a
-        request attached to a pinned prefix only its private suffix.
-        Cached zero-refcount prefixes are deliberately absent from the
-        map: their blocks are already in the free figure (eviction may
-        hand them to any admission this round), so a request hoping to
-        re-attach is charged in full — if the entry survives, admission
-        simply under-uses its charge.  With an empty store this is
-        exactly ``manager.view()`` — the pre-prefix snapshot.
-        """
-        manager = self.manager
-        store = self.prefix_store
-        if store is None or not store.entry_count:
-            return manager.view()
-        return KvMemoryView(
-            block_tokens=manager.block_tokens,
-            total_blocks=manager.total_blocks,
-            free_blocks=manager.free_blocks + store.reclaimable_blocks,
-            used_blocks=manager.used_blocks,
-            peak_used_blocks=manager.peak_used_blocks,
-            resident_prefixes=store.referenced_tokens(),
-        )
+        return self.prefix_store.resident_tokens()
 
     # ------------------------------------------------------------------ #
     def _grow_running(self) -> None:
         """Allocate each running request's next decode token, preempting
         (scheduler-ordered, recompute-on-readmit) until the rest fit.
+
+        Each running request's demand is its *private* context (prompt +
+        decoded tokens + 1, minus its attached shared tokens); the blocks
+        of every prefix some running request references are added once.
+        When demand exceeds the pool, the preemption sweep walks the
+        scheduler's victim order; cutting the last attachment of a prefix
+        also drops that prefix's blocks from the demand (a zero-refcount
+        entry is evictable, not required).  Victims release their private
+        blocks and detach from their prefix — the entry stays cached, so
+        readmission re-attaches for free while it remains resident.
+        Survivor growth evicts cached entries on demand before allocating.
 
         The common no-pressure step is a pure integer pass: the preemption
         structures (needed map, :class:`RunningInfo` snapshots) are only
@@ -457,100 +416,9 @@ class ReplicaEngine:
         request's allocation is only touched on the steps where it crosses
         a block boundary (its holding cannot change otherwise, so neither
         can the pool level or its peak).
-
-        With a populated prefix store the prefix-aware variant runs
-        instead; an empty store (every pre-existing workload) stays on
-        this exact path, which is what keeps zero-sharing runs
-        bit-identical to the pre-prefix engine.
         """
+        manager = self.manager
         store = self.prefix_store
-        if store is not None and store.entry_count:
-            self._grow_running_prefix(store)
-            return
-        manager = self.manager
-        running = self.running
-        bf = manager.blocks_for
-        total_needed = 0
-        for s in running:
-            total_needed += bf(s.request.prompt_tokens + s.tokens_done + 1)
-
-        if total_needed > manager.total_blocks:
-            needed = {
-                s.request.request_id: bf(s.request.prompt_tokens + s.tokens_done + 1)
-                for s in running
-            }
-            infos = [
-                RunningInfo(
-                    request=s.request,
-                    admitted_ms=s.admitted_ms,
-                    tokens_done=s.tokens_done,
-                    blocks_held=s.blocks_held,
-                )
-                for s in running
-            ]
-            order = self.sim.scheduler.preempt_order(infos, self.now)
-            order_ids = [info.request.request_id for info in order]
-            if sorted(order_ids) != sorted(needed):
-                raise RuntimeError(
-                    f"scheduler {self.sim.scheduler.name!r} preempt_order is not a "
-                    f"permutation of the running batch"
-                )
-            victims = set()
-            for request_id in order_ids:
-                if total_needed <= manager.total_blocks or len(needed) == 1:
-                    break
-                total_needed -= needed.pop(request_id)
-                victims.add(request_id)
-
-            # Victims release before any survivor grows: a survivor's
-            # growth may only fit *because* a victim later in batch order
-            # is being evicted.
-            waiting, waiting_reqs = self.waiting, self._waiting_reqs
-            survivors: List[_ActiveRequest] = []
-            for state in running:
-                if state.request.request_id in victims:
-                    manager.release(state.request.request_id)
-                    # Recompute-on-readmit: the generation restarts from
-                    # the prompt (it re-pays prefill and re-decodes on
-                    # readmission).
-                    state.tokens_done = 0
-                    state.admitted_ms = -1.0
-                    state.blocks_held = 0
-                    index = bisect_left(
-                        waiting_reqs, _arrival_key(state.request), key=_arrival_key
-                    )
-                    waiting.insert(index, state)
-                    waiting_reqs.insert(index, state.request)
-                else:
-                    survivors.append(state)
-            self.running = running = survivors
-            self.preemptions += len(victims)
-
-        for state in running:
-            target = bf(state.request.prompt_tokens + state.tokens_done + 1)
-            if target != state.blocks_held:
-                manager.allocate(
-                    state.request.request_id,
-                    state.request.prompt_tokens + state.tokens_done + 1,
-                )
-                state.blocks_held = target
-
-    def _grow_running_prefix(self, store: PrefixStore) -> None:
-        """The prefix-aware form of :meth:`_grow_running`.
-
-        Each running request's demand is its *private* context (prompt +
-        decoded tokens + 1, minus its attached shared tokens); the blocks
-        of every prefix some running request references are added once.
-        When demand exceeds the pool, the preemption sweep walks the
-        scheduler's victim order exactly as before, except that cutting
-        the last attachment of a prefix also drops that prefix's blocks
-        from the demand (a zero-refcount entry is evictable, not
-        required).  Victims release their private blocks and detach from
-        their prefix — the entry stays cached, so readmission re-attaches
-        for free while it remains resident.  Survivor growth evicts
-        cached entries on demand before allocating.
-        """
-        manager = self.manager
         running = self.running
         bf = manager.blocks_for
         total_needed = store.referenced_blocks
@@ -606,6 +474,9 @@ class ReplicaEngine:
                         total_needed -= ref_blocks[key]
                 victims.add(request_id)
 
+            # Victims release before any survivor grows: a survivor's
+            # growth may only fit *because* a victim later in batch order
+            # is being evicted.
             waiting, waiting_reqs = self.waiting, self._waiting_reqs
             survivors: List[_ActiveRequest] = []
             for state in running:
@@ -615,6 +486,9 @@ class ReplicaEngine:
                         store.release(state.prefix_key)
                         state.prefix_key = None
                         state.shared_tokens = 0
+                    # Recompute-on-readmit: the generation restarts from
+                    # the prompt (it re-pays prefill and re-decodes on
+                    # readmission).
                     state.tokens_done = 0
                     state.admitted_ms = -1.0
                     state.blocks_held = 0
@@ -647,6 +521,7 @@ class ReplicaEngine:
             return False
         sim = self.sim
         manager = self.manager
+        store = self.prefix_store
         waiting = self.waiting
         waiting_reqs = self._waiting_reqs
 
@@ -687,10 +562,9 @@ class ReplicaEngine:
                     r = state.request
                     if r.deadline_ms is not None and r.deadline_ms <= now:
                         self.shed.append(r.request_id)
-                        if manager is not None:
-                            self._reserved_blocks -= manager.blocks_for(
-                                r.prompt_tokens + r.output_tokens
-                            )
+                        self._reserved_blocks -= manager.blocks_for(
+                            r.prompt_tokens + r.output_tokens
+                        )
                 self.waiting = waiting = kept
                 self._waiting_reqs = waiting_reqs = [s.request for s in kept]
 
@@ -709,7 +583,7 @@ class ReplicaEngine:
         # pool cannot cover the growth), then admit into what is left —
         # so admission can never force the request it just admitted
         # straight back out.
-        if manager is not None and self.running:
+        if self.running:
             self._grow_running()
             waiting = self.waiting
             waiting_reqs = self._waiting_reqs
@@ -721,7 +595,7 @@ class ReplicaEngine:
                 free_slots=sim.max_batch_size - len(self.running),
                 now_ms=self.now,
                 more_arrivals=len(self.queue) > 0 or external_pending,
-                memory=self._memory_view() if manager is not None else None,
+                memory=store.view(),
             )
         else:
             # Every policy admits nothing from an empty waiting list (and
@@ -752,37 +626,31 @@ class ReplicaEngine:
                     s for s in waiting if s.request.request_id not in admitted_ids
                 ]
                 self._waiting_reqs = waiting_reqs = [s.request for s in waiting]
-            store = self.prefix_store
             for state in joining:
                 if state.scheduled_ms < 0:
                     state.scheduled_ms = self.now
                 state.admitted_ms = self.now
-                if manager is not None:
-                    request = state.request
-                    # The prompt plus the first decode token, mirroring
-                    # KvMemoryView.admission_blocks; an attached shared
-                    # prefix covers its whole-block head, so only the
-                    # private remainder is allocated to the request.
-                    admit_tokens = request.prompt_tokens + 1
-                    try:
-                        if store is not None:
-                            if request.prefix_id is not None:
-                                shared = store.acquire(
-                                    request.prefix_id, request.prefix_tokens
-                                )
-                                if shared:
-                                    state.prefix_key = request.prefix_id
-                                    state.shared_tokens = shared
-                                    admit_tokens -= shared
-                            if store.entry_count:
-                                store.ensure_free(manager.blocks_for(admit_tokens))
-                        manager.allocate(request.request_id, admit_tokens)
-                    except RuntimeError as exc:
-                        raise RuntimeError(
-                            f"scheduler {sim.scheduler.name!r} admitted request "
-                            f"{request.request_id} beyond the KV budget: {exc}"
-                        ) from exc
-                    state.blocks_held = manager.blocks_for(admit_tokens)
+                request = state.request
+                # The prompt plus the first decode token, mirroring
+                # KvMemoryView.admission_blocks; an attached shared prefix
+                # covers its whole-block head, so only the private
+                # remainder is allocated to the request.
+                admit_tokens = request.prompt_tokens + 1
+                try:
+                    if request.prefix_id is not None:
+                        shared = store.acquire(request.prefix_id, request.prefix_tokens)
+                        if shared:
+                            state.prefix_key = request.prefix_id
+                            state.shared_tokens = shared
+                            admit_tokens -= shared
+                    store.ensure_free(manager.blocks_for(admit_tokens))
+                    manager.allocate(request.request_id, admit_tokens)
+                except RuntimeError as exc:
+                    raise RuntimeError(
+                        f"scheduler {sim.scheduler.name!r} admitted request "
+                        f"{request.request_id} beyond the KV budget: {exc}"
+                    ) from exc
+                state.blocks_held = manager.blocks_for(admit_tokens)
             self.running.extend(joining)
         else:
             joining = []
@@ -844,8 +712,7 @@ class ReplicaEngine:
         self.queue_depth_sum += depth
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
-        if manager is not None:
-            self.kv_utilization_sum += manager.utilization
+        self.kv_utilization_sum += manager.utilization
 
         finished = self.finished
         still_running: List[_ActiveRequest] = []
@@ -855,15 +722,14 @@ class ReplicaEngine:
                 state.first_token_ms = now
             request = state.request
             if state.tokens_done >= request.output_tokens:
-                if manager is not None:
-                    manager.release(request.request_id)
-                    if state.prefix_key is not None:
-                        # Detach from the shared prefix; the entry stays
-                        # cached for later arrivals until evicted.
-                        self.prefix_store.release(state.prefix_key)
-                    self._reserved_blocks -= manager.blocks_for(
-                        request.prompt_tokens + request.output_tokens
-                    )
+                manager.release(request.request_id)
+                if state.prefix_key is not None:
+                    # Detach from the shared prefix; the entry stays cached
+                    # for later arrivals until evicted.
+                    store.release(state.prefix_key)
+                self._reserved_blocks -= manager.blocks_for(
+                    request.prompt_tokens + request.output_tokens
+                )
                 finished.append(
                     RequestMetrics(
                         request_id=request.request_id,
@@ -910,26 +776,18 @@ class ReplicaEngine:
             max_queue_depth=self.max_queue_depth,
             requests=finished,
             preemptions=self.preemptions,
-            kv_block_tokens=sim.kv_block_tokens if manager is not None else 0,
-            kv_total_blocks=manager.total_blocks if manager is not None else 0,
-            kv_peak_utilization=(
-                manager.peak_used_blocks / manager.total_blocks if manager is not None else 0.0
-            ),
-            mean_kv_utilization=(
-                self.kv_utilization_sum / self.steps
-                if manager is not None and self.steps
-                else 0.0
-            ),
-            prefix_hits=store.hits if store is not None else 0,
-            prefix_misses=store.misses if store is not None else 0,
-            prefix_blocks_saved=store.blocks_saved if store is not None else 0,
-            prefix_evictions=store.evictions if store is not None else 0,
-            prefix_resident_peak=store.peak_resident if store is not None else 0,
+            kv_block_tokens=sim.kv_block_tokens,
+            kv_total_blocks=manager.total_blocks,
+            kv_peak_utilization=manager.peak_used_blocks / manager.total_blocks,
+            mean_kv_utilization=self.kv_utilization_sum / self.steps if self.steps else 0.0,
+            prefix_hits=store.hits,
+            prefix_misses=store.misses,
+            prefix_blocks_saved=store.blocks_saved,
+            prefix_evictions=store.evictions,
+            prefix_resident_peak=store.peak_resident,
             shed=len(self.shed),
             crashes=self.crashes,
             downtime_ms=self.downtime_ms,
-            buckets_compiled=getattr(sim.step_model, "buckets_compiled", 0),
-            compiles_deferred=getattr(sim.step_model, "compiles_deferred", 0),
         )
 
 

@@ -79,10 +79,10 @@ class Request:
     ``prefix_tokens`` tokens of the prompt are a shared prefix whose
     content hashes to ``prefix_id`` (a system prompt, a few-shot
     template): requests with equal ids carry byte-identical prefixes, so
-    a prefix-caching replica stores those KV blocks once
-    (:mod:`repro.serving.prefix`) and an affinity router can steer equal
-    ids to the replica already holding them.  The defaults mean "no
-    shared prefix" and preserve every pre-prefix digest.
+    a replica stores those KV blocks once (:mod:`repro.serving.prefix`)
+    and an affinity router can steer equal ids to the replica already
+    holding them.  The defaults mean "no shared prefix": such a request
+    never touches the prefix store.
 
     ``deadline_ms`` is an optional *hard* deadline (absolute simulated
     time): a request still waiting when it passes is **shed** — dropped
@@ -90,8 +90,7 @@ class Request:
     degrades gracefully instead of queueing hopeless work.  It is
     distinct from the soft SLO (:attr:`slo_deadline_ms` =
     ``arrival_ms + slo_ms``), which schedulers optimize for but never
-    enforce.  ``None`` (the default) means "never shed" and preserves
-    every pre-fault digest.
+    enforce.  ``None`` (the default) means "never shed".
     """
 
     request_id: int

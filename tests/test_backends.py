@@ -231,58 +231,58 @@ def test_ctype_unknown_dtype_raises_keyerror_listing_known(emitter):
 # Lazy kernel compilation in the serving step model
 # --------------------------------------------------------------------------- #
 def test_lazy_step_model_digest_identical_and_compiles_fewer_buckets():
-    from repro.e2e.engine import QWEN3_32B
+    from repro.e2e import ModelConfig
     from repro.serving.simulator import ServingSimulator
     from repro.serving.step_model import StepLatencyModel
     from repro.serving.workload import bursty_workload, steady_workload
 
+    tiny_dense = ModelConfig(
+        name="tiny-dense", num_layers=2, hidden_size=256, num_heads=4,
+        kv_len=256, head_dim=64, dense_ffn_layers=2, ffn_intermediate=512,
+        weight_dtype="fp16", tensor_parallel=1,
+    )
     steady = list(steady_workload(num_requests=40, seed=3))
     bursty = list(bursty_workload(num_requests=40, seed=3))
 
-    eager_model = StepLatencyModel(arch="h100", cache=CompileCache(disk_path=None))
+    eager_model = StepLatencyModel(arch="a100", cache=CompileCache(disk_path=None))
     lazy_model = StepLatencyModel(
-        arch="h100", cache=CompileCache(disk_path=None), lazy=True
+        arch="a100", cache=CompileCache(disk_path=None), lazy=True
     )
     assert not eager_model.lazy and lazy_model.lazy
 
-    eager_sim = ServingSimulator(
-        QWEN3_32B, arch="h100", max_batch_size=32, step_model=eager_model
-    )
-    eager_stats = eager_sim.precompile()
-    assert eager_stats.compiled > 0
+    def simulator(step_model, scheduler="fcfs"):
+        return ServingSimulator(
+            tiny_dense, scheduler=scheduler, arch="a100", max_batch_size=32,
+            step_model=step_model,
+        )
 
-    lazy_sim = ServingSimulator(
-        QWEN3_32B, arch="h100", max_batch_size=32, step_model=lazy_model
-    )
-    lazy_stats = lazy_sim.precompile()
+    eager_stats = simulator(eager_model).precompile()
+    assert eager_stats.compiled > 0
+    lazy_stats = simulator(lazy_model).precompile()
     # A lazy precompile defers: nothing compiles at startup.
     assert lazy_stats.compiled == 0
     assert lazy_model.compiles_deferred == eager_stats.compiled
     assert lazy_model.buckets_compiled == 0
 
-    # Digest-identical per scheduler x steady/bursty workload.
+    # Digest-identical per scheduler x steady/bursty workload.  Each serve
+    # compiles only the bucket cells no earlier serve touched; the eager
+    # model never compiles lazily.
+    deltas = []
     for scheduler in ("fcfs", "slo"):
         for name, requests in (("steady", steady), ("bursty", bursty)):
-            eager_sim = ServingSimulator(
-                QWEN3_32B, scheduler=scheduler, arch="h100",
-                max_batch_size=32, step_model=eager_model,
-            )
-            lazy_sim = ServingSimulator(
-                QWEN3_32B, scheduler=scheduler, arch="h100",
-                max_batch_size=32, step_model=lazy_model,
-            )
-            eager_report = eager_sim.simulate(requests, workload=name)
-            lazy_report = lazy_sim.simulate(requests, workload=name)
+            eager_report = simulator(eager_model, scheduler).simulate(requests, workload=name)
+            before = lazy_model.buckets_compiled
+            lazy_report = simulator(lazy_model, scheduler).simulate(requests, workload=name)
+            deltas.append(lazy_model.buckets_compiled - before)
             assert eager_report.digest() == lazy_report.digest(), (
                 f"{scheduler}/{name}: lazy digest diverged from eager"
             )
-            # The lazy counters ride outside the digest.
-            assert lazy_report.buckets_compiled > 0
-            assert lazy_report.compiles_deferred > 0
-            assert eager_report.buckets_compiled == 0
+            assert eager_model.buckets_compiled == eager_model.compiles_deferred == 0
+    assert deltas[0] > 0 and deltas[2:] == [0, 0]
+    assert lazy_model.compiles_deferred == eager_stats.compiled
 
-    # The steady traffic never batched at every bucket: lazily compiling
-    # on first lookup touched strictly fewer bucket cells than the eager
-    # precompile paid for up front.
+    # The traffic never batched at every bucket: lazily compiling on first
+    # lookup touched strictly fewer bucket cells than the eager precompile
+    # paid for up front.
     eager_cells = len([b for b in eager_model.buckets if b <= 32])
-    assert lazy_model.buckets_compiled < eager_cells
+    assert sum(deltas) == lazy_model.buckets_compiled < eager_cells

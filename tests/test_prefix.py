@@ -9,13 +9,14 @@ Four layers of coverage:
    ``PrefixStore`` plus private allocations through thousands of mixed
    operations and asserts pool-level conservation after every step:
    ``used == sum(private holdings) + sum(unique resident prefix blocks)``.
-3. **Engine integration** — zero-sharing runs are digest-identical to
-   ``prefix_caching=False`` per scheduler x router (the prefix gate),
-   sharing runs hit the cache and re-attach after preemption.
+3. **Engine integration** — a trace whose prefixes nobody shares is
+   digest-identical to the same trace with its prefix ids removed, per
+   scheduler x router (the prefix gate); sharing runs hit the cache and
+   re-attach after preemption.
 4. **The fleet gate** — under a high-sharing multi-tenant workload,
    ``prefix-affinity`` routing plus copy-on-write sharing must beat
-   ``kv-aware`` without sharing on *both* fleet preemptions and
-   throughput, across every seed.
+   ``kv-aware`` on the prefix-stripped traffic on *both* fleet
+   preemptions and throughput, across every seed.
 """
 
 import dataclasses
@@ -57,6 +58,27 @@ def _strip_prefixes(requests):
     return [
         dataclasses.replace(r, prefix_id=None, prefix_tokens=0) for r in requests
     ]
+
+
+def _unshared_prefixes(requests):
+    """The identical traffic with each request's prefix made its own."""
+    return [
+        dataclasses.replace(r, prefix_id=f"{r.prefix_id}/{r.request_id}") for r in requests
+    ]
+
+
+def _pressure_workload(seed):
+    """A high-sharing rush hour that preempts at the tight budget."""
+    return prefix_shared_workload(
+        num_requests=96,
+        rate_rps=4000.0,
+        num_tenants=4,
+        system_prompt_tokens=192,
+        tenant_template_tokens=64,
+        mean_unique_tokens=32,
+        mean_output_tokens=128,
+        seed=seed,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -177,14 +199,22 @@ def test_allocate_refuses_to_shrink_a_holding():
 
 def test_memory_view_exposes_used_and_peak():
     manager = KvBlockManager(total_blocks=16, block_tokens=16)
+    store = PrefixStore(manager)
     manager.allocate(0, 96)  # 6 blocks
     manager.allocate(1, 32)  # 2 blocks
     manager.release(0)
-    view = manager.view()
+    view = store.view()
     assert view.used_blocks == 2
     assert view.peak_used_blocks == 8
     assert view.free_blocks == 14
     assert view.resident_prefixes == {}
+    # A cached prefix counts as free; only a pinned one is resident.
+    store.acquire("cached", 32)
+    store.release("cached")
+    store.acquire("pinned", 64)
+    view = store.view()
+    assert view.used_blocks == 8 and view.free_blocks == 8 + 2
+    assert view.resident_prefixes == {"pinned": 64}
 
 
 def test_admission_blocks_discounts_resident_prefixes():
@@ -205,7 +235,7 @@ def test_admission_blocks_discounts_resident_prefixes():
     resident = KvMemoryView(**base, resident_prefixes={"p": 64})
     assert resident.admission_blocks(request) == 3
     # Not resident: shared + private = blocks_for(prompt + 1), exactly the
-    # pre-prefix arithmetic.
+    # no-prefix arithmetic.
     absent = KvMemoryView(**base)
     assert absent.admission_blocks(request) == 4 + 3
     assert absent.admission_blocks(request) == absent.blocks_for(101)
@@ -335,54 +365,40 @@ def _tight_budget(requests, slack=8):
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 def test_zero_sharing_is_digest_identical_per_scheduler(scheduler):
-    """The prefix gate, replica level: with no shared prefixes declared,
-    prefix caching on/off and prefix identity present/stripped all take
-    the exact pre-prefix code path."""
-    workload = prefix_shared_workload(
-        num_requests=48, rate_rps=2000.0, mean_output_tokens=32, shared_fraction=0.0, seed=1
-    )
-    budget = _tight_budget(workload)
+    """The prefix gate, replica level: prefixes nobody shares are stored,
+    cached, re-attached after preemption and evicted, yet the trace is
+    the one the prefix-stripped traffic produces."""
+    shared = _pressure_workload(seed=0)
+    budget = _tight_budget(shared)
 
-    def run(requests, prefix_caching):
+    def run(requests):
         sim = ServingSimulator(
-            TINY_DENSE,
-            scheduler=scheduler,
-            max_batch_size=8,
-            kv_budget_blocks=budget,
-            prefix_caching=prefix_caching,
+            TINY_DENSE, scheduler=scheduler, max_batch_size=8, kv_budget_blocks=budget
         )
         return sim.simulate(requests, workload="prefix-shared")
 
-    baseline = run(_strip_prefixes(workload), prefix_caching=False)
-    for requests, caching in [
-        (workload, True),
-        (workload, False),
-        (_strip_prefixes(workload), True),
-    ]:
-        report = run(requests, caching)
-        assert report.digest() == baseline.digest()
-        assert report.prefix_hits == 0 and report.prefix_misses == 0
+    unshared = run(_unshared_prefixes(shared))
+    stripped = run(_strip_prefixes(shared))
+    assert unshared.digest() == stripped.digest()
+    assert unshared.preemptions == stripped.preemptions > 0
+    assert unshared.prefix_misses >= len(shared) and unshared.prefix_evictions > 0
+    assert stripped.prefix_hits == 0 and stripped.prefix_misses == 0
 
 
 @pytest.mark.parametrize("router", sorted(ROUTERS))
 def test_zero_sharing_cluster_is_digest_identical_per_router(router):
-    workload = prefix_shared_workload(
-        num_requests=48, rate_rps=2000.0, mean_output_tokens=32, shared_fraction=0.0, seed=2
-    )
-    budget = _tight_budget(workload)
+    shared = _pressure_workload(seed=1)
+    budget = _tight_budget(shared)
 
-    def run(prefix_caching):
+    def run(requests):
         cluster = ClusterSimulator(
-            TINY_DENSE,
-            replicas=2,
-            router=router,
-            max_batch_size=8,
-            kv_budget_blocks=budget,
-            prefix_caching=prefix_caching,
+            TINY_DENSE, replicas=2, router=router, max_batch_size=8, kv_budget_blocks=budget
         )
-        return cluster.simulate(workload, workload="prefix-shared")
+        return cluster.simulate(requests, workload="prefix-shared")
 
-    assert run(True).digest() == run(False).digest()
+    unshared = run(_unshared_prefixes(shared))
+    assert unshared.digest() == run(_strip_prefixes(shared)).digest()
+    assert unshared.preemptions > 0
 
 
 def test_sharing_run_hits_the_cache_and_digests_stably():
@@ -409,16 +425,7 @@ def test_preempted_request_reattaches_to_resident_prefix():
     """Under pressure the engine preempts; victims detach from their
     prefix and readmission re-attaches — visible as hits in excess of
     what admissions alone could produce."""
-    workload = prefix_shared_workload(
-        num_requests=96,
-        rate_rps=4000.0,
-        num_tenants=4,
-        system_prompt_tokens=192,
-        tenant_template_tokens=64,
-        mean_unique_tokens=32,
-        mean_output_tokens=128,
-        seed=0,
-    )
+    workload = _pressure_workload(seed=0)
     sim = ServingSimulator(
         TINY_DENSE,
         max_batch_size=8,
@@ -497,21 +504,12 @@ def test_prefix_affinity_falls_back_to_kv_aware():
 def test_prefix_affinity_with_sharing_beats_kv_aware_without(seed):
     """The acceptance gate: on a high-sharing multi-tenant day, prefix
     sharing + affinity routing must strictly win on both fleet
-    preemptions and throughput over kv-aware with caching disabled —
-    the same traffic, the same budget, every seed."""
-    workload = prefix_shared_workload(
-        num_requests=96,
-        rate_rps=4000.0,
-        num_tenants=4,
-        system_prompt_tokens=192,
-        tenant_template_tokens=64,
-        mean_unique_tokens=32,
-        mean_output_tokens=128,
-        seed=seed,
-    )
+    preemptions and throughput over kv-aware on the same traffic with
+    its prefix ids removed — the same budget, every seed."""
+    workload = _pressure_workload(seed)
     budget = _tight_budget(workload)
 
-    def run(router, prefix_caching):
+    def run(router, requests):
         cluster = ClusterSimulator(
             TINY_DENSE,
             replicas=2,
@@ -519,12 +517,11 @@ def test_prefix_affinity_with_sharing_beats_kv_aware_without(seed):
             scheduler="fcfs",
             max_batch_size=8,
             kv_budget_blocks=budget,
-            prefix_caching=prefix_caching,
         )
-        return cluster.simulate(workload, workload="prefix-shared")
+        return cluster.simulate(requests, workload="prefix-shared")
 
-    shared = run("prefix-affinity", prefix_caching=True)
-    baseline = run("kv-aware", prefix_caching=False)
+    shared = run("prefix-affinity", workload)
+    baseline = run("kv-aware", _strip_prefixes(workload))
     assert shared.preemptions < baseline.preemptions, (
         f"seed {seed}: sharing preempted {shared.preemptions}x vs "
         f"baseline {baseline.preemptions}x"
