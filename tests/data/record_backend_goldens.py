@@ -1,15 +1,23 @@
-"""Record golden cuda-path digests for the five kernel families.
+"""Record golden per-backend digests for the five kernel families.
 
 Run from the repo root (``PYTHONPATH=src python tests/data/record_backend_goldens.py``)
 against the PRE-refactor tree; ``tests/test_backends.py`` then pins the
-post-refactor cuda backend to these digests, the same golden-gate shape the
+post-refactor backends to these digests, the same golden-gate shape the
 serving digests use (``golden_sim_digests.json``).
 
-Each entry records the sha256 of the emitted source, the winning named
-assignment, and the simulated latency for one representative compile per
-kernel family on the default compile arch (a100).  The GEMM entry is the
-fig22 configuration used by ``bench_compile_time.py`` so the cuda-vs-rocm
+Each family entry records the sha256 of the emitted cuda source, the winning
+named assignment, and the simulated latency for one representative compile
+per kernel family on its compile arch.  The GEMM entry is the fig22
+configuration used by ``bench_compile_time.py`` so the cuda-vs-rocm
 divergence criterion and the cuda bit-identity criterion share a config.
+
+Two more entries pin the other backends byte for byte:
+
+* ``cross_backend`` — per family, the sha256 of the same cuda-compiled
+  program emitted through each entry of ``CROSS_EMITS`` (rocm on mi300,
+  cpu-sim on cpu-sim);
+* ``fig22_mi300`` — the source sha256 and the per-buffer swizzles of the
+  fig22 GEMM compiled on mi300, whose wider LDS banking changes synthesis.
 """
 
 from __future__ import annotations
@@ -18,12 +26,14 @@ import hashlib
 import json
 from pathlib import Path
 
+from repro.codegen import get_backend
 from repro.compiler import compile_kernel
 from repro.kernels.attention import AttentionConfig, build_mha_decoding
 from repro.kernels.fp8_gemm import Fp8GemmConfig, build_fp8_blockwise_gemm
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm
 from repro.kernels.mamba import ScanConfig, build_selective_scan
 from repro.kernels.moe import MoeConfig, build_moe_gemm
+from repro.sim.arch import get_arch
 
 OUT = Path(__file__).with_name("golden_backend_digests.json")
 
@@ -38,25 +48,64 @@ FAMILY_BUILDS = {
     "moe": (lambda: build_moe_gemm(64, 4096, 4096, MoeConfig()), "a100", 24),
 }
 
+# (backend, arch) pairs each family's cuda-compiled program is re-emitted
+# through for the cross_backend entry.
+CROSS_EMITS = (("rocm", "mi300"), ("cpu-sim", "cpu-sim"))
+
+
+def sha256(source: str) -> str:
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
+def cross_backend_digests(kernel) -> dict:
+    """sha256 of ``kernel``'s program emitted through every CROSS_EMITS pair."""
+    return {
+        backend: sha256(get_backend(backend).emit(kernel.program, kernel.candidate, get_arch(arch)))
+        for backend, arch in CROSS_EMITS
+    }
+
+
+def compile_fig22_mi300():
+    """The fig22 GEMM compiled on mi300 with the cuda entry's search budget."""
+    build, _, max_candidates = FAMILY_BUILDS["gemm"]
+    return compile_kernel(build(), arch="mi300", max_candidates=max_candidates,
+                          use_cache=False)
+
+
+def swizzles(kernel) -> dict:
+    return {t.name: str(p.swizzle) for t, p in kernel.candidate.smem_plans.items()}
+
 
 def record() -> dict:
     entries = {}
+    cross_backend = {}
     for family, (build, arch, max_candidates) in sorted(FAMILY_BUILDS.items()):
         kernel = compile_kernel(build(), arch=arch, max_candidates=max_candidates,
                                 use_cache=False)
         entries[family] = {
             "arch": arch,
             "max_candidates": max_candidates,
-            "source_sha256": hashlib.sha256(kernel.source.encode("utf-8")).hexdigest(),
+            "source_sha256": sha256(kernel.source),
             "assignment": [list(item) for item in kernel.candidate.named_assignment(kernel.program)],
             "latency_us": float(kernel.timing.latency_us).hex(),
         }
+        cross_backend[family] = cross_backend_digests(kernel)
+    entries["cross_backend"] = cross_backend
+    rocm = compile_fig22_mi300()
+    entries["fig22_mi300"] = {
+        "arch": "mi300",
+        "max_candidates": FAMILY_BUILDS["gemm"][2],
+        "source_sha256": sha256(rocm.source),
+        "swizzles": swizzles(rocm),
+    }
     return entries
 
 
 if __name__ == "__main__":
     entries = record()
     OUT.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    for family, entry in entries.items():
+    for family in FAMILY_BUILDS:
+        entry = entries[family]
         print(f"{family}: {entry['source_sha256'][:16]}  latency={entry['latency_us']}")
+    print(f"fig22 on mi300: {entries['fig22_mi300']['source_sha256'][:16]}")
     print(f"wrote {OUT}")
