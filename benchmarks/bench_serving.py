@@ -28,10 +28,10 @@ cell under a fixed crash/recovery schedule must digest bit-equal across
 two runs and report availability < 1 with goodput > 0 while conserving
 every request; and a **cross-backend** cell must serve the same seeded
 workload through the ``cpu-sim`` codegen backend digest-stably (and
-distinctly from the cuda serve), a ``lazy=True`` step model must serve
-digest-identically to the eager precompiled model, and the lazy serve
-must compile strictly fewer bucket cells than ``precompile()`` covers.
-Any violation exits nonzero.
+distinctly from the cuda serve), and a step model whose ``precompile()``
+never ran must serve digest-identically to the precompiled model while
+putting strictly fewer compile-cache entries than the startup
+``precompile()`` compiled.  Any violation exits nonzero.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_serving.py [--smoke]
 """
@@ -352,20 +352,21 @@ def run_fault_tolerance_check(args, config, step_model, failures: List[str]):
 
 
 def run_cross_backend_check(
-    args, configs, eager_model, buckets, num_requests: int, max_batch: int,
-    failures: List[str],
+    args, configs, precompiled_model, precompiled_kernels: int, buckets,
+    num_requests: int, max_batch: int, failures: List[str],
 ):
     """The backend-registry smoke cell.
 
-    (a) **cuda vs cpu-sim sweep**: the same seeded workload served on the
+    (a) **cuda vs cpu-sim**: the same seeded workload served on the
     ``cpu-sim`` arch — kernel compilation dispatches through the cpu
     codegen backend — must be digest-stable across two runs and must not
-    collide with the cuda serve's digest.  (b) **lazy vs eager**: a
-    ``lazy=True`` step model (cold cache, nothing precompiled) must
-    produce bit-identical serve digests to the eager precompiled model.
-    (c) **lazy compiles less**: the lazy serve must compile strictly
-    fewer (config, backend, bucket) cells than the eager
-    ``precompile()`` fan-out covers.
+    collide with the cuda serve's digest.  (b) **never precompiled vs
+    precompiled**: a step model whose ``precompile()`` never ran (cold
+    cache) compiles each bucket cell on its first lookup and must produce
+    bit-identical fcfs and slo serve digests to the precompiled model,
+    whose serves only hit its cache.  (c) **compiling on first lookup
+    compiles less**: those serves must put strictly fewer cache entries
+    than the ``precompiled_kernels`` the startup ``precompile()`` compiled.
     """
     # Prefer an fp16 model: the cpu-sim arch sits on the pre-Hopper
     # instruction tier, so fp8 FFN kernels are not compilable there.
@@ -383,13 +384,12 @@ def run_cross_backend_check(
         )
         return sim.simulate(workload, workload=args.workload)
 
-    # (a) the cpu-sim serve, lazily compiled through the cpu backend.
+    # (a) the cpu-sim serve, compiled on first lookup through the cpu backend.
     cpu_model = StepLatencyModel(
-        arch="cpu-sim", buckets=buckets, cache=CompileCache(max_entries=2048),
-        lazy=True,
+        arch="cpu-sim", buckets=buckets, cache=CompileCache(max_entries=2048)
     )
     cpu_report = serve(cpu_model, "cpu-sim")
-    cuda_report = serve(eager_model, args.arch)
+    cuda_report = serve(precompiled_model, args.arch)
     if cpu_report.digest() != serve(cpu_model, "cpu-sim").digest():
         failures.append(f"nondeterministic cpu-sim serve: {cpu_report.label()}")
     if cpu_report.digest() == cuda_report.digest():
@@ -397,50 +397,36 @@ def run_cross_backend_check(
             "cpu-sim serve digest collides with the cuda serve — the arch/"
             "backend is not reaching the report"
         )
-    if cpu_model.buckets_compiled <= 0:
-        failures.append("cpu-sim serve never compiled a bucket cell")
+    if cpu_model.cache.stats.puts <= 0:
+        failures.append("cpu-sim serve never compiled a kernel")
     print(cpu_report.summary())
 
-    # (b) + (c) lazy vs eager on the primary arch, from a cold cache.
-    lazy_model = StepLatencyModel(
-        arch=args.arch, buckets=buckets, cache=CompileCache(max_entries=2048),
-        lazy=True,
+    # (b) + (c) never precompiled vs precompiled on the primary arch.
+    model = StepLatencyModel(
+        arch=args.arch, buckets=buckets, cache=CompileCache(max_entries=2048)
     )
-    lazy_stats = lazy_model.precompile([config])
-    if lazy_stats.compiled != 0 or lazy_stats.errors != 0:
-        failures.append(
-            f"lazy precompile did not defer (compiled={lazy_stats.compiled}, "
-            f"errors={lazy_stats.errors})"
-        )
-    if lazy_model.compiles_deferred <= 0:
-        failures.append("lazy precompile on a cold cache deferred nothing")
+    precompiled_puts = precompiled_model.cache.stats.puts
     for scheduler in ("fcfs", "slo"):
-        lazy_report = serve(lazy_model, args.arch, scheduler)
-        eager_report = serve(eager_model, args.arch, scheduler)
-        if lazy_report.digest() != eager_report.digest():
+        report = serve(model, args.arch, scheduler)
+        expected = serve(precompiled_model, args.arch, scheduler)
+        if report.digest() != expected.digest():
             failures.append(
-                f"lazy serve not bit-identical to eager ({scheduler}): "
-                f"{lazy_report.digest()} vs {eager_report.digest()}"
+                f"never-precompiled serve not bit-identical to the precompiled "
+                f"one ({scheduler}): {report.digest()} vs {expected.digest()}"
             )
-    if lazy_model.buckets_compiled <= 0:
-        failures.append("lazy serving compiled no bucket cell")
-    if eager_model.buckets_compiled or eager_model.compiles_deferred:
+    if precompiled_model.cache.stats.puts != precompiled_puts:
+        failures.append("the precompiled model compiled while serving")
+    puts = model.cache.stats.puts
+    if not 0 < puts < precompiled_kernels:
         failures.append(
-            f"eager model counted lazy compiles: {eager_model.buckets_compiled}"
-            f"/{eager_model.compiles_deferred}"
-        )
-    eager_cells = len(configs) * len(buckets)
-    if not lazy_model.buckets_compiled < eager_cells:
-        failures.append(
-            f"lazy serving compiled {lazy_model.buckets_compiled} bucket cells, "
-            f"not strictly fewer than the {eager_cells} eager precompile covers"
+            f"never-precompiled serving put {puts} cache entries, not strictly "
+            f"between 0 and the {precompiled_kernels} kernels precompile() compiled"
         )
     print(
         f"cross-backend: cpu-sim digest stable and distinct from cuda "
-        f"({cpu_model.buckets_compiled} cpu bucket cells compiled lazily); "
-        f"lazy == eager digests on fcfs/slo with "
-        f"{lazy_model.buckets_compiled}/{eager_cells} bucket cells compiled "
-        f"({lazy_model.compiles_deferred} tile programs deferred at startup)"
+        f"({cpu_model.cache.stats.puts} cpu kernels compiled on first lookup); "
+        f"never-precompiled == precompiled digests on fcfs/slo with {puts} "
+        f"kernels compiled on first lookup vs {precompiled_kernels} precompiled"
     )
     return [cpu_report]
 
@@ -612,11 +598,12 @@ def main(argv=None) -> int:
     )
 
     # ------------------------------------------------------------------ #
-    # Cross-backend: cpu-sim codegen serve + lazy-vs-eager compilation.
+    # Cross-backend: cpu-sim codegen serve + compiling on first lookup.
     # ------------------------------------------------------------------ #
     print()
     cross_reports = run_cross_backend_check(
-        args, configs, warm_model, buckets, num_requests, max_batch, failures
+        args, configs, warm_model, cold.compiled, buckets, num_requests, max_batch,
+        failures,
     )
     print()
     print(

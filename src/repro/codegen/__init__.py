@@ -1,11 +1,11 @@
 """Lowering and source emission for compiled tile programs.
 
 Emission dispatches through the :class:`~repro.codegen.backend.Backend`
-registry (``BACKENDS``/:func:`~repro.codegen.backend.get_backend`): the
-original annotated pseudo-CUDA emitter (``cuda``), a HIP-flavored CDNA
-emitter (``rocm``) and a vectorized-loop pseudo-C emitter with no
-shared-memory stage (``cpu-sim``).  Architectures declare which backend
-they compile through (:attr:`repro.sim.arch.GpuArch.backend`).
+registry (``BACKENDS``/:func:`~repro.codegen.backend.get_backend`): annotated
+pseudo-CUDA (``cuda``), its HIP spelling for CDNA (``rocm``) and
+vectorized-loop pseudo-C with no shared-memory stage (``cpu-sim``), all
+printed by :mod:`repro.codegen.emitter`.  Architectures declare which
+backend they compile through (:attr:`repro.sim.arch.GpuArch.backend`).
 """
 
 from repro.codegen.backend import (
@@ -16,18 +16,24 @@ from repro.codegen.backend import (
     RocmBackend,
     get_backend,
 )
-from repro.codegen.cpu_emitter import emit_cpu_source
-from repro.codegen.cuda_emitter import emit_cuda_source
-from repro.codegen.rocm_emitter import emit_rocm_source
+from repro.codegen.emitter import (
+    CPU_SIM_DIALECT,
+    CUDA_DIALECT,
+    ROCM_DIALECT,
+    emit_cpu_source,
+    emit_gpu_source,
+)
 
 __all__ = [
     "BACKENDS",
     "Backend",
+    "CPU_SIM_DIALECT",
+    "CUDA_DIALECT",
     "CpuSimBackend",
     "CudaBackend",
+    "ROCM_DIALECT",
     "RocmBackend",
     "emit_cpu_source",
-    "emit_cuda_source",
-    "emit_rocm_source",
+    "emit_gpu_source",
     "get_backend",
 ]

@@ -27,6 +27,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Union
 
+from repro.codegen.emitter import (
+    CUDA_DIALECT,
+    ROCM_DIALECT,
+    emit_cpu_source,
+    emit_gpu_source,
+)
 from repro.sim.arch import GpuArch
 from repro.synthesis.smem_solver import SmemBankParams
 
@@ -68,9 +74,7 @@ class CudaBackend(Backend):
     name = "cuda"
 
     def emit(self, program, candidate, arch: GpuArch) -> str:
-        from repro.codegen.cuda_emitter import emit_cuda_source
-
-        return emit_cuda_source(program, candidate, arch)
+        return emit_gpu_source(program, candidate, arch, CUDA_DIALECT)
 
 
 class RocmBackend(Backend):
@@ -85,9 +89,7 @@ class RocmBackend(Backend):
     name = "rocm"
 
     def emit(self, program, candidate, arch: GpuArch) -> str:
-        from repro.codegen.rocm_emitter import emit_rocm_source
-
-        return emit_rocm_source(program, candidate, arch)
+        return emit_gpu_source(program, candidate, arch, ROCM_DIALECT)
 
 
 class CpuSimBackend(Backend):
@@ -101,8 +103,6 @@ class CpuSimBackend(Backend):
     name = "cpu-sim"
 
     def emit(self, program, candidate, arch: GpuArch) -> str:
-        from repro.codegen.cpu_emitter import emit_cpu_source
-
         return emit_cpu_source(program, candidate, arch)
 
     def smem_bank_params(self, arch: GpuArch) -> SmemBankParams:

@@ -7,19 +7,13 @@ performance.  The tuner below evaluates candidate tile configurations with
 the compiler's analytical latency estimate (no hardware runs needed) and
 returns the best configuration.
 
-Two evaluation paths exist:
-
-* :func:`autotune` — the original callback API: a user-supplied ``evaluate``
-  is called per candidate, serially.
-* :func:`autotune_compile` — the batch path: a ``build_program`` callback
-  turns each candidate into a :class:`KernelProgram` and the whole sweep is
-  compiled through :func:`repro.pipeline.compile_many`, which dedupes
-  repeated configurations via the compile cache and fans distinct compiles
-  out on a thread pool.
-
-Both record *every* candidate as a :class:`Trial` — infeasible ones keep the
-exception message that disqualified them, so tuning failures are debuggable
-instead of silently dropped.
+:func:`autotune_compile` takes a ``build_program`` callback that turns each
+candidate into a :class:`KernelProgram` and compiles the whole sweep
+through :func:`repro.pipeline.compile_many`, which dedupes repeated
+configurations via the compile cache and fans distinct compiles out on a
+thread pool.  It records *every* candidate as a :class:`Trial` — infeasible
+ones keep the exception message that disqualified them, so tuning failures
+are debuggable instead of silently dropped.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ from repro.synthesis.tv_solver import TVSynthesisError
 __all__ = [
     "Trial",
     "TuneResult",
-    "autotune",
     "autotune_compile",
     "gemm_tile_candidates",
     "INFEASIBLE_ERRORS",
@@ -65,8 +58,8 @@ class Trial:
     """One evaluated candidate configuration.
 
     ``latency_us`` is ``None`` for infeasible candidates, with ``error``
-    recording why the candidate was rejected.  The batch path additionally
-    keeps the compiled kernel of feasible candidates.
+    recording why the candidate was rejected; feasible candidates keep
+    their compiled kernel.
     """
 
     params: Dict
@@ -129,35 +122,6 @@ def _pick_best(trials: List[Trial]) -> TuneResult:
         trials=trials,
         best_kernel=best.kernel,
     )
-
-
-def autotune(
-    evaluate: Callable[[Dict], Optional[float]],
-    candidates: Iterable[Dict],
-) -> TuneResult:
-    """Evaluate candidate parameter dicts and keep the fastest.
-
-    ``evaluate`` returns the simulated latency in microseconds, or ``None``
-    if the candidate is infeasible (e.g. tile sizes that do not divide the
-    problem or exceed shared memory); compiler-domain exceptions are caught
-    and recorded on the trial instead of aborting the sweep.
-    """
-    trials: List[Trial] = []
-    for params in candidates:
-        try:
-            latency = evaluate(params)
-        except INFEASIBLE_ERRORS as exc:
-            if isinstance(exc, _ALWAYS_RAISE):
-                raise
-            trials.append(Trial(params=params, latency_us=None, error=_describe_error(exc)))
-            continue
-        if latency is None:
-            trials.append(
-                Trial(params=params, latency_us=None, error="evaluate returned None")
-            )
-            continue
-        trials.append(Trial(params=params, latency_us=latency))
-    return _pick_best(trials)
 
 
 def autotune_compile(

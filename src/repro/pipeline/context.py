@@ -102,10 +102,3 @@ class CompilationContext:
 
     # --- instrumentation ------------------------------------------------ #
     pass_stats: Dict[str, float] = field(default_factory=dict)
-
-    def stat(self, name: str) -> float:
-        return self.pass_stats.get(name, 0.0)
-
-    @property
-    def total_pass_seconds(self) -> float:
-        return sum(self.pass_stats.values())

@@ -17,7 +17,10 @@ reusable provider with two levels of reuse:
   the tile programs the operators will request, so kernel compilation cost
   is paid once per bucket at serving startup (and a warm compile cache
   makes that startup measurably faster — the cold-vs-warm experiment in
-  ``benchmarks/bench_serving.py``).
+  ``benchmarks/bench_serving.py``).  Without a precompile, each
+  (config, backend, bucket) cell compiles on its first lookup through the
+  same cache, so buckets the traffic never reaches are never compiled;
+  the latencies are identical either way.
 
 The per-operator functions themselves (attention / MoE / Mamba scan / FFN)
 are the ones ``e2e.engine`` composes into Fig. 13; ``decode_latency`` now
@@ -196,22 +199,12 @@ class StepLatencyModel:
         arch=DEFAULT_EVAL_ARCH,
         buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
         cache: Optional[CompileCache] = None,
-        lazy: bool = False,
     ):
         self.arch = get_arch(arch)
         self.buckets = tuple(sorted({int(b) for b in buckets}))
         if not self.buckets or self.buckets[0] < 1:
             raise ValueError(f"buckets must be positive integers, got {buckets!r}")
         self.cache = cache
-        # Lazy compilation: precompile() defers, and the first latency
-        # lookup of each (config, backend, bucket) cell batch-compiles that
-        # cell's tile programs through the ordinary compile cache instead.
-        # Latencies are identical either way (same programs, same cache);
-        # only *when* compilation happens changes.
-        self.lazy = bool(lazy)
-        self.buckets_compiled = 0
-        self.compiles_deferred = 0
-        self._lazy_compiled: set = set()
         self._memo: Dict[Tuple, Dict[str, float]] = {}
         self._lock = threading.Lock()
         self.memo_hits = 0
@@ -280,9 +273,6 @@ class StepLatencyModel:
                 self.memo_hits += 1
                 return dict(cached)
             self.memo_misses += 1
-
-        if self.lazy:
-            self._ensure_compiled(config, backend, effective)
 
         plan = operator_plan(config, backend)
         if parallel and len(plan) > 1:
@@ -414,31 +404,6 @@ class StepLatencyModel:
             return requests
         raise KeyError(f"unknown operator class {name!r}")
 
-    def _ensure_compiled(self, config, backend: str, bucket: int) -> None:
-        """Lazily batch-compile one (config, backend, bucket) cell's kernels.
-
-        Called on the first latency lookup of a cell in lazy mode: the
-        cell's tile programs go through one :func:`compile_many` fan-out
-        into the ordinary compile cache, so the operator evaluations that
-        follow replay instead of compiling serially.  Cells the operators
-        never ask for are never compiled — the startup saving the
-        lazy-vs-eager benchmark measures.
-        """
-        cell = (config, backend, bucket)
-        with self._lock:
-            if cell in self._lazy_compiled:
-                return
-            self._lazy_compiled.add(cell)
-            self.buckets_compiled += 1
-        requests: List[CompileRequest] = []
-        if backend == "hexcute":
-            for name, _, op_backend in operator_plan(config, backend):
-                requests.extend(self._op_requests(name, config, bucket, op_backend))
-        if requests:
-            cache = self.cache if self.cache is not None else default_cache()
-            # Build failures mark infeasible tiles, exactly as in precompile.
-            compile_many(requests, arch=self.arch, cache=cache, return_errors=True)
-
     def precompile(
         self,
         configs,
@@ -459,10 +424,6 @@ class StepLatencyModel:
         fingerprints).  Build failures are tolerated (the corresponding
         tile was infeasible); the returned stats carry the cache-stats
         delta so cold and warm startups can be told apart.
-
-        On a ``lazy=True`` model this is a *deferral*: nothing compiles;
-        the distinct uncached programs are counted in ``compiles_deferred``
-        and each bucket compiles on its first latency lookup instead.
         """
         if hasattr(configs, "num_layers"):  # a single ModelConfig-shaped object
             configs = [configs]
@@ -486,21 +447,6 @@ class StepLatencyModel:
                 already_cached += 1
             else:
                 distinct.setdefault(key, request)
-
-        if self.lazy:
-            with self._lock:
-                self.compiles_deferred += len(distinct)
-            return PrecompileStats(
-                requests=len(requests),
-                compiled=0,
-                already_cached=already_cached,
-                errors=0,
-                seconds=time.perf_counter() - start,
-                cache_delta={
-                    key: value - before.get(key, 0)
-                    for key, value in cache.stats.as_dict().items()
-                },
-            )
 
         results = compile_many(
             list(distinct.values()),

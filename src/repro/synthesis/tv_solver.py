@@ -88,18 +88,16 @@ class ThreadValueSolver:
         return self.solution.layouts.get(tensor)
 
     def _assign(self, tensor: TileTensor, layout: TVLayout, source: Operation) -> None:
-        """Record a layout; on conflict, honour annotations or insert a rearrange."""
+        """Record a layout; on conflict keep the recorded one and insert a rearrange."""
         existing = self._known(tensor)
         if existing is None:
             self.solution.layouts[tensor] = layout
             return
         if existing.equivalent(layout):
             return
-        if tensor.tv_annotation is not None:
-            # The annotation already decided this tensor; the conflicting
-            # requirement is resolved by a rearrange before `source`.
-            self._insert_rearrange(tensor, layout, source)
-            return
+        # The recorded layout stays, whether a tv annotation decided it or an
+        # earlier requirement did; the conflicting requirement is resolved
+        # by a rearrange before `source`.
         self._insert_rearrange(tensor, layout, source)
 
     def _insert_rearrange(

@@ -24,8 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.codegen import BACKENDS, get_backend
-from repro.codegen import cpu_emitter, cuda_emitter, rocm_emitter
+from repro.codegen import BACKENDS, CPU_SIM_DIALECT, CUDA_DIALECT, ROCM_DIALECT, get_backend
 from repro.compiler import compile_kernel
 from repro.ir import types as ir_types
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm
@@ -204,37 +203,36 @@ def test_same_program_two_backends_two_cache_entries():
 
 
 # --------------------------------------------------------------------------- #
-# _ctype: every mapped dtype round-trips; unknown dtypes raise
+# ctype: every mapped dtype round-trips; unknown dtypes raise
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "emitter", [cuda_emitter, rocm_emitter, cpu_emitter],
-    ids=["cuda", "rocm", "cpu-sim"],
+DIALECTS = pytest.mark.parametrize(
+    "dialect", [CUDA_DIALECT, ROCM_DIALECT, CPU_SIM_DIALECT], ids=["cuda", "rocm", "cpu-sim"]
 )
-def test_ctype_roundtrips_every_mapped_dtype(emitter):
+
+
+@DIALECTS
+def test_ctype_roundtrips_every_mapped_dtype(dialect):
     # Every dtype the IR defines has a mapping, and the mapping resolves
-    # through _ctype (no silent float fallback).
-    assert set(emitter._CTYPE) == {d.name for d in ir_types.all_types()}
+    # through ctype (no silent float fallback).
+    assert set(dialect.ctypes) == {d.name for d in ir_types.all_types()}
     for dtype in ir_types.all_types():
-        assert emitter._ctype(dtype) == emitter._CTYPE[dtype.name]
+        assert dialect.ctype(dtype) == dialect.ctypes[dtype.name]
 
 
-@pytest.mark.parametrize(
-    "emitter", [cuda_emitter, rocm_emitter, cpu_emitter],
-    ids=["cuda", "rocm", "cpu-sim"],
-)
-def test_ctype_unknown_dtype_raises_keyerror_listing_known(emitter):
+@DIALECTS
+def test_ctype_unknown_dtype_raises_keyerror_listing_known(dialect):
     class FakeDtype:
         name = "float128_imaginary"
 
     with pytest.raises(KeyError) as excinfo:
-        emitter._ctype(FakeDtype())
+        dialect.ctype(FakeDtype())
     message = str(excinfo.value)
     assert "float128_imaginary" in message
     assert "float16" in message  # the known names are listed
 
 
 # --------------------------------------------------------------------------- #
-# Lazy kernel compilation in the serving step model
+# Compile on first lookup: a step model whose precompile() never ran
 # --------------------------------------------------------------------------- #
 def test_lazy_step_model_digest_identical_and_compiles_fewer_buckets():
     from repro.e2e import ModelConfig
@@ -250,11 +248,10 @@ def test_lazy_step_model_digest_identical_and_compiles_fewer_buckets():
     steady = list(steady_workload(num_requests=40, seed=3))
     bursty = list(bursty_workload(num_requests=40, seed=3))
 
-    eager_model = StepLatencyModel(arch="a100", cache=CompileCache(disk_path=None))
-    lazy_model = StepLatencyModel(
-        arch="a100", cache=CompileCache(disk_path=None), lazy=True
-    )
-    assert not eager_model.lazy and lazy_model.lazy
+    precompiled_cache = CompileCache(disk_path=None)
+    lazy_cache = CompileCache(disk_path=None)
+    precompiled = StepLatencyModel(arch="a100", cache=precompiled_cache)
+    lazy = StepLatencyModel(arch="a100", cache=lazy_cache)  # precompile() never runs
 
     def simulator(step_model, scheduler="fcfs"):
         return ServingSimulator(
@@ -262,33 +259,29 @@ def test_lazy_step_model_digest_identical_and_compiles_fewer_buckets():
             step_model=step_model,
         )
 
-    eager_stats = simulator(eager_model).precompile()
-    assert eager_stats.compiled > 0
-    lazy_stats = simulator(lazy_model).precompile()
-    # A lazy precompile defers: nothing compiles at startup.
-    assert lazy_stats.compiled == 0
-    assert lazy_model.compiles_deferred == eager_stats.compiled
-    assert lazy_model.buckets_compiled == 0
+    stats = simulator(precompiled).precompile()
+    assert stats.compiled > 0 and stats.errors == 0
+    assert stats.cache_delta["puts"] == stats.compiled
 
-    # Digest-identical per scheduler x steady/bursty workload.  Each serve
-    # compiles only the bucket cells no earlier serve touched; the eager
-    # model never compiles lazily.
+    # Digest-identical per scheduler x steady/bursty workload.  Each lazy
+    # serve compiles (puts) only the bucket cells no earlier serve looked
+    # up; the precompiled model's serves only hit its cache.
     deltas = []
     for scheduler in ("fcfs", "slo"):
         for name, requests in (("steady", steady), ("bursty", bursty)):
-            eager_report = simulator(eager_model, scheduler).simulate(requests, workload=name)
-            before = lazy_model.buckets_compiled
-            lazy_report = simulator(lazy_model, scheduler).simulate(requests, workload=name)
-            deltas.append(lazy_model.buckets_compiled - before)
-            assert eager_report.digest() == lazy_report.digest(), (
-                f"{scheduler}/{name}: lazy digest diverged from eager"
+            before = precompiled_cache.stats.puts
+            precompiled_report = simulator(precompiled, scheduler).simulate(
+                requests, workload=name
             )
-            assert eager_model.buckets_compiled == eager_model.compiles_deferred == 0
+            assert precompiled_cache.stats.puts == before
+            before = lazy_cache.stats.puts
+            lazy_report = simulator(lazy, scheduler).simulate(requests, workload=name)
+            deltas.append(lazy_cache.stats.puts - before)
+            assert precompiled_report.digest() == lazy_report.digest(), (
+                f"{scheduler}/{name}: lazy digest diverged from precompiled"
+            )
     assert deltas[0] > 0 and deltas[2:] == [0, 0]
-    assert lazy_model.compiles_deferred == eager_stats.compiled
 
-    # The traffic never batched at every bucket: lazily compiling on first
-    # lookup touched strictly fewer bucket cells than the eager precompile
-    # paid for up front.
-    eager_cells = len([b for b in eager_model.buckets if b <= 32])
-    assert sum(deltas) == lazy_model.buckets_compiled < eager_cells
+    # The traffic never batched at every bucket: compiling on first lookup
+    # put strictly fewer cache entries than precompile() compiled up front.
+    assert sum(deltas) == lazy_cache.stats.puts < stats.compiled

@@ -108,7 +108,7 @@ def test_documented_backend_names_match_registry():
     from repro.codegen import BACKENDS
 
     text = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
-    documented = _table_names(text, "## Backend registry & lazy compilation")
+    documented = _table_names(text, "## Backend registry")
     assert documented == set(BACKENDS), (
         f"docs/architecture.md backend table {sorted(documented)} != "
         f"registered BACKENDS {sorted(BACKENDS)}"

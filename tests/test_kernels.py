@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.frontend.autotune import autotune, gemm_tile_candidates
+from repro.frontend.autotune import autotune_compile, gemm_tile_candidates
 from repro.kernels import (
     AttentionOperator,
     Fp8GemmOperator,
@@ -18,6 +18,7 @@ from repro.kernels import (
     build_warp_specialized_gemm,
 )
 from repro.kernels.gemm import GemmConfig
+from repro.pipeline import CompileCache
 
 
 def test_all_builders_produce_valid_programs():
@@ -59,15 +60,23 @@ def test_gemm_operator_non_power_of_two_option():
 
 
 def test_autotune_rejects_infeasible_and_picks_best():
-    def evaluate(params):
-        if params["x"] == 3:
-            return None
-        return abs(params["x"] - 5)
+    def build(params):
+        if params["bm"] == 96:
+            raise ValueError("bm=96 does not divide M")
+        return build_fp16_gemm(128, 128, 128, GemmConfig(**params))
 
-    result = autotune(evaluate, [{"x": x} for x in range(8)])
-    assert result.best_params == {"x": 5}
-    with pytest.raises(RuntimeError):
-        autotune(lambda p: None, [{"x": 1}])
+    candidates = [
+        {"bm": 128, "bn": 128, "bk": 32},
+        {"bm": 96, "bn": 64, "bk": 32},
+        {"bm": 64, "bn": 64, "bk": 32},
+    ]
+    result = autotune_compile(
+        build, candidates, arch="a100", max_candidates=4, cache=CompileCache()
+    )
+    assert result.num_trials == 3 and result.num_feasible == 2
+    assert [t.params for t in result.failures()] == [candidates[1]]
+    assert result.best_latency_us == min(t.latency_us for t in result.trials if t.ok)
+    assert result.best_params == candidates[2]
 
 
 def test_moe_dataflows_differ_in_copies():

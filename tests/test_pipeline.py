@@ -3,9 +3,9 @@ the refactor-equivalence check against the seed (pre-refactor) pipeline."""
 
 import pytest
 
-from repro.codegen.cuda_emitter import emit_cuda_source
+from repro.codegen import CUDA_DIALECT, emit_gpu_source
 from repro.compiler import compile_kernel
-from repro.frontend.autotune import autotune, autotune_compile
+from repro.frontend.autotune import autotune_compile
 from repro.instructions.registry import instruction_set
 from repro.kernels.attention import build_mha_decoding
 from repro.kernels.fp8_gemm import build_fp8_blockwise_gemm
@@ -41,7 +41,7 @@ def seed_compile(program, arch, max_candidates):
     best = selector.best()
     selector.apply(best)
     timing = estimate_kernel_latency(program, best.cost, gpu)
-    source = emit_cuda_source(program, best, gpu)
+    source = emit_gpu_source(program, best, gpu, CUDA_DIALECT)
     return best, timing, source
 
 
@@ -169,29 +169,6 @@ def test_compile_many_returns_errors_when_asked():
         compile_many([bad], arch="a100", max_candidates=2, cache=CompileCache())
 
 
-def test_autotune_records_failure_reasons():
-    def evaluate(params):
-        if params["bad"]:
-            raise ValueError("tile does not divide the problem")
-        return 10.0
-
-    result = autotune(evaluate, [{"bad": True}, {"bad": False}])
-    assert result.best_latency_us == 10.0
-    assert result.num_trials == 2
-    failures = result.failures()
-    assert len(failures) == 1
-    assert "tile does not divide the problem" in failures[0].error
-    assert failures[0].params == {"bad": True}
-
-
-def test_autotune_raises_with_reasons_when_nothing_feasible():
-    def evaluate(params):
-        raise ValueError("always infeasible")
-
-    with pytest.raises(RuntimeError, match="always infeasible"):
-        autotune(evaluate, [{"x": 1}])
-
-
 def test_autotune_compile_records_build_failures():
     def build(params):
         if params["bk"] > 32:
@@ -210,6 +187,10 @@ def test_autotune_compile_records_build_failures():
     assert result.best_kernel.latency_us == result.best_latency_us
     failures = result.failures()
     assert len(failures) == 1 and "exceeds K" in failures[0].error
+
+    # Nothing feasible: the sweep raises, naming the rejection reasons.
+    with pytest.raises(RuntimeError, match="bk=64 exceeds K"):
+        autotune_compile(build, [{"bk": 64}], arch="a100", max_candidates=4, cache=CompileCache())
 
 
 def test_compile_program_accepts_explicit_options_object():

@@ -71,6 +71,21 @@ TINY_MAMBA = ModelConfig(
     weight_dtype="fp16",
     tensor_parallel=1,
 )
+TINY_MOE = ModelConfig(
+    name="tiny-moe",
+    num_layers=2,
+    hidden_size=256,
+    num_heads=4,
+    kv_len=256,
+    head_dim=64,
+    moe_layers=2,
+    moe_experts=8,
+    moe_top_k=2,
+    moe_intermediate=256,
+    weight_dtype="awq-int4",
+    tensor_parallel=1,
+)
+TINY_FP8 = dataclasses.replace(TINY_DENSE, name="tiny-fp8", weight_dtype="fp8")
 
 
 # --------------------------------------------------------------------------- #
@@ -237,21 +252,35 @@ def test_step_model_parallel_serial_equivalence():
     assert set(parallel) == {"attention", "ffn"}
 
 
-def test_precompile_warms_cache_and_evaluation_hits_it():
+@pytest.mark.parametrize(
+    "operator,arch,config",
+    [
+        ("ffn", "a100", TINY_DENSE),
+        ("mamba_scan", "a100", TINY_MAMBA),
+        ("moe", "h100", TINY_MOE),
+        ("ffn", "h100", TINY_FP8),
+    ],
+    ids=["dense", "mamba", "moe", "fp8"],
+)
+def test_precompile_warms_cache_and_evaluation_hits_it(operator, arch, config):
+    # precompile_requests rebuilds each operator class's tile programs; a
+    # lookup after precompile() must find every one of them in the cache.
+    # One bucket keeps the fp8 compile cheap.
+    assert operator in {name for name, _, _ in operator_plan(config, "hexcute")}
     cache = CompileCache(max_entries=256)
-    model = StepLatencyModel(arch="a100", buckets=(1, 2), cache=cache)
-    cold = model.precompile(TINY_DENSE)
+    model = StepLatencyModel(arch=arch, buckets=(2,), cache=cache)
+    cold = model.precompile(config)
     assert cold.requests > 0 and cold.compiled > 0 and cold.errors == 0
     assert cold.already_cached == 0
     assert cold.cache_delta["puts"] == cold.compiled
 
     # A second model over the same cache starts warm: nothing to compile.
-    warm = StepLatencyModel(arch="a100", buckets=(1, 2), cache=cache).precompile(TINY_DENSE)
+    warm = StepLatencyModel(arch=arch, buckets=(2,), cache=cache).precompile(config)
     assert warm.compiled == 0 and warm.already_cached == warm.requests
 
     # Evaluation afterwards only *hits* the precompiled cache (no new puts).
     puts_before = cache.stats.puts
-    latency = model.step_latency_ms(TINY_DENSE, "hexcute", batch=2)
+    latency = model.step_latency_ms(config, "hexcute", batch=2)
     assert latency > 0
     assert cache.stats.puts == puts_before
 
