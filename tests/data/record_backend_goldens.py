@@ -1,4 +1,4 @@
-"""Record golden per-backend digests for the five kernel families.
+"""Record golden per-backend digests for the seven kernel families.
 
 Run from the repo root (``PYTHONPATH=src python tests/data/record_backend_goldens.py``)
 against the PRE-refactor tree; ``tests/test_backends.py`` then pins the
@@ -10,6 +10,8 @@ named assignment, and the simulated latency for one representative compile
 per kernel family on its compile arch.  The GEMM entry is the fig22
 configuration used by ``bench_compile_time.py`` so the cuda-vs-rocm
 divergence criterion and the cuda bit-identity criterion share a config.
+``mha_forward`` pins the ``rearrange_via_*`` lines (its compile inserts one
+``Rearrange``) and ``ws_gemm`` the ``*-specialized`` lines.
 
 Two more entries pin the other backends byte for byte:
 
@@ -28,9 +30,9 @@ from pathlib import Path
 
 from repro.codegen import get_backend
 from repro.compiler import compile_kernel
-from repro.kernels.attention import AttentionConfig, build_mha_decoding
+from repro.kernels.attention import AttentionConfig, build_mha_decoding, build_mha_forward
 from repro.kernels.fp8_gemm import Fp8GemmConfig, build_fp8_blockwise_gemm
-from repro.kernels.gemm import GemmConfig, build_fp16_gemm
+from repro.kernels.gemm import GemmConfig, build_fp16_gemm, build_warp_specialized_gemm
 from repro.kernels.mamba import ScanConfig, build_selective_scan
 from repro.kernels.moe import MoeConfig, build_moe_gemm
 from repro.sim.arch import get_arch
@@ -46,6 +48,8 @@ FAMILY_BUILDS = {
     "attention": (lambda: build_mha_decoding(2048, 128, 8, 4, AttentionConfig(head_dim=128, block_kv=128)), "a100", 24),
     "mamba": (lambda: build_selective_scan(2048, 1024, 2, ScanConfig()), "a100", 24),
     "moe": (lambda: build_moe_gemm(64, 4096, 4096, MoeConfig()), "a100", 24),
+    "mha_forward": (lambda: build_mha_forward(2048, 128, 16, 8), "a100", 24),
+    "ws_gemm": (lambda: build_warp_specialized_gemm(4096, 4096, 4096), "h100", 24),
 }
 
 # (backend, arch) pairs each family's cuda-compiled program is re-emitted

@@ -3,7 +3,7 @@
 Three layers of guarantees:
 
 * **bit-identity** — the default backend reproduces, bit for bit, the
-  pre-refactor emitter for all five kernel families
+  pre-refactor emitter for every golden kernel family
   (``tests/data/golden_backend_digests.json``, recorded on the tree just
   before the registry landed), and the rocm and cpu-sim emissions of the
   same programs, plus the fig22 GEMM compiled on mi300, match digests
@@ -155,6 +155,15 @@ def test_emission_structure_per_family_and_backend(family_kernels):
         assert _recorder.cross_backend_digests(kernel) == GOLDEN["cross_backend"][family], (
             f"{family}: rocm/cpu-sim emission diverged"
         )
+
+    # The emission lines only these two families reach.
+    rocm = get_backend("rocm")
+    mha = family_kernels["mha_forward"]
+    assert "rearrange_via_smem(" in mha.source
+    assert "rearrange_via_lds(" in rocm.emit(mha.program, mha.candidate, MI300)
+    ws = family_kernels["ws_gemm"]
+    assert "// warp-specialized: producer warp group" in ws.source
+    assert "// wave-specialized: producer wave group" in rocm.emit(ws.program, ws.candidate, MI300)
 
 
 # --------------------------------------------------------------------------- #
