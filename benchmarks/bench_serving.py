@@ -1,37 +1,29 @@
 """Serving-level benchmark: continuous batching over the Fig. 13 models.
 
 Sweeps the three paper models (DeepSeek-R1-AWQ, Jamba-mini-1.7, Qwen-3-32B)
-x (hexcute, baseline) backends x the continuous-batching schedulers, playing
-one seeded workload per model through the discrete-event simulator, and
-reports throughput, p50/p95/p99 request latency, TTFT, SLO attainment and
-batch occupancy.  A second sweep composes replicas into a
-**cluster** (replica count x routing policy over one bursty workload) and
-reports fleet throughput, tail latency, load imbalance and KV spread.
+x (hexcute, baseline) backends x the continuous-batching schedulers over
+one seeded workload, then serves a tight KV budget, shared prompt
+prefixes, a replica-count x routing-policy **cluster** sweep, a mid-run
+replica crash and the ``cpu-sim`` codegen backend.  It reports throughput,
+p50/p95/p99 latency, TTFT, SLO attainment and batch occupancy (fleets:
+load imbalance and KV spread).  It also measures **serving startup**:
+precompiling every decode batch bucket through
+``repro.pipeline.compile_many`` with a cold compile cache versus a warm one.
 
-It also measures **serving startup**: precompiling every decode batch
-bucket through ``repro.pipeline.compile_many`` with a cold compile cache
-versus a warm one (warm startup only verifies fingerprints; it must be at
-least 2x faster — it is orders of magnitude faster in practice).
-
-The guards that make this CI-able (``--smoke``): each sweep cell is
-simulated twice with identically seeded inputs and must produce bit-equal
-``ServeReport`` digests; the regenerated workload itself must be
-identical; a **memory-pressure** run against a deliberately tight KV
-block budget must report preemptions > 0 with KV utilization <= 1.0 and a
-bit-equal digest on a second run; a **prefix-sharing** cell must hit the
-prefix cache under full sharing and digest bit-equal across two runs;
-every cluster cell must be digest-stable across two runs; a
-**single-replica cluster must be digest-identical to the bare simulator**
-under every routing policy; under bursty load ``least-loaded`` routing
-must not lose to ``round-robin`` on p99 latency; a **fault-tolerance**
-cell under a fixed crash/recovery schedule must digest bit-equal across
-two runs and report availability < 1 with goodput > 0 while conserving
-every request; and a **cross-backend** cell must serve the same seeded
-workload through the ``cpu-sim`` codegen backend digest-stably (and
-distinctly from the cuda serve), and a step model whose ``precompile()``
-never ran must serve digest-identically to the precompiled model while
-putting strictly fewer compile-cache entries than the startup
-``precompile()`` compiled.  Any violation exits nonzero.
+Every serve is one :class:`Cell` of a table (:func:`cell_table`), and one
+runner (:func:`play`) plays each cell twice: the regenerated workload must
+be identical, the two digests bit-equal and every request completed or
+shed.  Then the cell's own checks apply: the memory-pressure cells must preempt with KV
+utilization in (0, 1], the prefix cell must hit the cache, and the crash
+cell must report availability < 1 with goodput > 0.  The gates that compare
+cells are explicit: warm startup at least 2x faster than cold; a
+**single-replica cluster digest-identical to the bare simulator** under
+every routing policy; ``least-loaded`` no worse than ``round-robin`` on p99
+under bursty load; and the cpu-sim serve distinct from the cuda one, while
+a step model whose ``precompile()`` never ran serves digest-identically to
+the precompiled model and puts strictly fewer compile-cache entries than
+startup compiled.  ``--smoke`` runs every check on a small workload; any
+violation exits nonzero.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_serving.py [--smoke]
 """
@@ -39,22 +31,27 @@ Run with:  PYTHONPATH=src python benchmarks/bench_serving.py [--smoke]
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from typing import List
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional
 
-from repro.e2e import DEEPSEEK_R1_AWQ, JAMBA_MINI, QWEN3_32B
+from repro.e2e import DEEPSEEK_R1_AWQ, JAMBA_MINI, QWEN3_32B, ModelConfig
 from repro.pipeline import CompileCache
 from repro.reporting import geometric_mean
 from repro.serving import (
     DEFAULT_BATCH_BUCKETS,
     ClusterSimulator,
+    FaultSchedule,
     ROUTERS,
+    ReplicaCrash,
+    ReplicaRecover,
     ServingSimulator,
     StepLatencyModel,
     bursty_workload,
-    format_cluster_reports,
     format_reports,
     make_workload,
+    prefix_shared_workload,
 )
 from repro.serving.memory import blocks_for_tokens
 from repro.sim.arch import DEFAULT_EVAL_ARCH
@@ -105,6 +102,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def split(names: str) -> List[str]:
+    return [name.strip() for name in names.split(",") if name.strip()]
+
+
 def build_workload(args, num_requests: int) -> List:
     kwargs = {"num_requests": num_requests, "seed": args.seed}
     if args.workload in ("steady", "heavy-tail", "memory-pressure") and args.rate_rps is not None:
@@ -128,94 +129,6 @@ def pressure_workload(num_requests: int, seed: int) -> List:
     )
 
 
-def run_memory_pressure_check(args, configs, step_model, num_requests: int, failures: List[str]):
-    """Constrained-KV run: preemptions must occur, utilization must stay
-    within the pool, and two identically seeded runs must be bit-equal."""
-    config = configs[0]
-    workload = pressure_workload(num_requests, args.seed)
-    # A budget about twice the largest single-request footprint: every
-    # request is individually feasible, but concurrent growth is not.
-    budget = 2 * max(
-        blocks_for_tokens(r.prompt_tokens + r.output_tokens) for r in workload
-    )
-    reports = []
-    for scheduler in ("fcfs", "memory-aware"):
-        def run():
-            sim = ServingSimulator(
-                config,
-                backend="hexcute",
-                scheduler=scheduler,
-                arch=args.arch,
-                max_batch_size=8,
-                kv_budget_blocks=budget,
-                step_model=step_model,
-            )
-            return sim.simulate(workload, workload="memory-pressure")
-
-        report = run()
-        if report.digest() != run().digest():
-            failures.append(f"nondeterministic memory-pressure serve: {report.label()}")
-        if report.preemptions <= 0:
-            failures.append(
-                f"memory-pressure run produced no preemptions ({report.label()}, "
-                f"budget {budget} blocks)"
-            )
-        if not 0.0 < report.kv_peak_utilization <= 1.0:
-            failures.append(
-                f"KV peak utilization out of range: {report.kv_peak_utilization} "
-                f"({report.label()})"
-            )
-        if report.num_requests != len(workload):
-            failures.append(f"memory-pressure run lost requests: {report.label()}")
-        reports.append(report)
-        print(report.summary())
-    return reports
-
-
-def run_prefix_sharing_check(args, configs, step_model, num_requests: int, failures: List[str]):
-    """The prefix-cache smoke cell: a multi-tenant shared-prompt workload
-    must digest bit-equal across two runs and actually hit the cache."""
-    from repro.serving import prefix_shared_workload
-
-    config = configs[0]
-    shared = prefix_shared_workload(
-        num_requests=num_requests, rate_rps=2000.0, num_tenants=4, seed=args.seed
-    )
-    budget = 2 * max(
-        blocks_for_tokens(r.prompt_tokens + r.output_tokens) for r in shared
-    )
-
-    def run():
-        sim = ServingSimulator(
-            config,
-            backend="hexcute",
-            scheduler="fcfs",
-            arch=args.arch,
-            max_batch_size=8,
-            kv_budget_blocks=budget,
-            step_model=step_model,
-        )
-        return sim.simulate(shared, workload="prefix-shared")
-
-    report = run()
-    if report.digest() != run().digest():
-        failures.append(f"nondeterministic prefix-shared serve: {report.label()}")
-    if report.prefix_hit_rate <= 0.0 or report.prefix_hits <= 0:
-        failures.append(
-            f"prefix-shared run never hit the cache (hit rate "
-            f"{report.prefix_hit_rate:.2f}, {report.label()})"
-        )
-    if report.num_requests != len(shared):
-        failures.append(f"prefix-shared run lost requests: {report.label()}")
-    print(report.summary())
-    print(
-        f"prefix cache: {report.prefix_hits} hits / {report.prefix_misses} misses "
-        f"(hit rate {report.prefix_hit_rate:.2f}), "
-        f"{report.prefix_blocks_saved} blocks saved"
-    )
-    return [report]
-
-
 def cluster_workload(num_requests: int, seed: int) -> List:
     """Bursty fleet traffic: recurring near-simultaneous bursts that
     overflow one replica's batch slots, with exponentially distributed
@@ -230,191 +143,223 @@ def cluster_workload(num_requests: int, seed: int) -> List:
     )
 
 
-def run_cluster_sweep(args, config, step_model, failures: List[str]):
-    """Replica-count x routing-policy sweep over one bursty workload, with
-    the digest-stability, single-replica-identity and least-loaded-vs-
-    round-robin p99 checks."""
-    routers = [r.strip() for r in args.routers.split(",") if r.strip()]
+# The per-cell checks: (predicate on the report, failure message formatted
+# with the report as ``r``).
+PRESSURE_CHECKS = (
+    (lambda r: r.preemptions > 0,
+     "memory-pressure run produced no preemptions (budget {r.kv_total_blocks} blocks)"),
+    (lambda r: 0.0 < r.kv_peak_utilization <= 1.0,
+     "KV peak utilization out of range: {r.kv_peak_utilization}"),
+)
+PREFIX_CHECKS = (
+    (lambda r: r.prefix_hit_rate > 0.0 and r.prefix_hits > 0,
+     "prefix-shared run never hit the cache (hit rate {r.prefix_hit_rate:.2f})"),
+)
+FAULT_CHECKS = (
+    (lambda r: r.crashes == 1 and r.availability < 1.0,
+     "crash schedule left no outage trace (crashes={r.crashes}, "
+     "availability={r.availability:.3f})"),
+    (lambda r: r.goodput_tok_s > 0.0, "faulted run produced no goodput"),
+)
+
+
+def tight_budget(requests) -> int:
+    """A KV budget about twice the largest single-request footprint: every
+    request is individually feasible, but concurrent growth is not."""
+    return 2 * max(blocks_for_tokens(r.prompt_tokens + r.output_tokens) for r in requests)
+
+
+@dataclass
+class Cell:
+    """One serve of the bench: ``replicas=0`` plays a bare
+    :class:`ServingSimulator`, otherwise a :class:`ClusterSimulator`."""
+
+    config: ModelConfig
+    workload: Callable[[], List]
+    label: str
+    arch: str
+    step_model: StepLatencyModel
+    seed: int
+    backend: str = "hexcute"
+    scheduler: str = "fcfs"
+    max_batch: int = 8
+    replicas: int = 0
+    router: str = "round-robin"
+    kv_budget: Optional[int] = None
+    faults: Optional[FaultSchedule] = None
+    checks: tuple = ()  # e.g. PRESSURE_CHECKS
+
+
+def simulate(cell: Cell, requests: List):
+    """One play of ``cell`` over ``requests`` on a freshly built simulator."""
+    common = dict(
+        backend=cell.backend, scheduler=cell.scheduler, arch=cell.arch,
+        max_batch_size=cell.max_batch, step_model=cell.step_model,
+        kv_budget_blocks=cell.kv_budget,
+    )
+    if cell.replicas:
+        cluster = ClusterSimulator(
+            cell.config, replicas=cell.replicas, router=cell.router, seed=cell.seed, **common
+        )
+        return cluster.simulate(requests, workload=cell.label, faults=cell.faults)
+    return ServingSimulator(cell.config, **common).simulate(requests, workload=cell.label)
+
+
+def play(cell: Cell, failures: List[str]):
+    """Play ``cell`` twice: the regenerated workload must be identical, the
+    digests bit-equal and every request completed or shed.  Then apply the
+    cell's own checks."""
+    requests = cell.workload()
+    report = simulate(cell, requests)
+    replayed = cell.workload()
+    where = f"{report.label()} ({cell.label})"
+    if replayed != requests:
+        failures.append(f"workload generation is nondeterministic: {where}")
+    if simulate(cell, replayed).digest() != report.digest():
+        failures.append(f"nondeterministic serve: {where}")
+    served = report.num_requests + report.shed
+    if served != len(requests):
+        failures.append(f"lost requests ({served}/{len(requests)} completed or shed): {where}")
+    for predicate, message in cell.checks:
+        if not predicate(report):
+            failures.append(f"{message.format(r=report)}: {where}")
+    print(report.summary())
+    return report
+
+
+def cell_table(args, configs, step_model, num_requests: int, max_batch: int) -> dict:
+    """Every section of the bench: name -> (table title, cells)."""
+    cell = functools.partial(Cell, arch=args.arch, step_model=step_model, seed=args.seed)
+    config = configs[0]
+    traffic = functools.partial(build_workload, args, num_requests)
+    pressure = functools.partial(pressure_workload, num_requests, args.seed)
+    shared = functools.partial(
+        prefix_shared_workload, num_requests=num_requests, rate_rps=2000.0, num_tenants=4,
+        seed=args.seed,
+    )
+    fleet_requests = 32 if args.smoke else 64
+    bursty = functools.partial(cluster_workload, fleet_requests, args.seed)
+    span = max(r.arrival_ms for r in bursty())
+    crash = FaultSchedule(
+        [ReplicaCrash(round(0.25 * span, 3), 0), ReplicaRecover(round(0.75 * span, 3), 0)]
+    )
     if args.replicas is not None:
-        replica_counts = [int(n) for n in args.replicas.split(",") if n.strip()]
+        replica_counts = [int(n) for n in split(args.replicas)]
     else:
         replica_counts = [1, 2] if args.smoke else [1, 2, 4]
-    num_requests = 32 if args.smoke else 64
-    workload = cluster_workload(num_requests, args.seed)
-
-    bare = ServingSimulator(
-        config, backend="hexcute", scheduler="fcfs", arch=args.arch,
-        max_batch_size=8, step_model=step_model,
+    # Prefer an fp16 model for cpu-sim: it sits on the pre-Hopper
+    # instruction tier, so fp8 FFN kernels are not compilable there.
+    fp16 = next((c for c in configs if c.weight_dtype == "fp16"), config)
+    cpu_model = StepLatencyModel(
+        arch="cpu-sim", buckets=step_model.buckets, cache=CompileCache(max_entries=2048)
     )
-    bare_digest = bare.simulate(workload, workload="bursty").digest()
+    return {
+        "sweep": (
+            f"Serving: {args.workload} x{num_requests}, max batch {max_batch} ({args.arch})",
+            [
+                cell(c, traffic, args.workload, backend=backend, scheduler=scheduler,
+                     max_batch=max_batch)
+                for c in configs for backend in split(args.backends)
+                for scheduler in split(args.schedulers)
+            ],
+        ),
+        "pressure": (
+            f"Memory pressure: tight KV budget, max batch 8 ({args.arch})",
+            [
+                cell(config, pressure, "memory-pressure", scheduler=scheduler,
+                     kv_budget=tight_budget(pressure()), checks=PRESSURE_CHECKS)
+                for scheduler in ("fcfs", "memory-aware")
+            ],
+        ),
+        "prefix": (
+            f"Prefix sharing: multi-tenant shared prompts, max batch 8 ({args.arch})",
+            [cell(config, shared, "prefix-shared", kv_budget=tight_budget(shared()),
+                  checks=PREFIX_CHECKS)],
+        ),
+        "cluster": (
+            f"Cluster: bursty x{fleet_requests}, {config.name}, max batch 8/replica ({args.arch})",
+            [
+                cell(config, bursty, "bursty", replicas=replicas, router=router)
+                for replicas in replica_counts for router in split(args.routers)
+            ],
+        ),
+        "fault": (
+            f"Fault tolerance: mid-run crash, 2 replicas, {config.name} ({args.arch})",
+            [cell(config, bursty, "bursty", replicas=2, router="least-loaded", faults=crash,
+                  checks=FAULT_CHECKS)],
+        ),
+        "cross": (
+            f"Cross-backend: {args.workload} x{num_requests}, cpu-sim codegen ({fp16.name})",
+            [cell(fp16, traffic, args.workload, arch="cpu-sim", step_model=cpu_model,
+                  max_batch=max_batch)],
+        ),
+    }
 
-    reports = []
-    p99 = {}
-    for replicas in replica_counts:
-        for router in routers:
-            def run():
-                cluster = ClusterSimulator(
-                    config,
-                    replicas=replicas,
-                    router=router,
-                    backend="hexcute",
-                    scheduler="fcfs",
-                    arch=args.arch,
-                    max_batch_size=8,
-                    step_model=step_model,
-                    seed=args.seed,
-                )
-                return cluster.simulate(workload, workload="bursty")
 
-            report = run()
-            if report.digest() != run().digest():
-                failures.append(f"nondeterministic cluster serve: {report.label()}")
-            if report.num_requests != len(workload):
-                failures.append(f"cluster lost requests: {report.label()}")
-            if replicas == 1 and report.digest() != bare_digest:
+def check_cluster(played, failures: List[str]) -> None:
+    """Every 1-replica cluster must be digest-identical to the bare
+    simulator, and at the largest fleet least-loaded routing must not lose
+    to round-robin on p99."""
+    singles = [(cell, report) for cell, report in played if cell.replicas == 1]
+    if singles:
+        reference = singles[0][0]
+        bare = simulate(replace(reference, replicas=0), reference.workload())
+        for cell, report in singles:
+            if report.digest() != bare.digest():
                 failures.append(
                     f"1-replica cluster not bit-identical to the bare simulator "
-                    f"under {router!r} routing"
+                    f"under {cell.router!r} routing"
                 )
-            reports.append(report)
-            p99[(replicas, router)] = report.latency_percentile_ms(99)
-            print(report.summary())
-
-    check_at = max(n for n in replica_counts if n > 1) if any(
-        n > 1 for n in replica_counts
-    ) else None
-    if check_at and {"least-loaded", "round-robin"} <= set(routers):
-        ll, rr = p99[(check_at, "least-loaded")], p99[(check_at, "round-robin")]
+    p99 = {(cell.replicas, cell.router): report.latency_percentile_ms(99) for cell, report in played}
+    at = max((cell.replicas for cell, _ in played), default=0)
+    if at > 1 and {(at, "least-loaded"), (at, "round-robin")} <= p99.keys():
+        ll, rr = p99[(at, "least-loaded")], p99[(at, "round-robin")]
         print(
-            f"\np99 under bursty load at {check_at} replicas: "
+            f"\np99 under bursty load at {at} replicas: "
             f"least-loaded {ll:.0f} ms vs round-robin {rr:.0f} ms"
         )
         if ll > rr:
             failures.append(
                 f"least-loaded routing lost to round-robin on p99 under bursty "
-                f"load ({ll:.0f} ms vs {rr:.0f} ms at {check_at} replicas)"
+                f"load ({ll:.0f} ms vs {rr:.0f} ms at {at} replicas)"
             )
-    return reports
 
 
-def run_fault_tolerance_check(args, config, step_model, failures: List[str]):
-    """The fault-injection smoke cell: a fixed crash/recovery schedule on
-    a small cluster must (a) digest bit-equal across two runs and (b)
-    report the outage (availability < 1) while still doing useful work
-    (goodput > 0) and conserving every request."""
-    from repro.serving import FaultSchedule, ReplicaCrash, ReplicaRecover
-
-    workload = cluster_workload(32 if args.smoke else 64, args.seed)
-    span = max(r.arrival_ms for r in workload)
-    schedule = FaultSchedule(
-        [
-            ReplicaCrash(round(0.25 * span, 3), 0),
-            ReplicaRecover(round(0.75 * span, 3), 0),
-        ]
-    )
-
-    def run():
-        cluster = ClusterSimulator(
-            config,
-            replicas=2,
-            router="least-loaded",
-            backend="hexcute",
-            scheduler="fcfs",
-            arch=args.arch,
-            max_batch_size=8,
-            step_model=step_model,
-            seed=args.seed,
-        )
-        return cluster.simulate(workload, workload="bursty", faults=schedule)
-
-    report = run()
-    if report.digest() != run().digest():
-        failures.append(f"nondeterministic faulted serve: {report.label()}")
-    if report.crashes != 1 or not report.availability < 1.0:
-        failures.append(
-            f"crash schedule left no outage trace (crashes={report.crashes}, "
-            f"availability={report.availability:.3f}, {report.label()})"
-        )
-    if not report.goodput_tok_s > 0.0:
-        failures.append(f"faulted run produced no goodput: {report.label()}")
-    if report.num_requests != len(workload):
-        failures.append(
-            f"faulted run lost requests ({report.num_requests}/{len(workload)}, "
-            f"{report.label()})"
-        )
-    print(report.summary())
-    print(
-        f"fault injection: {report.retries} retries, {report.failovers} "
-        f"failovers, availability {report.availability * 100.0:.1f}%, "
-        f"goodput {report.goodput_tok_s:.0f} tok/s"
-    )
-    return [report]
-
-
-def run_cross_backend_check(
-    args, configs, precompiled_model, precompiled_kernels: int, buckets,
-    num_requests: int, max_batch: int, failures: List[str],
-):
-    """The backend-registry smoke cell.
-
-    (a) **cuda vs cpu-sim**: the same seeded workload served on the
-    ``cpu-sim`` arch — kernel compilation dispatches through the cpu
-    codegen backend — must be digest-stable across two runs and must not
-    collide with the cuda serve's digest.  (b) **never precompiled vs
-    precompiled**: a step model whose ``precompile()`` never ran (cold
-    cache) compiles each bucket cell on its first lookup and must produce
-    bit-identical fcfs and slo serve digests to the precompiled model,
-    whose serves only hit its cache.  (c) **compiling on first lookup
-    compiles less**: those serves must put strictly fewer cache entries
-    than the ``precompiled_kernels`` the startup ``precompile()`` compiled.
-    """
-    # Prefer an fp16 model: the cpu-sim arch sits on the pre-Hopper
-    # instruction tier, so fp8 FFN kernels are not compilable there.
-    config = next((c for c in configs if c.weight_dtype == "fp16"), configs[0])
-    workload = build_workload(args, num_requests)
-
-    def serve(step_model, arch, scheduler="fcfs"):
-        sim = ServingSimulator(
-            config,
-            backend="hexcute",
-            scheduler=scheduler,
-            arch=arch,
-            max_batch_size=max_batch,
-            step_model=step_model,
-        )
-        return sim.simulate(workload, workload=args.workload)
-
-    # (a) the cpu-sim serve, compiled on first lookup through the cpu backend.
-    cpu_model = StepLatencyModel(
-        arch="cpu-sim", buckets=buckets, cache=CompileCache(max_entries=2048)
-    )
-    cpu_report = serve(cpu_model, "cpu-sim")
-    cuda_report = serve(precompiled_model, args.arch)
-    if cpu_report.digest() != serve(cpu_model, "cpu-sim").digest():
-        failures.append(f"nondeterministic cpu-sim serve: {cpu_report.label()}")
-    if cpu_report.digest() == cuda_report.digest():
-        failures.append(
-            "cpu-sim serve digest collides with the cuda serve — the arch/"
-            "backend is not reaching the report"
-        )
-    if cpu_model.cache.stats.puts <= 0:
-        failures.append("cpu-sim serve never compiled a kernel")
-    print(cpu_report.summary())
-
-    # (b) + (c) never precompiled vs precompiled on the primary arch.
+def check_cross_backend(
+    arch: str, cpu_cell: Cell, cpu_report, precompiled: StepLatencyModel,
+    precompiled_kernels: int, failures: List[str],
+) -> None:
+    """(a) **cuda vs cpu-sim**: the cpu-sim serve must have compiled
+    through the cpu codegen backend and must not collide with the cuda
+    serve's digest.  (b) **never precompiled vs precompiled**: a step model
+    whose ``precompile()`` never ran (cold cache) compiles each bucket cell
+    on its first lookup and must produce bit-identical fcfs and slo serve
+    digests to the precompiled model, whose serves only hit its cache.
+    (c) **compiling on first lookup compiles less**: those serves must put
+    strictly fewer cache entries than the ``precompiled_kernels`` the
+    startup ``precompile()`` compiled."""
     model = StepLatencyModel(
-        arch=args.arch, buckets=buckets, cache=CompileCache(max_entries=2048)
+        arch=arch, buckets=precompiled.buckets, cache=CompileCache(max_entries=2048)
     )
-    precompiled_puts = precompiled_model.cache.stats.puts
+    precompiled_puts = precompiled.cache.stats.puts
     for scheduler in ("fcfs", "slo"):
-        report = serve(model, args.arch, scheduler)
-        expected = serve(precompiled_model, args.arch, scheduler)
+        cuda = replace(cpu_cell, arch=arch, scheduler=scheduler)
+        requests = cuda.workload()
+        expected = simulate(replace(cuda, step_model=precompiled), requests)
+        report = simulate(replace(cuda, step_model=model), requests)
         if report.digest() != expected.digest():
             failures.append(
                 f"never-precompiled serve not bit-identical to the precompiled "
                 f"one ({scheduler}): {report.digest()} vs {expected.digest()}"
             )
-    if precompiled_model.cache.stats.puts != precompiled_puts:
+        if scheduler == "fcfs" and expected.digest() == cpu_report.digest():
+            failures.append(
+                "cpu-sim serve digest collides with the cuda serve — the arch/"
+                "backend is not reaching the report"
+            )
+    if cpu_cell.step_model.cache.stats.puts <= 0:
+        failures.append("cpu-sim serve never compiled a kernel")
+    if precompiled.cache.stats.puts != precompiled_puts:
         failures.append("the precompiled model compiled while serving")
     puts = model.cache.stats.puts
     if not 0 < puts < precompiled_kernels:
@@ -424,11 +369,10 @@ def run_cross_backend_check(
         )
     print(
         f"cross-backend: cpu-sim digest stable and distinct from cuda "
-        f"({cpu_model.cache.stats.puts} cpu kernels compiled on first lookup); "
+        f"({cpu_cell.step_model.cache.stats.puts} cpu kernels compiled on first lookup); "
         f"never-precompiled == precompiled digests on fcfs/slo with {puts} "
         f"kernels compiled on first lookup vs {precompiled_kernels} precompiled"
     )
-    return [cpu_report]
 
 
 def run_profile(args) -> int:
@@ -444,12 +388,12 @@ def run_profile(args) -> int:
     import cProfile
     import pstats
 
-    config = MODELS[args.models.split(",")[0].strip()]
+    config = MODELS[split(args.models)[0]]
     num_requests = args.requests if args.requests is not None else 5000
     max_batch = args.max_batch if args.max_batch is not None else 16
     workload = build_workload(args, num_requests)
     sim = ServingSimulator(
-        config, backend="hexcute", scheduler=args.schedulers.split(",")[0].strip(),
+        config, backend="hexcute", scheduler=split(args.schedulers)[0],
         arch=args.arch, max_batch_size=max_batch,
     )
     for batch in range(1, max_batch + 1):  # compile/memoize outside the profile
@@ -471,19 +415,14 @@ def main(argv=None) -> int:
         return run_profile(args)
     num_requests = args.requests if args.requests is not None else (24 if args.smoke else 64)
     max_batch = args.max_batch if args.max_batch is not None else (8 if args.smoke else 16)
-    configs = [MODELS[name.strip()] for name in args.models.split(",") if name.strip()]
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
+    configs = [MODELS[name] for name in split(args.models)]
     buckets = tuple(b for b in DEFAULT_BATCH_BUCKETS if b <= max_batch) or (max_batch,)
 
     failures: List[str] = []
 
-    # ------------------------------------------------------------------ #
     # Serving startup: cold vs warm bucket precompilation.
-    # ------------------------------------------------------------------ #
     cache = CompileCache(max_entries=2048)
-    cold_model = StepLatencyModel(arch=args.arch, buckets=buckets, cache=cache)
-    cold = cold_model.precompile(configs)
+    cold = StepLatencyModel(arch=args.arch, buckets=buckets, cache=cache).precompile(configs)
     warm_model = StepLatencyModel(arch=args.arch, buckets=buckets, cache=cache)
     warm = warm_model.precompile(configs)
     speedup = cold.seconds / max(warm.seconds, 1e-9)
@@ -500,126 +439,29 @@ def main(argv=None) -> int:
     if cold.errors or warm.errors:
         failures.append(f"precompile errors: cold={cold.errors} warm={warm.errors}")
 
-    # ------------------------------------------------------------------ #
-    # The sweep: one seeded workload per model, shared across cells.
-    # ------------------------------------------------------------------ #
-    reports = []
-    throughput = {}
-    for config in configs:
-        workload = build_workload(args, num_requests)
-        replayed = build_workload(args, num_requests)
-        if workload != replayed:
-            failures.append(f"workload generation is nondeterministic for {config.name}")
-        for backend in backends:
-            for scheduler in schedulers:
-                def run():
-                    sim = ServingSimulator(
-                        config,
-                        backend=backend,
-                        scheduler=scheduler,
-                        arch=args.arch,
-                        max_batch_size=max_batch,
-                        step_model=warm_model,
-                    )
-                    return sim.simulate(workload, workload=args.workload)
+    played = {}
+    table = cell_table(args, configs, warm_model, num_requests, max_batch)
+    for name, (title, cells) in table.items():
+        print()
+        reports = [play(cell, failures) for cell in cells]
+        print()
+        print(format_reports(title, reports))
+        played[name] = list(zip(cells, reports))
 
-                report = run()
-                rerun = run()
-                if report.digest() != rerun.digest():
-                    failures.append(f"nondeterministic serve: {report.label()}")
-                reports.append(report)
-                throughput[(config.name, backend, scheduler)] = report.throughput_tok_s
-                print(report.summary())
+    check_cluster(played["cluster"], failures)
+    print()
+    check_cross_backend(args.arch, *played["cross"][0], warm_model, cold.compiled, failures)
 
-    print()
-    print(
-        format_reports(
-            f"Serving: {args.workload} x{num_requests}, max batch {max_batch} ({args.arch})",
-            reports,
-        )
-    )
-
-    # ------------------------------------------------------------------ #
-    # KV memory pressure: preemptions must fire, deterministically.
-    # ------------------------------------------------------------------ #
-    print()
-    pressure_reports = run_memory_pressure_check(
-        args, configs, warm_model, num_requests, failures
-    )
-    print()
-    print(
-        format_reports(
-            f"Memory pressure: tight KV budget, max batch 8 ({args.arch})",
-            pressure_reports,
-        )
-    )
-
-    # ------------------------------------------------------------------ #
-    # Prefix sharing: cache hits, deterministically.
-    # ------------------------------------------------------------------ #
-    print()
-    prefix_reports = run_prefix_sharing_check(
-        args, configs, warm_model, num_requests, failures
-    )
-    print()
-    print(
-        format_reports(
-            f"Prefix sharing: multi-tenant shared prompts, max batch 8 ({args.arch})",
-            prefix_reports,
-        )
-    )
-
-    # ------------------------------------------------------------------ #
-    # Cluster: replica count x routing policy over bursty fleet traffic.
-    # ------------------------------------------------------------------ #
-    print()
-    cluster_reports = run_cluster_sweep(args, configs[0], warm_model, failures)
-    print()
-    print(
-        format_cluster_reports(
-            f"Cluster: bursty x{32 if args.smoke else 64}, "
-            f"{configs[0].name}, max batch 8/replica ({args.arch})",
-            cluster_reports,
-        )
-    )
-
-    # ------------------------------------------------------------------ #
-    # Fault tolerance: crash/recovery must be deterministic and conserve
-    # requests.
-    # ------------------------------------------------------------------ #
-    print()
-    fault_reports = run_fault_tolerance_check(args, configs[0], warm_model, failures)
-    print()
-    print(
-        format_cluster_reports(
-            f"Fault tolerance: mid-run crash, 2 replicas, {configs[0].name} ({args.arch})",
-            fault_reports,
-        )
-    )
-
-    # ------------------------------------------------------------------ #
-    # Cross-backend: cpu-sim codegen serve + compiling on first lookup.
-    # ------------------------------------------------------------------ #
-    print()
-    cross_reports = run_cross_backend_check(
-        args, configs, warm_model, cold.compiled, buckets, num_requests, max_batch,
-        failures,
-    )
-    print()
-    print(
-        format_reports(
-            f"Cross-backend: {args.workload} x{num_requests}, cpu-sim codegen "
-            f"({cross_reports[0].model})",
-            cross_reports,
-        )
-    )
-
-    if "hexcute" in backends and "baseline" in backends:
+    throughput = {
+        (cell.config.name, cell.backend, cell.scheduler): report.throughput_tok_s
+        for cell, report in played["sweep"]
+    }
+    backends = {backend for _, backend, _ in throughput}
+    if {"hexcute", "baseline"} <= backends:
         ratios = [
-            throughput[(config.name, "hexcute", sched)]
-            / max(throughput[(config.name, "baseline", sched)], 1e-9)
-            for config in configs
-            for sched in schedulers
+            tokens / max(throughput[(model, "baseline", scheduler)], 1e-9)
+            for (model, backend, scheduler), tokens in throughput.items()
+            if backend == "hexcute"
         ]
         print(
             f"\ngeomean serving throughput, hexcute vs baseline: "

@@ -26,7 +26,7 @@ from repro.serving import (
     ROUTERS,
     StepLatencyModel,
     bursty_workload,
-    format_cluster_reports,
+    format_reports,
     kv_bytes_per_token,
     weight_bytes,
 )
@@ -87,7 +87,7 @@ def main():
 
     print()
     print(
-        format_cluster_reports(
+        format_reports(
             f"DeepSeek-R1-AWQ, bursty traffic, {REPLICAS} replicas x batch 8", reports
         )
     )

@@ -33,7 +33,7 @@ from repro.serving import (
     ReplicaRecover,
     ReplicaSlowdown,
     diurnal_workload,
-    format_cluster_reports,
+    format_reports,
 )
 
 REPLICAS = 4
@@ -95,7 +95,7 @@ def main():
         )
 
     print(
-        format_cluster_reports(
+        format_reports(
             f"Mid-day crash, {REPLICAS} replicas x batch 8, hard deadlines",
             [report for _, report in reports],
         )

@@ -30,7 +30,7 @@ import dataclasses
 from repro.e2e import DEEPSEEK_R1_AWQ
 from repro.serving import (
     ClusterSimulator,
-    format_cluster_reports,
+    format_reports,
     prefix_shared_workload,
 )
 from repro.serving.memory import blocks_for_tokens
@@ -100,7 +100,7 @@ def main():
         print()
 
     print(
-        format_cluster_reports(
+        format_reports(
             f"Prefix sharing, {REPLICAS} replicas x batch 8, {budget}-block budget",
             [report for _, report in reports],
         )

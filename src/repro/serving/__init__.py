@@ -58,12 +58,7 @@ bare ``ServingSimulator`` under every routing policy.  See
 ``docs/serving.md``.
 """
 
-from repro.serving.cluster import (
-    ClusterReport,
-    ClusterSimulator,
-    format_cluster_reports,
-    simulate_cluster,
-)
+from repro.serving.cluster import ClusterReport, ClusterSimulator, simulate_cluster
 from repro.serving.faults import (
     FaultEvent,
     FaultSchedule,
@@ -166,7 +161,6 @@ __all__ = [
     "bursty_workload",
     "deadline_workload",
     "diurnal_workload",
-    "format_cluster_reports",
     "format_reports",
     "get_router",
     "get_scheduler",

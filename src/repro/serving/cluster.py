@@ -62,20 +62,18 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.reporting.tables import TableRow, format_table
 from repro.serving.faults import FaultSchedule, ReplicaCrash, ReplicaRecover
-from repro.serving.report import ReportRates, RequestMetrics, ServeReport, percentile
+from repro.serving.report import BaseReport, RequestMetrics, ServeReport, report_columns
 from repro.serving.router import ReplicaSnapshot, Router, get_router
 from repro.serving.scheduler import Scheduler
 from repro.serving.simulator import ReplicaEngine, ServingSimulator
 from repro.serving.step_model import PrecompileStats, StepLatencyModel, shared_step_model
-from repro.serving.workload import Request
+from repro.serving.workload import Request, check_unique_ids
 from repro.sim.arch import DEFAULT_EVAL_ARCH
 
 __all__ = [
     "ClusterReport",
     "ClusterSimulator",
-    "format_cluster_reports",
     "simulate_cluster",
 ]
 
@@ -89,7 +87,7 @@ FLEET_SUMS = (
 
 
 @dataclass
-class ClusterReport(ReportRates):
+class ClusterReport(BaseReport):
     """Aggregate outcome of one simulated fleet serve.
 
     Carries the per-replica :class:`ServeReport`\\ s plus fleet-level
@@ -103,6 +101,12 @@ class ClusterReport(ReportRates):
     availability and goodput — all zero fault-free, and all outside
     :meth:`digest`.
     """
+
+    COLUMNS = report_columns(
+        ("preempt", lambda r: r.preemptions),
+        ("imbalance", lambda r: r.load_imbalance),
+        ("kv spread", lambda r: r.kv_utilization_spread),
+    )
 
     model: str
     backend: str
@@ -149,12 +153,6 @@ class ClusterReport(ReportRates):
             return 0.0
         return max(m.finish_ms for m in finished) - min(m.arrival_ms for m in finished)
 
-    def latency_percentile_ms(self, pct: float) -> float:
-        return percentile([m.latency_ms for m in self.requests], pct)
-
-    def ttft_percentile_ms(self, pct: float) -> float:
-        return percentile([m.ttft_ms for m in self.requests], pct)
-
     @property
     def mean_batch_size(self) -> float:
         """Step-weighted mean decode batch across the fleet."""
@@ -175,15 +173,6 @@ class ClusterReport(ReportRates):
         replica's waiting set, plus arrivals whose deadline lapsed while
         the whole fleet was down (``shed_while_down``)."""
         return self.shed_while_down + sum(r.shed for r in self.replicas)
-
-    @property
-    def availability(self) -> float:
-        """Fraction of replica-time the fleet was up over the makespan:
-        ``1 - downtime / (N x duration)`` — 1.0 on a fault-free run."""
-        span = self.duration_ms * len(self.replicas)
-        if span <= 0:
-            return 1.0
-        return max(0.0, 1.0 - self.downtime_ms / span)
 
     @property
     def load_imbalance(self) -> float:
@@ -224,59 +213,14 @@ class ClusterReport(ReportRates):
     def label(self) -> str:
         return f"{self.model} / {self.backend} / {self.num_replicas}x{self.scheduler} / {self.router}"
 
-    def to_row(self) -> TableRow:
-        return TableRow(
-            self.label(),
-            {
-                "tok/s": self.throughput_tok_s,
-                "p50 (ms)": self.latency_percentile_ms(50),
-                "p95 (ms)": self.latency_percentile_ms(95),
-                "p99 (ms)": self.latency_percentile_ms(99),
-                "ttft p95": self.ttft_percentile_ms(95),
-                "slo %": self.slo_attainment * 100.0,
-                "preempt": float(self.preemptions),
-                "imbalance": self.load_imbalance,
-                "kv spread": self.kv_utilization_spread,
-                "hit %": self.prefix_hit_rate * 100.0,
-            },
-        )
-
-    def summary(self) -> str:
-        text = (
-            f"{self.label()}: {self.num_requests} requests, "
-            f"{self.total_output_tokens} tokens in {self.duration_ms / 1000.0:.2f} s "
-            f"({self.throughput_tok_s:.1f} tok/s fleet), "
-            f"p50/p95/p99 latency {self.latency_percentile_ms(50):.0f}/"
-            f"{self.latency_percentile_ms(95):.0f}/{self.latency_percentile_ms(99):.0f} ms, "
-            f"SLO attainment {self.slo_attainment * 100.0:.1f}%, "
-            f"imbalance {self.load_imbalance:.2f}"
-        )
+    def _summary_load(self) -> List[str]:
+        load = [f"imbalance {self.load_imbalance:.2f}"]
         if self.preemptions:
-            text += f", {self.preemptions} preemptions"
-        if self.prefix_hits + self.prefix_misses:
-            text += (
-                f", prefix hit rate {self.prefix_hit_rate * 100.0:.1f}% "
-                f"({self.prefix_blocks_saved} blocks saved)"
-            )
-        if self.crashes or self.shed or self.retries:
-            text += (
-                f", {self.crashes} crashes ({self.retries} retries, "
-                f"{self.failovers} failovers, availability "
-                f"{self.availability * 100.0:.1f}%), {self.shed} shed, "
-                f"goodput {self.goodput_tok_s:.1f} tok/s"
-            )
-        return text
+            load.append(f"{self.preemptions} preemptions")
+        return load
 
-
-CLUSTER_COLUMNS = [
-    "tok/s", "p50 (ms)", "p95 (ms)", "p99 (ms)", "ttft p95", "slo %",
-    "preempt", "imbalance", "kv spread", "hit %",
-]
-
-
-def format_cluster_reports(title: str, reports: Sequence[ClusterReport]) -> str:
-    """Render a sweep of cluster reports as the standard benchmark table."""
-    return format_table(title, CLUSTER_COLUMNS, [report.to_row() for report in reports])
+    def _summary_outage(self) -> str:
+        return f"{self.retries} retries, {self.failovers} failovers"
 
 
 class ClusterSimulator:
@@ -409,8 +353,10 @@ class ClusterSimulator:
         still stranded on a dead replica when the schedule ends is
         evacuated to the survivors.  With the whole fleet down, arrivals
         are held for the next recovery — or, when none remains, the run
-        fails with ``ValueError`` rather than losing traffic silently.
+        fails with ``ValueError`` rather than losing traffic silently.  A
+        repeated ``request_id`` in ``requests`` raises ``ValueError``.
         """
+        check_unique_ids(requests)
         if faults is None:
             faults = FaultSchedule()
         ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))

@@ -5,7 +5,13 @@ latency/TTFT percentiles, queue depth, batch occupancy and SLO attainment,
 with the raw per-request records attached.  ``digest()`` hashes the
 per-request records bit-exactly (float values via ``float.hex``), which is
 how the CI smoke job asserts that two identically seeded runs are
-bit-identical.  ``format_reports`` renders a sweep as the repo's standard
+bit-identical.
+
+:class:`BaseReport` holds everything a replica report and a fleet report
+(:class:`~repro.serving.cluster.ClusterReport`) derive the same way — rates,
+percentiles, availability, ``to_row()`` and ``summary()`` — so each class
+only declares its label, its table ``COLUMNS`` and its own summary clauses.
+``format_reports`` renders a sweep of either kind as the repo's standard
 diff-friendly table (:mod:`repro.reporting.tables`).
 """
 
@@ -19,7 +25,7 @@ from typing import List, Optional, Sequence
 from repro.reporting.tables import TableRow, format_table
 
 __all__ = [
-    "ReportRates",
+    "BaseReport",
     "RequestMetrics",
     "ServeReport",
     "format_reports",
@@ -29,10 +35,10 @@ __all__ = [
 
 def percentile(values: Sequence[float], pct: float) -> float:
     """Linear-interpolation percentile (``pct`` in [0, 100]); 0.0 if empty."""
-    if not values:
-        return 0.0
     if not 0.0 <= pct <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {pct}")
+    if not values:
+        return 0.0
     ordered = sorted(values)
     if len(ordered) == 1:
         return ordered[0]
@@ -102,10 +108,30 @@ class RequestMetrics:
         ]
 
 
-class ReportRates:
-    """The rates a replica report and a fleet report derive the same way,
-    from ``requests``, ``total_output_tokens``, ``duration_ms`` and the
-    prefix-cache counters."""
+def report_columns(*middle) -> tuple:
+    """The ``(header, value)`` table columns every report shares, around a
+    class's own ``middle`` ones; ``BaseReport.to_row()`` renders them."""
+    return (
+        ("tok/s", lambda r: r.throughput_tok_s),
+        ("p50 (ms)", lambda r: r.latency_percentile_ms(50)),
+        ("p95 (ms)", lambda r: r.latency_percentile_ms(95)),
+        ("p99 (ms)", lambda r: r.latency_percentile_ms(99)),
+        ("ttft p95", lambda r: r.ttft_percentile_ms(95)),
+        ("slo %", lambda r: r.slo_attainment * 100.0),
+        *middle,
+        ("hit %", lambda r: r.prefix_hit_rate * 100.0),
+    )
+
+
+class BaseReport:
+    """What a replica report and a fleet report derive the same way, from
+    ``requests``, ``total_output_tokens``, ``duration_ms``,
+    ``num_replicas`` and the prefix-cache and fault counters.
+
+    A subclass declares ``label()``, its table ``COLUMNS`` and the two
+    class-specific summary clauses, ``_summary_load()`` and
+    ``_summary_outage()``.
+    """
 
     @property
     def throughput_tok_s(self) -> float:
@@ -140,10 +166,69 @@ class ReportRates:
         lookups = self.prefix_hits + self.prefix_misses
         return self.prefix_hits / lookups if lookups else 0.0
 
+    @property
+    def availability(self) -> float:
+        """Fraction of replica-time the serve was up over its duration:
+        ``1 - downtime / (replicas x duration)`` — 1.0 fault-free."""
+        span = self.duration_ms * self.num_replicas
+        if span <= 0:
+            return 1.0
+        return max(0.0, 1.0 - self.downtime_ms / span)
+
+    def _sorted_metric(self, name: str) -> List[float]:
+        # Lazily cached sorted samples: a summary line reads several
+        # percentiles of the same million-entry series, and the records
+        # are immutable once the report is built.
+        cache = self.__dict__.setdefault("_metric_cache", {})
+        values = cache.get(name)
+        if values is None:
+            values = cache[name] = sorted(getattr(r, name) for r in self.requests)
+        return values
+
+    def latency_percentile_ms(self, pct: float) -> float:
+        return percentile(self._sorted_metric("latency_ms"), pct)
+
+    def ttft_percentile_ms(self, pct: float) -> float:
+        return percentile(self._sorted_metric("ttft_ms"), pct)
+
+    # ------------------------------------------------------------------ #
+    def to_row(self) -> TableRow:
+        return TableRow(self.label(), {name: value(self) for name, value in self.COLUMNS})
+
+    def summary(self) -> str:
+        p50, p95, p99 = (self.latency_percentile_ms(pct) for pct in (50, 95, 99))
+        parts = [
+            f"{self.label()}: {self.num_requests} requests",
+            f"{self.total_output_tokens} tokens in {self.duration_ms / 1000.0:.2f} s "
+            f"({self.throughput_tok_s:.1f} tok/s)",
+            f"p50/p95/p99 latency {p50:.0f}/{p95:.0f}/{p99:.0f} ms",
+            f"SLO attainment {self.slo_attainment * 100.0:.1f}%",
+            *self._summary_load(),
+        ]
+        if self.prefix_hits + self.prefix_misses:
+            parts.append(
+                f"prefix hit rate {self.prefix_hit_rate * 100.0:.1f}% "
+                f"({self.prefix_blocks_saved} blocks saved)"
+            )
+        if self.crashes or self.shed:
+            parts.append(
+                f"{self.crashes} crashes ({self._summary_outage()}, availability "
+                f"{self.availability * 100.0:.1f}%), {self.shed} shed, "
+                f"goodput {self.goodput_tok_s:.1f} tok/s"
+            )
+        return ", ".join(parts)
+
 
 @dataclass
-class ServeReport(ReportRates):
+class ServeReport(BaseReport):
     """Aggregate outcome of one simulated serve."""
+
+    COLUMNS = report_columns(
+        ("batch", lambda r: r.mean_batch_size),
+        ("preempt", lambda r: r.preemptions),
+        ("kv peak", lambda r: r.kv_peak_utilization),
+    )
+    num_replicas = 1  # the replica-time divisor of availability
 
     model: str
     backend: str
@@ -175,30 +260,6 @@ class ServeReport(ReportRates):
     shed: int = 0
     crashes: int = 0
     downtime_ms: float = 0.0
-
-    # ------------------------------------------------------------------ #
-    def _sorted_metric(self, name: str) -> List[float]:
-        # Lazily cached sorted samples: a summary line reads several
-        # percentiles of the same million-entry series, and the records
-        # are immutable once the report is built.
-        cache = self.__dict__.setdefault("_metric_cache", {})
-        values = cache.get(name)
-        if values is None:
-            values = cache[name] = sorted(getattr(r, name) for r in self.requests)
-        return values
-
-    def latency_percentile_ms(self, pct: float) -> float:
-        return percentile(self._sorted_metric("latency_ms"), pct)
-
-    def ttft_percentile_ms(self, pct: float) -> float:
-        return percentile(self._sorted_metric("ttft_ms"), pct)
-
-    @property
-    def availability(self) -> float:
-        """Fraction of the serve this replica was up (1.0 fault-free)."""
-        if self.duration_ms <= 0:
-            return 1.0
-        return max(0.0, 1.0 - self.downtime_ms / self.duration_ms)
 
     # ------------------------------------------------------------------ #
     def digest(self) -> str:
@@ -256,57 +317,20 @@ class ServeReport(ReportRates):
     def label(self) -> str:
         return f"{self.model} / {self.backend} / {self.scheduler}"
 
-    def to_row(self) -> TableRow:
-        return TableRow(
-            self.label(),
-            {
-                "tok/s": self.throughput_tok_s,
-                "p50 (ms)": self.latency_percentile_ms(50),
-                "p95 (ms)": self.latency_percentile_ms(95),
-                "p99 (ms)": self.latency_percentile_ms(99),
-                "ttft p95": self.ttft_percentile_ms(95),
-                "slo %": self.slo_attainment * 100.0,
-                "batch": self.mean_batch_size,
-                "preempt": float(self.preemptions),
-                "kv peak": self.kv_peak_utilization,
-                "hit %": self.prefix_hit_rate * 100.0,
-            },
-        )
+    def _summary_load(self) -> List[str]:
+        return [
+            f"mean batch {self.mean_batch_size:.1f}",
+            f"max queue depth {self.max_queue_depth}",
+            f"{self.preemptions} preemptions",
+            f"KV peak {self.kv_peak_utilization * 100.0:.0f}% of {self.kv_total_blocks} blocks",
+        ]
 
-    def summary(self) -> str:
-        text = (
-            f"{self.label()}: {self.num_requests} requests, "
-            f"{self.total_output_tokens} tokens in {self.duration_ms / 1000.0:.2f} s "
-            f"({self.throughput_tok_s:.1f} tok/s), "
-            f"p50/p95/p99 latency {self.latency_percentile_ms(50):.0f}/"
-            f"{self.latency_percentile_ms(95):.0f}/{self.latency_percentile_ms(99):.0f} ms, "
-            f"SLO attainment {self.slo_attainment * 100.0:.1f}%, "
-            f"mean batch {self.mean_batch_size:.1f}, "
-            f"max queue depth {self.max_queue_depth}, "
-            f"{self.preemptions} preemptions, "
-            f"KV peak {self.kv_peak_utilization * 100.0:.0f}% of "
-            f"{self.kv_total_blocks} blocks"
-        )
-        if self.prefix_hits + self.prefix_misses:
-            text += (
-                f", prefix hit rate {self.prefix_hit_rate * 100.0:.0f}% "
-                f"({self.prefix_blocks_saved} blocks saved)"
-            )
-        if self.crashes or self.shed:
-            text += (
-                f", {self.crashes} crashes ({self.downtime_ms / 1000.0:.1f} s down, "
-                f"availability {self.availability * 100.0:.1f}%), "
-                f"{self.shed} shed, goodput {self.goodput_tok_s:.1f} tok/s"
-            )
-        return text
+    def _summary_outage(self) -> str:
+        return f"{self.downtime_ms / 1000.0:.1f} s down"
 
 
-REPORT_COLUMNS = [
-    "tok/s", "p50 (ms)", "p95 (ms)", "p99 (ms)", "ttft p95", "slo %", "batch",
-    "preempt", "kv peak", "hit %",
-]
-
-
-def format_reports(title: str, reports: Sequence[ServeReport]) -> str:
-    """Render a sweep of serve reports as the standard benchmark table."""
-    return format_table(title, REPORT_COLUMNS, [report.to_row() for report in reports])
+def format_reports(title: str, reports: Sequence[BaseReport]) -> str:
+    """Render a sweep of replica or fleet reports (one kind per table) as
+    the standard benchmark table."""
+    columns = (reports[0] if reports else ServeReport).COLUMNS
+    return format_table(title, [name for name, _ in columns], [r.to_row() for r in reports])

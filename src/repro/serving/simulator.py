@@ -67,7 +67,7 @@ from repro.serving.prefix import PrefixStore
 from repro.serving.report import RequestMetrics, ServeReport
 from repro.serving.scheduler import RunningInfo, Scheduler, get_scheduler
 from repro.serving.step_model import PrecompileStats, StepLatencyModel, shared_step_model
-from repro.serving.workload import Request, RequestQueue
+from repro.serving.workload import Request, RequestQueue, check_unique_ids
 from repro.sim.arch import DEFAULT_EVAL_ARCH, get_arch
 
 __all__ = ["ReplicaEngine", "ServingSimulator", "simulate"]
@@ -180,7 +180,9 @@ class ServingSimulator:
         return self.step_model.precompile(self.model_config, self.backend, buckets=buckets)
 
     def simulate(self, requests: Sequence[Request], workload: str = "custom") -> ServeReport:
-        """Play ``requests`` through the engine and report the outcome."""
+        """Play ``requests`` through the engine and report the outcome;
+        a repeated ``request_id`` raises ``ValueError``."""
+        check_unique_ids(requests)
         # Fresh engine (and block accounting) per run, so repeated
         # simulate() calls on one simulator are independent and
         # bit-identical.

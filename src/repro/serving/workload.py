@@ -105,10 +105,14 @@ class Request:
     def __post_init__(self):
         if self.prompt_tokens < 1 or self.output_tokens < 1:
             raise ValueError(
-                f"request {self.request_id}: prompt/output token counts must be >= 1"
+                f"request {self.request_id}: prompt/output token counts must be "
+                f">= 1, got {self.prompt_tokens}/{self.output_tokens}"
             )
         if self.arrival_ms < 0 or self.slo_ms <= 0:
-            raise ValueError(f"request {self.request_id}: bad arrival/SLO times")
+            raise ValueError(
+                f"request {self.request_id}: need arrival_ms >= 0 and slo_ms > 0, "
+                f"got arrival_ms={self.arrival_ms}, slo_ms={self.slo_ms}"
+            )
         if self.prefix_id is not None:
             if not 1 <= self.prefix_tokens <= self.prompt_tokens:
                 raise ValueError(
@@ -135,6 +139,16 @@ class Request:
 
 def _arrival_order(request: Request):
     return (request.arrival_ms, request.request_id)
+
+
+def check_unique_ids(requests) -> None:
+    """Raise ``ValueError`` naming the first repeated ``request_id``: a
+    replica keys KV holdings, and a fleet keys placements, by request id."""
+    seen = set()
+    for request in requests:
+        if request.request_id in seen:
+            raise ValueError(f"duplicate request_id {request.request_id} in the workload")
+        seen.add(request.request_id)
 
 
 class RequestQueue:

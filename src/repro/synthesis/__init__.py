@@ -15,7 +15,6 @@ from repro.synthesis.tv_constraints import (
     check_gemm_constraint,
     check_elementwise_constraint,
     check_reduce_constraint,
-    constraint_for,
 )
 from repro.synthesis.tv_solver import (
     TVSynthesisError,
@@ -63,7 +62,6 @@ __all__ = [
     "check_gemm_constraint",
     "check_elementwise_constraint",
     "check_reduce_constraint",
-    "constraint_for",
     "TVSynthesisError",
     "TVSolution",
     "ThreadValueSolver",

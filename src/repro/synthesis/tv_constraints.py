@@ -14,109 +14,24 @@ the implementing instruction's operand layouts:
   projection collapsing the reduced dimension.
 
 The checking functions below verify these equations point-wise over the
-instruction's (thread, value) domain; the solver uses them to validate the
-layouts it constructs, and the test suite uses them as the ground-truth
-semantics of the constraint system.
+instruction's (thread, value) domain.  The solver (``tv_solver.py``) does not
+call them; the test suite uses them as the ground-truth semantics of the
+constraint system, to check the layouts the solver and the tiling helpers
+construct.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.instructions.instruction import MmaInstruction
-from repro.ir.ops import Copy, Elementwise, Gemm, Operation, Reduce
 from repro.layout.tv import TVLayout
 from repro.synthesis.tiling import reduce_tv_layout
 
 __all__ = [
-    "TVConstraint",
-    "CopyConstraint",
-    "GemmConstraint",
-    "ElementwiseConstraint",
-    "ReduceConstraint",
     "check_copy_constraint",
     "check_gemm_constraint",
     "check_elementwise_constraint",
     "check_reduce_constraint",
-    "constraint_for",
 ]
-
-
-@dataclass
-class TVConstraint:
-    """Base class: a constraint attached to one operation."""
-
-    op: Operation
-
-    def unknowns(self) -> list:
-        """Register tensors of the operation that still lack a TV layout."""
-        return [t for t in self.op.register_tensors() if t.tv_layout is None]
-
-    def ready(self) -> bool:
-        """A constraint is ready to solve when at most one layout is unknown
-        (Algorithm 1, the ready queue Rq)."""
-        return len(self.unknowns()) <= 1
-
-    def satisfied(self) -> bool:
-        raise NotImplementedError
-
-
-@dataclass
-class CopyConstraint(TVConstraint):
-    op: Copy
-
-    def satisfied(self) -> bool:
-        reg = self.op.register_operand()
-        return reg is None or reg.tv_layout is not None
-
-
-@dataclass
-class GemmConstraint(TVConstraint):
-    op: Gemm
-
-    def satisfied(self) -> bool:
-        return all(t.tv_layout is not None for t in (self.op.a, self.op.b, self.op.c))
-
-
-@dataclass
-class ElementwiseConstraint(TVConstraint):
-    op: Operation
-
-    def satisfied(self) -> bool:
-        layouts = [t.tv_layout for t in self.op.register_tensors()]
-        if any(l is None for l in layouts):
-            return False
-        return all(layouts[0].equivalent(l) for l in layouts[1:])
-
-
-@dataclass
-class ReduceConstraint(TVConstraint):
-    op: Reduce
-
-    def satisfied(self) -> bool:
-        if self.op.src.tv_layout is None or self.op.dst.tv_layout is None:
-            return False
-        return check_reduce_constraint(
-            self.op.src.tv_layout, self.op.dst.tv_layout, self.op.dim
-        )
-
-
-def constraint_for(op: Operation) -> Optional[TVConstraint]:
-    """The TV constraint induced by an operation (None if it induces none)."""
-    if isinstance(op, Gemm):
-        return GemmConstraint(op)
-    if isinstance(op, Copy):
-        return CopyConstraint(op) if op.register_operand() is not None else None
-    if isinstance(op, Reduce):
-        return ReduceConstraint(op)
-    if isinstance(op, Elementwise):
-        return ElementwiseConstraint(op)
-    from repro.ir.ops import Cast
-
-    if isinstance(op, Cast):
-        return ElementwiseConstraint(op)
-    return None
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
 """Docs-consistency checks: the documentation may not drift from the tree.
 
-Two contracts, both cheap enough to run in the tier-1 suite (CI runs it
+Three contracts, all cheap enough to run in the tier-1 suite (CI runs it
 on every push):
 
 1. **File references resolve.**  Every backticked file path in
@@ -17,9 +17,16 @@ on every push):
    ``ROUTERS``, and the backend table in ``docs/architecture.md`` must
    list exactly ``repro.codegen.BACKENDS`` — adding a policy or backend
    without documenting it (or documenting one that does not exist) fails.
+
+3. **Every example and benchmark script imports.**  Tier-1 collects only
+   ``tests/``, so importing each ``examples/*.py`` and ``benchmarks/*.py``
+   module here (without calling ``main()``) is what catches a script still
+   importing a removed or renamed API.
 """
 
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,3 +142,20 @@ def test_documented_fault_api_names_exist():
 def test_readme_states_the_tier1_verify_command():
     text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     assert "PYTHONPATH=src python -m pytest -x -q" in text
+
+
+SCRIPTS = sorted((REPO_ROOT / "examples").glob("*.py")) + sorted(
+    path for path in (REPO_ROOT / "benchmarks").glob("*.py") if path.name != "conftest.py"
+)
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_example_and_benchmark_script_imports(script, monkeypatch):
+    # The figure scripts import their shared sweep helpers as _kernel_sweeps.
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmarks"))
+    name = f"{script.parent.name}_{script.stem}"
+    spec = importlib.util.spec_from_file_location(name, script)
+    module = importlib.util.module_from_spec(spec)
+    # Registered while it runs: dataclasses resolve annotations through it.
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)

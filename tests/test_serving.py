@@ -130,8 +130,16 @@ def test_request_queue_pops_in_arrival_order():
     assert queue.pop_arrived(49.9) == []
     assert [r.request_id for r in queue.pop_arrived(1e9)] == [2]
 
-    with pytest.raises(ValueError):
+
+def test_request_errors_name_the_bad_values():
+    with pytest.raises(ValueError, match=r"request 0: .* got 0/4$"):
         Request(request_id=0, arrival_ms=0.0, prompt_tokens=0, output_tokens=4, slo_ms=1e4)
+    with pytest.raises(ValueError, match=r"request 3: .* got 8/0$"):
+        Request(request_id=3, arrival_ms=0.0, prompt_tokens=8, output_tokens=0, slo_ms=1e4)
+    with pytest.raises(ValueError, match=r"request 4: .*got arrival_ms=-1.5, slo_ms=10000.0$"):
+        Request(request_id=4, arrival_ms=-1.5, prompt_tokens=8, output_tokens=4, slo_ms=1e4)
+    with pytest.raises(ValueError, match=r"request 5: .*got arrival_ms=0.0, slo_ms=0.0$"):
+        Request(request_id=5, arrival_ms=0.0, prompt_tokens=8, output_tokens=4, slo_ms=0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -354,6 +362,29 @@ def test_max_batch_straggler_admitted_within_max_wait():
     assert first.scheduled_ms == 500.0  # the forced flush, not the 10 s arrival
 
 
+def _twin_ids_workload():
+    # Ids 1, 2, 2, 1: 2 is the first id seen twice.  Every request arrives
+    # at t=0 with a 40-token prompt.
+    return [
+        Request(request_id=rid, arrival_ms=0.0, prompt_tokens=40, output_tokens=4, slo_ms=1e6)
+        for rid in (1, 2, 2, 1)
+    ]
+
+
+def test_simulator_rejects_duplicate_request_ids():
+    sim = ServingSimulator(TINY_DENSE, backend="baseline", arch="a100", kv_budget_blocks=100)
+    with pytest.raises(ValueError, match="duplicate request_id 2 "):
+        sim.simulate(_twin_ids_workload())
+
+
+def test_cluster_rejects_duplicate_request_ids():
+    cluster = ClusterSimulator(
+        TINY_DENSE, replicas=2, backend="baseline", arch="a100", kv_budget_blocks=100
+    )
+    with pytest.raises(ValueError, match="duplicate request_id 2 "):
+        cluster.simulate(_twin_ids_workload())
+
+
 def test_simulator_rejects_overadmitting_scheduler():
     class Greedy(Scheduler):
         name = "greedy"
@@ -379,8 +410,13 @@ def test_percentile_interpolates():
     assert percentile(values, 100) == 40.0
     assert percentile(values, 50) == 25.0
     assert percentile([], 99) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 101"):
         percentile(values, 101)
+    # The range check runs before the empty-input shortcut.
+    with pytest.raises(ValueError, match="got 150"):
+        percentile([], 150)
+    with pytest.raises(ValueError, match="got -1"):
+        percentile([], -1)
 
 
 def _metrics(rid=0, finish=100.0):
