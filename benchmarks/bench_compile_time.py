@@ -14,9 +14,10 @@ plus two smoke checks:
 * the per-backend compile-time report (``--smoke``): the same GEMM compiled
   cold then warm through every registered codegen backend (on an arch that
   declares it) via one shared cache — every backend's warm recompile must
-  be a cache replay (a hit that evaluates at most two candidates, no
-  slower than cold), the emitted sources must differ across backends, and
-  the arch registry must cover every backend in ``repro.codegen.BACKENDS``;
+  be a cache replay (a hit that evaluates at most two candidates, at least
+  2x faster than cold), the emitted sources must differ across backends,
+  and the arch registry must cover every backend in
+  ``repro.codegen.BACKENDS``;
 * the swizzle prune gate (``--smoke``): the fig22 GEMM plus the other four
   kernel families, searched with analytic swizzle pruning off and on under
   both backends' banking geometries (32x4 B and 64x4 B) — pruning must
@@ -237,13 +238,14 @@ def run_backend_compile_times() -> int:
     cpu-sim -> cpu-sim), then recompiled from an equivalent rebuilt
     program.  The warm path must replay out of the cache — a cache hit
     that evaluates at most two candidates instead of searching ~100, and
-    is no slower than the cold compile (since relation-backed injectivity
-    caching and swizzle pruning made the search itself cheap, wall-clock
-    ratio is no longer a meaningful proxy for "skipped the search").  The
-    per-backend cache entries must not collide (distinct emitted sources
-    prove distinct entries), and the arch registry must cover every
-    backend — a new backend without a compiling arch fails here before it
-    fails anywhere subtler.
+    at least 2x faster than the cold compile (a replay skips the search
+    but still re-runs TV synthesis and the later passes; with TV-layout
+    equality decided on coalesced forms those are cheap, so the ratio
+    shows whether the search was skipped).  The per-backend cache entries
+    must not collide (distinct emitted sources prove distinct entries),
+    and the arch registry must cover every backend — a new backend
+    without a compiling arch fails here before it fails anywhere
+    subtler.
     """
     from repro.codegen import BACKENDS
 
@@ -283,9 +285,9 @@ def run_backend_compile_times() -> int:
                 f"{backend} warm recompile searched "
                 f"{warm.candidates_explored} candidates instead of replaying"
             )
-        if warm_s > cold_s * 1.25:
+        if warm_s * 2 > cold_s:
             failures.append(
-                f"{backend} warm recompile slower than cold "
+                f"{backend} warm recompile not at least 2x faster than cold "
                 f"({warm_s * 1000:.1f} ms vs {cold_s * 1000:.1f} ms)"
             )
     if len(set(sources.values())) != len(sources):

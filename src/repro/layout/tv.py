@@ -143,19 +143,30 @@ class TVLayout:
         raise KeyError(f"coordinate {tuple(coords)} is not covered by {self}")
 
     def covers_tile(self) -> bool:
-        """Whether every tile element is held by exactly one (tid, vid)."""
-        seen = set()
-        for tid in range(self.num_threads):
-            for vid in range(self.values_per_thread):
-                seen.add(self(tid, vid))
-        return len(seen) == self.tile_size() and (
-            self.num_threads * self.values_per_thread == self.tile_size()
+        """Whether every tile element is held by exactly one (tid, vid).
+
+        Decided on the layout: ``T·V == tile_size`` coordinates, an image
+        inside ``[0, tile_size)`` (cosize) and no two coordinates colliding
+        (the memoized ``layout_is_injective``) make it a bijection onto
+        the tile.
+        """
+        tile_size = self.tile_size()
+        return (
+            self.num_threads * self.values_per_thread == tile_size
+            and self.layout.cosize() <= tile_size
+            and self.layout.is_injective()
         )
 
     def is_replicated(self) -> bool:
-        """Whether some elements are held by more than one thread
-        (broadcast distributions have stride-0 thread modes)."""
-        return 0 in flatten(self.thread_layout.stride) and self.num_threads > 1
+        """Whether a broadcast thread mode (extent > 1, stride 0) hands
+        the same elements to more than one thread — the way every
+        distribution built here replicates.  Extent-1 modes broadcast
+        nothing, whatever their stride."""
+        thread = self.thread_layout
+        return any(
+            s > 1 and d == 0
+            for s, d in zip(thread.flat_shape(), thread.flat_stride())
+        )
 
     # ------------------------------------------------------------------ #
     # Algebra
@@ -177,18 +188,22 @@ class TVLayout:
         return coalesce(composition(self.layout, instruction.inverse()))
 
     def equivalent(self, other: "TVLayout") -> bool:
-        """Function-level equality over the common (thread, value) domain."""
+        """Function-level equality over the common (thread, value) domain.
+
+        With equal thread and value counts both layouts are functions of
+        the same flat index ``t + T·v``, and their coalesced forms decide
+        equality exactly: ``coalesce`` drops extent-1 modes and merges
+        ``(s0:d0, s1:d1)`` whenever ``d1 == s0·d0``, so whatever survives is
+        fixed by the function alone (``s0`` is the first ``i`` with
+        ``f(i) != i·f(1)``, and the same holds mode by mode).
+        """
         if self.tile_shape != other.tile_shape:
             return False
         if self.num_threads != other.num_threads:
             return False
         if self.values_per_thread != other.values_per_thread:
             return False
-        return all(
-            self(t, v) == other(t, v)
-            for t in range(self.num_threads)
-            for v in range(self.values_per_thread)
-        )
+        return coalesce(self.layout) == coalesce(other.layout)
 
     def rebase(self, new_tile: Sequence[int]) -> "TVLayout":
         """Re-express this layout over a larger tile (same distribution,

@@ -245,25 +245,23 @@ def value_vector_run(tv: TVLayout) -> Tuple[int, int]:
     values of a thread advance by one element, and the length of that run.
     ``run == 1`` means the values are not contiguous along any dimension
     (only scalar accesses are possible without a collective instruction).
+
+    Read off the first mode ``s0:d0`` of the coalesced value layout: thread
+    0 holds ``v·d0`` for ``v < s0``, which steps one element along the tile
+    dimension of extent > 1 whose colex stride is ``d0`` until the mode or
+    that dimension runs out.  Exact whenever the image lies inside the
+    tile: the next value, at the second mode's stride ``d1 != s0·d0``, is
+    then a different tile element than a further unit step would reach.
     """
-    values = tv.values_per_thread
-    if values == 1:
+    if tv.values_per_thread == 1:
         return 0, 1
-    coords = [tv.coords(0, v) for v in range(values)]
-    first_delta = tuple(b - a for a, b in zip(coords[0], coords[1]))
-    dims_changed = [i for i, d in enumerate(first_delta) if d != 0]
-    if len(dims_changed) != 1 or first_delta[dims_changed[0]] != 1:
-        return 0, 1
-    dim = dims_changed[0]
-    run = 1
-    for v in range(1, values):
-        delta = tuple(b - a for a, b in zip(coords[v - 1], coords[v]))
-        expected = tuple(1 if i == dim else 0 for i in range(len(delta)))
-        if delta == expected:
-            run += 1
-        else:
-            break
-    return dim, run
+    first = coalesce(tv.value_layout)
+    run, stride = first.flat_shape()[0], first.flat_stride()[0]
+    dim_strides = flatten(prefix_product(tv.tile_shape))
+    for dim, (extent, dim_stride) in enumerate(zip(tv.tile_shape, dim_strides)):
+        if extent > 1 and dim_stride == stride:
+            return dim, min(run, extent)
+    return 0, 1
 
 
 def reduce_tv_layout(tv: TVLayout, dim: int) -> TVLayout:

@@ -13,11 +13,14 @@ the implementing instruction's operand layouts:
 * ``reduce``: the output layout is the input layout composed with the
   projection collapsing the reduced dimension.
 
-The checking functions below verify these equations point-wise over the
-instruction's (thread, value) domain.  The solver (``tv_solver.py``) does not
-call them; the test suite uses them as the ground-truth semantics of the
-constraint system, to check the layouts the solver and the tiling helpers
-construct.
+``check_copy_constraint`` and ``check_gemm_constraint`` verify their
+equations point-wise over the instruction's (thread, value) domain;
+``check_elementwise_constraint`` and ``check_reduce_constraint`` compare
+whole layouts through ``TVLayout.equivalent``, which decides function
+equality analytically from coalesced forms.  The solver (``tv_solver.py``)
+does not call them; the test suite uses them as the ground-truth semantics
+of the constraint system, to check the layouts the solver and the tiling
+helpers construct.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------- #
-# Point-wise constraint checks
+# Constraint checks
 # --------------------------------------------------------------------------- #
 def check_copy_constraint(f: TVLayout, g: TVLayout, p: TVLayout, q: TVLayout) -> bool:
     """``f ∘ p⁻¹ = g ∘ q⁻¹`` over the instruction's (thread, value) domain.

@@ -246,9 +246,12 @@ def _crd2idx(coord: IntTuple, shape: IntTuple, stride: IntTuple) -> int:
 def idx2crd(idx: int, shape: IntTuple) -> IntTuple:
     """Map a linear (colexicographic) index to a hierarchical coordinate.
 
-    Memoized for the same reason as :func:`crd2idx` — thread-coordinate
-    enumeration (``TVLayout.coords``) revisits the same (index, shape)
-    pairs for every candidate instruction assignment.
+    Memoized for the same reason as :func:`crd2idx` — the smem solver
+    derives a warp's access coordinates (``TVLayout.coords`` of its first
+    32 threads) once per candidate copy instruction, and TV synthesis
+    decomposes the same atom and tile strides (``rebase_strides``,
+    ``reduce_tv_layout``) in every compile, so the same (index, shape)
+    pairs recur.
     """
     crd, _ = _idx2crd_impl(idx, shape)
     return crd

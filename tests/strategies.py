@@ -8,9 +8,12 @@ bit-reproducible (no shrinking, no example database) while still covering
 nested-mode shapes, zero strides, non-compact strides and colliding
 strides.
 
-Every sampler keeps sizes small (a few hundred coordinates at most) so a
-300-case loop costs milliseconds, and returns plain ``repro.layout``
-values.
+Every sampler keeps sizes small (a few hundred coordinates at most, up
+to about a thousand for a broadcast TV layout) so a 300-case loop costs
+well under a second, and returns plain ``repro.layout`` values.
+``LayoutSampler.refactor`` rewrites a layout into a structurally
+different one computing the same function, which is what the analytic
+``TVLayout.equivalent`` has to see through.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Tuple
 
-from repro.layout import Layout, Swizzle, make_ordered_layout
-from repro.utils.inttuple import product
+from repro.layout import Layout, Swizzle, TVLayout, make_layout, make_ordered_layout
+from repro.utils.inttuple import flatten, prefix_product, product
 
 __all__ = ["LayoutSampler", "layout_cases"]
 
@@ -176,6 +179,107 @@ class LayoutSampler:
         if len(modes) == 1:
             return Layout(modes[0][0], modes[0][1])
         return Layout(tuple(s for s, _ in modes), tuple(d for _, d in modes))
+
+    # ------------------------------------------------------------------ #
+    # Thread-value layouts
+    # ------------------------------------------------------------------ #
+    TV_STYLES = ("tile", "broadcast", "partial", "random")
+
+    def tv_layout(self, style: str | None = None) -> TVLayout:
+        """One random TV layout whose image lies inside its tile.
+
+        Styles: ``tile`` (a bijection onto the tile: every tile dimension
+        is split into factor modes carrying their colex strides, shuffled
+        and dealt between the thread and value modes), ``broadcast`` (the
+        same plus stride-0 modes of extent > 1 on either side), ``partial``
+        (some factor modes dropped: injective, covering part of the tile)
+        and ``random`` (arbitrary small strides that may collide, the tile
+        grown until it holds the image).  Both sides may carry extent-1
+        modes with arbitrary strides and are randomly nested.  All but
+        ``random`` are injective apart from their stride-0 modes, like the
+        distributions the compiler builds.
+        """
+        style = style or self.rng.choice(self.TV_STYLES)
+        tile = self.extents(max_modes=3, pool=(1, 2, 3, 4, 8), max_size=64)
+        if style == "random":
+            modes = [(extent, self.rng.choice((0, 1, 2, 3, 4, 6, 8)))
+                     for extent in self.extents(max_modes=4, max_size=64)]
+        else:
+            modes = self._tile_modes(tile)
+            self.rng.shuffle(modes)
+            if style == "partial" and modes:
+                modes = self.rng.sample(modes, self.rng.randint(0, len(modes) - 1))
+        split = self.rng.randint(0, max(0, len(modes) - 1))  # values nonempty
+        sides = [modes[:split], modes[split:]]
+        if style == "broadcast":
+            for _ in range(self.rng.randint(1, 2)):
+                side = self.rng.choice(sides)
+                side.insert(self.rng.randint(0, len(side)),
+                            (self.rng.choice((2, 3, 4)), 0))
+        thread, value = (self._side(side) for side in sides)
+        layout = make_layout(thread, value)
+        if layout.cosize() > product(tile):
+            tile[-1] *= -(-layout.cosize() // product(tile))
+        return TVLayout(layout, tuple(tile))
+
+    def _tile_modes(self, tile: List[int]) -> List[Tuple[int, int]]:
+        """Each tile dimension split into factor modes with colex strides."""
+        modes = []
+        for extent, stride in zip(tile, flatten(prefix_product(tuple(tile)))):
+            while extent > 1:
+                factor = self.rng.choice(
+                    [f for f in range(2, extent + 1) if extent % f == 0])
+                modes.append((factor, stride))
+                extent //= factor
+                stride *= factor
+        return modes
+
+    def _side(self, modes: List[Tuple[int, int]]) -> Layout:
+        """One thread or value mode: the given leaves plus stray extent-1
+        modes, randomly nested."""
+        modes = list(modes)
+        if self.rng.random() < 0.5:
+            modes.insert(self.rng.randint(0, len(modes)),
+                         (1, self.rng.randint(0, 16)))
+        if not modes:
+            modes = [(1, 0)]
+        shape, stride = self._nest([s for s, _ in modes], [d for _, d in modes])
+        return Layout(shape, stride)
+
+    def refactor(self, layout: Layout) -> Layout:
+        """A structurally different layout with the same function, mode by
+        mode: every top-level mode keeps its size and its values.
+
+        Each mode's flat leaves go through a few random rewrites — split
+        ``s:d`` into ``(a, s/a):(d, a·d)``, merge neighbours ``(s0:d0,
+        s1:d1)`` with ``d1 == s0·d0``, insert ``1:x`` with an arbitrary
+        stride, drop an extent-1 leaf — and are then re-nested.
+        """
+        while True:
+            result = make_layout(*(self._refactor_mode(m) for m in layout.modes()))
+            if result != layout:
+                return result
+
+    def _refactor_mode(self, mode: Layout) -> Layout:
+        leaves = list(zip(mode.flat_shape(), mode.flat_stride()))
+        for _ in range(self.rng.randint(1, 4)):
+            op = self.rng.choice(("split", "merge", "insert", "drop"))
+            at = self.rng.randrange(len(leaves))
+            shape, stride = leaves[at]
+            if op == "split":
+                divisors = [a for a in range(2, shape) if shape % a == 0]
+                if divisors:
+                    a = self.rng.choice(divisors)
+                    leaves[at:at + 1] = [(a, stride), (shape // a, a * stride)]
+            elif op == "merge":
+                if at + 1 < len(leaves) and leaves[at + 1][1] == shape * stride:
+                    leaves[at:at + 2] = [(shape * leaves[at + 1][0], stride)]
+            elif op == "insert":
+                leaves.insert(at, (1, self.rng.randint(0, 16)))
+            elif shape == 1 and len(leaves) > 1:
+                del leaves[at]
+        shape, stride = self._nest([s for s, _ in leaves], [d for _, d in leaves])
+        return Layout(shape, stride)
 
     # ------------------------------------------------------------------ #
     # Swizzles and access patterns

@@ -15,6 +15,12 @@ Two jobs:
    (associativity, inverse-then-compose = identity, complement
    disjointness/cover) and the analytic predicates backing the smem
    solver's swizzle pruning (``swizzle_window_key``, injectivity).
+
+3. **Per-element oracles for the TV-layout predicates** — the loops over
+   every (thread, value) pair that ``TVLayout.equivalent``,
+   ``covers_tile``, ``is_replicated`` and ``tiling.value_vector_run``
+   used to run on the compile path survive here, and the coalesced-form
+   decisions must agree with them on generated TV layouts.
 """
 
 import pytest
@@ -24,6 +30,7 @@ from repro.layout import (
     Layout,
     LayoutRelation,
     Swizzle,
+    TVLayout,
     candidate_swizzles,
     coalesce,
     complement,
@@ -35,6 +42,8 @@ from repro.layout import (
     swizzle_window_key,
 )
 from repro.synthesis.smem_solver import SmemBankParams, bank_conflict_factor
+from repro.synthesis.tiling import value_vector_run
+from repro.utils.inttuple import unflatten_like
 from repro.utils.memo import cache_stats
 
 from strategies import LayoutSampler, layout_cases
@@ -447,3 +456,153 @@ def test_candidate_swizzles_window_pruning():
             assert swizzle_window_key(sw, window) in surviving, (sw, window)
     # A zero-width window collapses everything onto the identity.
     assert candidate_swizzles(16, 16, 256, window_bits=0) == [Swizzle(0, 0, 0)]
+
+
+# --------------------------------------------------------------------------- #
+# Randomized oracle: TV-layout predicates against per-element loops
+# --------------------------------------------------------------------------- #
+def tv_elements(tv):
+    """``{(tid, vid): tile index}`` over the whole (thread, value) domain."""
+    return {
+        (t, v): tv(t, v)
+        for t in range(tv.num_threads)
+        for v in range(tv.values_per_thread)
+    }
+
+
+def equivalent_oracle(a, b):
+    return (
+        a.tile_shape == b.tile_shape
+        and a.num_threads == b.num_threads
+        and a.values_per_thread == b.values_per_thread
+        and tv_elements(a) == tv_elements(b)
+    )
+
+
+def covers_tile_oracle(tv):
+    images = list(tv_elements(tv).values())
+    return sorted(images) == list(range(tv.tile_size()))
+
+
+def is_replicated_oracle(tv):
+    holders = {}
+    for (t, _v), index in tv_elements(tv).items():
+        holders.setdefault(index, set()).add(t)
+    return any(len(threads) > 1 for threads in holders.values())
+
+
+def value_vector_run_oracle(tv):
+    """Thread 0's values walked one by one: the first step must be +1
+    along exactly one tile dimension, and the run lasts while every
+    further step repeats it."""
+    values = tv.values_per_thread
+    if values == 1:
+        return 0, 1
+    coords = [tv.coords(0, v) for v in range(values)]
+    first_delta = tuple(b - a for a, b in zip(coords[0], coords[1]))
+    dims_changed = [i for i, d in enumerate(first_delta) if d != 0]
+    if len(dims_changed) != 1 or first_delta[dims_changed[0]] != 1:
+        return 0, 1
+    dim = dims_changed[0]
+    run = 1
+    for v in range(1, values):
+        delta = tuple(b - a for a, b in zip(coords[v - 1], coords[v]))
+        if delta != tuple(int(i == dim) for i in range(len(delta))):
+            break
+        run += 1
+    return dim, run
+
+
+def perturb_stride(sampler, layout):
+    """``layout`` with one extent > 1 leaf moved to a different stride
+    (a different function), or ``None`` if it has no such leaf."""
+    shape, stride = layout.flat_shape(), list(layout.flat_stride())
+    leaves = [i for i, s in enumerate(shape) if s > 1]
+    if not leaves:
+        return None
+    at = sampler.rng.choice(leaves)
+    stride[at] = sampler.rng.choice(
+        [d for d in range(0, 17) if d != stride[at]])
+    return Layout(layout.shape, unflatten_like(stride, layout.stride))
+
+
+def test_refactor_preserves_each_mode_as_a_function():
+    sampler = LayoutSampler(seed=801)
+    for _ in range(CASES):
+        tv = sampler.tv_layout()
+        other = sampler.refactor(tv.layout)
+        assert other != tv.layout
+        for mode, rewritten in zip(tv.layout.modes(), other.modes()):
+            assert relation_of(rewritten) == relation_of(mode), (tv, other)
+
+
+def test_equivalent_matches_the_per_element_oracle():
+    """Half the pairs are function-equal rewrites with a different
+    structure; the other half move one stride of such a rewrite."""
+    sampler = LayoutSampler(seed=802)
+    equal = unequal = 0
+    while equal + unequal < 2 * CASES:
+        tv = sampler.tv_layout()
+        other = sampler.refactor(tv.layout)
+        if equal > unequal:
+            other = perturb_stride(sampler, other)
+            if other is None:
+                continue
+        pair = TVLayout(other, tv.tile_shape)
+        expected = equivalent_oracle(tv, pair)
+        assert tv.equivalent(pair) == expected, (tv, pair)
+        assert pair.equivalent(tv) == expected, (tv, pair)
+        if expected:
+            equal += 1
+        else:
+            unequal += 1
+    assert equal >= CASES and unequal >= CASES // 2
+
+
+def test_equivalent_prechecks_compare_tile_and_counts():
+    tv = TVLayout(Layout((4, 2), (2, 1)), (2, 4))
+    assert tv.equivalent(TVLayout(Layout(((2, 2), 2), ((2, 4), 1)), (2, 4)))
+    # Same flat function, different thread/value split: different domains.
+    assert not tv.equivalent(TVLayout(Layout((2, (2, 2)), (2, (4, 1))), (2, 4)))
+    assert not tv.equivalent(TVLayout(tv.layout, (4, 2)))
+
+
+def test_value_vector_run_matches_the_per_element_oracle():
+    sampler = LayoutSampler(seed=803)
+    vectorized = 0
+    for _ in range(CASES + 100):
+        tv = sampler.tv_layout()
+        assert tv.layout.cosize() <= tv.tile_size(), tv  # exactness needs it
+        expected = value_vector_run_oracle(tv)
+        assert value_vector_run(tv) == expected, tv
+        vectorized += expected[1] > 1
+    assert vectorized >= CASES // 3
+
+
+def test_covers_tile_matches_the_per_element_oracle():
+    """Each sampled layout is checked over its own tile and over a flat
+    tile of exactly ``T·V`` elements, where gaps push images outside."""
+    sampler = LayoutSampler(seed=804)
+    outcomes = {True: 0, False: 0}
+    outside = 0
+    for _ in range(CASES + 100):
+        tv = sampler.tv_layout()
+        for case in (tv, TVLayout(tv.layout, (tv.layout.size(),))):
+            expected = covers_tile_oracle(case)
+            assert case.covers_tile() == expected, case
+            outcomes[expected] += 1
+            outside += case.layout.cosize() > case.tile_size()
+    assert min(outcomes.values()) >= CASES // 5 and outside >= CASES // 5
+
+
+def test_is_replicated_matches_the_per_element_oracle():
+    """Checked on the distributions the compiler builds: injective apart
+    from stride-0 modes (every sampler style but ``random``)."""
+    sampler = LayoutSampler(seed=805)
+    outcomes = {True: 0, False: 0}
+    for _ in range(CASES + 100):
+        tv = sampler.tv_layout(sampler.rng.choice(("tile", "broadcast", "partial")))
+        expected = is_replicated_oracle(tv)
+        assert tv.is_replicated() == expected, tv
+        outcomes[expected] += 1
+    assert min(outcomes.values()) >= CASES // 5

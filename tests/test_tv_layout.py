@@ -24,6 +24,23 @@ def test_counts_and_coverage():
     assert not f.is_replicated()
 
 
+def test_covers_tile_rejects_images_outside_the_tile():
+    # Four distinct images {0, 2, 4, 6} for a 4-element tile: elements 1
+    # and 3 are never held, and 4 and 6 lie outside the tile.
+    f = TVLayout(Layout((4, 1), (2, 0)), (4,))
+    assert f.num_threads * f.values_per_thread == f.tile_size()
+    assert not f.covers_tile()
+
+
+def test_extent_one_stride_zero_thread_mode_is_not_replication():
+    # The (4,1):(1,0) thread mode holds every element exactly once; its
+    # extent-1 stride-0 leaf broadcasts nothing.
+    f = TVLayout(Layout(((4, 1), 2), ((1, 0), 4)), (4, 2))
+    assert f.covers_tile()
+    assert not f.is_replicated()
+    assert f.with_threads(8).is_replicated()
+
+
 def test_owner_of():
     f = paper_tv()
     assert f.owner_of((1, 5)) == (2, 3)
