@@ -1,7 +1,7 @@
 """Serve bursty traffic on Jamba-mini with continuous batching.
 
 Walks the serving subsystem end to end: precompile the decode batch
-buckets up front (one ``compile_many`` fan-out, paid once per bucket),
+buckets up front (one ``compile_many`` batch, paid once per bucket),
 generate a seeded bursty workload, then play it through two schedulers —
 plain FCFS continuous batching and the SLO-aware (earliest-deadline-first)
 policy — and compare throughput, tail latency and SLO attainment.

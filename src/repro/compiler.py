@@ -51,7 +51,6 @@ class CompiledKernel:
     timing: KernelTiming
     source: str
     candidates_explored: int = 0
-    alternatives: list = field(default_factory=list)
     # Per-pass wall time of the compile that produced this kernel, keyed by
     # pass name (empty when the kernel came straight from the cache).  Keys
     # of the form "<pass>.<stat>" carry search counters (leaves evaluated /
@@ -144,9 +143,7 @@ def compile_kernel(
     arch=DEFAULT_ARCH,
     instructions: Optional[InstructionSet] = None,
     max_candidates: int = 256,
-    keep_alternatives: bool = False,
     copy_width_cap=None,
-    use_cache: bool = True,
     cache=None,
     backend=None,
 ) -> CompiledKernel:
@@ -161,20 +158,14 @@ def compile_kernel(
     entries.  ``copy_width_cap`` is an optional hook ``Copy -> Optional[int]`` limiting
     the vector width considered for specific copies; the baseline/ablation
     harnesses use it to emulate compilers with weaker layout systems.
-    Setting it, or ``keep_alternatives``, bypasses the compile cache; pass
-    ``use_cache=False`` to force a fresh compile, or ``cache=`` to use a
-    specific :class:`repro.pipeline.CompileCache` instead of the process
-    default.
+    Setting it bypasses the compile cache.  ``cache=`` selects a specific
+    :class:`repro.pipeline.CompileCache` instead of the process default;
+    pass a fresh one to force a fresh compile.
     """
     from repro.pipeline.context import CompileOptions
     from repro.pipeline.driver import compile_program
 
-    options = CompileOptions(
-        max_candidates=max_candidates,
-        keep_alternatives=keep_alternatives,
-        copy_width_cap=copy_width_cap,
-        use_cache=use_cache,
-    )
+    options = CompileOptions(max_candidates=max_candidates, copy_width_cap=copy_width_cap)
     return compile_program(
         program,
         arch=arch,

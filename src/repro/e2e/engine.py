@@ -114,7 +114,6 @@ def decode_latency(
     batch_size: int = 32,
     output_tokens: int = 100,
     arch=DEFAULT_EVAL_ARCH,
-    parallel: bool = True,
 ) -> DecodeResult:
     """Latency of a full decode of ``output_tokens`` tokens.
 
@@ -124,20 +123,16 @@ def decode_latency(
 
     Evaluation goes through :func:`repro.serving.step_model
     .shared_step_model` at the *exact* batch size (no bucketing): the first
-    call compiles the per-operator kernels — fanned out on a thread pool
-    with ``parallel`` (the default), each operator's tile sweep already
-    going through ``repro.pipeline.compile_many`` — and repeated calls at
-    the same (config, batch, backend, arch) hit the memo.  ``parallel``
-    only affects how a memo miss is computed; results are deterministic and
-    identical to the serial path.
+    call compiles the per-operator kernels in order on the calling thread,
+    each operator's tile sweep going through ``repro.pipeline.compile_many``,
+    and repeated calls at the same (config, batch, backend, arch) hit the
+    memo.
     """
     # Imported lazily: repro.serving builds on repro.e2e's model configs.
     from repro.serving.step_model import shared_step_model
 
     model = shared_step_model(get_arch(arch))
-    step_ms, breakdown = model.step_breakdown_ms(
-        config, backend, batch_size, bucketed=False, parallel=parallel
-    )
+    step_ms, breakdown = model.step_breakdown_ms(config, backend, batch_size, bucketed=False)
     return DecodeResult(
         model=config.name,
         backend=backend,

@@ -9,11 +9,11 @@ returns the best configuration.
 
 :func:`autotune_compile` takes a ``build_program`` callback that turns each
 candidate into a :class:`KernelProgram` and compiles the whole sweep
-through :func:`repro.pipeline.compile_many`, which dedupes repeated
-configurations via the compile cache and fans distinct compiles out on a
-thread pool.  It records *every* candidate as a :class:`Trial` — infeasible
-ones keep the exception message that disqualified them, so tuning failures
-are debuggable instead of silently dropped.
+through :func:`repro.pipeline.compile_many`, in order on the calling
+thread, so repeated configurations are compile-cache hits.  It records
+*every* candidate as a :class:`Trial` — infeasible ones keep the exception
+message that disqualified them, so tuning failures are debuggable instead
+of silently dropped.
 """
 
 from __future__ import annotations
@@ -129,7 +129,6 @@ def autotune_compile(
     candidates: Iterable[Dict],
     arch=DEFAULT_ARCH,
     instructions=None,
-    max_workers: Optional[int] = None,
     cache=None,
     backend=None,
     **compile_options,
@@ -138,11 +137,10 @@ def autotune_compile(
 
     ``build_program`` maps a candidate parameter dict to a
     :class:`KernelProgram`; the built programs are compiled together via
-    :func:`repro.pipeline.compile_many` (parallel across distinct
-    fingerprints, cache hits replayed).  ``backend`` overrides the
-    architecture's declared codegen backend for the whole sweep.  Build or
-    compile failures become infeasible trials carrying their exception
-    message.
+    :func:`repro.pipeline.compile_many` (in order, repeats replayed from
+    the compile cache).  ``backend`` overrides the architecture's declared
+    codegen backend for the whole sweep.  Build or compile failures become
+    infeasible trials carrying their exception message.
     """
     from repro.pipeline.driver import compile_many
 
@@ -165,7 +163,6 @@ def autotune_compile(
         arch=arch,
         instructions=instructions,
         cache=cache,
-        max_workers=max_workers,
         return_errors=True,
         backend=backend,
         **compile_options,

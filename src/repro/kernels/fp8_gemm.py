@@ -133,8 +133,8 @@ class Fp8GemmOperator:
         return unique
 
     def run(self, m: int, n: int, k: int) -> OperatorResult:
-        # Batch-compile the tile sweep through the pipeline (parallel +
-        # cached), keeping the fastest configuration.
+        # Batch-compile the tile sweep through the pipeline (cached),
+        # keeping the fastest configuration.
         tuned = autotune_compile(
             lambda params: self._build(m, n, k, params),
             self.tile_candidates(m, n, k),

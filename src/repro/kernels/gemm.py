@@ -211,8 +211,8 @@ class GemmOperator:
 
     def run(self, m: int, n: int, k: int) -> OperatorResult:
         """Tile-size autotune + compile, returning the best configuration."""
-        # Batch-compile the whole tile sweep: distinct tilings compile in
-        # parallel, repeats are served from the compile cache.
+        # Batch-compile the whole tile sweep: repeats are served from the
+        # compile cache.
         tuned = autotune_compile(
             lambda params: self._build(m, n, k, params),
             self.tile_candidates(m, n, k),

@@ -2,10 +2,10 @@
 
 The Fig. 6(c) compiler is organized as named passes over an explicit
 :class:`CompilationContext`, with a content-addressed compile cache and a
-batch/parallel driver layered on top:
+batch driver layered on top:
 
 * :mod:`repro.pipeline.context` — ``CompilationContext`` / ``CompileOptions``;
-* :mod:`repro.pipeline.passes` — the five passes and the ``PassManager``;
+* :mod:`repro.pipeline.passes` — the five passes and ``run_passes``;
 * :mod:`repro.pipeline.cache` — fingerprints, the LRU + on-disk store;
 * :mod:`repro.pipeline.driver` — ``compile_program`` / ``compile_many``.
 """
@@ -14,25 +14,21 @@ from repro.pipeline.cache import (
     CacheEntry,
     CacheStats,
     CompileCache,
-    clear_default_cache,
     compile_key,
     default_cache,
     program_fingerprint,
-    set_default_cache,
 )
 from repro.pipeline.context import CompilationContext, CompileOptions, CompileRequest
 from repro.pipeline.driver import compile_many, compile_program
 from repro.pipeline.passes import (
-    DEFAULT_PASS_NAMES,
     PASS_REGISTRY,
     CodegenPass,
     CompilerPass,
     InstructionSelectionPass,
-    PassManager,
     SmemSwizzlePass,
     TimingPass,
     TVSynthesisPass,
-    default_pass_manager,
+    run_passes,
 )
 
 __all__ = [
@@ -44,19 +40,15 @@ __all__ = [
     "CompileRequest",
     "CompilerPass",
     "CodegenPass",
-    "DEFAULT_PASS_NAMES",
     "InstructionSelectionPass",
     "PASS_REGISTRY",
-    "PassManager",
     "SmemSwizzlePass",
     "TVSynthesisPass",
     "TimingPass",
-    "clear_default_cache",
     "compile_key",
     "compile_many",
     "compile_program",
     "default_cache",
-    "default_pass_manager",
     "program_fingerprint",
-    "set_default_cache",
+    "run_passes",
 ]

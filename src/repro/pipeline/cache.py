@@ -47,8 +47,6 @@ __all__ = [
     "CacheStats",
     "CompileCache",
     "default_cache",
-    "set_default_cache",
-    "clear_default_cache",
 ]
 
 _DISK_FORMAT_VERSION = 1
@@ -160,7 +158,6 @@ def compile_key(
         backend if backend is not None else arch.backend,
         _instruction_set_token(instructions),
         options.max_candidates,
-        options.keep_alternatives,
     ]
     return _digest(token)
 
@@ -233,8 +230,8 @@ class CompileCache:
     replay the stored assignments instead of searching).
 
     A single compile writes through immediately, but rewriting the whole
-    store once per insertion is O(n²) disk I/O under a ``compile_many``
-    fan-out — so batch drivers wrap their puts in :meth:`deferred_writes`,
+    store once per insertion is O(n²) disk I/O over a ``compile_many``
+    batch — so batch drivers wrap their puts in :meth:`deferred_writes`,
     which marks the store dirty instead of writing and :meth:`flush`\\ es
     once on exit.  ``flush()`` is idempotent and a no-op when clean.
     """
@@ -306,12 +303,10 @@ class CompileCache:
         one flush runs on exit.  Re-entrant (inner scopes defer to the
         outermost flush); a no-op for caches without a disk store.
 
-        The deferral is deliberately cache-wide, not per-thread: a batch's
-        puts land on thread-pool workers, so a thread-local depth would
-        defeat the whole mechanism.  A concurrent single compile on
-        another thread is therefore folded into the batch's flush instead
-        of writing through — its entry persists at the same moment the
-        batch's do."""
+        The deferral is cache-wide, not per-thread: a single compile that a
+        caller runs on another thread during the scope is folded into the
+        batch's flush instead of writing through — its entry persists at
+        the same moment the batch's do."""
         with self._lock:
             self._defer_depth += 1
         try:
@@ -418,19 +413,7 @@ class CompileCache:
 # The process-wide default cache
 # --------------------------------------------------------------------------- #
 _default_cache = CompileCache()
-_default_lock = threading.Lock()
 
 
 def default_cache() -> CompileCache:
     return _default_cache
-
-
-def set_default_cache(cache: CompileCache) -> CompileCache:
-    global _default_cache
-    with _default_lock:
-        previous, _default_cache = _default_cache, cache
-    return previous
-
-
-def clear_default_cache() -> None:
-    _default_cache.clear()

@@ -12,7 +12,7 @@ the pipeline can be run (and inspected) independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.instructions.registry import InstructionSet
 from repro.ir.graph import KernelProgram
@@ -28,23 +28,16 @@ class CompileOptions:
     ``copy_width_cap`` is an optional hook ``Copy -> Optional[int]`` limiting
     the vector width considered for specific copies; the baseline/ablation
     harnesses use it to emulate compilers with weaker layout systems.  Since
-    an arbitrary callable cannot be fingerprinted, setting it (like setting
-    ``keep_alternatives``, whose exhaustive candidate list a cached replay
-    cannot reproduce) makes the compile bypass the cache.
+    an arbitrary callable cannot be fingerprinted, setting it makes the
+    compile bypass the cache.
     """
 
     max_candidates: int = 256
-    keep_alternatives: bool = False
     copy_width_cap: Optional[Callable] = None
-    use_cache: bool = True
 
     @property
     def cacheable(self) -> bool:
-        return (
-            self.use_cache
-            and self.copy_width_cap is None
-            and not self.keep_alternatives
-        )
+        return self.copy_width_cap is None
 
 
 @dataclass
@@ -81,7 +74,6 @@ class CompilationContext:
     tv_solution: Optional[object] = None  # synthesis.tv_solver.TVSolution
     selector: Optional[object] = None  # synthesis.search.InstructionSelector
     candidate: Optional[object] = None  # synthesis.search.Candidate
-    alternatives: List[object] = field(default_factory=list)
     cost: Optional[object] = None  # synthesis.cost_model.CostBreakdown
     source: Optional[str] = None
     timing: Optional[object] = None  # sim.timing.KernelTiming

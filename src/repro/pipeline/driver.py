@@ -2,29 +2,28 @@
 
 :func:`compile_program` is the canonical entry point of the refactored
 compiler: it resolves the architecture/instruction set, consults the
-compile cache, runs the :class:`PassManager`, and packages the context
-into a :class:`~repro.compiler.CompiledKernel`.  ``repro.compiler
-.compile_kernel`` remains as a thin backward-compatible wrapper around it.
+compile cache, runs the passes (:func:`~repro.pipeline.passes.run_passes`),
+and packages the context into a :class:`~repro.compiler.CompiledKernel`.
+``repro.compiler.compile_kernel`` remains as a thin backward-compatible
+wrapper around it.
 
-:func:`compile_many` batch-compiles a list of programs/requests, deduping
-identical work through the cache and fanning the distinct compiles out on
-a thread pool (``concurrent.futures``) — the substrate of the parallel
-autotuning path in :mod:`repro.frontend.autotune`.
+:func:`compile_many` batch-compiles a list of programs/requests in request
+order on the calling thread, each through :func:`compile_program`, so a
+repeated request is a cache hit — the substrate of the autotuning sweep in
+:mod:`repro.frontend.autotune`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.instructions.registry import InstructionSet, instruction_set
 from repro.ir.graph import KernelProgram
 from repro.pipeline.cache import CacheEntry, CompileCache, compile_key, default_cache
 from repro.pipeline.context import CompilationContext, CompileOptions, CompileRequest
-from repro.pipeline.passes import PassManager
+from repro.pipeline.passes import run_passes
 from repro.sim.arch import DEFAULT_ARCH, get_arch
 
 __all__ = ["compile_program", "compile_many"]
@@ -57,7 +56,6 @@ def _finish(ctx: CompilationContext):
         candidates_explored=ctx.candidates_explored,
         leaves_pruned=ctx.leaves_pruned,
         subproblems_memoized=ctx.subproblems_memoized,
-        alternatives=ctx.alternatives,
         pass_stats=dict(ctx.pass_stats),
         cache_hit=ctx.cache_hit,
         fingerprint=ctx.cache_key,
@@ -70,7 +68,6 @@ def compile_program(
     instructions: Optional[InstructionSet] = None,
     options: Optional[CompileOptions] = None,
     cache: Optional[CompileCache] = None,
-    pass_manager: Optional[PassManager] = None,
     backend=None,
     **option_kwargs,
 ):
@@ -84,9 +81,10 @@ def compile_program(
     architecture's declared codegen backend (a ``repro.codegen.BACKENDS``
     name or instance); the cache key includes the resolved backend, so the
     same program compiled for different targets never shares entries.
-    Keyword compile options (``max_candidates``, ``keep_alternatives``,
-    ``copy_width_cap``, ``use_cache``) may be given directly or bundled in
-    an explicit :class:`CompileOptions`.
+    Keyword compile options (``max_candidates``, ``copy_width_cap``) may be
+    given directly or bundled in an explicit :class:`CompileOptions`.
+    ``cache`` defaults to the process-wide :func:`default_cache`; pass a
+    fresh :class:`CompileCache` for an isolated compile.
     """
     from repro.codegen.backend import get_backend
 
@@ -95,14 +93,13 @@ def compile_program(
     iset = instructions or instruction_set(gpu.sm_arch)
     opts = _build_options(options, option_kwargs)
     cache = cache if cache is not None else default_cache()
-    manager = pass_manager or PassManager()
 
     key = (
         compile_key(program, gpu, iset, opts, backend=target.name)
         if opts.cacheable
         else None
     )
-    entry = cache.get(key) if opts.use_cache else None
+    entry = cache.get(key)
 
     ctx = CompilationContext(
         program=program, arch=gpu, instructions=iset, options=opts, backend=target
@@ -122,7 +119,7 @@ def compile_program(
         # one candidate instead of searching.
         ctx.seed_assignment = entry.assignment
 
-    manager.run(ctx)
+    run_passes(ctx)
     if ctx.replayed:
         ctx.cache_hit = True
         cache.note_replay()
@@ -177,17 +174,19 @@ def compile_many(
     backend=None,
     **option_kwargs,
 ) -> List[object]:
-    """Batch-compile tile programs, in parallel, through the shared cache.
+    """Batch-compile tile programs through the shared cache.
 
-    Results are returned in request order.  Identical requests (same
-    fingerprint) are compiled once and replayed for the duplicates.  With
-    ``return_errors=True``, a failing compile yields its exception in the
-    result list instead of raising — the autotuner uses this to record *why*
-    a tile candidate was infeasible.
+    Requests compile in order on the calling thread, each through
+    :func:`compile_program`, so a request repeating an earlier one is a
+    cache hit (a replay) rather than a second search.  Results are returned
+    in request order.  With ``return_errors=True``, a failing compile
+    yields its exception in the result list instead of raising — the
+    autotuner uses this to record *why* a tile candidate was infeasible.
+    ``max_workers`` is accepted and ignored.
 
     Disk-backed caches are flushed **once** for the whole batch: per-put
     write-through would rewrite the entire JSON store per compiled program
-    (O(n²) disk I/O across a fan-out), so the driver wraps the batch in
+    (O(n²) disk I/O across a batch), so the driver wraps the batch in
     :meth:`CompileCache.deferred_writes` — single ``compile_program`` calls
     keep their immediate write-through semantics.
     """
@@ -196,88 +195,22 @@ def compile_many(
     requests = [
         _normalize_request(item, arch, instructions, opts, backend) for item in programs
     ]
-    if not requests:
-        return []
-
+    results: List[object] = []
     with cache.deferred_writes():
-        return _compile_many_grouped(
-            requests, opts, cache, max_workers, return_errors
-        )
-
-
-def _compile_many_grouped(
-    requests: List[CompileRequest],
-    opts: CompileOptions,
-    cache: CompileCache,
-    max_workers: Optional[int],
-    return_errors: bool,
-) -> List[object]:
-    from repro.codegen.backend import get_backend
-
-    # Group by fingerprint so concurrent workers never race to compile the
-    # same program; uncacheable requests each form their own group.
-    groups: Dict[object, List[int]] = {}
-    for index, request in enumerate(requests):
-        request_opts = request.options or opts
-        if request_opts.cacheable:
-            gpu = get_arch(request.arch)
-            iset = request.instructions or instruction_set(gpu.sm_arch)
-            target = get_backend(
-                request.backend if request.backend is not None else gpu.backend
-            )
-            key = compile_key(
-                request.program, gpu, iset, request_opts, backend=target.name
-            )
-        else:
-            key = object()  # unique: never deduped
-        groups.setdefault(key, []).append(index)
-
-    results: List[object] = [None] * len(requests)
-
-    def compile_one(index: int):
-        request = requests[index]
-        return compile_program(
-            request.program,
-            arch=request.arch,
-            instructions=request.instructions,
-            options=request.options,
-            cache=cache,
-            backend=request.backend,
-        )
-
-    leaders = [indices[0] for indices in groups.values()]
-    workers = max_workers or min(len(leaders), os.cpu_count() or 4)
-    errors: Dict[int, BaseException] = {}
-    if workers > 1 and len(leaders) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {index: pool.submit(compile_one, index) for index in leaders}
-            for index, future in futures.items():
-                try:
-                    results[index] = future.result()
-                except Exception as exc:  # noqa: BLE001 - reported per-request
-                    errors[index] = exc
-    else:
-        for index in leaders:
+        for request in requests:
             try:
-                results[index] = compile_one(index)
+                results.append(
+                    compile_program(
+                        request.program,
+                        arch=request.arch,
+                        instructions=request.instructions,
+                        options=request.options,
+                        cache=cache,
+                        backend=request.backend,
+                    )
+                )
             except Exception as exc:  # noqa: BLE001 - reported per-request
-                errors[index] = exc
-
-    # Duplicates compile after their leader: a cache hit (replay) when
-    # cacheable, and a leader failure propagates to its duplicates.
-    for key, indices in groups.items():
-        leader = indices[0]
-        for index in indices[1:]:
-            if leader in errors:
-                errors[index] = errors[leader]
-                continue
-            try:
-                results[index] = compile_one(index)
-            except Exception as exc:  # noqa: BLE001 - reported per-request
-                errors[index] = exc
-
-    if errors and not return_errors:
-        raise next(iter(errors.values()))
-    for index, exc in errors.items():
-        results[index] = exc
+                if not return_errors:
+                    raise
+                results.append(exc)
     return results

@@ -8,22 +8,22 @@ pass                 produces
 ==================== ==================================================== =
 ``tv-synthesis``     ``ctx.tv_solution`` (Algorithm 1)
 ``instruction-       ``ctx.selector``, ``ctx.candidate``, ``ctx.cost``,
-selection``          ``ctx.alternatives``, ``ctx.candidates_explored``
+selection``          ``ctx.candidates_explored``
 ``smem-swizzle``     installs the winning instructions, shared-memory
                      layouts and swizzles on the program tensors
 ``codegen``          ``ctx.source``
 ``timing``           ``ctx.timing``
 ==================== ==================================================== =
 
-:class:`PassManager` runs a pass list in order, recording per-pass wall
-time in ``ctx.pass_stats``; ``until=`` runs only a prefix, and individual
-passes can be invoked directly for surgical re-runs.
+:func:`run_passes` runs every pass of :data:`PASS_REGISTRY` in order,
+recording per-pass wall time in ``ctx.pass_stats``; individual passes can
+be invoked directly for partial runs.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from repro.pipeline.context import CompilationContext
 from repro.sim.timing import estimate_kernel_latency
@@ -37,10 +37,8 @@ __all__ = [
     "SmemSwizzlePass",
     "CodegenPass",
     "TimingPass",
-    "PassManager",
     "PASS_REGISTRY",
-    "DEFAULT_PASS_NAMES",
-    "default_pass_manager",
+    "run_passes",
 ]
 
 
@@ -106,16 +104,7 @@ class InstructionSelectionPass(CompilerPass):
                 best = selector.evaluate(assignment)
                 ctx.replayed = best is not None
         if best is None:
-            if ctx.options.keep_alternatives:
-                alternatives = selector.all_valid_candidates()
-                if not alternatives:
-                    raise RuntimeError(
-                        f"kernel {ctx.program.name}: no valid candidate programs"
-                    )
-                best = min(alternatives, key=lambda c: c.total_cycles)
-                ctx.alternatives = alternatives
-            else:
-                best = selector.best()
+            best = selector.best()
         ctx.candidate = best
         ctx.cost = best.cost
         ctx.candidates_explored = selector.candidates_explored
@@ -186,43 +175,14 @@ PASS_REGISTRY: Dict[str, type] = {
     )
 }
 
-DEFAULT_PASS_NAMES: List[str] = list(PASS_REGISTRY)
 
+def run_passes(ctx: CompilationContext) -> None:
+    """Run every registered pass over ``ctx`` in order, timing each one.
 
-class PassManager:
-    """Runs a sequence of passes over a context, timing each one."""
-
-    def __init__(self, passes: Optional[Sequence[CompilerPass]] = None):
-        if passes is None:
-            passes = [PASS_REGISTRY[name]() for name in DEFAULT_PASS_NAMES]
-        self.passes: List[CompilerPass] = list(passes)
-
-    @classmethod
-    def from_names(cls, names: Sequence[str]) -> "PassManager":
-        unknown = [name for name in names if name not in PASS_REGISTRY]
-        if unknown:
-            raise KeyError(f"unknown pass(es): {unknown}; known: {DEFAULT_PASS_NAMES}")
-        return cls([PASS_REGISTRY[name]() for name in names])
-
-    def pass_names(self) -> List[str]:
-        return [p.name for p in self.passes]
-
-    def run(self, ctx: CompilationContext, until: Optional[str] = None) -> CompilationContext:
-        """Run the pipeline, stopping after the pass named ``until`` (inclusive)."""
-        if until is not None and until not in self.pass_names():
-            raise KeyError(f"pass {until!r} is not in this pipeline: {self.pass_names()}")
-        for compiler_pass in self.passes:
-            start = time.perf_counter()
-            compiler_pass.run(ctx)
-            ctx.pass_stats[compiler_pass.name] = (
-                ctx.pass_stats.get(compiler_pass.name, 0.0)
-                + time.perf_counter()
-                - start
-            )
-            if compiler_pass.name == until:
-                break
-        return ctx
-
-
-def default_pass_manager() -> PassManager:
-    return PassManager()
+    Each pass class's ``run`` is looked up per call, so a wrapper installed
+    on the class (tracing does this) takes effect immediately.
+    """
+    for name, pass_cls in PASS_REGISTRY.items():
+        start = time.perf_counter()
+        pass_cls().run(ctx)
+        ctx.pass_stats[name] = time.perf_counter() - start

@@ -13,8 +13,8 @@ reusable provider with two levels of reuse:
   bucket (powers of two by default), the same trick real engines use to
   bound the number of captured CUDA graphs / compiled kernel shapes.  The
   whole bucket set can be **precompiled up front** through
-  :func:`repro.pipeline.compile_many`: one batched fan-out builds exactly
-  the tile programs the operators will request, so kernel compilation cost
+  :func:`repro.pipeline.compile_many`: one batch compiles exactly the tile
+  programs the operators will request, so kernel compilation cost
   is paid once per bucket at serving startup (and a warm compile cache
   makes that startup measurably faster — the cold-vs-warm experiment in
   ``benchmarks/bench_serving.py``).  Without a precompile, each
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -165,7 +164,7 @@ def operator_plan(config, backend: str) -> List[Tuple[str, int, str]]:
 # --------------------------------------------------------------------------- #
 @dataclass
 class PrecompileStats:
-    """What one :meth:`StepLatencyModel.precompile` fan-out did.
+    """What one :meth:`StepLatencyModel.precompile` batch did.
 
     ``requests`` counts every (config, operator, bucket) tile program
     considered; ``already_cached`` those whose fingerprint was found in the
@@ -179,7 +178,7 @@ class PrecompileStats:
     already_cached: int
     errors: int
     seconds: float
-    # CacheStats delta over the fan-out (puts on a cold start).
+    # CacheStats delta over the batch (puts on a cold start).
     cache_delta: Dict[str, int] = field(default_factory=dict)
 
 
@@ -261,9 +260,8 @@ class StepLatencyModel:
     ) -> Dict[str, float]:
         """Per-operator latencies (us) of one decode step, memoized.
 
-        With ``parallel`` (the default) a memo miss fans the independent
-        per-operator evaluations out on a thread pool; results are
-        deterministic and identical to the serial path.
+        A memo miss evaluates the step's operators in order on the calling
+        thread.  ``parallel`` is accepted and ignored.
         """
         effective = self.bucket_for(batch) if bucketed else int(batch)
         key = (config, backend, effective)
@@ -274,21 +272,10 @@ class StepLatencyModel:
                 return dict(cached)
             self.memo_misses += 1
 
-        plan = operator_plan(config, backend)
-        if parallel and len(plan) > 1:
-            with ThreadPoolExecutor(max_workers=len(plan)) as pool:
-                futures = {
-                    name: pool.submit(
-                        _OP_FUNCS[name], self.arch, config, effective, op_backend, self.cache
-                    )
-                    for name, _, op_backend in plan
-                }
-                per_op = {name: future.result() for name, future in futures.items()}
-        else:
-            per_op = {
-                name: _OP_FUNCS[name](self.arch, config, effective, op_backend, self.cache)
-                for name, _, op_backend in plan
-            }
+        per_op = {
+            name: _OP_FUNCS[name](self.arch, config, effective, op_backend, self.cache)
+            for name, _, op_backend in operator_plan(config, backend)
+        }
 
         with self._lock:
             # Concurrent misses compute identical values; first writer wins.
@@ -302,12 +289,9 @@ class StepLatencyModel:
         batch: int = 1,
         *,
         bucketed: bool = True,
-        parallel: bool = True,
     ) -> Tuple[float, Dict[str, float]]:
         """Whole-step latency (ms) plus the per-operator-class breakdown."""
-        per_op_us = self.operator_latencies_us(
-            config, backend, batch, bucketed=bucketed, parallel=parallel
-        )
+        per_op_us = self.operator_latencies_us(config, backend, batch, bucketed=bucketed)
         breakdown: Dict[str, float] = {}
         step_us = 0.0
         for name, layers, _ in operator_plan(config, backend):
@@ -411,7 +395,7 @@ class StepLatencyModel:
         buckets: Optional[Iterable[int]] = None,
         max_workers: Optional[int] = None,
     ) -> PrecompileStats:
-        """Compile every bucket's kernels up front, in one batched fan-out.
+        """Compile every bucket's kernels up front, in one batch.
 
         ``configs`` is one model config or a sequence of them.  The tile
         programs of all (config, operator, bucket) combinations are
@@ -420,10 +404,11 @@ class StepLatencyModel:
         compiler passes at all, it just verifies fingerprints), which is
         what makes warm startup dramatically cheaper than cold.  The
         remaining distinct programs go through a single
-        :func:`repro.pipeline.compile_many` fan-out (parallel across
-        fingerprints).  Build failures are tolerated (the corresponding
-        tile was infeasible); the returned stats carry the cache-stats
-        delta so cold and warm startups can be told apart.
+        :func:`repro.pipeline.compile_many` call, in order on the calling
+        thread.  Build failures are tolerated (the corresponding tile was
+        infeasible); the returned stats carry the cache-stats delta so cold
+        and warm startups can be told apart.  ``max_workers`` is accepted
+        and ignored.
         """
         if hasattr(configs, "num_layers"):  # a single ModelConfig-shaped object
             configs = [configs]
@@ -452,7 +437,6 @@ class StepLatencyModel:
             list(distinct.values()),
             arch=self.arch,
             cache=cache,
-            max_workers=max_workers,
             return_errors=True,
         )
         seconds = time.perf_counter() - start

@@ -449,8 +449,8 @@ def synthesize_smem_layout(
 def _remember(key: tuple, solution: SmemSolution) -> None:
     if len(_SOLUTION_CACHE) >= _SOLUTION_CACHE_MAX:
         try:
-            # pop(..., None) so two parallel compile workers evicting the
-            # same oldest key cannot race into a KeyError.
+            # pop(..., None) so two threads compiling concurrently and
+            # evicting the same oldest key cannot race into a KeyError.
             _SOLUTION_CACHE.pop(next(iter(_SOLUTION_CACHE)), None)
         except (StopIteration, RuntimeError):  # emptied/resized concurrently
             pass

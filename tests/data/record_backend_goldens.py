@@ -35,6 +35,7 @@ from repro.kernels.fp8_gemm import Fp8GemmConfig, build_fp8_blockwise_gemm
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm, build_warp_specialized_gemm
 from repro.kernels.mamba import ScanConfig, build_selective_scan
 from repro.kernels.moe import MoeConfig, build_moe_gemm
+from repro.pipeline import CompileCache
 from repro.sim.arch import get_arch
 
 OUT = Path(__file__).with_name("golden_backend_digests.json")
@@ -73,7 +74,7 @@ def compile_fig22_mi300():
     """The fig22 GEMM compiled on mi300 with the cuda entry's search budget."""
     build, _, max_candidates = FAMILY_BUILDS["gemm"]
     return compile_kernel(build(), arch="mi300", max_candidates=max_candidates,
-                          use_cache=False)
+                          cache=CompileCache())
 
 
 def swizzles(kernel) -> dict:
@@ -85,7 +86,7 @@ def record() -> dict:
     cross_backend = {}
     for family, (build, arch, max_candidates) in sorted(FAMILY_BUILDS.items()):
         kernel = compile_kernel(build(), arch=arch, max_candidates=max_candidates,
-                                use_cache=False)
+                                cache=CompileCache())
         entries[family] = {
             "arch": arch,
             "max_candidates": max_candidates,

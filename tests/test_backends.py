@@ -51,7 +51,7 @@ def family_kernels():
     kernels = {}
     for family, (build, arch, max_candidates) in FAMILY_BUILDS.items():
         kernels[family] = compile_kernel(
-            build(), arch=arch, max_candidates=max_candidates, use_cache=False
+            build(), arch=arch, max_candidates=max_candidates, cache=CompileCache()
         )
     return kernels
 

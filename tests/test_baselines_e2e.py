@@ -85,28 +85,3 @@ def test_model_configs_are_consistent():
     assert QWEN3_32B.weight_dtype == "fp8"
     # The attention head dim is a real ModelConfig knob (default unchanged).
     assert DEEPSEEK_R1_AWQ.head_dim == JAMBA_MINI.head_dim == QWEN3_32B.head_dim == 128
-
-
-def test_decode_latency_parallel_serial_equivalence():
-    """decode_latency(parallel=True) and parallel=False must agree exactly.
-
-    Checked at two levels for all three paper models: the DecodeResult
-    returned by the public API, and a fresh parallel-vs-serial evaluation
-    of the underlying step model (bypassing the shared memo, so the serial
-    code path genuinely executes; the compile cache makes it cheap)."""
-    from repro.serving import StepLatencyModel
-
-    for config in (DEEPSEEK_R1_AWQ, JAMBA_MINI, QWEN3_32B):
-        fanned = decode_latency(config, batch_size=16, output_tokens=10, parallel=True)
-        serial = decode_latency(config, batch_size=16, output_tokens=10, parallel=False)
-        assert fanned.step_latency_ms == serial.step_latency_ms
-        assert fanned.breakdown_ms == serial.breakdown_ms
-        assert fanned.total_latency_s == serial.total_latency_s
-
-        par_ops = StepLatencyModel(arch="h100").operator_latencies_us(
-            config, "hexcute", batch=16, bucketed=False, parallel=True
-        )
-        ser_ops = StepLatencyModel(arch="h100").operator_latencies_us(
-            config, "hexcute", batch=16, bucketed=False, parallel=False
-        )
-        assert par_ops == ser_ops

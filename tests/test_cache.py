@@ -118,17 +118,8 @@ def test_uncacheable_options_bypass_the_cache():
         small_gemm(), arch="a100", max_candidates=4, cache=cache,
         copy_width_cap=lambda c: 4,
     )
-    compile_kernel(
-        small_gemm(), arch="a100", max_candidates=4, cache=cache, keep_alternatives=True
-    )
     assert len(cache) == 0
-    assert cache.stats.uncacheable == 2
-
-
-def test_use_cache_false_skips_lookup_and_store():
-    cache = CompileCache()
-    compile_kernel(small_gemm(), arch="a100", max_candidates=4, cache=cache, use_cache=False)
-    assert len(cache) == 0
+    assert cache.stats.uncacheable == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -215,7 +206,7 @@ def test_stale_entry_falls_back_to_search_and_is_repaired():
 
 def test_batch_compiles_flush_the_disk_store_once(tmp_path):
     """compile_many over a disk-backed cache must not rewrite the JSON store
-    per insertion (O(n^2) I/O across a fan-out): puts inside the batch only
+    per insertion (O(n^2) I/O across a batch): puts inside the batch only
     mark the store dirty and one flush runs at the end."""
     from repro.pipeline import compile_many
 

@@ -39,12 +39,32 @@ def test_narrow_instructions_are_slower():
 
 
 def test_cost_model_picks_near_optimal_candidate():
-    """The Fig. 12 property: the selected candidate is within a small factor
-    of the best valid candidate found by exhaustive evaluation."""
-    program = build_fp16_gemm(64, 64, 128, GemmConfig(bm=64, bn=64, bk=32))
-    compiled = compile_kernel(program, arch="a100", max_candidates=48, keep_alternatives=True)
-    best = min(c.total_cycles for c in compiled.alternatives)
-    assert compiled.candidate.total_cycles <= best * 1.01
+    """The Fig. 12 property: the compiled kernel's timing-model latency is
+    within a small factor of the best timing-model latency over every valid
+    candidate of a fresh build (the timing model weights stall and issue
+    cycles differently and applies rooflines, so it is not the cost model
+    ranking itself)."""
+    from repro.codegen import get_backend
+    from repro.instructions.registry import instruction_set
+    from repro.pipeline import CompileCache
+    from repro.sim.timing import estimate_kernel_latency
+    from repro.synthesis.search import InstructionSelector
+    from repro.synthesis.tv_solver import ThreadValueSolver
+
+    build = lambda: build_fp16_gemm(64, 64, 128, GemmConfig(bm=64, bn=64, bk=32))
+    compiled = compile_kernel(build(), arch="a100", max_candidates=48, cache=CompileCache())
+
+    program = build()
+    iset = instruction_set(A100.sm_arch)
+    selector = InstructionSelector(
+        program, ThreadValueSolver(program, iset).solve(), iset, max_candidates=48,
+        bank_params=get_backend(A100.backend).smem_bank_params(A100),
+    )
+    best = min(
+        estimate_kernel_latency(program, c.cost, A100).latency_us
+        for c in selector.all_valid_candidates()
+    )
+    assert compiled.latency_us <= best * 1.01
 
 
 def test_moe_kernels_compile_on_both_dataflows():

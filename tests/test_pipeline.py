@@ -13,14 +13,15 @@ from repro.kernels.gemm import GemmConfig, build_fp16_gemm
 from repro.kernels.mamba import build_selective_scan
 from repro.kernels.moe import build_moe_gemm
 from repro.pipeline import (
+    PASS_REGISTRY,
     CompilationContext,
     CompileCache,
     CompileOptions,
-    DEFAULT_PASS_NAMES,
     CodegenPass,
-    PassManager,
+    InstructionSelectionPass,
     SmemSwizzlePass,
     TimingPass,
+    TVSynthesisPass,
     compile_many,
     compile_program,
 )
@@ -60,7 +61,7 @@ def test_pipeline_equivalent_to_seed(name, build, arch):
     same latency estimate, same instruction assignment, same source."""
     seed_program = build()
     seed_best, seed_timing, seed_source = seed_compile(seed_program, arch, max_candidates=8)
-    kernel = compile_kernel(build(), arch=arch, max_candidates=8, use_cache=False)
+    kernel = compile_kernel(build(), arch=arch, max_candidates=8, cache=CompileCache())
     assert kernel.latency_us == seed_timing.latency_us
     assert kernel.source == seed_source
     assert kernel.candidate.named_assignment(kernel.program) == seed_best.named_assignment(
@@ -75,7 +76,7 @@ def test_pass_stats_exposed_on_result():
         max_candidates=4,
         cache=CompileCache(),
     )
-    assert list(kernel.pass_times()) == DEFAULT_PASS_NAMES
+    assert list(kernel.pass_times()) == list(PASS_REGISTRY)
     assert all(seconds >= 0.0 for seconds in kernel.pass_stats.values())
     # The search counters ride along in pass_stats under dotted keys but are
     # excluded from the timing view and from compile_seconds().
@@ -87,7 +88,7 @@ def test_pass_stats_exposed_on_result():
     assert "pass times" in kernel.summary()
 
 
-def test_pass_manager_partial_run_and_individual_passes():
+def test_partial_run_and_individual_passes():
     program = build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32))
     gpu = get_arch("a100")
     ctx = CompilationContext(
@@ -96,11 +97,12 @@ def test_pass_manager_partial_run_and_individual_passes():
         instructions=instruction_set(gpu.sm_arch),
         options=CompileOptions(max_candidates=4),
     )
-    PassManager().run(ctx, until="instruction-selection")
+    TVSynthesisPass().run(ctx)
+    assert ctx.tv_solution is not None and ctx.candidate is None
+    InstructionSelectionPass().run(ctx)
     assert ctx.candidate is not None
     assert ctx.source is None and ctx.timing is None
-    timed = {name for name in ctx.pass_stats if "." not in name}
-    assert timed == {"tv-synthesis", "instruction-selection"}
+    assert ctx.pass_stats["instruction-selection.leaves_evaluated"] > 0
 
     # The remaining passes are independently invokable on the same context.
     SmemSwizzlePass().run(ctx)
@@ -110,29 +112,15 @@ def test_pass_manager_partial_run_and_individual_passes():
     assert ctx.timing.latency_us > 0
 
 
-def test_pass_manager_rejects_unknown_names():
-    with pytest.raises(KeyError):
-        PassManager.from_names(["tv-synthesis", "no-such-pass"])
-    program = build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32))
-    gpu = get_arch("a100")
-    ctx = CompilationContext(
-        program=program, arch=gpu, instructions=instruction_set(gpu.sm_arch)
-    )
-    with pytest.raises(KeyError):
-        PassManager().run(ctx, until="no-such-pass")
-
-
 def test_compile_many_matches_serial_and_dedupes():
     cache = CompileCache()
     build = lambda bk, k: build_fp16_gemm(64, 64, k, GemmConfig(bm=64, bn=64, bk=bk))
     programs = [build(32, 64), build(64, 128), build(32, 64)]  # last = duplicate
-    results = compile_many(
-        programs, arch="a100", max_candidates=4, cache=cache, max_workers=2
-    )
+    results = compile_many(programs, arch="a100", max_candidates=4, cache=cache)
     assert len(results) == 3
     serial = [
-        compile_kernel(build(32, 64), arch="a100", max_candidates=4, use_cache=False),
-        compile_kernel(build(64, 128), arch="a100", max_candidates=4, use_cache=False),
+        compile_kernel(build(32, 64), arch="a100", max_candidates=4, cache=CompileCache()),
+        compile_kernel(build(64, 128), arch="a100", max_candidates=4, cache=CompileCache()),
     ]
     assert results[0].latency_us == serial[0].latency_us
     assert results[1].latency_us == serial[1].latency_us
@@ -150,7 +138,7 @@ def test_compile_many_returns_errors_when_asked():
     from repro.ir import types
     from repro.layout.layout import Layout
 
-    program = build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32))
+    good = lambda: build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32))
     # Structurally invalid: the copy's operands were never declared through
     # global_view/register_tensor, so validation fails during tv-synthesis.
     bad = KernelProgram("bad", num_threads=32)
@@ -159,14 +147,25 @@ def test_compile_many_returns_errors_when_asked():
     bad.add(Copy(src, dst))
 
     results = compile_many(
-        [program, bad], arch="a100", max_candidates=2, cache=CompileCache(),
+        [good(), bad], arch="a100", max_candidates=2, cache=CompileCache(),
         return_errors=True,
     )
     assert results[0].latency_us > 0
     assert isinstance(results[1], ProgramError)
 
+    # A failing request repeated around a good one fails in both slots.
+    results = compile_many(
+        [bad, good(), bad], arch="a100", max_candidates=2, cache=CompileCache(),
+        return_errors=True,
+    )
+    assert isinstance(results[0], ProgramError)
+    assert results[1].latency_us > 0
+    assert isinstance(results[2], ProgramError)
+
     with pytest.raises(ProgramError):
         compile_many([bad], arch="a100", max_candidates=2, cache=CompileCache())
+    with pytest.raises(ProgramError):
+        compile_many([bad, good(), bad], arch="a100", max_candidates=2, cache=CompileCache())
 
 
 def test_autotune_compile_records_build_failures():
@@ -197,7 +196,8 @@ def test_compile_program_accepts_explicit_options_object():
     kernel = compile_program(
         build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32)),
         arch="a100",
-        options=CompileOptions(max_candidates=4, use_cache=False),
+        options=CompileOptions(max_candidates=4),
+        cache=CompileCache(),
     )
     assert kernel.latency_us > 0
     assert not kernel.cache_hit

@@ -249,15 +249,46 @@ def test_step_model_memoizes_buckets():
     assert model.memo_misses == 2
 
 
-def test_step_model_parallel_serial_equivalence():
-    parallel = StepLatencyModel(arch="a100").operator_latencies_us(
-        TINY_DENSE, "hexcute", batch=2, parallel=True
+def test_compiles_start_no_worker_threads(monkeypatch):
+    """Batch compiles, bucket precompiles, memo misses, autotune sweeps and
+    decode_latency all run on the calling thread."""
+    import threading
+
+    from repro.e2e import decode_latency
+    from repro.frontend.autotune import autotune_compile
+    from repro.kernels.gemm import GemmConfig, build_fp16_gemm
+    from repro.pipeline import compile_many
+
+    def refuse(thread):
+        raise AssertionError(f"a compile started thread {thread.name!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    gemm = lambda bk: build_fp16_gemm(64, 64, 128, GemmConfig(bm=64, bn=64, bk=bk))
+
+    first, second = compile_many(
+        [gemm(32), gemm(64)], arch="a100", max_candidates=4, cache=CompileCache()
     )
-    serial = StepLatencyModel(arch="a100").operator_latencies_us(
-        TINY_DENSE, "hexcute", batch=2, parallel=False
+    assert first.fingerprint != second.fingerprint
+
+    stats = StepLatencyModel(arch="a100", buckets=(1, 2), cache=CompileCache()).precompile(
+        TINY_DENSE
     )
-    assert parallel == serial
-    assert set(parallel) == {"attention", "ffn"}
+    assert stats.compiled > 0 and stats.errors == 0
+
+    model = StepLatencyModel(arch="a100", cache=CompileCache())
+    assert set(model.operator_latencies_us(TINY_DENSE, "hexcute", batch=2)) == {
+        "attention", "ffn"
+    }
+    assert model.memo_misses == 1
+
+    tuned = autotune_compile(
+        lambda params: gemm(params["bk"]), [{"bk": 32}, {"bk": 64}],
+        arch="a100", max_candidates=4, cache=CompileCache(),
+    )
+    assert tuned.num_feasible == 2
+
+    config = dataclasses.replace(TINY_DENSE, name="tiny-dense-no-threads")
+    assert decode_latency(config, batch_size=3, output_tokens=2, arch="a100").step_latency_ms > 0
 
 
 @pytest.mark.parametrize(

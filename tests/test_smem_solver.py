@@ -155,11 +155,12 @@ def test_pruning_toggle_round_trips():
 def test_prune_counters_reach_selection_stats_and_pass_stats():
     from repro.compiler import compile_kernel
     from repro.kernels.gemm import GemmConfig, build_fp16_gemm
+    from repro.pipeline import CompileCache
 
     program = build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32))
     clear_smem_cache()
     kernel = compile_kernel(program, arch="a100", max_candidates=8,
-                            use_cache=False)
+                            cache=CompileCache())
     stats = kernel.pass_stats
     scored = stats["instruction-selection.swizzles_scored"]
     pruned = stats["instruction-selection.swizzles_pruned"]
