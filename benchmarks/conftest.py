@@ -1,11 +1,11 @@
 """Shared configuration for the benchmark harness.
 
 Every file in this directory regenerates one table or figure from the
-paper's evaluation (see DESIGN.md for the experiment index).  The kernels
-run on the simulated GPU substrate, so the benchmarks are deterministic;
-``pytest-benchmark`` measures the harness itself (compilation + analytical
-timing), while the *reproduced numbers* are printed to stdout and recorded
-in EXPERIMENTS.md.
+paper's evaluation (``docs/benchmarks.md`` maps each script to its figure).
+The kernels run on the simulated GPU substrate, so the benchmarks are
+deterministic; ``pytest-benchmark`` measures the harness itself
+(compilation + analytical timing), while the *reproduced numbers* are
+printed to stdout.
 """
 
 import pytest

@@ -12,8 +12,9 @@ mechanisms (Section II-C, Fig. 4, Table III):
    pipelining, no TMA on Hopper, and a fixed power-of-two tile menu.
 
 This module reproduces those mechanisms with the *same* compiler
-infrastructure: it builds the alternative dataflow, restricts instruction
-widths on the tensors Triton handles poorly, disables warp specialization /
+infrastructure: it builds the alternative dataflow, caps the access width
+(``Copy.max_vector_bytes``) of the copies Triton handles poorly, disables
+warp specialization /
 deep pipelining, and skips tile autotuning.  Standard FP16 operators
 therefore come out mildly slower than Hexcute (as in Table II), while the
 mixed-type MoE collapses to scalar weight loads (as in Fig. 11).
@@ -21,11 +22,8 @@ mixed-type MoE collapses to scalar weight loads (as in Fig. 11).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.compiler import compile_kernel
 from repro.instructions.registry import InstructionSet, instruction_set
-from repro.ir.ops import Copy
 from repro.kernels.attention import build_mha_decoding, build_mha_forward
 from repro.kernels.common import OperatorResult, ceil_div
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm
@@ -90,18 +88,11 @@ def triton_fp8_gemm(arch, m: int, n: int, k: int) -> OperatorResult:
     bm, bn = _triton_tile(m, n)
     config = Fp8GemmConfig(bm=bm, bn=bn, num_stages=2)
     program = build_fp8_blockwise_gemm(m, n, k, config)
-
-    def cap(copy: Copy) -> Optional[int]:
+    for copy in program.copies():
         if "scale" in copy.src.name or "scale" in copy.dst.name:
-            return 4
-        return None
-
+            copy.max_vector_bytes = 4
     kernel = compile_kernel(
-        program,
-        arch=gpu,
-        instructions=triton_instruction_set(gpu),
-        max_candidates=4,
-        copy_width_cap=cap,
+        program, arch=gpu, instructions=triton_instruction_set(gpu), max_candidates=4
     )
     return OperatorResult(
         name=f"triton_fp8_gemm_{m}x{n}x{k}",
@@ -137,18 +128,13 @@ def triton_attention_decoding(arch, batch: int, heads: int, kv_len: int, dim: in
     gpu = get_arch(arch)
     program = build_mha_decoding(kv_len, dim, heads, batch)
     program.num_stages = 1
-
-    def cap(copy: Copy) -> Optional[int]:
-        # Triton's decode kernels split the reduction across elements and end
-        # up with 4-byte accesses on the KV cache.
-        return 4 if copy.src.is_global else None
-
+    # Triton's decode kernels split the reduction across elements and end up
+    # with 4-byte accesses on the KV cache.
+    for copy in program.copies():
+        if copy.src.is_global:
+            copy.max_vector_bytes = 4
     kernel = compile_kernel(
-        program,
-        arch=gpu,
-        instructions=triton_instruction_set(gpu),
-        max_candidates=4,
-        copy_width_cap=cap,
+        program, arch=gpu, instructions=triton_instruction_set(gpu), max_candidates=4
     )
     return OperatorResult(
         name=f"triton_mha_decode_{batch}x{heads}x{kv_len}x{dim}",
@@ -178,23 +164,19 @@ class TritonMoeOperator(MixedTypeMoeOperator):
 
         program = build_moe_gemm(tokens_per_expert, self.n, self.k, dataflow="triton")
         program.num_stages = 2
-
-        def cap(copy: Copy) -> Optional[int]:
+        for copy in program.copies():
             names = (copy.src.name + " " + copy.dst.name).lower()
-            if copy.src.dtype.bits == 4 or copy.dst.dtype.bits == 4:
-                # INT4 weights / zero points: case-by-case layouts degrade to
-                # (near-)scalar accesses (Table III: 1-2 bytes).
-                return 2
-            if "scale" in names and copy.dst.is_register:
-                return 2
-            return None
-
+            # INT4 weights / zero points: case-by-case layouts degrade to
+            # (near-)scalar accesses (Table III: 1-2 bytes).
+            int4 = copy.src.dtype.bits == 4 or copy.dst.dtype.bits == 4
+            if int4 or ("scale" in names and copy.dst.is_register):
+                copy.max_vector_bytes = 2
         return compile_kernel(
             program,
             arch=self.arch,
             instructions=triton_instruction_set(self.arch),
             max_candidates=self.max_candidates,
-            copy_width_cap=cap,
+            cache=self.cache,
         )
 
 

@@ -1,7 +1,8 @@
 """The Hexcute compilation pipeline (Fig. 6 c of the paper).
 
-``compile_kernel`` takes a tile-level :class:`KernelProgram` written with the
-DSL and runs, in order:
+``compile_kernel`` (the same function as
+:func:`repro.pipeline.compile_program`) takes a tile-level
+:class:`KernelProgram` written with the DSL and runs, in order:
 
 1. thread-value layout synthesis (Algorithm 1);
 2. instruction selection over the DFS search tree, with shared-memory layout
@@ -11,11 +12,10 @@ DSL and runs, in order:
 5. the architecture timing model, producing the simulated kernel latency
    used by the benchmark harness.
 
-Since the pass-based refactor these stages live in :mod:`repro.pipeline`
-(``tv-synthesis``, ``instruction-selection``, ``smem-swizzle``, ``codegen``,
-``timing``), each independently invokable and timed; ``compile_kernel`` is a
-thin backward-compatible wrapper over :func:`repro.pipeline.compile_program`
-that consults the content-addressed compile cache before running passes.
+These stages are the passes of :mod:`repro.pipeline` (``tv-synthesis``,
+``instruction-selection``, ``smem-swizzle``, ``codegen``, ``timing``), each
+independently invokable and timed, run behind the content-addressed
+compile cache.
 
 The result is a :class:`CompiledKernel` bundling the synthesized layouts,
 the chosen instructions, the emitted source, the latency estimate, and the
@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.instructions.registry import InstructionSet
 from repro.ir.graph import KernelProgram
 from repro.ir.tensor import TileTensor
-from repro.sim.arch import DEFAULT_ARCH, GpuArch
+from repro.pipeline.driver import compile_program as compile_kernel
+from repro.sim.arch import GpuArch
 from repro.sim.timing import KernelTiming
 from repro.synthesis.cost_model import CostBreakdown
 from repro.synthesis.search import Candidate
@@ -137,40 +137,3 @@ class CompiledKernel:
             )
         return "\n".join(lines)
 
-
-def compile_kernel(
-    program: KernelProgram,
-    arch=DEFAULT_ARCH,
-    instructions: Optional[InstructionSet] = None,
-    max_candidates: int = 256,
-    copy_width_cap=None,
-    cache=None,
-    backend=None,
-) -> CompiledKernel:
-    """Run the full Hexcute pipeline on a tile program.
-
-    ``arch`` accepts ``"a100"``/``"h100"``/``"mi300"``/``"cpu-sim"`` names,
-    SM numbers (``80``/``90``) or a :class:`GpuArch`, defaulting to
-    :data:`repro.sim.arch.DEFAULT_ARCH` (``"a100"``) like every other
-    compile entry point.  ``backend`` overrides the architecture's declared
-    codegen backend (a ``repro.codegen.BACKENDS`` name or instance); the
-    compile cache keys on the resolved backend, so targets never share
-    entries.  ``copy_width_cap`` is an optional hook ``Copy -> Optional[int]`` limiting
-    the vector width considered for specific copies; the baseline/ablation
-    harnesses use it to emulate compilers with weaker layout systems.
-    Setting it bypasses the compile cache.  ``cache=`` selects a specific
-    :class:`repro.pipeline.CompileCache` instead of the process default;
-    pass a fresh one to force a fresh compile.
-    """
-    from repro.pipeline.context import CompileOptions
-    from repro.pipeline.driver import compile_program
-
-    options = CompileOptions(max_candidates=max_candidates, copy_width_cap=copy_width_cap)
-    return compile_program(
-        program,
-        arch=arch,
-        instructions=instructions,
-        options=options,
-        cache=cache,
-        backend=backend,
-    )

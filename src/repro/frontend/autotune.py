@@ -131,7 +131,7 @@ def autotune_compile(
     instructions=None,
     cache=None,
     backend=None,
-    **compile_options,
+    max_candidates: int = 256,
 ) -> TuneResult:
     """Batch-compile a tile sweep through the pipeline and keep the fastest.
 
@@ -165,7 +165,7 @@ def autotune_compile(
         cache=cache,
         return_errors=True,
         backend=backend,
-        **compile_options,
+        max_candidates=max_candidates,
     )
     for index, outcome in zip(indices, outcomes):
         params = candidates[index]

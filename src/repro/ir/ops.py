@@ -128,6 +128,10 @@ class Copy(Operation):
         super().__init__([src], [dst], **kwargs)
         self.src = src
         self.dst = dst
+        # Widest access (bytes per thread) instruction selection may pick
+        # for this copy; None leaves it unbounded.  Baselines set it to model
+        # compilers whose layouts force narrow accesses on specific tensors.
+        self.max_vector_bytes: Optional[int] = None
 
     @staticmethod
     def _shapes_compatible(src: TileTensor, dst: TileTensor) -> bool:

@@ -24,7 +24,7 @@ import numpy as np
 from repro.compiler import CompiledKernel
 from repro.pipeline import compile_program
 from repro.frontend.script import KernelBuilder
-from repro.instructions.registry import InstructionSet, instruction_set
+from repro.instructions.registry import instruction_set
 from repro.ir import types
 from repro.kernels.common import OperatorResult, ceil_div
 from repro.layout.layout import Layout
@@ -150,18 +150,6 @@ def build_selective_scan(
     return program
 
 
-def _narrow_instruction_set(base: InstructionSet, max_vector_bytes: int) -> InstructionSet:
-    return InstructionSet(
-        arch=base.arch,
-        memory=[
-            i
-            for i in base.memory
-            if i.vector_bytes <= max_vector_bytes and not i.collective and not i.single_thread
-        ],
-        mma=list(base.mma),
-    )
-
-
 class SelectiveScanOperator:
     """Host-level Mamba selective scan.
 
@@ -193,7 +181,7 @@ class SelectiveScanOperator:
         program = build_selective_scan(seq_len, d_inner, batch, config)
         instructions = instruction_set(self.arch.sm_arch)
         if self.instruction_cap_bytes is not None:
-            instructions = _narrow_instruction_set(instructions, self.instruction_cap_bytes)
+            instructions = instructions.narrowed(self.instruction_cap_bytes)
         return compile_program(
             program,
             arch=self.arch,

@@ -154,32 +154,6 @@ def build_moe_gemm(
     return program
 
 
-def _restricted_instruction_set(base: InstructionSet, max_vector_bytes: int) -> InstructionSet:
-    """An instruction set with wide memory instructions removed — used to
-    emulate heuristic compilers that fall back to narrow accesses.
-
-    Every (source, destination) direction keeps at least its narrowest
-    instruction so a fallback always exists even under aggressive caps.
-    """
-    kept = [
-        i
-        for i in base.memory
-        if i.vector_bytes <= max_vector_bytes and not i.collective and not i.single_thread
-    ]
-    directions = {(i.src_scope, i.dst_scope) for i in base.memory}
-    for src, dst in directions:
-        if not any(i.src_scope is src and i.dst_scope is dst for i in kept):
-            candidates = [
-                i
-                for i in base.memory
-                if i.src_scope is src and i.dst_scope is dst
-                and not i.collective and not i.single_thread
-            ]
-            if candidates:
-                kept.append(min(candidates, key=lambda i: i.vector_bytes))
-    return InstructionSet(arch=base.arch, memory=kept, mma=list(base.mma))
-
-
 class MixedTypeMoeOperator:
     """Host-level mixed-type MoE layer: fused expert GEMMs.
 
@@ -214,7 +188,7 @@ class MixedTypeMoeOperator:
     def _instruction_set(self) -> InstructionSet:
         base = instruction_set(self.arch.sm_arch)
         if self.max_weight_vector_bytes is not None:
-            return _restricted_instruction_set(base, self.max_weight_vector_bytes)
+            return base.narrowed(self.max_weight_vector_bytes)
         return base
 
     def compile_expert_kernel(self, tokens_per_expert: int) -> CompiledKernel:

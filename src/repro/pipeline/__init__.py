@@ -4,10 +4,12 @@ The Fig. 6(c) compiler is organized as named passes over an explicit
 :class:`CompilationContext`, with a content-addressed compile cache and a
 batch driver layered on top:
 
-* :mod:`repro.pipeline.context` — ``CompilationContext`` / ``CompileOptions``;
+* :mod:`repro.pipeline.context` — ``CompilationContext`` / ``CompileRequest``;
 * :mod:`repro.pipeline.passes` — the five passes and ``run_passes``;
 * :mod:`repro.pipeline.cache` — fingerprints, the LRU + on-disk store;
-* :mod:`repro.pipeline.driver` — ``compile_program`` / ``compile_many``.
+* :mod:`repro.pipeline.driver` — ``compile_program`` (the one compile entry
+  point, re-exported as ``repro.compiler.compile_kernel``) and
+  ``compile_many``.
 """
 
 from repro.pipeline.cache import (
@@ -18,7 +20,7 @@ from repro.pipeline.cache import (
     default_cache,
     program_fingerprint,
 )
-from repro.pipeline.context import CompilationContext, CompileOptions, CompileRequest
+from repro.pipeline.context import CompilationContext, CompileRequest
 from repro.pipeline.driver import compile_many, compile_program
 from repro.pipeline.passes import (
     PASS_REGISTRY,
@@ -36,7 +38,6 @@ __all__ = [
     "CacheStats",
     "CompileCache",
     "CompilationContext",
-    "CompileOptions",
     "CompileRequest",
     "CompilerPass",
     "CodegenPass",

@@ -1,11 +1,12 @@
 """Content-addressed compile cache.
 
 A compile is keyed by a stable fingerprint of ``(KernelProgram, arch,
-instruction set, options)``.  Program fingerprints are *structural*: tensors
-and operations are numbered in program order, so two independently built
-but identical programs (whose global ``tensor_id``/``op_id`` counters
-differ) produce the same fingerprint, while any change to shapes, dtypes,
-layouts, annotations, trip counts or launch configuration changes it.
+backend, instruction set, max_candidates)``.  Program fingerprints are
+*structural*: tensors and operations are numbered in program order, so two
+independently built but identical programs (whose global
+``tensor_id``/``op_id`` counters differ) produce the same fingerprint, while
+any change to shapes, dtypes, layouts, annotations, per-copy width caps,
+trip counts or launch configuration changes it.
 Synthesized artifacts (thread-value layouts, shared-memory layouts,
 swizzles, selected instructions) are deliberately excluded so a program's
 fingerprint is the same before and after it has been compiled.
@@ -36,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.instructions.registry import InstructionSet
 from repro.ir.graph import KernelProgram
-from repro.ir.ops import Elementwise, Fill, Reduce
+from repro.ir.ops import Copy, Elementwise, Fill, Reduce
 from repro.ir.tensor import Scope, TileTensor
 from repro.sim.arch import GpuArch
 
@@ -102,6 +103,8 @@ def _op_token(op, local_ids: Dict[int, int]) -> list:
         token.append(["reduce", op.dim, op.kind])
     elif isinstance(op, Fill):
         token.append(["fill", op.value])
+    elif isinstance(op, Copy) and op.max_vector_bytes is not None:
+        token.append(["max_vector_bytes", op.max_vector_bytes])
     else:
         token.append(None)
     return token
@@ -142,10 +145,11 @@ def compile_key(
     program: KernelProgram,
     arch: GpuArch,
     instructions: InstructionSet,
-    options,
+    max_candidates: int,
     backend: Optional[str] = None,
 ) -> str:
-    """The cache key of one ``(program, arch, backend, instructions, options)``.
+    """The cache key of one ``(program, arch, backend, instructions,
+    max_candidates)``.
 
     ``backend`` is the resolved codegen backend *name* (``None`` follows the
     architecture's declared backend).  It is part of the key so a kernel
@@ -157,7 +161,7 @@ def compile_key(
         arch.name,
         backend if backend is not None else arch.backend,
         _instruction_set_token(instructions),
-        options.max_candidates,
+        max_candidates,
     ]
     return _digest(token)
 
@@ -215,7 +219,6 @@ class CacheStats:
     misses: int = 0
     puts: int = 0
     evictions: int = 0
-    uncacheable: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(asdict(self))
@@ -265,11 +268,7 @@ class CompileCache:
         with self._lock:
             return list(self._entries)
 
-    def get(self, key: Optional[str]) -> Optional[CacheEntry]:
-        if key is None:
-            with self._lock:
-                self.stats.uncacheable += 1
-            return None
+    def get(self, key: str) -> Optional[CacheEntry]:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:

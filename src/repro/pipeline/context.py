@@ -1,7 +1,7 @@
 """The compilation context threaded through the pass pipeline.
 
 A :class:`CompilationContext` carries the inputs of one compile (program,
-architecture, instruction set, options) plus every artifact the passes
+architecture, instruction set, candidate budget) plus every artifact the passes
 accumulate: the thread-value solution, the selected candidate, the shared
 memory plans embedded in it, the cost breakdown, the emitted source, the
 timing estimate and per-pass wall-time statistics.  Each pass reads the
@@ -12,46 +12,27 @@ the pipeline can be run (and inspected) independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.instructions.registry import InstructionSet
 from repro.ir.graph import KernelProgram
 from repro.sim.arch import GpuArch
 
-__all__ = ["CompileOptions", "CompileRequest", "CompilationContext"]
-
-
-@dataclass(frozen=True)
-class CompileOptions:
-    """User-facing knobs of one compilation.
-
-    ``copy_width_cap`` is an optional hook ``Copy -> Optional[int]`` limiting
-    the vector width considered for specific copies; the baseline/ablation
-    harnesses use it to emulate compilers with weaker layout systems.  Since
-    an arbitrary callable cannot be fingerprinted, setting it makes the
-    compile bypass the cache.
-    """
-
-    max_candidates: int = 256
-    copy_width_cap: Optional[Callable] = None
-
-    @property
-    def cacheable(self) -> bool:
-        return self.copy_width_cap is None
+__all__ = ["CompileRequest", "CompilationContext"]
 
 
 @dataclass
 class CompileRequest:
     """One unit of work for :func:`repro.pipeline.compile_many`.
 
-    ``arch``/``instructions``/``options`` default to the batch-level values
-    passed to ``compile_many`` when left unset.
+    ``arch``/``instructions``/``max_candidates``/``backend`` default to the
+    batch-level values passed to ``compile_many`` when left unset.
     """
 
     program: KernelProgram
     arch: Optional[object] = None  # anything accepted by sim.arch.get_arch
     instructions: Optional[InstructionSet] = None
-    options: Optional[CompileOptions] = None
+    max_candidates: Optional[int] = None
     # Codegen backend override (a repro.codegen.BACKENDS name or Backend
     # instance); None follows the resolved architecture's declared backend.
     backend: Optional[object] = None
@@ -64,7 +45,8 @@ class CompilationContext:
     program: KernelProgram
     arch: GpuArch
     instructions: InstructionSet
-    options: CompileOptions = field(default_factory=CompileOptions)
+    # Leaf budget of the instruction-selection search.
+    max_candidates: int = 256
     # The codegen target.  The driver stores the resolved
     # repro.codegen.Backend here; passes fall back to the architecture's
     # declared backend when a context is constructed directly with None.

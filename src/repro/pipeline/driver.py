@@ -1,11 +1,10 @@
 """Pipeline drivers: single compiles, cached replays and batch compiles.
 
-:func:`compile_program` is the canonical entry point of the refactored
-compiler: it resolves the architecture/instruction set, consults the
-compile cache, runs the passes (:func:`~repro.pipeline.passes.run_passes`),
-and packages the context into a :class:`~repro.compiler.CompiledKernel`.
-``repro.compiler.compile_kernel`` remains as a thin backward-compatible
-wrapper around it.
+:func:`compile_program` is the one compile entry point: it resolves the
+architecture/instruction set, consults the compile cache, runs the passes
+(:func:`~repro.pipeline.passes.run_passes`), and packages the context into a
+:class:`~repro.compiler.CompiledKernel`.  ``repro.compiler`` re-exports it
+as ``compile_kernel``.
 
 :func:`compile_many` batch-compiles a list of programs/requests in request
 order on the calling thread, each through :func:`compile_program`, so a
@@ -22,7 +21,7 @@ from typing import List, Optional, Sequence, Union
 from repro.instructions.registry import InstructionSet, instruction_set
 from repro.ir.graph import KernelProgram
 from repro.pipeline.cache import CacheEntry, CompileCache, compile_key, default_cache
-from repro.pipeline.context import CompilationContext, CompileOptions, CompileRequest
+from repro.pipeline.context import CompilationContext, CompileRequest
 from repro.pipeline.passes import run_passes
 from repro.sim.arch import DEFAULT_ARCH, get_arch
 
@@ -31,14 +30,6 @@ __all__ = ["compile_program", "compile_many"]
 
 def _source_digest(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def _build_options(options: Optional[CompileOptions], option_kwargs: dict) -> CompileOptions:
-    if options is None:
-        return CompileOptions(**option_kwargs)
-    if option_kwargs:
-        return replace(options, **option_kwargs)
-    return options
 
 
 def _finish(ctx: CompilationContext):
@@ -66,10 +57,9 @@ def compile_program(
     program: KernelProgram,
     arch=DEFAULT_ARCH,
     instructions: Optional[InstructionSet] = None,
-    options: Optional[CompileOptions] = None,
+    max_candidates: int = 256,
     cache: Optional[CompileCache] = None,
     backend=None,
-    **option_kwargs,
 ):
     """Run the pass pipeline on one tile program, consulting the cache.
 
@@ -77,32 +67,32 @@ def compile_program(
     ``"a100"``/``"h100"``/``"mi300"``/``"cpu-sim"`` names, SM numbers
     (``80``/``90``), or a :class:`GpuArch` — and defaults to
     :data:`repro.sim.arch.DEFAULT_ARCH` (``"a100"``), the same default as
-    ``compile_kernel`` and ``compile_many``.  ``backend`` overrides the
-    architecture's declared codegen backend (a ``repro.codegen.BACKENDS``
-    name or instance); the cache key includes the resolved backend, so the
-    same program compiled for different targets never shares entries.
-    Keyword compile options (``max_candidates``, ``copy_width_cap``) may be
-    given directly or bundled in an explicit :class:`CompileOptions`.
-    ``cache`` defaults to the process-wide :func:`default_cache`; pass a
-    fresh :class:`CompileCache` for an isolated compile.
+    ``compile_many``.  ``backend`` overrides the architecture's declared
+    codegen backend (a ``repro.codegen.BACKENDS`` name or instance); the
+    cache key includes the resolved backend, so the same program compiled
+    for different targets never shares entries.  ``max_candidates`` bounds
+    the leaves the instruction-selection search covers.  Per-copy width
+    caps are program data (``Copy.max_vector_bytes``), so a capped program
+    caches like any other.  ``cache`` defaults to the process-wide
+    :func:`default_cache`; pass a fresh :class:`CompileCache` for an
+    isolated compile.
     """
     from repro.codegen.backend import get_backend
 
     gpu = get_arch(arch)
     target = get_backend(backend if backend is not None else gpu.backend)
     iset = instructions or instruction_set(gpu.sm_arch)
-    opts = _build_options(options, option_kwargs)
     cache = cache if cache is not None else default_cache()
 
-    key = (
-        compile_key(program, gpu, iset, opts, backend=target.name)
-        if opts.cacheable
-        else None
-    )
+    key = compile_key(program, gpu, iset, max_candidates, backend=target.name)
     entry = cache.get(key)
 
     ctx = CompilationContext(
-        program=program, arch=gpu, instructions=iset, options=opts, backend=target
+        program=program,
+        arch=gpu,
+        instructions=iset,
+        max_candidates=max_candidates,
+        backend=target,
     )
     ctx.cache_key = key
 
@@ -127,7 +117,7 @@ def compile_program(
     # the full search: treat it as a miss so the stale entry is repaired.
     kernel = _finish(ctx)
 
-    if key is not None and not ctx.cache_hit:
+    if not ctx.cache_hit:
         cache.put(
             key,
             CacheEntry(
@@ -147,19 +137,19 @@ def _normalize_request(
     item: Union[CompileRequest, KernelProgram],
     arch,
     instructions: Optional[InstructionSet],
-    options: CompileOptions,
+    max_candidates: int,
     backend=None,
 ) -> CompileRequest:
-    if isinstance(item, CompileRequest):
-        return CompileRequest(
-            program=item.program,
-            arch=item.arch if item.arch is not None else arch,
-            instructions=item.instructions if item.instructions is not None else instructions,
-            options=item.options if item.options is not None else options,
-            backend=item.backend if item.backend is not None else backend,
-        )
+    if not isinstance(item, CompileRequest):
+        item = CompileRequest(program=item)
     return CompileRequest(
-        program=item, arch=arch, instructions=instructions, options=options, backend=backend
+        program=item.program,
+        arch=item.arch if item.arch is not None else arch,
+        instructions=item.instructions if item.instructions is not None else instructions,
+        max_candidates=(
+            item.max_candidates if item.max_candidates is not None else max_candidates
+        ),
+        backend=item.backend if item.backend is not None else backend,
     )
 
 
@@ -167,12 +157,11 @@ def compile_many(
     programs: Sequence[Union[CompileRequest, KernelProgram]],
     arch=DEFAULT_ARCH,
     instructions: Optional[InstructionSet] = None,
-    options: Optional[CompileOptions] = None,
+    max_candidates: int = 256,
     cache: Optional[CompileCache] = None,
     max_workers: Optional[int] = None,
     return_errors: bool = False,
     backend=None,
-    **option_kwargs,
 ) -> List[object]:
     """Batch-compile tile programs through the shared cache.
 
@@ -190,10 +179,10 @@ def compile_many(
     :meth:`CompileCache.deferred_writes` — single ``compile_program`` calls
     keep their immediate write-through semantics.
     """
-    opts = _build_options(options, option_kwargs)
     cache = cache if cache is not None else default_cache()
     requests = [
-        _normalize_request(item, arch, instructions, opts, backend) for item in programs
+        _normalize_request(item, arch, instructions, max_candidates, backend)
+        for item in programs
     ]
     results: List[object] = []
     with cache.deferred_writes():
@@ -204,7 +193,7 @@ def compile_many(
                         request.program,
                         arch=request.arch,
                         instructions=request.instructions,
-                        options=request.options,
+                        max_candidates=request.max_candidates,
                         cache=cache,
                         backend=request.backend,
                     )

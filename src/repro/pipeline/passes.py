@@ -1,7 +1,7 @@
 """The named passes of the Hexcute compilation pipeline (Fig. 6 c).
 
-The monolithic ``compile_kernel`` of the seed is decomposed into five
-passes, each reading/writing fields of a :class:`CompilationContext`:
+The compiler is decomposed into five passes, each reading/writing fields
+of a :class:`CompilationContext`:
 
 ==================== ==================================================== =
 pass                 produces
@@ -91,8 +91,7 @@ class InstructionSelectionPass(CompilerPass):
             ctx.program,
             ctx.tv_solution,
             ctx.instructions,
-            max_candidates=ctx.options.max_candidates,
-            copy_width_cap=ctx.options.copy_width_cap,
+            max_candidates=ctx.max_candidates,
             bank_params=backend.smem_bank_params(ctx.arch),
         )
         ctx.selector = selector

@@ -1,8 +1,8 @@
 """Table and figure-series formatting used by the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper; these helpers
-print the rows/series in a uniform, diff-friendly layout so EXPERIMENTS.md
-can record paper-vs-measured numbers side by side.
+Every benchmark regenerates one table or figure of the paper (see
+``docs/benchmarks.md``); these helpers print the rows/series in a uniform,
+diff-friendly layout, next to the paper's numbers.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from repro.kernels.mamba import ScanConfig, SelectiveScanOperator, build_selecti
 from repro.kernels.moe import MixedTypeMoeOperator, build_moe_gemm
 from repro.instructions.registry import instruction_set
 from repro.pipeline.cache import CompileCache, compile_key, default_cache
-from repro.pipeline.context import CompileOptions, CompileRequest
+from repro.pipeline.context import CompileRequest
 from repro.pipeline.driver import compile_many
 from repro.sim.arch import DEFAULT_EVAL_ARCH, get_arch
 
@@ -99,7 +99,8 @@ def moe_step_us(arch, config, batch: int, backend: str, cache=None) -> float:
     if backend == "marlin-old":
         return marlin_old_moe(arch, batch, config.moe_experts, config.moe_top_k, n, k).latency_us
     op = TritonMoeOperator(
-        arch=arch, num_experts=config.moe_experts, top_k=config.moe_top_k, n=n, k=k
+        arch=arch, num_experts=config.moe_experts, top_k=config.moe_top_k, n=n, k=k,
+        cache=cache,
     )
     return op.run(batch).latency_us
 
@@ -316,11 +317,11 @@ class StepLatencyModel:
         """The compile requests evaluation at each bucket will issue.
 
         Each request reproduces the exact ``(program, instruction set,
-        options)`` the corresponding operator submits, so its fingerprint
-        matches and the later evaluation compiles become cache replays.
-        Only compiled backends contribute; the library baselines are
-        analytical and the Triton MoE baseline compiles uncacheably (its
-        ``copy_width_cap`` hook cannot be fingerprinted).
+        max_candidates)`` the corresponding operator submits, so its
+        fingerprint matches and the later evaluation compiles become cache
+        replays.  Only the hexcute backend contributes; the library
+        baselines are analytical and the Triton baselines compile on first
+        lookup.
         """
         requests: List[CompileRequest] = []
         if backend != "hexcute":
@@ -338,8 +339,7 @@ class StepLatencyModel:
             op = AttentionOperator(arch=self.arch, mode="decoding")
             heads = max(1, config.num_heads // config.tensor_parallel)
             program = build_mha_decoding(config.kv_len, config.head_dim, heads, batch)
-            options = CompileOptions(max_candidates=op.max_candidates)
-            return [CompileRequest(program=program, arch=self.arch, options=options)]
+            return [CompileRequest(program, self.arch, max_candidates=op.max_candidates)]
         if name == "moe":
             n = config.moe_intermediate
             k = max(1, config.hidden_size // config.tensor_parallel)
@@ -349,14 +349,8 @@ class StepLatencyModel:
             routed = batch * op.top_k
             tokens_per_expert = max(1, ceil_div(routed, op.num_experts))
             program = build_moe_gemm(tokens_per_expert, op.n, op.k, dataflow=op.dataflow)
-            options = CompileOptions(max_candidates=op.max_candidates)
             return [
-                CompileRequest(
-                    program=program,
-                    arch=self.arch,
-                    instructions=op._instruction_set(),
-                    options=options,
-                )
+                CompileRequest(program, self.arch, op._instruction_set(), op.max_candidates)
             ]
         if name == "mamba_scan":
             op = SelectiveScanOperator(arch=self.arch)
@@ -365,8 +359,7 @@ class StepLatencyModel:
                 use_shared_stage=op.use_shared_stage, num_stages=op.num_stages
             )
             program = build_selective_scan(config.kv_len, d_inner, batch, scan_config)
-            options = CompileOptions(max_candidates=op.max_candidates)
-            return [CompileRequest(program=program, arch=self.arch, options=options)]
+            return [CompileRequest(program, self.arch, max_candidates=op.max_candidates)]
         if name == "ffn":
             m = max(batch, 16)
             n = max(256, config.ffn_intermediate // config.tensor_parallel)
@@ -375,7 +368,6 @@ class StepLatencyModel:
                 op = Fp8GemmOperator(arch=self.arch, max_tile_trials=2)
             else:
                 op = GemmOperator(arch=self.arch, max_tile_trials=2)
-            options = CompileOptions(max_candidates=op.max_candidates)
             requests = []
             for params in op.tile_candidates(m, n, k):
                 try:
@@ -383,7 +375,7 @@ class StepLatencyModel:
                 except (ValueError, RuntimeError):
                     continue  # infeasible tile; the autotune sweep records it
                 requests.append(
-                    CompileRequest(program=program, arch=self.arch, options=options)
+                    CompileRequest(program, self.arch, max_candidates=op.max_candidates)
                 )
             return requests
         raise KeyError(f"unknown operator class {name!r}")
@@ -425,7 +417,7 @@ class StepLatencyModel:
         for request in requests:
             iset = request.instructions or instruction_set(self.arch.sm_arch)
             key = compile_key(
-                request.program, self.arch, iset, request.options,
+                request.program, self.arch, iset, request.max_candidates,
                 backend=self.arch.backend,
             )
             if key in cache:

@@ -64,6 +64,10 @@ from repro.utils.inttuple import flatten
 
 __all__ = ["Candidate", "InstructionSelector", "SelectionError", "SelectionStats"]
 
+# Valid instructions each copy's menu keeps, widest first.
+MAX_CHOICES_PER_COPY = 3
+
+
 class SelectionError(Exception):
     """Raised when no valid candidate program exists (should not happen:
     the scalar fallback is always valid)."""
@@ -151,19 +155,12 @@ class InstructionSelector:
         tv_solution: TVSolution,
         instructions: InstructionSet,
         max_candidates: int = 256,
-        max_choices_per_copy: int = 3,
-        copy_width_cap=None,
         bank_params=None,
     ):
         self.program = program
         self.tv_solution = tv_solution
         self.instructions = instructions
         self.max_candidates = max_candidates
-        self.max_choices_per_copy = max_choices_per_copy
-        # Optional hook: copy -> max vector bytes (or None).  Used by the
-        # baselines/ablations to emulate compilers whose layout systems fall
-        # back to narrow accesses on specific tensors.
-        self.copy_width_cap = copy_width_cap
         # Target banking geometry for shared-memory synthesis (None keeps
         # the default NVIDIA 32x4 B banks); supplied per compile by the
         # codegen backend so rocm targets score conflicts over their own
@@ -236,9 +233,8 @@ class InstructionSelector:
         return list(menu)
 
     def _build_menu(self, copy: Copy) -> List[MemoryInstruction]:
-        cap = self.copy_width_cap(copy) if self.copy_width_cap is not None else None
         menu = self.instructions.copies(
-            copy.src.scope, copy.dst.scope, max_vector_bytes=cap
+            copy.src.scope, copy.dst.scope, max_vector_bytes=copy.max_vector_bytes
         )
         reg = copy.register_operand()
         reg_tv = reg.tv_layout if reg is not None else None
@@ -257,7 +253,7 @@ class InstructionSelector:
         if not valid:
             valid.append(self.instructions.scalar_copy(copy.src.scope, copy.dst.scope))
         # Keep the scalar fallback reachable even after truncation.
-        truncated = valid[: self.max_choices_per_copy]
+        truncated = valid[:MAX_CHOICES_PER_COPY]
         scalar = self.instructions.scalar_copy(copy.src.scope, copy.dst.scope)
         if scalar not in truncated:
             truncated.append(scalar)

@@ -18,6 +18,7 @@ from repro.baselines import (
 )
 from repro.e2e import DEEPSEEK_R1_AWQ, JAMBA_MINI, QWEN3_32B, decode_latency
 from repro.kernels import GemmOperator, MixedTypeMoeOperator, SelectiveScanOperator
+from repro.pipeline import CompileCache
 
 
 def test_library_rooflines_scale_with_work():
@@ -56,6 +57,15 @@ def test_moe_ordering_matches_paper():
     old = marlin_old_moe("h100", tokens)
     assert triton.latency_us > hexcute.latency_us
     assert old.latency_us > hexcute.latency_us
+
+
+def test_triton_moe_compiles_through_its_cache():
+    cache = CompileCache()
+    op = TritonMoeOperator(arch="h100", cache=cache)
+    first, second = op.run(16), op.run(16)
+    assert cache.stats.puts == 1 and cache.stats.replays == 1
+    assert second.kernels["moe"].cache_hit
+    assert first.latency_us == second.latency_us
 
 
 def test_scan_beats_library_baseline():

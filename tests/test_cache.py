@@ -7,7 +7,6 @@ from repro.compiler import compile_kernel
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm
 from repro.pipeline import (
     CompileCache,
-    CompileOptions,
     compile_key,
     program_fingerprint,
 )
@@ -17,6 +16,12 @@ from repro.instructions.registry import instruction_set
 
 def small_gemm(bm=64, bn=64, bk=32, k=64):
     return build_fp16_gemm(64, 64, k, GemmConfig(bm=bm, bn=bn, bk=bk))
+
+
+def capped(program, max_vector_bytes):
+    for copy in program.copies():
+        copy.max_vector_bytes = max_vector_bytes
+    return program
 
 
 # --------------------------------------------------------------------------- #
@@ -46,17 +51,19 @@ def test_fingerprint_stable_across_compilation():
 
 def test_compile_key_varies_with_arch_and_options():
     program = small_gemm()
-    iset80 = instruction_set(80)
-    opts = CompileOptions(max_candidates=4)
-    base = compile_key(program, get_arch("a100"), iset80, opts)
-    assert compile_key(program, get_arch("h100"), iset80, opts) != base
-    assert (
-        compile_key(program, get_arch("a100"), instruction_set(90), opts) != base
-    )
-    assert (
-        compile_key(program, get_arch("a100"), iset80, CompileOptions(max_candidates=8))
-        != base
-    )
+    a100, iset80 = get_arch("a100"), instruction_set(80)
+    base = compile_key(program, a100, iset80, 4)
+    assert compile_key(small_gemm(), a100, iset80, 4) == base
+    assert compile_key(program, get_arch("h100"), iset80, 4) != base
+    assert compile_key(program, a100, instruction_set(90), 4) != base
+    assert compile_key(program, a100, iset80, 8) != base
+    # A per-copy width cap is program content: it keys apart, per value.
+    one_capped = small_gemm()
+    one_capped.copies()[0].max_vector_bytes = 4
+    four = compile_key(one_capped, a100, iset80, 4)
+    assert four != base
+    one_capped.copies()[0].max_vector_bytes = 8
+    assert compile_key(one_capped, a100, iset80, 4) not in (base, four)
 
 
 # --------------------------------------------------------------------------- #
@@ -112,14 +119,24 @@ def test_arch_and_option_changes_miss():
     assert len(cache) == 3
 
 
-def test_uncacheable_options_bypass_the_cache():
+def test_capped_programs_cache_and_replay():
+    """A per-copy width cap is part of the program, so a capped compile is
+    put in the cache, an equivalent rebuilt capped program replays it, and
+    the uncapped rebuild misses under a different fingerprint."""
     cache = CompileCache()
-    compile_kernel(
-        small_gemm(), arch="a100", max_candidates=4, cache=cache,
-        copy_width_cap=lambda c: 4,
-    )
-    assert len(cache) == 0
-    assert cache.stats.uncacheable == 1
+    cold = compile_kernel(capped(small_gemm(), 4), arch="a100", max_candidates=4, cache=cache)
+    assert not cold.cache_hit and cache.stats.puts == 1
+
+    warm = compile_kernel(capped(small_gemm(), 4), arch="a100", max_candidates=4, cache=cache)
+    assert warm.cache_hit
+    assert cache.stats.puts == 1 and cache.stats.replays == 1
+    assert warm.source == cold.source and warm.latency_us == cold.latency_us
+    assert all(i.vector_bytes <= 4 for i in warm.candidate.assignment.values())
+
+    uncapped = compile_kernel(small_gemm(), arch="a100", max_candidates=4, cache=cache)
+    assert not uncapped.cache_hit and cache.stats.puts == 2
+    assert uncapped.fingerprint != cold.fingerprint
+    assert max(i.vector_bytes for i in uncapped.candidate.assignment.values()) > 4
 
 
 # --------------------------------------------------------------------------- #

@@ -23,18 +23,25 @@ def test_gemm_selects_wide_and_collective_instructions():
     assert len(compiled.candidate.smem_plans) == len(program.shared_tensors())
 
 
+def capped(program, max_vector_bytes):
+    for copy in program.copies():
+        copy.max_vector_bytes = max_vector_bytes
+    return program
+
+
 def test_width_cap_forces_narrow_instructions():
-    program = build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32))
-    compiled = compile_kernel(program, arch="a100", max_candidates=4,
-                              copy_width_cap=lambda c: 4)
+    program = capped(build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32)), 4)
+    compiled = compile_kernel(program, arch="a100", max_candidates=4)
     assert all(i.vector_bytes <= 4 for i in compiled.candidate.assignment.values())
 
 
 def test_narrow_instructions_are_slower():
     wide = compile_kernel(build_fp16_gemm(64, 64, 128, GemmConfig(bm=64, bn=64, bk=32)),
                           arch="a100", max_candidates=8)
-    narrow = compile_kernel(build_fp16_gemm(64, 64, 128, GemmConfig(bm=64, bn=64, bk=32)),
-                            arch="a100", max_candidates=8, copy_width_cap=lambda c: 2)
+    narrow = compile_kernel(
+        capped(build_fp16_gemm(64, 64, 128, GemmConfig(bm=64, bn=64, bk=32)), 2),
+        arch="a100", max_candidates=8,
+    )
     assert narrow.latency_us > wide.latency_us
 
 

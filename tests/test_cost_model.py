@@ -7,6 +7,12 @@ from repro.kernels.moe import build_moe_gemm
 from repro.synthesis import AnalyticalCostModel
 
 
+def capped(program, max_vector_bytes):
+    for copy in program.copies():
+        copy.max_vector_bytes = max_vector_bytes
+    return program
+
+
 def _compiled(num_stages=2):
     program = build_fp16_gemm(64, 64, 128, GemmConfig(bm=64, bn=64, bk=32, num_stages=num_stages))
     return compile_kernel(program, arch="a100", max_candidates=8)
@@ -44,17 +50,14 @@ def test_wider_instructions_cost_less():
     """The Table III/IV mechanism: narrower copies -> more invocations -> more cycles."""
     program = build_moe_gemm(16, 128, 256, dataflow="hexcute")
     wide = compile_kernel(program, arch="h100", max_candidates=4)
-    program_narrow = build_moe_gemm(16, 128, 256, dataflow="hexcute")
-    narrow = compile_kernel(
-        program_narrow, arch="h100", max_candidates=4, copy_width_cap=lambda c: 2
-    )
+    program_narrow = capped(build_moe_gemm(16, 128, 256, dataflow="hexcute"), 2)
+    narrow = compile_kernel(program_narrow, arch="h100", max_candidates=4)
     assert narrow.cost.memory_issue_cycles > wide.cost.memory_issue_cycles
 
 
 def test_scalar_fallback_cost_model_runs():
-    program = build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32))
-    kernel = compile_kernel(program, arch="a100", max_candidates=2,
-                            copy_width_cap=lambda c: 1)
+    program = capped(build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32)), 1)
+    kernel = compile_kernel(program, arch="a100", max_candidates=2)
     model = AnalyticalCostModel(kernel.program, kernel.candidate.assignment,
                                 kernel.candidate.conflict_factors)
     estimate = model.estimate()

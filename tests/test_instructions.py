@@ -48,6 +48,21 @@ def test_scalar_copy_always_exists():
     assert scalar.vector_bytes <= 4
 
 
+def test_narrowed_keeps_each_directions_narrowest_in_set_order():
+    """Every direction keeps a fallback under any cap (cp.async starts at
+    4 B), appended in instruction-set order, so the narrowed set and the
+    cache key built from it are the same in every process."""
+    iset = instruction_set(90)
+    assert [i.name for i in iset.narrowed(0).memory] == [
+        "ld.global.b8", "st.global.b8", "cp.async.ca.4", "ld.shared.b8", "st.shared.b8",
+    ]
+    two = iset.narrowed(2)
+    assert not any(i.collective or i.single_thread for i in two.memory)
+    assert [i.name for i in two.memory if i.vector_bytes > 2] == ["cp.async.ca.4"]
+    assert two.scalar_copy(Scope.GLOBAL, Scope.SHARED).name == "cp.async.ca.4"
+    assert two.mma == iset.mma
+
+
 def test_fastest_mma_selection():
     iset = instruction_set(90)
     fp16 = iset.fastest_mma(types.float16, types.float16, types.float32)

@@ -112,6 +112,22 @@ def test_scan_operator_instruction_cap_slows_it_down():
     assert slow.latency_us > fast.latency_us
 
 
+def test_capped_shared_stage_scan_keeps_the_cp_async_floor():
+    """A 2 B cap removes every cp.async, so the narrowed set keeps the 4 B
+    one as the global->shared fallback: the shared-stage scan compiles with
+    every other copy at most 2 B, and runs slower than the uncapped scan."""
+    fast = SelectiveScanOperator(arch="h100").run(1, 512, 256)
+    slow = SelectiveScanOperator(arch="h100", instruction_cap_bytes=2).run(1, 512, 256)
+    kernel = slow.kernels["scan"]
+    widths = {
+        (op.direction, kernel.candidate.assignment[op.op_id].vector_bytes)
+        for op in kernel.program.copies()
+    }
+    assert {width for direction, width in widths if direction == "G2S"} == {4}
+    assert all(width <= 2 for direction, width in widths if direction != "G2S")
+    assert slow.latency_us > fast.latency_us
+
+
 def test_fp8_operator_runs():
     result = Fp8GemmOperator(arch="h100", max_tile_trials=1, max_candidates=2).run(256, 256, 256)
     assert result.latency_us > 0

@@ -16,7 +16,6 @@ from repro.pipeline import (
     PASS_REGISTRY,
     CompilationContext,
     CompileCache,
-    CompileOptions,
     CodegenPass,
     InstructionSelectionPass,
     SmemSwizzlePass,
@@ -95,7 +94,7 @@ def test_partial_run_and_individual_passes():
         program=program,
         arch=gpu,
         instructions=instruction_set(gpu.sm_arch),
-        options=CompileOptions(max_candidates=4),
+        max_candidates=4,
     )
     TVSynthesisPass().run(ctx)
     assert ctx.tv_solution is not None and ctx.candidate is None
@@ -192,12 +191,6 @@ def test_autotune_compile_records_build_failures():
         autotune_compile(build, [{"bk": 64}], arch="a100", max_candidates=4, cache=CompileCache())
 
 
-def test_compile_program_accepts_explicit_options_object():
-    kernel = compile_program(
-        build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32)),
-        arch="a100",
-        options=CompileOptions(max_candidates=4),
-        cache=CompileCache(),
-    )
-    assert kernel.latency_us > 0
-    assert not kernel.cache_hit
+
+def test_compile_kernel_is_compile_program():
+    assert compile_kernel is compile_program
