@@ -18,6 +18,24 @@ provided:
   into the budget), with an FCFS aging escape so long prompts cannot
   starve.
 
+**Admission order is a static key.**  Every policy declares
+:meth:`Scheduler.queue_key`, a per-request key that never changes while
+the request waits: ``(arrival_ms, request_id)`` by default,
+``(slo_deadline_ms, request_id)`` for ``slo``.  Each replica keeps its
+waiting list sorted by that key at all times (arrivals, preemption
+victims and crash retries are inserted at their key; shedding keeps the
+survivors' order), so :meth:`Scheduler.select` receives the list in the
+policy's order and a key-ordered policy admits from its head — ``slo``'s
+earliest-deadline-first is the same head slice as ``fcfs``.  The key
+ends in ``request_id``, so it is unique and insertion reproduces a full
+sort exactly.  Writing a policy is therefore a key plus liveness hooks:
+``queue_key`` for the order, ``select`` to decide how much of the head
+to admit now (``max-batch`` defers; ``memory-aware`` reorders by a
+pool-dependent footprint that no static key can capture, so it keeps the
+arrival key and ranks inside ``select_memory``), ``next_event_ms`` for
+time-based deferrals and ``preempt_order`` for victims.  A policy that
+reads ``waiting[0]`` as the oldest request must keep the arrival key.
+
 Policies also expose two hooks the engine drives:
 
 * :meth:`Scheduler.select_memory` — admission with a
@@ -49,7 +67,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Type, Union
+from typing import Dict, List, Tuple, Type, Union
 
 from repro.serving.memory import KvMemoryView
 from repro.serving.workload import Request
@@ -86,6 +104,15 @@ class Scheduler:
 
     name = "base"
 
+    def queue_key(self, request: Request) -> Tuple:
+        """The key the engine keeps ``waiting`` sorted by (smallest first).
+
+        It must be static for as long as the request waits and end in
+        ``request_id`` (unique keys make insertion equal a full sort).
+        The default is arrival order, ``(arrival_ms, request_id)``.
+        """
+        return (request.arrival_ms, request.request_id)
+
     def select(
         self,
         waiting: List[Request],
@@ -96,11 +123,13 @@ class Scheduler:
     ) -> List[Request]:
         """The subset of ``waiting`` to admit this step.
 
-        ``waiting`` is sorted by ``(arrival_ms, request_id)``; ``running``
-        is the current batch occupancy, ``free_slots`` how many requests
-        may be admitted, and ``more_arrivals`` whether any request has yet
-        to arrive (so a policy can distinguish "wait for more traffic" from
-        "this is all the traffic there will ever be").
+        ``waiting`` is sorted by :meth:`queue_key`, so a policy that
+        admits in its own key order takes a head slice; ``running`` is
+        the current batch occupancy, ``free_slots`` how many requests may
+        be admitted (none when it is ``<= 0``), and ``more_arrivals``
+        whether any request has yet to arrive (so a policy can
+        distinguish "wait for more traffic" from "this is all the traffic
+        there will ever be").
         """
         raise NotImplementedError
 
@@ -164,7 +193,7 @@ class FcfsScheduler(Scheduler):
     name = "fcfs"
 
     def select(self, waiting, running, free_slots, now_ms, more_arrivals):
-        return list(waiting[:free_slots])
+        return list(waiting[: max(free_slots, 0)])
 
 
 class SloScheduler(Scheduler):
@@ -172,14 +201,11 @@ class SloScheduler(Scheduler):
 
     name = "slo"
 
-    def select(self, waiting, running, free_slots, now_ms, more_arrivals):
-        if free_slots <= 0:
-            return []
-        # nsmallest == sorted(...)[:free_slots] (the key is unique per
-        # request), without sorting a deep backlog to admit a handful.
-        return heapq.nsmallest(
-            free_slots, waiting, key=lambda r: (r.slo_deadline_ms, r.request_id)
-        )
+    def queue_key(self, request):
+        return (request.slo_deadline_ms, request.request_id)
+
+    # ``waiting`` arrives in deadline order: EDF is its head slice.
+    select = FcfsScheduler.select
 
     def preempt_order(self, running, now_ms):
         # The mirror of EDF admission: sacrifice the slackest deadline first.
@@ -248,8 +274,7 @@ class MemoryAwareScheduler(Scheduler):
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self.max_wait_ms = max_wait_ms
 
-    def select(self, waiting, running, free_slots, now_ms, more_arrivals):
-        return list(waiting[:free_slots])
+    select = FcfsScheduler.select
 
     def select_memory(self, waiting, running, free_slots, now_ms, more_arrivals, memory):
         if not waiting or free_slots <= 0:

@@ -3,9 +3,10 @@
 :class:`ServingSimulator` plays a workload of :class:`Request`\\ s through a
 discrete-event loop modelled on vLLM's engine step:
 
-1. admit every request whose arrival time has passed into the waiting set
-   (when the engine is fully idle, simulated time jumps to the next
-   arrival);
+1. admit every request whose arrival time has passed into the waiting set,
+   which stays sorted by the scheduler's
+   :meth:`~repro.serving.scheduler.Scheduler.queue_key` (when the engine
+   is fully idle, simulated time jumps to the next arrival);
 2. grow every running request's KV holding by the token it is about to
    decode; if the pool cannot cover the growth, running requests are
    **preempted** back to the waiting queue in the scheduler's
@@ -74,8 +75,8 @@ __all__ = ["ReplicaEngine", "ServingSimulator", "simulate"]
 
 
 def _arrival_key(request: Request):
-    """The waiting-order key: unique per request, so any insertion that
-    respects it reproduces a full re-sort exactly."""
+    """Arrival order, unique per request: the order requests join the
+    running batch in and a crash hands its lost requests back in."""
     return (request.arrival_ms, request.request_id)
 
 
@@ -221,15 +222,16 @@ class ReplicaEngine:
         for request in requests:
             self._reserve(request)
         self.queue = RequestQueue(requests)
-        # ``waiting`` is maintained sorted by (arrival_ms, request_id) at
-        # all times — arrivals append (the queue pops in exactly that
-        # order, so each popped batch compares above everything popped
-        # before it) and preemption readmits bisect back in.  The key is
-        # unique per request, so this order is bit-identical to the full
-        # re-sort the engine used to run every iteration.
-        # ``_waiting_reqs`` mirrors it as bare Requests: the scheduler
-        # wants List[Request] every step, and rebuilding that view per
-        # step is O(backlog) — the dominant cost under deep queues.
+        # ``waiting`` is maintained sorted by the scheduler's static
+        # ``queue_key`` at all times (see :meth:`_enqueue`; shedding keeps
+        # the survivors' order and admission splits off the head), so the
+        # scheduler admits from the head instead of scanning the backlog.
+        # The key is unique per request, so this order is bit-identical to
+        # a full sort.  ``_waiting_reqs`` mirrors it as bare Requests: the
+        # scheduler wants List[Request] every step, and rebuilding that
+        # view per step is O(backlog) — the dominant cost under deep
+        # queues.
+        self._queue_key = sim.scheduler.queue_key
         self.waiting: List[_ActiveRequest] = []
         self._waiting_reqs: List[Request] = []
         self.running: List[_ActiveRequest] = []
@@ -397,6 +399,26 @@ class ReplicaEngine:
         return self.prefix_store.resident_tokens()
 
     # ------------------------------------------------------------------ #
+    def _enqueue(self, state: _ActiveRequest) -> None:
+        """Insert ``state`` into ``waiting`` at its scheduler key.
+
+        The one insertion path for arrivals, crash retries and preemption
+        victims.  Keys mostly grow with arrival time, so the common case
+        appends past the tail; anything keyed below the tail (a tighter
+        deadline, an early-arrival retry, a victim) bisects in.
+        """
+        key = self._queue_key
+        waiting_reqs = self._waiting_reqs
+        request = state.request
+        k = key(request)
+        if not waiting_reqs or k > key(waiting_reqs[-1]):
+            self.waiting.append(state)
+            waiting_reqs.append(request)
+        else:
+            index = bisect_left(waiting_reqs, k, key=key)
+            self.waiting.insert(index, state)
+            waiting_reqs.insert(index, request)
+
     def _grow_running(self) -> None:
         """Allocate each running request's next decode token, preempting
         (scheduler-ordered, recompute-on-readmit) until the rest fit.
@@ -479,7 +501,6 @@ class ReplicaEngine:
             # Victims release before any survivor grows: a survivor's
             # growth may only fit *because* a victim later in batch order
             # is being evicted.
-            waiting, waiting_reqs = self.waiting, self._waiting_reqs
             survivors: List[_ActiveRequest] = []
             for state in running:
                 if state.request.request_id in victims:
@@ -494,11 +515,7 @@ class ReplicaEngine:
                     state.tokens_done = 0
                     state.admitted_ms = -1.0
                     state.blocks_held = 0
-                    index = bisect_left(
-                        waiting_reqs, _arrival_key(state.request), key=_arrival_key
-                    )
-                    waiting.insert(index, state)
-                    waiting_reqs.insert(index, state.request)
+                    self._enqueue(state)
                 else:
                     survivors.append(state)
             self.running = running = survivors
@@ -527,25 +544,8 @@ class ReplicaEngine:
         waiting = self.waiting
         waiting_reqs = self._waiting_reqs
 
-        arrived = self.queue.pop_arrived(self.now)
-        if arrived:
-            # The queue pops in (arrival_ms, request_id) order with a
-            # monotone frontier, so this batch normally compares above
-            # everything already in ``waiting`` (earlier pops and
-            # preemption readmits of earlier pops) and appending
-            # preserves the sorted invariant with no re-sort.  The one
-            # exception is a crash retry: a request lost on another
-            # replica re-enters routing with its *original* arrival time,
-            # which may precede keys already popped here — bisect the
-            # batch in instead (only ever taken under injected faults).
-            if waiting_reqs and _arrival_key(arrived[0]) < _arrival_key(waiting_reqs[-1]):
-                for r in arrived:
-                    index = bisect_left(waiting_reqs, _arrival_key(r), key=_arrival_key)
-                    waiting.insert(index, _ActiveRequest(r))
-                    waiting_reqs.insert(index, r)
-            else:
-                waiting.extend(_ActiveRequest(r) for r in arrived)
-                waiting_reqs.extend(arrived)
+        for r in self.queue.pop_arrived(self.now):
+            self._enqueue(_ActiveRequest(r))
 
         if self._has_deadlines and waiting_reqs:
             # Deadline-driven load shedding: a request still waiting past
@@ -617,7 +617,8 @@ class ReplicaEngine:
                 waiting_reqs[i].request_id in admitted_ids for i in range(count)
             ):
                 # The admitted set is exactly the head of the queue (always
-                # true for fcfs/max-batch and the memory-prefix base policy)
+                # true for a policy that admits in its own key order, like
+                # fcfs/slo/max-batch under the memory-prefix base policy)
                 # — split off the prefix instead of rebuilding both mirrors.
                 joining = waiting[:count]
                 del waiting[:count]
@@ -628,6 +629,10 @@ class ReplicaEngine:
                     s for s in waiting if s.request.request_id not in admitted_ids
                 ]
                 self._waiting_reqs = waiting_reqs = [s.request for s in waiting]
+            # Join in arrival order whatever the admission key: the order
+            # of ``running`` decides the order of prefix acquires and of
+            # ensure_free evictions, here and in every later step.
+            joining.sort(key=lambda s: _arrival_key(s.request))
             for state in joining:
                 if state.scheduled_ms < 0:
                     state.scheduled_ms = self.now

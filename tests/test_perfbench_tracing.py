@@ -15,6 +15,7 @@ from pathlib import Path
 
 import repro.serving.step_model as step_model
 from repro.codegen import BACKENDS
+from repro.serving import SCHEDULERS
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,6 +35,10 @@ def test_instrument_then_close_restores_every_wrapped_attribute():
         wrapped = {(owner, attr) for owner, attr, _ in patched}
         for backend in BACKENDS.values():
             assert (type(backend), "emit") in wrapped
+        # The per-layer select metrics need a ``select`` in every
+        # registered policy's own class body.
+        for cls in SCHEDULERS.values():
+            assert (cls, "select") in wrapped
         assert (step_model, "compile_key") in wrapped
         for owner, attr, original in patched:
             assert owner.__dict__[attr] is not original, f"{owner}.{attr} not wrapped"

@@ -158,10 +158,43 @@ def test_fcfs_admits_in_arrival_order():
 
 
 def test_slo_scheduler_prefers_tight_deadlines():
-    # Request 1 arrived later but its deadline is much earlier.
-    waiting = [_request(0, 0.0, slo=50_000.0), _request(1, 1.0, slo=1_000.0)]
-    picked = SloScheduler().select(waiting, running=0, free_slots=1, now_ms=5.0, more_arrivals=True)
+    # Request 1 arrived later but its deadline is much earlier.  ``select``
+    # receives ``waiting`` sorted by the policy's own key, as the engine
+    # keeps it.
+    scheduler = SloScheduler()
+    waiting = sorted(
+        [_request(0, 0.0, slo=50_000.0), _request(1, 1.0, slo=1_000.0)],
+        key=scheduler.queue_key,
+    )
+    picked = scheduler.select(waiting, running=0, free_slots=1, now_ms=5.0, more_arrivals=True)
     assert [r.request_id for r in picked] == [1]
+
+
+def test_slo_engine_schedules_tight_deadline_first():
+    """The engine keeps ``waiting`` in deadline order: with one slot held
+    by r0, the tight-SLO r2 that arrives last is scheduled before r1."""
+    requests = [
+        dataclasses.replace(_request(0, 0.0), output_tokens=400),  # decodes for ~8 ms
+        _request(1, 1.0, slo=50_000.0),
+        _request(2, 2.0, slo=1_000.0),
+    ]
+    sim = ServingSimulator(TINY_DENSE, scheduler="slo", arch="a100", max_batch_size=1)
+    report = sim.simulate(requests)
+    scheduled = {m.request_id: m.scheduled_ms for m in report.requests}
+    assert scheduled[0] == 0.0 and scheduled[1] > 2.0
+    assert scheduled[2] < scheduled[1]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_no_free_slot_admits_nothing(name):
+    # A negative count is no slice end: ``waiting[:-2]`` is nearly the whole queue.
+    waiting = [_request(i, float(i)) for i in range(5)]
+    scheduler = get_scheduler(name)
+    for free_slots in (0, -2):
+        for more_arrivals in (True, False):
+            args = (waiting, 4, free_slots, 1e6, more_arrivals)
+            assert scheduler.select(*args) == []
+            assert scheduler.select_memory(*args, _view(1000)) == []
 
 
 def test_max_batch_defers_until_full_or_final():
