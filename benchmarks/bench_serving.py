@@ -211,11 +211,11 @@ def play(cell: Cell, failures: List[str]):
     cell's own checks."""
     requests = cell.workload()
     report = simulate(cell, requests)
-    replayed = cell.workload()
+    regenerated = cell.workload()
     where = f"{report.label()} ({cell.label})"
-    if replayed != requests:
+    if regenerated != requests:
         failures.append(f"workload generation is nondeterministic: {where}")
-    if simulate(cell, replayed).digest() != report.digest():
+    if simulate(cell, regenerated).digest() != report.digest():
         failures.append(f"nondeterministic serve: {where}")
     served = report.num_requests + report.shed
     if served != len(requests):

@@ -128,9 +128,7 @@ def autotune_compile(
     build_program: Callable[[Dict], object],
     candidates: Iterable[Dict],
     arch=DEFAULT_ARCH,
-    instructions=None,
     cache=None,
-    backend=None,
     max_candidates: int = 256,
 ) -> TuneResult:
     """Batch-compile a tile sweep through the pipeline and keep the fastest.
@@ -138,9 +136,9 @@ def autotune_compile(
     ``build_program`` maps a candidate parameter dict to a
     :class:`KernelProgram`; the built programs are compiled together via
     :func:`repro.pipeline.compile_many` (in order, repeats replayed from
-    the compile cache).  ``backend`` overrides the architecture's declared
-    codegen backend for the whole sweep.  Build or compile failures become
-    infeasible trials carrying their exception message.
+    the compile cache) for ``arch`` and its declared codegen backend.  Build
+    or compile failures become infeasible trials carrying their exception
+    message.
     """
     from repro.pipeline.driver import compile_many
 
@@ -161,10 +159,8 @@ def autotune_compile(
     outcomes = compile_many(
         programs,
         arch=arch,
-        instructions=instructions,
         cache=cache,
         return_errors=True,
-        backend=backend,
         max_candidates=max_candidates,
     )
     for index, outcome in zip(indices, outcomes):

@@ -92,15 +92,6 @@ class MemoryInstruction:
         elems = int(self.vector_bytes * 8 // dtype.bits)
         return max(1, elems)
 
-    def bytes_per_warp(self) -> int:
-        return self.vector_bytes * 32
-
-    def is_vectorized(self) -> bool:
-        return self.vector_bytes > 4
-
-    def is_scalar(self) -> bool:
-        return self.vector_bytes <= 4 and not self.collective
-
     def __repr__(self) -> str:
         return f"{self.name}[{self.direction}, {self.vector_bytes}B/thread]"
 

@@ -286,9 +286,6 @@ class InstructionSet:
             )
         return matches[0]
 
-    def supports_tma(self) -> bool:
-        return self.arch >= 90
-
     def by_name(self, name: str):
         for instr in self.memory + self.mma:
             if instr.name == name:

@@ -246,6 +246,10 @@ class Rearrange(Operation):
         super().__init__([src], [dst], **kwargs)
         self.src = src
         self.dst = dst
+        # Set by TV synthesis on the rearranges it inserts to resolve layout
+        # conflicts: the compile cache's fingerprint skips them, and a later
+        # synthesis of the same program removes them first.
+        self.inserted = False
 
     def moves_bytes(self) -> float:
         # Round trip through shared memory: write + read.

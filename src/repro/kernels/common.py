@@ -9,7 +9,6 @@ reports the simulated latency along with the metrics the paper tabulates
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -46,12 +45,6 @@ class OperatorResult:
             return 0.0
         return self.flops / (self.latency_us * 1e-6) / 1e12
 
-    @property
-    def gbps(self) -> float:
-        if self.latency_us <= 0:
-            return 0.0
-        return self.bytes_moved / (self.latency_us * 1e-6) / 1e9
-
     def speedup_over(self, other: "OperatorResult") -> float:
         return other.latency_us / self.latency_us
 
@@ -60,10 +53,3 @@ class OperatorResult:
         for kernel in self.kernels.values():
             merged.update(kernel.bytes_per_instruction())
         return merged
-
-
-def geometric_mean(values) -> float:
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))

@@ -238,9 +238,6 @@ class TVLayout:
             for v in range(self.values_per_thread)
         }
 
-    def bytes_per_thread(self, element_bits: int) -> int:
-        return self.values_per_thread * element_bits // 8
-
     def __hash__(self) -> int:
         # Structural hash with per-instance caching (TV layouts participate
         # in the memoized layout algebra and in instruction hashing, where

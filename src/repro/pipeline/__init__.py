@@ -1,10 +1,10 @@
 """The pass-based compilation pipeline.
 
-The Fig. 6(c) compiler is organized as named passes over an explicit
-:class:`CompilationContext`, with a content-addressed compile cache and a
-batch driver layered on top:
+The Fig. 6(c) compiler is organized as named passes that fill one
+:class:`CompiledKernel` record per compile, with a content-addressed compile
+cache and a batch driver layered on top:
 
-* :mod:`repro.pipeline.context` — ``CompilationContext`` / ``CompileRequest``;
+* :mod:`repro.pipeline.context` — ``CompiledKernel`` / ``CompileRequest``;
 * :mod:`repro.pipeline.passes` — the five passes and ``run_passes``;
 * :mod:`repro.pipeline.cache` — fingerprints, the LRU + on-disk store;
 * :mod:`repro.pipeline.driver` — ``compile_program`` (the one compile entry
@@ -20,7 +20,7 @@ from repro.pipeline.cache import (
     default_cache,
     program_fingerprint,
 )
-from repro.pipeline.context import CompilationContext, CompileRequest
+from repro.pipeline.context import CompiledKernel, CompileRequest
 from repro.pipeline.driver import compile_many, compile_program
 from repro.pipeline.passes import (
     PASS_REGISTRY,
@@ -37,7 +37,7 @@ __all__ = [
     "CacheEntry",
     "CacheStats",
     "CompileCache",
-    "CompilationContext",
+    "CompiledKernel",
     "CompileRequest",
     "CompilerPass",
     "CodegenPass",

@@ -8,13 +8,14 @@ independently built but identical programs (whose global
 any change to shapes, dtypes, layouts, annotations, per-copy width caps,
 trip counts or launch configuration changes it.
 Synthesized artifacts (thread-value layouts, shared-memory layouts,
-swizzles, selected instructions) are deliberately excluded so a program's
-fingerprint is the same before and after it has been compiled.
+swizzles, selected instructions, and the rearranges TV synthesis inserts)
+are deliberately excluded so a program's fingerprint is the same before
+and after it has been compiled.
 
 The cache itself is a thread-safe in-memory LRU with an optional on-disk
-JSON store.  An entry records the winning instruction assignment in a
-serializable form plus result metadata; in-memory entries additionally pin
-the full :class:`CompiledKernel`.  On a hit the driver either returns the
+JSON store.  An entry records only its key and the winning instruction
+assignment in a serializable form; in-memory entries additionally pin the
+full :class:`CompiledKernel`.  On a hit the driver either returns the
 pinned kernel directly (same program object, already carrying its
 synthesized layouts) or *replays* the cached assignment through the pass
 pipeline — evaluating a single candidate instead of searching — which
@@ -37,8 +38,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.instructions.registry import InstructionSet
 from repro.ir.graph import KernelProgram
-from repro.ir.ops import Copy, Elementwise, Fill, Reduce
+from repro.ir.ops import Copy, Elementwise, Fill, Rearrange, Reduce
 from repro.ir.tensor import Scope, TileTensor
+from repro.pipeline.context import CompiledKernel
 from repro.sim.arch import GpuArch
 
 __all__ = [
@@ -88,11 +90,11 @@ def _tensor_token(tensor: TileTensor, local_ids: Dict[int, int]) -> list:
     return token
 
 
-def _op_token(op, local_ids: Dict[int, int]) -> list:
+def _op_token(op, local_ids: Dict[int, int], replaced: Dict[int, TileTensor]) -> list:
     token = [
         op.op_name,
-        [_tensor_token(t, local_ids) for t in op.inputs],
-        [_tensor_token(t, local_ids) for t in op.outputs],
+        [_tensor_token(replaced.get(t.tensor_id, t), local_ids) for t in op.inputs],
+        [_tensor_token(replaced.get(t.tensor_id, t), local_ids) for t in op.outputs],
         op.trips,
         op.stage,
     ]
@@ -112,6 +114,15 @@ def _op_token(op, local_ids: Dict[int, int]) -> list:
 
 def _program_token(program: KernelProgram) -> list:
     local_ids: Dict[int, int] = {}
+    # Rearranges inserted by TV synthesis are compile artifacts: skip them
+    # and read each operand they rewired as the tensor it replaced.
+    replaced: Dict[int, TileTensor] = {}
+    ops = []
+    for op in program.operations:
+        if isinstance(op, Rearrange) and op.inserted:
+            replaced[op.dst.tensor_id] = replaced.get(op.src.tensor_id, op.src)
+        else:
+            ops.append(_op_token(op, local_ids, replaced))
     return [
         program.name,
         program.num_threads,
@@ -119,7 +130,7 @@ def _program_token(program: KernelProgram) -> list:
         program.num_stages,
         program.warp_specialized,
         program.unique_global_bytes,
-        [_op_token(op, local_ids) for op in program.operations],
+        ops,
     ]
 
 
@@ -181,33 +192,17 @@ class CacheEntry:
     """
 
     key: str
-    program_name: str
     assignment: List[Tuple[str, str, int]]
-    latency_us: float
-    source_digest: str
-    pass_stats: Dict[str, float] = field(default_factory=dict)
-    kernel: Optional[object] = field(default=None, repr=False, compare=False)
+    kernel: Optional[CompiledKernel] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
-        return {
-            "key": self.key,
-            "program_name": self.program_name,
-            "assignment": [list(triple) for triple in self.assignment],
-            "latency_us": self.latency_us,
-            "source_digest": self.source_digest,
-            "pass_stats": dict(self.pass_stats),
-        }
+        return {"key": self.key, "assignment": [list(triple) for triple in self.assignment]}
 
     @classmethod
     def from_json(cls, record: dict) -> "CacheEntry":
-        return cls(
-            key=record["key"],
-            program_name=record["program_name"],
-            assignment=[tuple(triple) for triple in record["assignment"]],
-            latency_us=record["latency_us"],
-            source_digest=record["source_digest"],
-            pass_stats=dict(record.get("pass_stats", {})),
-        )
+        # Records may carry other fields (older stores wrote result
+        # metadata); only the key and the assignment are read.
+        return cls(record["key"], [tuple(triple) for triple in record["assignment"]])
 
 
 @dataclass
@@ -339,8 +334,8 @@ class CompileCache:
     # ------------------------------------------------------------------ #
     # Disk persistence
     # ------------------------------------------------------------------ #
-    def save_disk(self, path: Optional[str] = None) -> str:
-        path = path or self.disk_path
+    def save_disk(self) -> str:
+        path = self.disk_path
         if path is None:
             raise ValueError("no disk path configured for this cache")
         directory = os.path.dirname(os.path.abspath(path))
@@ -359,8 +354,7 @@ class CompileCache:
                 }
                 # Cleared at snapshot time: a put racing past this point
                 # re-marks dirty and triggers its own write.
-                if path == self.disk_path:
-                    self._dirty = False
+                self._dirty = False
             try:
                 with open(tmp_path, "w", encoding="utf-8") as handle:
                     json.dump(payload, handle, indent=0)
@@ -368,21 +362,20 @@ class CompileCache:
             except BaseException:
                 # The snapshot never reached disk: re-mark dirty so a retry
                 # flush() does not silently no-op on a "clean" cache.
-                if path == self.disk_path:
-                    with self._lock:
-                        self._dirty = True
+                with self._lock:
+                    self._dirty = True
                 raise
             with self._lock:
                 self.disk_writes += 1
         return path
 
-    def load_disk(self, path: Optional[str] = None) -> int:
-        """Merge entries from a JSON store; returns how many were loaded.
+    def load_disk(self) -> int:
+        """Merge entries from the JSON store; returns how many were loaded.
 
         The store is a best-effort cache: a corrupt or unreadable file (or
         unknown format version) degrades to a cold cache instead of failing
         the compile that tried to warm up from it."""
-        path = path or self.disk_path
+        path = self.disk_path
         if path is None:
             raise ValueError("no disk path configured for this cache")
         try:

@@ -2,9 +2,9 @@
 
 :func:`compile_program` is the one compile entry point: it resolves the
 architecture/instruction set, consults the compile cache, runs the passes
-(:func:`~repro.pipeline.passes.run_passes`), and packages the context into a
-:class:`~repro.compiler.CompiledKernel`.  ``repro.compiler`` re-exports it
-as ``compile_kernel``.
+(:func:`~repro.pipeline.passes.run_passes`) over a fresh
+:class:`~repro.pipeline.context.CompiledKernel`, and returns that record.
+``repro.compiler`` re-exports it as ``compile_kernel``.
 
 :func:`compile_many` batch-compiles a list of programs/requests in request
 order on the calling thread, each through :func:`compile_program`, so a
@@ -14,43 +14,17 @@ repeated request is a cache hit — the substrate of the autotuning sweep in
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
 from typing import List, Optional, Sequence, Union
 
 from repro.instructions.registry import InstructionSet, instruction_set
 from repro.ir.graph import KernelProgram
 from repro.pipeline.cache import CacheEntry, CompileCache, compile_key, default_cache
-from repro.pipeline.context import CompilationContext, CompileRequest
+from repro.pipeline.context import CompiledKernel, CompileRequest
 from repro.pipeline.passes import run_passes
 from repro.sim.arch import DEFAULT_ARCH, get_arch
 
 __all__ = ["compile_program", "compile_many"]
-
-
-def _source_digest(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def _finish(ctx: CompilationContext):
-    """Package a fully-run context into a CompiledKernel."""
-    from repro.compiler import CompiledKernel
-
-    return CompiledKernel(
-        program=ctx.program,
-        arch=ctx.arch,
-        tv_solution=ctx.tv_solution,
-        candidate=ctx.candidate,
-        cost=ctx.cost,
-        timing=ctx.timing,
-        source=ctx.source,
-        candidates_explored=ctx.candidates_explored,
-        leaves_pruned=ctx.leaves_pruned,
-        subproblems_memoized=ctx.subproblems_memoized,
-        pass_stats=dict(ctx.pass_stats),
-        cache_hit=ctx.cache_hit,
-        fingerprint=ctx.cache_key,
-    )
 
 
 def compile_program(
@@ -60,7 +34,7 @@ def compile_program(
     max_candidates: int = 256,
     cache: Optional[CompileCache] = None,
     backend=None,
-):
+) -> CompiledKernel:
     """Run the pass pipeline on one tile program, consulting the cache.
 
     ``arch`` accepts anything :func:`repro.sim.arch.get_arch` does —
@@ -86,50 +60,34 @@ def compile_program(
 
     key = compile_key(program, gpu, iset, max_candidates, backend=target.name)
     entry = cache.get(key)
+    # Same program object, already carrying its synthesized layouts and
+    # instructions: the pinned kernel *is* the answer.  pass_stats is
+    # emptied per the CompiledKernel contract: no passes ran for this
+    # result, so compile_seconds() must not re-report the cold search.
+    if entry is not None and entry.kernel is not None and entry.kernel.program is program:
+        return replace(entry.kernel, cache_hit=True, pass_stats={})
 
-    ctx = CompilationContext(
+    kernel = CompiledKernel(
         program=program,
         arch=gpu,
         instructions=iset,
         max_candidates=max_candidates,
         backend=target,
-    )
-    ctx.cache_key = key
-
-    if entry is not None:
-        # Same program object, already carrying its synthesized layouts and
-        # instructions: the pinned kernel *is* the answer.  pass_stats is
-        # emptied per the CompiledKernel contract: no passes ran for this
-        # result, so compile_seconds() must not re-report the cold search.
-        if entry.kernel is not None and entry.kernel.program is program:
-            return replace(entry.kernel, cache_hit=True, pass_stats={})
         # Equivalent program: replay the cached winning assignment through
         # the pipeline.  All passes run (so the new program gets identical
         # layouts installed), but instruction selection evaluates exactly
         # one candidate instead of searching.
-        ctx.seed_assignment = entry.assignment
-
-    run_passes(ctx)
-    if ctx.replayed:
-        ctx.cache_hit = True
+        seed_assignment=entry.assignment if entry is not None else None,
+        fingerprint=key,
+    )
+    run_passes(kernel)
+    if kernel.cache_hit:
         cache.note_replay()
-    # A seed that failed to resolve (e.g. a damaged disk entry) fell back to
-    # the full search: treat it as a miss so the stale entry is repaired.
-    kernel = _finish(ctx)
-
-    if not ctx.cache_hit:
-        cache.put(
-            key,
-            CacheEntry(
-                key=key,
-                program_name=program.name,
-                assignment=ctx.candidate.named_assignment(program),
-                latency_us=kernel.latency_us,
-                source_digest=_source_digest(kernel.source),
-                pass_stats=dict(ctx.pass_stats),
-                kernel=kernel,
-            ),
-        )
+    else:
+        # A miss, or a seed that failed to resolve (e.g. a damaged disk
+        # entry) and fell back to the full search: store the fresh result so
+        # a stale entry is repaired.
+        cache.put(key, CacheEntry(key, kernel.candidate.named_assignment(program), kernel))
     return kernel
 
 

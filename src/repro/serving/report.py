@@ -80,11 +80,6 @@ class RequestMetrics:
         return self.first_token_ms - self.arrival_ms
 
     @property
-    def queue_ms(self) -> float:
-        """Time spent waiting before first being scheduled."""
-        return self.scheduled_ms - self.arrival_ms
-
-    @property
     def slo_met(self) -> bool:
         return self.latency_ms <= self.slo_ms
 

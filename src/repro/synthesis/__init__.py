@@ -20,7 +20,6 @@ from repro.synthesis.tv_solver import (
     TVSynthesisError,
     TVSolution,
     ThreadValueSolver,
-    synthesize_tv_layouts,
 )
 from repro.synthesis.smem_solver import (
     CopyAccess,
@@ -65,7 +64,6 @@ __all__ = [
     "TVSynthesisError",
     "TVSolution",
     "ThreadValueSolver",
-    "synthesize_tv_layouts",
     "CopyAccess",
     "SmemBankParams",
     "SmemPlan",

@@ -123,10 +123,6 @@ class OperationCost:
     end_issue_cycle: float = 0.0
     complete_cycle: float = 0.0
 
-    @property
-    def total_issue(self) -> float:
-        return self.issue_cycles * self.op.trips
-
 
 @dataclass
 class CostBreakdown:
@@ -138,9 +134,6 @@ class CostBreakdown:
     memory_issue_cycles: float
     compute_issue_cycles: float
     per_op: List[OperationCost] = field(default_factory=list)
-
-    def dominant_class(self) -> str:
-        return "memory" if self.memory_issue_cycles >= self.compute_issue_cycles else "compute"
 
 
 class AnalyticalCostModel:

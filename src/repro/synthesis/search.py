@@ -120,9 +120,6 @@ class Candidate:
     def total_cycles(self) -> float:
         return self.cost.total_cycles if self.cost else float("inf")
 
-    def instruction_for(self, copy: Copy) -> MemoryInstruction:
-        return self.assignment[copy.op_id]
-
     def bytes_per_instruction(self) -> Dict[str, int]:
         """Per-copy ``direction -> vector bytes`` summary (Tables III / IV)."""
         result: Dict[str, int] = {}
@@ -140,13 +137,21 @@ class Candidate:
             named.append((instr.name, instr.direction, instr.vector_bytes))
         return named
 
+    def apply(self, program: KernelProgram) -> None:
+        """Install the chosen instructions and shared-memory layouts on
+        ``program`` (the program this candidate was selected for)."""
+        for copy in program.copies():
+            copy.selected_instruction = self.assignment[copy.op_id]
+        for plan in self.smem_plans.values():
+            plan.apply()
+
 
 class InstructionSelector:
     """Enumerates, validates and ranks candidate programs.
 
     Program structure that the search reuses for every leaf — the copy list,
-    the per-copy instruction menus, the copies-by-id map and the per-buffer
-    touching-copy lists — is computed once here rather than per leaf.
+    the per-copy instruction menus and the per-buffer touching-copy lists —
+    is computed once here rather than per leaf.
     """
 
     def __init__(
@@ -171,7 +176,6 @@ class InstructionSelector:
 
         # --- precomputed program structure ----------------------------- #
         self.copies: List[Copy] = program.copies()
-        self.copies_by_id: Dict[int, Copy] = {c.op_id: c for c in self.copies}
         self._reg_tv = {}
         for copy in self.copies:
             reg = copy.register_operand()
@@ -211,27 +215,9 @@ class InstructionSelector:
         semantics: pruned subtrees contribute every leaf they contain."""
         return self.stats.leaf_equivalents
 
-    @property
-    def leaves_pruned(self) -> int:
-        return self.stats.leaves_pruned
-
-    @property
-    def subproblems_memoized(self) -> int:
-        return self.stats.subproblems_memoized
-
     # ------------------------------------------------------------------ #
     # Per-copy candidate instructions
     # ------------------------------------------------------------------ #
-    def candidate_instructions(self, copy: Copy) -> List[MemoryInstruction]:
-        """Valid instructions for one copy, best (widest) first.
-
-        Menus for the program's own copies are computed once in ``__init__``
-        and returned from the cache thereafter."""
-        menu = self._menus.get(copy.op_id)
-        if menu is None:
-            menu = self._build_menu(copy)
-        return list(menu)
-
     def _build_menu(self, copy: Copy) -> List[MemoryInstruction]:
         menu = self.instructions.copies(
             copy.src.scope, copy.dst.scope, max_vector_bytes=copy.max_vector_bytes
@@ -641,10 +627,3 @@ class InstructionSelector:
             if candidate is not None:
                 result.append(candidate)
         return result
-
-    def apply(self, candidate: Candidate) -> None:
-        """Install the chosen instructions and shared-memory layouts."""
-        for op_id, instr in candidate.assignment.items():
-            self.copies_by_id[op_id].selected_instruction = instr
-        for plan in candidate.smem_plans.values():
-            plan.apply()

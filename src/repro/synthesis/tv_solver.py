@@ -29,7 +29,10 @@ from repro.synthesis.tiling import (
     reduce_tv_layout,
 )
 
-__all__ = ["TVSynthesisError", "TVSolution", "ThreadValueSolver", "synthesize_tv_layouts"]
+__all__ = ["TVSynthesisError", "TVSolution", "ThreadValueSolver"]
+
+# The widest access (bytes per thread) a coalesced-copy anchor assumes.
+MAX_VECTOR_BYTES = 16
 
 
 class TVSynthesisError(Exception):
@@ -46,8 +49,15 @@ class TVSolution:
     inserted_rearranges: List[Rearrange] = field(default_factory=list)
     mma_operands: Dict[TileTensor, str] = field(default_factory=dict)
 
-    def layout_of(self, tensor: TileTensor) -> TVLayout:
-        return self.layouts[tensor]
+
+def _rewire(op: Operation, old: TileTensor, new: TileTensor) -> None:
+    """Make ``op`` read ``new`` wherever it read ``old``."""
+    for i, operand in enumerate(op.inputs):
+        if operand is old:
+            op.inputs[i] = new
+    for attr in ("src", "a", "b", "c", "output"):
+        if getattr(op, attr, None) is old:
+            setattr(op, attr, new)
 
 
 class ThreadValueSolver:
@@ -57,7 +67,6 @@ class ThreadValueSolver:
         self,
         program: KernelProgram,
         instructions: Optional[InstructionSet] = None,
-        max_vector_bytes: int = 16,
     ):
         self.program = program
         # Default to the canonical architecture shared by every compile entry
@@ -65,13 +74,13 @@ class ThreadValueSolver:
         self.instructions = instructions or instruction_set(
             get_arch(DEFAULT_ARCH).sm_arch
         )
-        self.max_vector_bytes = max_vector_bytes
         self.solution = TVSolution()
 
     # ------------------------------------------------------------------ #
     # Public entry point
     # ------------------------------------------------------------------ #
     def solve(self) -> TVSolution:
+        self._remove_inserted_rearranges()
         self.program.validate()
         self._apply_annotations()
         components = self.program.connected_components()
@@ -111,17 +120,23 @@ class ThreadValueSolver:
             shape=tensor.shape,
         )
         rearrange = Rearrange(tensor, converted, trips=consumer.trips, stage=consumer.stage)
+        rearrange.inserted = True
         # Rewire the consumer to read the converted tensor.
-        for i, operand in enumerate(consumer.inputs):
-            if operand is tensor:
-                consumer.inputs[i] = converted
-        for attr in ("src", "a", "b", "c", "output"):
-            if getattr(consumer, attr, None) is tensor:
-                setattr(consumer, attr, converted)
+        _rewire(consumer, tensor, converted)
         index = self.program.operations.index(consumer)
         self.program.operations.insert(index, rearrange)
         self.solution.layouts[converted] = wanted
         self.solution.inserted_rearranges.append(rearrange)
+
+    def _remove_inserted_rearranges(self) -> None:
+        """Undo the rearranges an earlier synthesis inserted, so that
+        synthesizing an already compiled program starts from the program as
+        written (instead of failing validation on the converted tensors)."""
+        operations = self.program.operations
+        for rearrange in [op for op in operations if isinstance(op, Rearrange) and op.inserted]:
+            operations.remove(rearrange)
+            for op in operations:
+                _rewire(op, rearrange.dst, rearrange.src)
 
     def _apply_annotations(self) -> None:
         for tensor in self.program.register_tensors():
@@ -225,7 +240,7 @@ class ThreadValueSolver:
         # contribute their tile-level modes to the coalescing decision.
         if mem_layout.rank() > len(reg.shape):
             mem_layout = mem_layout[0 : len(reg.shape)]
-        max_elems = max(1, int(self.max_vector_bytes * 8 // reg.dtype.bits))
+        max_elems = max(1, int(MAX_VECTOR_BYTES * 8 // reg.dtype.bits))
         layout = coalesced_copy_tv(
             reg.shape, mem_layout, self.program.num_threads, max_elems
         )
@@ -319,10 +334,3 @@ class ThreadValueSolver:
     def _store_on_tensors(self) -> None:
         for tensor, layout in self.solution.layouts.items():
             tensor.tv_layout = layout
-
-
-def synthesize_tv_layouts(
-    program: KernelProgram, instructions: Optional[InstructionSet] = None
-) -> TVSolution:
-    """Convenience wrapper: run Algorithm 1 on a program."""
-    return ThreadValueSolver(program, instructions).solve()

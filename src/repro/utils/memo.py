@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Dict
 
-__all__ = ["memoized", "cache_stats", "clear_caches", "total_cache_hits"]
+__all__ = ["memoized", "cache_stats", "clear_caches"]
 
 # name -> lru_cache-wrapped function
 _REGISTRY: Dict[str, Callable] = {}
@@ -50,11 +50,6 @@ def memoized(maxsize: int = 8192, name: str | None = None) -> Callable:
 def cache_stats() -> Dict[str, "functools._CacheInfo"]:
     """Per-function :func:`functools.lru_cache` statistics, keyed by name."""
     return {name: fn.cache_info() for name, fn in _REGISTRY.items()}
-
-
-def total_cache_hits() -> int:
-    """Sum of cache hits across every registered memoized function."""
-    return sum(fn.cache_info().hits for fn in _REGISTRY.values())
 
 
 def clear_caches() -> None:

@@ -1,9 +1,13 @@
 """Compile-cache tests: fingerprint stability, hit equality, misses on
 arch/option changes, the LRU bound, and the on-disk JSON store."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.compiler import compile_kernel
+from repro.kernels.attention import build_mha_forward
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm
 from repro.pipeline import (
     CompileCache,
@@ -39,14 +43,49 @@ def test_fingerprint_distinguishes_programs():
     assert program_fingerprint(other) != base
 
 
-def test_fingerprint_stable_across_compilation():
-    """Synthesized layouts must not leak into the fingerprint: compiling a
-    program (which installs TV/shared layouts and instructions in place)
-    leaves its fingerprint unchanged."""
-    program = small_gemm()
+# mha_forward's TV synthesis inserts a rearrange and rewires its consumer;
+# the GEMM's does not.
+COMPILED_IN_PLACE = [small_gemm, lambda: build_mha_forward(256, 64, 4, 1)]
+
+
+@pytest.mark.parametrize("build", COMPILED_IN_PLACE, ids=["gemm", "mha_forward"])
+def test_fingerprint_stable_across_compilation(build):
+    """Synthesized artifacts must not leak into the fingerprint: compiling a
+    program (which installs TV/shared layouts and instructions in place and
+    may insert rearranges) leaves its fingerprint unchanged."""
+    program = build()
     before = program_fingerprint(program)
     compile_kernel(program, arch="a100", max_candidates=4, cache=CompileCache())
     assert program_fingerprint(program) == before
+
+
+def test_second_compile_of_a_rearranged_program_is_a_direct_hit():
+    cache = CompileCache()
+    program = build_mha_forward(256, 64, 4, 1)
+    cold = compile_kernel(program, arch="a100", max_candidates=4, cache=cache)
+    assert cold.tv_solution.inserted_rearranges
+    warm = compile_kernel(program, arch="a100", max_candidates=4, cache=cache)
+    assert warm.cache_hit and warm.pass_stats == {}
+    assert warm.source == cold.source
+    assert cache.stats.hits == 1 and cache.stats.puts == 1
+
+
+def test_recompiling_a_compiled_program_reproduces_its_kernel():
+    """TV synthesis removes the rearranges it inserted before, so a program
+    compiled by replay replays again, and a compiled program compiles
+    through another cache, both to the cold kernel."""
+    build = lambda: build_mha_forward(256, 64, 4, 1)
+    cache = CompileCache()
+    cold = compile_kernel(build(), arch="a100", max_candidates=4, cache=cache)
+    program = build()
+    first = compile_kernel(program, arch="a100", max_candidates=4, cache=cache)
+    again = compile_kernel(program, arch="a100", max_candidates=4, cache=cache)
+    assert first.cache_hit and again.cache_hit and cache.stats.replays == 2
+    elsewhere = compile_kernel(program, arch="a100", max_candidates=4, cache=CompileCache())
+    assert not elsewhere.cache_hit
+    for kernel in (first, again, elsewhere):
+        assert kernel.source == cold.source
+    assert len(program.operations) == len(cold.program.operations)
 
 
 def test_compile_key_varies_with_arch_and_options():
@@ -180,7 +219,6 @@ def test_disk_store_roundtrip_and_replay(tmp_path):
     assert len(rehydrated) == 1
     entry = rehydrated.get(cold.fingerprint)
     assert entry is not None and entry.kernel is None
-    assert entry.latency_us == cold.latency_us
     assert entry.assignment == cold.candidate.named_assignment(cold.program)
 
     # Hitting the disk entry replays the stored assignment: one candidate
@@ -190,6 +228,37 @@ def test_disk_store_roundtrip_and_replay(tmp_path):
     assert warm.candidates_explored == 1
     assert warm.latency_us == cold.latency_us
     assert warm.source == cold.source
+
+
+def test_disk_store_records_key_and_assignment_only(tmp_path):
+    path = tmp_path / "compile_cache.json"
+    cold = compile_kernel(
+        small_gemm(), arch="a100", max_candidates=4, cache=CompileCache(disk_path=str(path))
+    )
+    records = json.loads(path.read_text())["entries"]
+    assert list(records) == [cold.fingerprint]
+    assert set(records[cold.fingerprint]) == {"key", "assignment"}
+
+
+def test_disk_store_with_result_metadata_still_replays(tmp_path):
+    """A record that also carries program_name, latency_us, source_digest and
+    pass_stats (written by earlier versions) loads and replays."""
+    cold = compile_kernel(small_gemm(), arch="a100", max_candidates=4, cache=CompileCache())
+    record = {
+        "key": cold.fingerprint,
+        "program_name": cold.program.name,
+        "assignment": [list(t) for t in cold.candidate.named_assignment(cold.program)],
+        "latency_us": cold.latency_us,
+        "source_digest": hashlib.sha256(cold.source.encode("utf-8")).hexdigest(),
+        "pass_stats": dict(cold.pass_stats),
+    }
+    path = tmp_path / "compile_cache.json"
+    path.write_text(json.dumps({"version": 1, "entries": {cold.fingerprint: record}}))
+    cache = CompileCache(disk_path=str(path))
+    warm = compile_kernel(small_gemm(), arch="a100", max_candidates=4, cache=cache)
+    assert warm.cache_hit and warm.candidates_explored == 1
+    assert cache.stats.replays == 1 and cache.stats.puts == 0
+    assert warm.source == cold.source and warm.latency_us == cold.latency_us
 
 
 def test_disk_store_rejects_unknown_version(tmp_path):

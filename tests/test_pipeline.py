@@ -14,8 +14,8 @@ from repro.kernels.mamba import build_selective_scan
 from repro.kernels.moe import build_moe_gemm
 from repro.pipeline import (
     PASS_REGISTRY,
-    CompilationContext,
     CompileCache,
+    CompiledKernel,
     CodegenPass,
     InstructionSelectionPass,
     SmemSwizzlePass,
@@ -23,6 +23,7 @@ from repro.pipeline import (
     TVSynthesisPass,
     compile_many,
     compile_program,
+    run_passes,
 )
 from repro.sim.arch import get_arch
 from repro.sim.timing import estimate_kernel_latency
@@ -39,7 +40,7 @@ def seed_compile(program, arch, max_candidates):
     tv_solution = ThreadValueSolver(program, iset).solve()
     selector = InstructionSelector(program, tv_solution, iset, max_candidates=max_candidates)
     best = selector.best()
-    selector.apply(best)
+    best.apply(program)
     timing = estimate_kernel_latency(program, best.cost, gpu)
     source = emit_gpu_source(program, best, gpu, CUDA_DIALECT)
     return best, timing, source
@@ -88,27 +89,30 @@ def test_pass_stats_exposed_on_result():
 
 
 def test_partial_run_and_individual_passes():
-    program = build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32))
+    build = lambda: build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32))
     gpu = get_arch("a100")
-    ctx = CompilationContext(
-        program=program,
+    kernel = CompiledKernel(
+        program=build(),
         arch=gpu,
         instructions=instruction_set(gpu.sm_arch),
         max_candidates=4,
     )
-    TVSynthesisPass().run(ctx)
-    assert ctx.tv_solution is not None and ctx.candidate is None
-    InstructionSelectionPass().run(ctx)
-    assert ctx.candidate is not None
-    assert ctx.source is None and ctx.timing is None
-    assert ctx.pass_stats["instruction-selection.leaves_evaluated"] > 0
+    TVSynthesisPass().run(kernel)
+    assert kernel.tv_solution is not None and kernel.candidate is None
+    InstructionSelectionPass().run(kernel)
+    assert kernel.candidate is not None
+    assert kernel.source is None and kernel.timing is None
+    assert kernel.pass_stats["instruction-selection.leaves_evaluated"] > 0
 
-    # The remaining passes are independently invokable on the same context.
-    SmemSwizzlePass().run(ctx)
-    CodegenPass().run(ctx)
-    TimingPass().run(ctx)
-    assert "__global__" in ctx.source
-    assert ctx.timing.latency_us > 0
+    # The remaining passes are independently invokable on the same record.
+    SmemSwizzlePass().run(kernel)
+    CodegenPass().run(kernel)
+    TimingPass().run(kernel)
+    assert "__global__" in kernel.source
+    # A record filled pass by pass is what compile_program returns.
+    compiled = compile_program(build(), arch=gpu, max_candidates=4, cache=CompileCache())
+    assert kernel.source == compiled.source
+    assert kernel.latency_us == compiled.latency_us > 0
 
 
 def test_compile_many_matches_serial_and_dedupes():
@@ -194,3 +198,24 @@ def test_autotune_compile_records_build_failures():
 
 def test_compile_kernel_is_compile_program():
     assert compile_kernel is compile_program
+
+
+def test_compile_program_returns_the_record_its_passes_filled(monkeypatch):
+    import repro.compiler
+    import repro.pipeline.driver as driver
+
+    filled = []
+
+    def recording_run_passes(kernel):
+        filled.append(kernel)
+        run_passes(kernel)
+
+    monkeypatch.setattr(driver, "run_passes", recording_run_passes)
+    kernel = compile_program(
+        build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32)),
+        arch="a100",
+        max_candidates=4,
+        cache=CompileCache(),
+    )
+    assert len(filled) == 1 and filled[0] is kernel
+    assert repro.compiler.CompiledKernel is CompiledKernel

@@ -155,15 +155,11 @@ def test_search_stats_exposed_through_pipeline():
     )
     stats = kernel.pass_stats
     assert stats["instruction-selection.leaves_evaluated"] >= 1
-    assert stats["instruction-selection.leaves_pruned"] == kernel.leaves_pruned
-    assert (
-        stats["instruction-selection.subproblems_memoized"]
-        == kernel.subproblems_memoized
-    )
-    assert kernel.subproblems_memoized > 0
+    assert stats["instruction-selection.leaves_pruned"] > 0
+    assert stats["instruction-selection.subproblems_memoized"] > 0
     # Window accounting: evaluated + memo-replayed + pruned leaf equivalents
     # is what candidates_explored has always reported.
-    assert kernel.candidates_explored >= kernel.leaves_pruned
+    assert kernel.candidates_explored >= stats["instruction-selection.leaves_pruned"]
 
 
 def test_replay_evaluates_single_leaf_without_pruning():
@@ -173,7 +169,7 @@ def test_replay_evaluates_single_leaf_without_pruning():
     replay = compile_kernel(build(), arch="a100", max_candidates=64, cache=cache)
     assert replay.cache_hit
     assert replay.candidates_explored == 1
-    assert replay.leaves_pruned == 0
+    assert replay.pass_stats["instruction-selection.leaves_pruned"] == 0
 
 
 def test_tv_solver_defaults_to_canonical_arch():
