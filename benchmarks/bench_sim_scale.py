@@ -30,9 +30,11 @@ clear a minimum requests-per-second floor (a catastrophic-regression
 tripwire, far below the measured rate); the crash-recovery cell must see
 at least one crash, report availability < 1 with positive goodput and
 complete every request (conservation under crashes at benchmark scale);
-and the results are validated against the schema.  Smoke mode writes the
-JSON only when ``--output`` is given, so it never overwrites the
-committed trajectory.  Any violation exits nonzero.
+a 100k-request fcfs diurnal run must complete every request under a
+generous wall-clock ceiling (an O(waiting) or O(n^2) term in the hot loop
+blows through it); and the results are validated against the schema.
+Smoke mode writes the JSON only when ``--output`` is given, so it never
+overwrites the committed trajectory.  Any violation exits nonzero.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_sim_scale.py [--smoke]
 """
@@ -103,6 +105,12 @@ GATED_CELLS = ("100k/fcfs", "100k/slo")
 # in the hot loop, not ordinary machine jitter.
 MIN_SMOKE_RPS = 2000.0
 
+# The smoke wall-clock ceiling: a fixed 100k-request diurnal run (seed 17)
+# through one fcfs replica takes a few seconds; the pre-optimization loop
+# took minutes.  The ceiling only catches catastrophic regressions.
+CEILING_REQUESTS = 100_000
+CEILING_SECONDS = 60.0
+
 TIER_REQUESTS = {"10k": 10_000, "100k": 100_000, "1m": 1_000_000}
 
 
@@ -111,7 +119,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI mode: 10k tier only, digest double-run, rps floor, schema check",
+        help="CI mode: 10k tier only, digest double-run, rps floor, 100k "
+        "wall-clock ceiling, schema check",
     )
     parser.add_argument(
         "--tiers", default=None,
@@ -178,6 +187,36 @@ def prefix_tier_workload(num_requests: int, seed: int) -> List:
         mean_output_tokens=32,
         seed=seed,
     )
+
+
+def ceiling_failures() -> List[str]:
+    """Play the fixed 100k diurnal run once; it must finish every request
+    within ``CEILING_SECONDS`` of wall-clock time."""
+    workload = diurnal_workload(
+        num_requests=CEILING_REQUESTS, base_rate_rps=500.0, peak_rate_rps=1500.0,
+        period_s=40.0, num_spikes=3, spike_multiplier=3.0, spike_duration_s=4.0,
+        mean_prompt_tokens=64, mean_output_tokens=32, seed=17,
+    )
+    sim = ServingSimulator(
+        SIM_MODEL, backend="hexcute", scheduler="fcfs", arch=ARCH, max_batch_size=MAX_BATCH
+    )
+    start = time.perf_counter()
+    report = sim.simulate(workload, workload="diurnal")
+    elapsed = time.perf_counter() - start
+    print(
+        f"[ceiling] {CEILING_REQUESTS} diurnal requests x fcfs: {elapsed:.1f} s wall "
+        f"(ceiling {CEILING_SECONDS:.0f} s)"
+    )
+    failures = []
+    if report.num_requests != CEILING_REQUESTS:
+        failures.append(
+            f"ceiling run completed {report.num_requests} of {CEILING_REQUESTS} requests"
+        )
+    if elapsed >= CEILING_SECONDS:
+        failures.append(
+            f"{CEILING_REQUESTS}-request run took {elapsed:.1f} s — the hot loop has regressed"
+        )
+    return failures
 
 
 @dataclass(frozen=True)
@@ -424,6 +463,7 @@ def main(argv=None) -> int:
                 f"10k fcfs tier below the rps floor: {fcfs['rps']:,.0f} < "
                 f"{MIN_SMOKE_RPS:,.0f} — an O(waiting) term is back in the hot loop"
             )
+        failures.extend(ceiling_failures())
 
     for key in GATED_CELLS:
         tier, scheduler = key.split("/")

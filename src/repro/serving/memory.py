@@ -80,8 +80,10 @@ def blocks_for_tokens(tokens: int, block_tokens: int = DEFAULT_KV_BLOCK_TOKENS) 
     The one place the block-granularity arithmetic lives;
     :class:`KvBlockManager` and :class:`KvMemoryView` delegate here, and
     benchmarks/tests sizing a budget against a workload should too.
-    Memoized: the engine asks for the same token counts millions of times
-    per large run, and the answer is pure integer arithmetic.
+    Memoized: admission prices the same token counts over and over (every
+    scheduler's ``select_memory`` asks for each candidate it admits, and
+    ``memory-aware`` for the whole backlog), and the answer is pure integer
+    arithmetic.
     """
     return max(1, math.ceil(tokens / block_tokens))
 
@@ -256,9 +258,6 @@ class KvBlockManager:
 
     def held(self, request_id: int) -> int:
         return self._held.get(request_id, 0)
-
-    def holdings(self) -> Dict[int, int]:
-        return dict(self._held)
 
     # ------------------------------------------------------------------ #
     def fits(self, request_id: int, tokens: int) -> bool:

@@ -7,9 +7,10 @@ discrete-event loop modelled on vLLM's engine step:
    which stays sorted by the scheduler's
    :meth:`~repro.serving.scheduler.Scheduler.queue_key` (when the engine
    is fully idle, simulated time jumps to the next arrival);
-2. grow every running request's KV holding by the token it is about to
-   decode; if the pool cannot cover the growth, running requests are
-   **preempted** back to the waiting queue in the scheduler's
+2. grow the KV holding of every running request whose next token starts
+   a new block (the others' holdings already cover it); if the pool
+   cannot cover the growth, running requests are **preempted** back to
+   the waiting queue in the scheduler's
    :meth:`~repro.serving.scheduler.Scheduler.preempt_order` (newest-first
    by default — vLLM's recompute preemption) until the rest fit.  A
    preempted request restarts from scratch on readmission
@@ -25,8 +26,14 @@ discrete-event loop modelled on vLLM's engine step:
    proportional to their prompt length (prefill processes tokens
    ``prefill_parallelism`` times more efficiently than decode, reflecting
    its compute-dense batching);
-5. completed requests leave the batch, freeing their KV blocks and
-   recording their finish time.
+5. requests that decoded their last token leave the batch, freeing their
+   KV blocks and recording their finish time.
+
+Steps 2 and 5 touch only the requests with an event this step.  A
+request's block crossings and its finish fall at steps known when it
+joins, so admission books them into step-keyed calendars and each step
+takes its own entries: a step's work grows with its joins, crossings and
+finishes, not with the batch.
 
 The loop itself lives in :class:`ReplicaEngine`, the *steppable* form of
 the simulator: ``simulate()`` constructs an engine and drives it to
@@ -56,7 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.serving.memory import (
     DEFAULT_HBM_UTILIZATION,
@@ -84,10 +91,15 @@ def _arrival_key(request: Request):
 class _ActiveRequest:
     """Mutable runtime state of one request inside the engine.
 
+    ``join_step`` is the engine's step count when the request last joined
+    the running batch (-1 while waiting): every running request decodes
+    one token per step, so after ``steps`` steps it has decoded
+    ``steps - join_step`` tokens, and no per-step counter is kept.  The
+    engine's calendars tag their entries with it, which is how an entry
+    left behind by a preempted request is told apart from a live one.
+
     ``blocks_held`` mirrors the :class:`KvBlockManager` holding for this
-    request (0 while waiting), so the per-step growth check can skip the
-    allocation bookkeeping entirely on steps where the request does not
-    cross a block boundary.
+    request (0 while waiting).
 
     ``prefix_key`` / ``shared_tokens`` record an attachment to a shared
     prefix in the replica's :class:`~repro.serving.prefix.PrefixStore`
@@ -100,14 +112,10 @@ class _ActiveRequest:
     scheduled_ms: float = -1.0
     admitted_ms: float = -1.0
     first_token_ms: float = -1.0
-    tokens_done: int = 0
+    join_step: int = -1
     blocks_held: int = 0
     prefix_key: Optional[str] = None
     shared_tokens: int = 0
-
-    @property
-    def done(self) -> bool:
-        return self.tokens_done >= self.request.output_tokens
 
 
 class ServingSimulator:
@@ -198,9 +206,9 @@ class ReplicaEngine:
 
     :meth:`advance` executes exactly one iteration of the simulator's
     discrete-event loop (pop arrivals → grow/preempt → admit → decode
-    step) and returns ``False`` once no further progress is possible
-    without external input.  ``ServingSimulator.simulate`` drives an
-    engine to completion; :class:`~repro.serving.cluster.ClusterSimulator`
+    step → retire) and returns ``False`` once no further progress is
+    possible without external input.  ``ServingSimulator.simulate`` drives
+    an engine to completion; :class:`~repro.serving.cluster.ClusterSimulator`
     drives several at once, interleaved in simulated-time order, and
     :meth:`inject`\\ s each request into the replica its router picked.
 
@@ -211,6 +219,12 @@ class ReplicaEngine:
     local arrival) and whether any unrouted traffic remains (folded into
     the scheduler's ``more_arrivals``).  With both left at their defaults
     the engine is the monolithic single-replica loop, bit for bit.
+
+    A running request's KV holding changes only when its context crosses
+    a block boundary (once every ``block_tokens`` decoded tokens), and it
+    leaves the batch once, both at steps known when it joins.  So each
+    admission books the request into two step-keyed calendars, and the
+    grow and retire phases take only the current step's entries.
     """
 
     def __init__(self, sim: ServingSimulator, requests: Sequence[Request] = (), replica_id: int = 0):
@@ -234,7 +248,18 @@ class ReplicaEngine:
         self._queue_key = sim.scheduler.queue_key
         self.waiting: List[_ActiveRequest] = []
         self._waiting_reqs: List[Request] = []
-        self.running: List[_ActiveRequest] = []
+        # Request id -> state, in join order: the order preemption victims
+        # and finishers detach from their prefixes in, which decides the
+        # eviction order of cached prefix entries.
+        self.running: Dict[int, _ActiveRequest] = {}
+        # Step-keyed calendars of ``(state, join_step)`` entries, booked at
+        # admission: ``_crossings[s]`` holds the requests whose private
+        # context crosses a KV-block boundary in the grow phase at step
+        # count ``s``, ``_finishes[s]`` those whose last token is decoded
+        # by step ``s``.  An entry whose join step is no longer its
+        # request's is stale (preempted since) and is skipped.
+        self._crossings: Dict[int, List[Tuple[_ActiveRequest, int]]] = {}
+        self._finishes: Dict[int, List[Tuple[_ActiveRequest, int]]] = {}
         self.finished: List[RequestMetrics] = []
         self.now = 0.0
         self.steps = 0
@@ -305,12 +330,14 @@ class ReplicaEngine:
             raise ValueError(f"replica {self.replica_id} is already down")
         lost: List[Request] = list(self.queue)
         lost.extend(self._waiting_reqs)
-        lost.extend(s.request for s in self.running)
+        lost.extend(s.request for s in self.running.values())
         lost.sort(key=_arrival_key)
         self.queue = RequestQueue(())
         self.waiting = []
         self._waiting_reqs = []
-        self.running = []
+        self.running = {}
+        self._crossings.clear()
+        self._finishes.clear()
         self.prefix_store.clear()
         self.manager.reset()
         self._reserved_blocks = 0
@@ -420,114 +447,127 @@ class ReplicaEngine:
             waiting_reqs.insert(index, request)
 
     def _grow_running(self) -> None:
-        """Allocate each running request's next decode token, preempting
-        (scheduler-ordered, recompute-on-readmit) until the rest fit.
+        """Allocate the next decode token of each request whose private
+        context crosses a KV-block boundary this step, preempting
+        (scheduler-ordered, recompute-on-readmit) until the growth fits.
+
+        Only this step's crossers need a block; every other running
+        request's holding already covers its next token.  The demand the
+        pool must cover is therefore the current level (the pool's used
+        blocks minus the reclaimable cached prefixes) plus one block per
+        crosser, and it fits exactly when the crossers number at most the
+        free plus reclaimable blocks.  Otherwise :meth:`_preempt` sweeps
+        the whole batch.  Growth evicts cached prefix entries on demand
+        before allocating, and books each grown request's next crossing.
+        """
+        step = self.steps
+        entries = self._crossings.pop(step, None)
+        if entries is None:
+            return
+        crossers = [state for state, join in entries if state.join_step == join]
+        manager = self.manager
+        store = self.prefix_store
+        if len(crossers) > manager.free_blocks + store.reclaimable_blocks:
+            self._preempt()
+            # Victims leave with ``join_step`` reset to -1.
+            crossers = [state for state in crossers if state.join_step >= 0]
+        next_step = step + manager.block_tokens
+        for state in crossers:
+            request = state.request
+            join = state.join_step
+            store.ensure_free(1)
+            manager.allocate(
+                request.request_id,
+                request.prompt_tokens + step - join + 1 - state.shared_tokens,
+            )
+            state.blocks_held += 1
+            if next_step < join + request.output_tokens:
+                self._crossings.setdefault(next_step, []).append((state, join))
+
+    def _preempt(self) -> None:
+        """Preempt running requests in the scheduler's victim order until
+        the batch's growth this step fits the pool.
 
         Each running request's demand is its *private* context (prompt +
         decoded tokens + 1, minus its attached shared tokens); the blocks
         of every prefix some running request references are added once.
-        When demand exceeds the pool, the preemption sweep walks the
-        scheduler's victim order; cutting the last attachment of a prefix
-        also drops that prefix's blocks from the demand (a zero-refcount
-        entry is evictable, not required).  Victims release their private
-        blocks and detach from their prefix — the entry stays cached, so
-        readmission re-attaches for free while it remains resident.
-        Survivor growth evicts cached entries on demand before allocating.
-
-        The common no-pressure step is a pure integer pass: the preemption
-        structures (needed map, :class:`RunningInfo` snapshots) are only
-        built once the total demand actually exceeds the pool, and a
-        request's allocation is only touched on the steps where it crosses
-        a block boundary (its holding cannot change otherwise, so neither
-        can the pool level or its peak).
+        The sweep walks the scheduler's victim order; cutting the last
+        attachment of a prefix also drops that prefix's blocks from the
+        demand (a zero-refcount entry is evictable, not required).
+        Victims release their private blocks and detach from their prefix
+        — the entry stays cached, so readmission re-attaches for free
+        while it remains resident.
         """
         manager = self.manager
         store = self.prefix_store
         running = self.running
+        step = self.steps
         bf = manager.blocks_for
-        total_needed = store.referenced_blocks
-        for s in running:
-            total_needed += bf(
-                s.request.prompt_tokens + s.tokens_done + 1 - s.shared_tokens
+        needed = {
+            request_id: bf(
+                s.request.prompt_tokens + step - s.join_step + 1 - s.shared_tokens
             )
+            for request_id, s in running.items()
+        }
+        total_needed = store.referenced_blocks + sum(needed.values())
+        # Attachment counts among the running batch (== the store's
+        # refcounts: only running requests hold references), so the
+        # sweep can tell when a victim was a prefix's last holder.
+        ref_counts: dict = {}
+        ref_blocks: dict = {}
+        prefix_of: dict = {}
+        for request_id, s in running.items():
+            key = s.prefix_key
+            if key is not None:
+                prefix_of[request_id] = key
+                ref_counts[key] = ref_counts.get(key, 0) + 1
+                ref_blocks[key] = s.shared_tokens // manager.block_tokens
+        infos = [
+            RunningInfo(
+                request=s.request,
+                admitted_ms=s.admitted_ms,
+                tokens_done=step - s.join_step,
+                blocks_held=s.blocks_held,
+            )
+            for s in running.values()
+        ]
+        order = self.sim.scheduler.preempt_order(infos, self.now)
+        order_ids = [info.request.request_id for info in order]
+        if sorted(order_ids) != sorted(needed):
+            raise RuntimeError(
+                f"scheduler {self.sim.scheduler.name!r} preempt_order is not a "
+                f"permutation of the running batch"
+            )
+        victims = set()
+        for request_id in order_ids:
+            if total_needed <= manager.total_blocks or len(needed) == 1:
+                break
+            total_needed -= needed.pop(request_id)
+            key = prefix_of.get(request_id)
+            if key is not None:
+                ref_counts[key] -= 1
+                if ref_counts[key] == 0:
+                    total_needed -= ref_blocks[key]
+            victims.add(request_id)
 
-        if total_needed > manager.total_blocks:
-            needed = {
-                s.request.request_id: bf(
-                    s.request.prompt_tokens + s.tokens_done + 1 - s.shared_tokens
-                )
-                for s in running
-            }
-            # Attachment counts among the running batch (== the store's
-            # refcounts: only running requests hold references), so the
-            # sweep can tell when a victim was a prefix's last holder.
-            ref_counts: dict = {}
-            ref_blocks: dict = {}
-            prefix_of: dict = {}
-            for s in running:
-                key = s.prefix_key
-                if key is not None:
-                    prefix_of[s.request.request_id] = key
-                    ref_counts[key] = ref_counts.get(key, 0) + 1
-                    ref_blocks[key] = s.shared_tokens // manager.block_tokens
-            infos = [
-                RunningInfo(
-                    request=s.request,
-                    admitted_ms=s.admitted_ms,
-                    tokens_done=s.tokens_done,
-                    blocks_held=s.blocks_held,
-                )
-                for s in running
-            ]
-            order = self.sim.scheduler.preempt_order(infos, self.now)
-            order_ids = [info.request.request_id for info in order]
-            if sorted(order_ids) != sorted(needed):
-                raise RuntimeError(
-                    f"scheduler {self.sim.scheduler.name!r} preempt_order is not a "
-                    f"permutation of the running batch"
-                )
-            victims = set()
-            for request_id in order_ids:
-                if total_needed <= manager.total_blocks or len(needed) == 1:
-                    break
-                total_needed -= needed.pop(request_id)
-                key = prefix_of.get(request_id)
-                if key is not None:
-                    ref_counts[key] -= 1
-                    if ref_counts[key] == 0:
-                        total_needed -= ref_blocks[key]
-                victims.add(request_id)
-
-            # Victims release before any survivor grows: a survivor's
-            # growth may only fit *because* a victim later in batch order
-            # is being evicted.
-            survivors: List[_ActiveRequest] = []
-            for state in running:
-                if state.request.request_id in victims:
-                    manager.release(state.request.request_id)
-                    if state.prefix_key is not None:
-                        store.release(state.prefix_key)
-                        state.prefix_key = None
-                        state.shared_tokens = 0
-                    # Recompute-on-readmit: the generation restarts from
-                    # the prompt (it re-pays prefill and re-decodes on
-                    # readmission).
-                    state.tokens_done = 0
-                    state.admitted_ms = -1.0
-                    state.blocks_held = 0
-                    self._enqueue(state)
-                else:
-                    survivors.append(state)
-            self.running = running = survivors
-            self.preemptions += len(victims)
-
-        for state in running:
-            tokens = state.request.prompt_tokens + state.tokens_done + 1 - state.shared_tokens
-            target = bf(tokens)
-            if target != state.blocks_held:
-                store.ensure_free(target - state.blocks_held)
-                manager.allocate(state.request.request_id, tokens)
-                state.blocks_held = target
+        # Victims release (in batch order) before any survivor grows: a
+        # survivor's growth may only fit *because* a victim later in batch
+        # order is being evicted.
+        for request_id, state in list(running.items()):
+            if request_id in victims:
+                del running[request_id]
+                manager.release(request_id)
+                if state.prefix_key is not None:
+                    store.release(state.prefix_key)
+                    state.prefix_key = None
+                    state.shared_tokens = 0
+                # Recompute-on-readmit: the generation restarts from the
+                # prompt (it re-pays prefill and re-decodes on readmission).
+                state.join_step = -1
+                state.admitted_ms = -1.0
+                state.blocks_held = 0
+                self._enqueue(state)
+        self.preemptions += len(victims)
 
     # ------------------------------------------------------------------ #
     def advance(
@@ -541,6 +581,7 @@ class ReplicaEngine:
         sim = self.sim
         manager = self.manager
         store = self.prefix_store
+        running = self.running  # mutated in place; only crash() replaces it
         waiting = self.waiting
         waiting_reqs = self._waiting_reqs
 
@@ -570,7 +611,7 @@ class ReplicaEngine:
                 self.waiting = waiting = kept
                 self._waiting_reqs = waiting_reqs = [s.request for s in kept]
 
-        if not waiting and not self.running:
+        if not waiting and not running:
             # Fully idle: jump to the next (local or external) arrival.
             hints = [self.queue.next_arrival_ms, external_next_arrival_ms]
             wake = min((t for t in hints if t is not None and t > self.now), default=None)
@@ -585,7 +626,7 @@ class ReplicaEngine:
         # pool cannot cover the growth), then admit into what is left —
         # so admission can never force the request it just admitted
         # straight back out.
-        if self.running:
+        if running:
             self._grow_running()
             waiting = self.waiting
             waiting_reqs = self._waiting_reqs
@@ -593,8 +634,8 @@ class ReplicaEngine:
         if waiting_reqs:
             admitted = sim.scheduler.select_memory(
                 waiting_reqs,
-                running=len(self.running),
-                free_slots=sim.max_batch_size - len(self.running),
+                running=len(running),
+                free_slots=sim.max_batch_size - len(running),
                 now_ms=self.now,
                 more_arrivals=len(self.queue) > 0 or external_pending,
                 memory=store.view(),
@@ -606,7 +647,7 @@ class ReplicaEngine:
             admitted = ()
         if admitted:
             admitted_ids = {r.request_id for r in admitted}
-            free_slots = sim.max_batch_size - len(self.running)
+            free_slots = sim.max_batch_size - len(running)
             if len(admitted_ids) > free_slots:
                 raise RuntimeError(
                     f"scheduler {sim.scheduler.name!r} admitted {len(admitted_ids)} "
@@ -633,6 +674,8 @@ class ReplicaEngine:
             # of ``running`` decides the order of prefix acquires and of
             # ensure_free evictions, here and in every later step.
             joining.sort(key=lambda s: _arrival_key(s.request))
+            step = self.steps
+            block_tokens = manager.block_tokens
             for state in joining:
                 if state.scheduled_ms < 0:
                     state.scheduled_ms = self.now
@@ -650,19 +693,30 @@ class ReplicaEngine:
                             state.prefix_key = request.prefix_id
                             state.shared_tokens = shared
                             admit_tokens -= shared
-                    store.ensure_free(manager.blocks_for(admit_tokens))
+                    blocks = manager.blocks_for(admit_tokens)
+                    store.ensure_free(blocks)
                     manager.allocate(request.request_id, admit_tokens)
                 except RuntimeError as exc:
                     raise RuntimeError(
                         f"scheduler {sim.scheduler.name!r} admitted request "
                         f"{request.request_id} beyond the KV budget: {exc}"
                     ) from exc
-                state.blocks_held = manager.blocks_for(admit_tokens)
-            self.running.extend(joining)
+                state.blocks_held = blocks
+                state.join_step = step
+                running[request.request_id] = state
+                # Book the finish, and the first crossing: the grow phase
+                # at ``step + d`` covers ``admit_tokens + d`` tokens, which
+                # needs one more block than the holding when
+                # ``admit_tokens + d - 1`` is a multiple of block_tokens.
+                entry = (state, step)
+                finish = step + request.output_tokens
+                cross = step + (-admit_tokens) % block_tokens + 1
+                if cross < finish:
+                    self._crossings.setdefault(cross, []).append(entry)
+                self._finishes.setdefault(finish, []).append(entry)
         else:
             joining = []
 
-        running = self.running
         if not running:
             # The scheduler deferred (e.g. max-batch waiting to fill, or
             # nothing fits the KV pool) and nothing is in flight:
@@ -712,7 +766,6 @@ class ReplicaEngine:
             )
         else:
             self.now += step_ms
-        now = self.now
         depth = len(waiting)
         self.steps += 1
         self.batch_size_sum += batch
@@ -721,39 +774,54 @@ class ReplicaEngine:
             self.max_queue_depth = depth
         self.kv_utilization_sum += manager.utilization
 
-        finished = self.finished
-        still_running: List[_ActiveRequest] = []
-        for state in running:
-            state.tokens_done += 1
+        self._retire(joining)
+        return True
+
+    def _retire(self, joining: List[_ActiveRequest]) -> None:
+        """Stamp the joiners' first token and retire this step's finishers.
+
+        The step just decoded every running request's next token, so only
+        the joiners can be emitting their first one.  The finishers come
+        from the calendar in booking order, which is join order — the
+        order their prefix releases queue cached entries for eviction.
+        """
+        now = self.now
+        for state in joining:
             if state.first_token_ms < 0:
                 state.first_token_ms = now
-            request = state.request
-            if state.tokens_done >= request.output_tokens:
-                manager.release(request.request_id)
-                if state.prefix_key is not None:
-                    # Detach from the shared prefix; the entry stays cached
-                    # for later arrivals until evicted.
-                    store.release(state.prefix_key)
-                self._reserved_blocks -= manager.blocks_for(
-                    request.prompt_tokens + request.output_tokens
-                )
-                finished.append(
-                    RequestMetrics(
-                        request_id=request.request_id,
-                        arrival_ms=request.arrival_ms,
-                        scheduled_ms=state.scheduled_ms,
-                        first_token_ms=state.first_token_ms,
-                        finish_ms=now,
-                        prompt_tokens=request.prompt_tokens,
-                        output_tokens=request.output_tokens,
-                        slo_ms=request.slo_ms,
-                        deadline_ms=request.deadline_ms,
-                    )
-                )
-            else:
-                still_running.append(state)
-        self.running = still_running
-        return True
+        entries = self._finishes.pop(self.steps, None)
+        if entries is not None:
+            for state, join in entries:
+                if state.join_step == join:
+                    self._finish(state)
+
+    def _finish(self, state: _ActiveRequest) -> None:
+        """Retire a request whose last token the step just decoded: free
+        its KV blocks and its prefix attachment, and record its metrics."""
+        request = state.request
+        manager = self.manager
+        del self.running[request.request_id]
+        manager.release(request.request_id)
+        if state.prefix_key is not None:
+            # Detach from the shared prefix; the entry stays cached for
+            # later arrivals until evicted.
+            self.prefix_store.release(state.prefix_key)
+        self._reserved_blocks -= manager.blocks_for(
+            request.prompt_tokens + request.output_tokens
+        )
+        self.finished.append(
+            RequestMetrics(
+                request_id=request.request_id,
+                arrival_ms=request.arrival_ms,
+                scheduled_ms=state.scheduled_ms,
+                first_token_ms=state.first_token_ms,
+                finish_ms=self.now,
+                prompt_tokens=request.prompt_tokens,
+                output_tokens=request.output_tokens,
+                slo_ms=request.slo_ms,
+                deadline_ms=request.deadline_ms,
+            )
+        )
 
     # ------------------------------------------------------------------ #
     def report(self, workload: str = "custom") -> ServeReport:

@@ -47,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
 import random
 from bisect import bisect_right, insort
 from dataclasses import dataclass
@@ -103,14 +104,29 @@ class Request:
     deadline_ms: Optional[float] = None
 
     def __post_init__(self):
+        # Generators build millions of requests: plain ints, the common
+        # case, skip the per-field check.
+        if not (
+            type(self.prompt_tokens) is type(self.output_tokens)
+            is type(self.prefix_tokens) is int
+        ):
+            for name in ("prompt_tokens", "output_tokens", "prefix_tokens"):
+                value = getattr(self, name)
+                # Any integral type (a numpy integer, say), but not bool.
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(
+                        f"request {self.request_id}: {name} must be an integer, "
+                        f"got {value!r}"
+                    )
         if self.prompt_tokens < 1 or self.output_tokens < 1:
             raise ValueError(
                 f"request {self.request_id}: prompt/output token counts must be "
                 f">= 1, got {self.prompt_tokens}/{self.output_tokens}"
             )
-        if self.arrival_ms < 0 or self.slo_ms <= 0:
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not (0.0 <= self.arrival_ms < math.inf and 0.0 < self.slo_ms < math.inf):
             raise ValueError(
-                f"request {self.request_id}: need arrival_ms >= 0 and slo_ms > 0, "
+                f"request {self.request_id}: need finite arrival_ms >= 0 and slo_ms > 0, "
                 f"got arrival_ms={self.arrival_ms}, slo_ms={self.slo_ms}"
             )
         if self.prefix_id is not None:
@@ -124,10 +140,12 @@ class Request:
             raise ValueError(
                 f"request {self.request_id}: prefix_tokens without a prefix_id"
             )
-        if self.deadline_ms is not None and self.deadline_ms <= self.arrival_ms:
+        if self.deadline_ms is not None and not (
+            self.arrival_ms < self.deadline_ms < math.inf
+        ):
             raise ValueError(
                 f"request {self.request_id}: deadline_ms ({self.deadline_ms}) "
-                f"must be after arrival_ms ({self.arrival_ms})"
+                f"must be finite and after arrival_ms ({self.arrival_ms})"
             )
 
     @property

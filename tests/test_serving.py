@@ -140,6 +140,27 @@ def test_request_errors_name_the_bad_values():
         Request(request_id=4, arrival_ms=-1.5, prompt_tokens=8, output_tokens=4, slo_ms=1e4)
     with pytest.raises(ValueError, match=r"request 5: .*got arrival_ms=0.0, slo_ms=0.0$"):
         Request(request_id=5, arrival_ms=0.0, prompt_tokens=8, output_tokens=4, slo_ms=0.0)
+    # A fractional or boolean token count and a non-finite time used to
+    # construct and be served (a NaN arrival even "finished").
+    with pytest.raises(ValueError, match=r"request 6: prompt_tokens must be an integer, got 20.5$"):
+        Request(request_id=6, arrival_ms=0.0, prompt_tokens=20.5, output_tokens=4, slo_ms=1e4)
+    with pytest.raises(ValueError, match=r"request 7: output_tokens must be an integer, got 40.5$"):
+        Request(request_id=7, arrival_ms=0.0, prompt_tokens=8, output_tokens=40.5, slo_ms=1e4)
+    with pytest.raises(ValueError, match=r"request 8: output_tokens must be an integer, got True$"):
+        Request(request_id=8, arrival_ms=0.0, prompt_tokens=8, output_tokens=True, slo_ms=1e4)
+    with pytest.raises(ValueError, match=r"request 9: .*got arrival_ms=nan, slo_ms=10000.0$"):
+        Request(
+            request_id=9, arrival_ms=float("nan"), prompt_tokens=8, output_tokens=4, slo_ms=1e4
+        )
+    with pytest.raises(ValueError, match=r"request 10: .*got arrival_ms=0.0, slo_ms=inf$"):
+        Request(
+            request_id=10, arrival_ms=0.0, prompt_tokens=8, output_tokens=4, slo_ms=float("inf")
+        )
+    with pytest.raises(ValueError, match=r"request 11: deadline_ms \(inf\) must be finite"):
+        Request(
+            request_id=11, arrival_ms=0.0, prompt_tokens=8, output_tokens=4, slo_ms=1e4,
+            deadline_ms=float("inf"),
+        )
 
 
 # --------------------------------------------------------------------------- #
