@@ -13,7 +13,7 @@ multi-replica cluster behind pluggable request routers.
   steady / bursty / heavy-tail / memory-pressure generators;
 * :mod:`repro.serving.memory` — the KV-cache memory model: per-replica
   block budgets (HBM minus weights), paged block accounting
-  (``KvBlockManager``) and the read-only ``KvMemoryView`` schedulers see;
+  (``KvBlockManager``) and the ``KvMemoryView`` schedulers see;
 * :mod:`repro.serving.prefix` — refcounted copy-on-write prefix caching
   (``PrefixStore``): requests declaring a shared prompt prefix store its
   whole-block KV once per replica and are charged only their private
@@ -27,8 +27,8 @@ multi-replica cluster behind pluggable request routers.
   block growth, preemption with recompute-on-readmit), steppable as
   ``ReplicaEngine`` so the cluster can interleave replicas;
 * :mod:`repro.serving.router` — round-robin / least-loaded / kv-aware /
-  power-of-two-choices / prefix-affinity request routing over read-only
-  replica snapshots;
+  power-of-two-choices / prefix-affinity request routing over live
+  read-only replica views;
 * :mod:`repro.serving.cluster` — ``ClusterSimulator``: N replicas behind
   one router, with the fleet-level ``ClusterReport``;
 * :mod:`repro.serving.faults` — seeded ``FaultSchedule`` of timed replica

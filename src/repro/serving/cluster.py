@@ -15,9 +15,11 @@ assigned, but routing needs each replica's *live* state at the request's
 arrival time.  The cluster therefore processes requests in global arrival
 order: before routing a request arriving at ``t`` it advances every
 replica engine (:class:`~repro.serving.simulator.ReplicaEngine`) until its
-clock passes ``t``, snapshots them
-(:class:`~repro.serving.router.ReplicaSnapshot`), asks the router, and
-injects the request into the chosen replica's queue.  While advancing, the
+clock passes ``t``, asks the router, and injects the request into the
+chosen replica's queue.  The router reads each replica through a
+:class:`ReplicaView` — :class:`~repro.serving.router.ReplicaSnapshot`'s
+fields, read live from the engine — built once per replica per run, so
+routing a request copies no replica state.  While advancing, the
 engines are told the global next unrouted arrival time and that more
 traffic is pending, so time-based scheduler deferrals and ``max-batch``'s
 flush-on-last-arrival behave exactly as they would with full knowledge of
@@ -43,14 +45,14 @@ first).  A crash wipes the replica — KV pool, prefix cache, every owned
 request — and the lost requests re-enter global routing (each
 re-placement is a *retry*; landing on a different replica than before is
 a *failover*).  Health-aware
-routing (the default) shows routers only healthy snapshots; the
-health-blind baseline (``health_aware=False``) routes into the dark and
-pays for it, which is exactly the comparison ``tests/test_faults.py``
-gates on.  The robustness rollups (retries, failovers, shed, downtime,
-availability, goodput) live outside :meth:`ClusterReport.digest`.  With
-every replica healthy, health filtering shows the router every snapshot
-and there is nothing to evacuate or account as downtime, so an empty
-schedule changes nothing.
+routing (the default) shows routers only the views of healthy replicas
+(a tuple rebuilt at each crash and recovery); the health-blind baseline
+(``health_aware=False``) routes into the dark and pays for it, which is
+exactly the comparison ``tests/test_faults.py`` gates on.  The robustness
+rollups (retries, failovers, shed, downtime, availability, goodput) live
+outside :meth:`ClusterReport.digest`.  With every replica healthy, health
+filtering shows the router every view and there is nothing to evacuate
+or account as downtime, so an empty schedule changes nothing.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.serving.faults import FaultSchedule, ReplicaCrash, ReplicaRecover
 from repro.serving.report import BaseReport, RequestMetrics, ServeReport, report_columns
-from repro.serving.router import ReplicaSnapshot, Router, get_router
+from repro.serving.router import Router, get_router
 from repro.serving.scheduler import Scheduler
 from repro.serving.simulator import ReplicaEngine, ServingSimulator
 from repro.serving.step_model import PrecompileStats, StepLatencyModel, shared_step_model
@@ -74,6 +76,7 @@ from repro.sim.arch import DEFAULT_EVAL_ARCH
 __all__ = [
     "ClusterReport",
     "ClusterSimulator",
+    "ReplicaView",
     "simulate_cluster",
 ]
 
@@ -223,6 +226,81 @@ class ClusterReport(BaseReport):
         return f"{self.retries} retries, {self.failovers} failovers"
 
 
+class ReplicaView:
+    """One replica as a router sees it, read live from its engine.
+
+    The names are :class:`~repro.serving.router.ReplicaSnapshot`'s fields
+    plus ``load`` and ``kv_unreserved_blocks``, with the same meanings,
+    so every router reads a view exactly as it reads a snapshot.  The
+    cluster builds one view per replica per run and shows routers the
+    same views at every placement: a value read during ``route`` is the
+    replica's state at that routing decision, and a router that keeps
+    one past ``route`` must copy it.  ``replica_id``, ``max_batch_size``,
+    ``kv_total_blocks`` and ``resident_prefixes`` (the prefix store's
+    live read-only map) are fixed for the engine's lifetime and set
+    once; every other name reads the engine on access.  Views are
+    read-only: assigning any attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ("_engine", "replica_id", "max_batch_size", "kv_total_blocks", "resident_prefixes")
+
+    def __init__(self, replica_id: int, engine: ReplicaEngine):
+        set_field = object.__setattr__
+        set_field(self, "_engine", engine)
+        set_field(self, "replica_id", replica_id)
+        set_field(self, "max_batch_size", engine.sim.max_batch_size)
+        set_field(self, "kv_total_blocks", engine.manager.total_blocks)
+        set_field(self, "resident_prefixes", engine.resident_prefix_tokens())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only (setting {name!r})")
+
+    @property
+    def now_ms(self) -> float:
+        return self._engine.now
+
+    @property
+    def waiting(self) -> int:
+        """Assigned but not running: the arrival queue plus the
+        scheduler's waiting set."""
+        engine = self._engine
+        return engine.assigned - len(engine.running)
+
+    @property
+    def running(self) -> int:
+        return len(self._engine.running)
+
+    @property
+    def kv_free_blocks(self) -> int:
+        return self._engine.manager.free_blocks
+
+    @property
+    def kv_reserved_blocks(self) -> int:
+        return self._engine.kv_reserved_blocks
+
+    @property
+    def preemptions(self) -> int:
+        return self._engine.preemptions
+
+    @property
+    def finished(self) -> int:
+        return len(self._engine.finished)
+
+    @property
+    def healthy(self) -> bool:
+        return self._engine.healthy
+
+    @property
+    def load(self) -> int:
+        """Outstanding requests: ``waiting + running``."""
+        return self._engine.assigned
+
+    @property
+    def kv_unreserved_blocks(self) -> int:
+        """``kv_total_blocks - kv_reserved_blocks``; may go negative."""
+        return self.kv_total_blocks - self._engine.kv_reserved_blocks
+
+
 class ClusterSimulator:
     """N continuous-batching replicas behind one request router.
 
@@ -250,7 +328,7 @@ class ClusterSimulator:
 
     ``health_aware`` only matters once a fault schedule crashes a
     replica: ``True`` (the default) filters crashed replicas out of the
-    snapshots shown to the router, so every policy fails over
+    views shown to the router, so every policy fails over
     automatically; ``False`` is the health-blind baseline — the router
     keeps routing into dead replicas, whose queues wait out the outage.
     """
@@ -317,22 +395,9 @@ class ClusterSimulator:
         return self.replicas[0].precompile()
 
     # ------------------------------------------------------------------ #
-    def _snapshot(self, index: int, engine: ReplicaEngine) -> ReplicaSnapshot:
-        manager = engine.manager
-        return ReplicaSnapshot(
-            replica_id=index,
-            now_ms=engine.now,
-            waiting=engine.assigned - len(engine.running),
-            running=len(engine.running),
-            max_batch_size=engine.sim.max_batch_size,
-            kv_total_blocks=manager.total_blocks,
-            kv_free_blocks=manager.free_blocks,
-            kv_reserved_blocks=engine.kv_reserved_blocks,
-            preemptions=engine.preemptions,
-            finished=len(engine.finished),
-            resident_prefixes=engine.resident_prefix_tokens(),
-            healthy=engine.healthy,
-        )
+    def _snapshot(self, index: int, engine: ReplicaEngine) -> ReplicaView:
+        """The router's view of replica ``index``: built once per run."""
+        return ReplicaView(index, engine)
 
     def simulate(
         self,
@@ -365,6 +430,12 @@ class ClusterSimulator:
             for index, sim in enumerate(self.replicas)
         ]
         self.router.reset(len(engines), seed=self.seed)
+        # Routers get these tuples as they are.  ``views`` serves
+        # health-blind placement; ``healthy_views`` is rebuilt after every
+        # crash and recovery, the only events that change a replica's
+        # health.
+        views = tuple(self._snapshot(index, engine) for index, engine in enumerate(engines))
+        healthy_views = views
         assignments: Dict[int, int] = {}
         fault_events = faults.events
         if faults.max_replica_id() >= len(engines):
@@ -418,24 +489,20 @@ class ClusterSimulator:
         def place(request: Request, healthy_required: bool) -> None:
             nonlocal failovers
             previous = assignments.get(request.request_id)
-            candidates = [
-                self._snapshot(index, engine) for index, engine in enumerate(engines)
-            ]
-            if healthy_required:
-                candidates = [s for s in candidates if s.healthy]
-                if not candidates:
-                    # Whole fleet down: hold the arrival for the next
-                    # recovery — and fail loudly if none is coming.
-                    if not any(
-                        isinstance(e, ReplicaRecover) for e in fault_events[fi:]
-                    ):
-                        raise ValueError(
-                            f"request {request.request_id} has nowhere to go: "
-                            f"every replica is down and the fault schedule "
-                            f"holds no further recovery"
-                        )
-                    deferred.append(request)
-                    return
+            candidates = healthy_views if healthy_required else views
+            if not candidates:
+                # Whole fleet down: hold the arrival for the next
+                # recovery — and fail loudly if none is coming.
+                if not any(
+                    isinstance(e, ReplicaRecover) for e in fault_events[fi:]
+                ):
+                    raise ValueError(
+                        f"request {request.request_id} has nowhere to go: "
+                        f"every replica is down and the fault schedule "
+                        f"holds no further recovery"
+                    )
+                deferred.append(request)
+                return
             choice = self.router.route(request, candidates)
             if not isinstance(choice, int) or not 0 <= choice < len(engines):
                 raise RuntimeError(
@@ -473,10 +540,12 @@ class ClusterSimulator:
                 engine = engines[event.replica_id]
                 if isinstance(event, ReplicaCrash):
                     lost = engine.crash(event.at_ms)
+                    healthy_views = tuple(v for v in views if v.healthy)
                     in_heap[event.replica_id] = False
                     reroute(lost, healthy_only)
                 elif isinstance(event, ReplicaRecover):
                     engine.recover(event.at_ms)
+                    healthy_views = tuple(v for v in views if v.healthy)
                     if not in_heap[event.replica_id]:
                         in_heap[event.replica_id] = True
                         heapq.heappush(heap, (engine.now, event.replica_id))

@@ -27,7 +27,7 @@ generated crash is paired with its recovery, so a generated schedule can
 never leave the fleet permanently dead.
 
 **Digest contract.** An *empty* schedule changes nothing: with every
-replica healthy, health-aware filtering shows the router every snapshot,
+replica healthy, health-aware filtering shows the router every replica,
 nothing is evacuated and no downtime accrues, so the run digests
 identically to health-blind routing under every scheduler and router
 (``tests/test_faults.py`` gates this).
@@ -35,6 +35,8 @@ identically to health-blind routing under every scheduler and router
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple, Union
@@ -81,26 +83,30 @@ class ReplicaSlowdown:
 
     def __post_init__(self):
         _check_common(self)
-        if self.factor <= 0.0:
-            raise ValueError(
-                f"slowdown factor must be > 0, got {self.factor} "
-                f"(replica {self.replica_id} at t={self.at_ms})"
-            )
-        if self.duration_ms <= 0.0:
-            raise ValueError(
-                f"slowdown duration_ms must be > 0, got {self.duration_ms} "
-                f"(replica {self.replica_id} at t={self.at_ms})"
-            )
+        # Written so that NaN fails too: every comparison with NaN is false.
+        for name in ("factor", "duration_ms"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"ReplicaSlowdown.{name} must be finite and > 0, got {value!r} "
+                    f"(replica {self.replica_id} at t={self.at_ms})"
+                )
 
 
 FaultEvent = Union[ReplicaCrash, ReplicaRecover, ReplicaSlowdown]
 
 
 def _check_common(event) -> None:
-    if event.at_ms < 0.0:
-        raise ValueError(f"fault event time must be >= 0, got {event.at_ms}")
-    if event.replica_id < 0:
-        raise ValueError(f"fault event replica_id must be >= 0, got {event.replica_id}")
+    kind = type(event).__name__
+    replica_id = event.replica_id
+    # Any integral type (a numpy integer, say), but not bool: the cluster
+    # indexes its replicas with it.
+    if isinstance(replica_id, bool) or not isinstance(replica_id, numbers.Integral):
+        raise ValueError(f"{kind}.replica_id must be an integer, got {replica_id!r}")
+    if replica_id < 0:
+        raise ValueError(f"{kind}.replica_id must be >= 0, got {replica_id!r}")
+    if not 0.0 <= event.at_ms < math.inf:
+        raise ValueError(f"{kind}.at_ms must be finite and >= 0, got {event.at_ms!r}")
 
 
 # Processing order at equal timestamps: recoveries first (so a fleet

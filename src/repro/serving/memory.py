@@ -17,7 +17,7 @@ simulator that constraint, vLLM-style:
   request holds ``ceil(tokens / block_tokens)`` blocks, growing one token
   per decode step; the simulator allocates/releases through it and
   preempts when a step would exceed the budget;
-* :class:`KvMemoryView` — the read-only snapshot handed to schedulers so a
+* :class:`KvMemoryView` — the per-step record handed to schedulers so a
   memory-aware policy can order admissions by block cost without being
   able to mutate the accounting.
 
@@ -166,17 +166,20 @@ def kv_budget_blocks(
     return max(1, int(free_bytes // block_bytes))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class KvMemoryView:
-    """A read-only snapshot of the block pool for scheduler policies.
+    """The block pool as a scheduler policy sees it for one admission call.
 
     ``used_blocks`` / ``peak_used_blocks`` expose the pool's pressure so a
     policy (or the prefix store) never has to reach into the mutable
     manager.  ``resident_prefixes`` maps a shared prefix id to the tokens
     of that prefix pinned in the pool (whole blocks only), and
     ``free_blocks`` counts reclaimable prefix blocks as free; see
-    :meth:`repro.serving.prefix.PrefixStore.view`, which builds the view
-    the engine hands its scheduler.
+    :meth:`repro.serving.prefix.PrefixStore.view`, which builds a fresh
+    record per call for the engine to hand its scheduler.  The block
+    counts are fixed when the record is built; the map the store passes
+    is its live read-only proxy, so a policy reads it within the call
+    and copies it if it keeps it.
     """
 
     block_tokens: int

@@ -45,7 +45,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict
+from types import MappingProxyType
+from typing import Dict, Mapping
 
 from repro.serving.memory import KvBlockManager, KvMemoryView
 
@@ -73,6 +74,14 @@ class PrefixStore:
         # order: eviction pops from the front, a re-attach removes the key.
         self._reclaimable: "OrderedDict[str, None]" = OrderedDict()
         self._next_entry_id = -1
+        # Prefix id -> resident tokens, for every entry and for the
+        # referenced (refcount > 0) ones, updated wherever an entry
+        # changes: the router and the scheduler read them through the
+        # read-only proxies below instead of a fresh copy per read.
+        self._resident: Dict[str, int] = {}
+        self._referenced: Dict[str, int] = {}
+        self._resident_view = MappingProxyType(self._resident)
+        self._referenced_view = MappingProxyType(self._referenced)
         # Incremental block sums, split by whether any running request is
         # attached: the engine reads both every step under pressure.
         self._referenced_blocks = 0
@@ -120,13 +129,17 @@ class PrefixStore:
         entry = self._entries.get(key)
         return entry.refcount if entry is not None else 0
 
-    def resident_tokens(self) -> Dict[str, int]:
+    def resident_tokens(self) -> Mapping[str, int]:
         """Prefix id -> resident tokens, referenced or cached — the router
-        affinity view (a cached prefix is still a hit to route toward)."""
-        block_tokens = self.manager.block_tokens
-        return {key: entry.blocks * block_tokens for key, entry in self._entries.items()}
+        affinity view (a cached prefix is still a hit to route toward).
 
-    def referenced_tokens(self) -> Dict[str, int]:
+        A live read-only proxy, the same object on every call: it follows
+        every acquire, eviction and :meth:`clear`, and writing to it
+        raises ``TypeError``.  Copy it to keep a point-in-time map.
+        """
+        return self._resident_view
+
+    def referenced_tokens(self) -> Mapping[str, int]:
         """Prefix id -> resident tokens of *referenced* entries only — the
         admission-accounting view.  A referenced entry is pinned for the
         admission round (refcounts cannot drop mid-round), so charging
@@ -135,13 +148,10 @@ class PrefixStore:
         blocks are simultaneously counted as free (evictable on demand)
         and may be reclaimed by another admission in the same round —
         counting them both ways would overcommit the pool.
+
+        Live and read-only like :meth:`resident_tokens`.
         """
-        block_tokens = self.manager.block_tokens
-        return {
-            key: entry.blocks * block_tokens
-            for key, entry in self._entries.items()
-            if entry.refcount > 0
-        }
+        return self._referenced_view
 
     def view(self) -> KvMemoryView:
         """The pool as the scheduler sees it.
@@ -154,6 +164,11 @@ class PrefixStore:
         free figure (eviction may hand them to any admission this round),
         so a request hoping to re-attach is charged in full — if the
         entry survives, admission simply under-uses its charge.
+
+        A fresh record per call whose block counts are fixed at the call;
+        its residency map is the live :meth:`referenced_tokens` proxy, so
+        read it before the store changes again (the engine hands the view
+        to one ``select_memory`` call and never reads it back).
         """
         manager = self.manager
         return KvMemoryView(
@@ -162,7 +177,7 @@ class PrefixStore:
             free_blocks=manager.free_blocks + self._reclaimable_blocks,
             used_blocks=manager.used_blocks,
             peak_used_blocks=manager.peak_used_blocks,
-            resident_prefixes=self.referenced_tokens(),
+            resident_prefixes=self._referenced_view,
         )
 
     # ------------------------------------------------------------------ #
@@ -175,6 +190,7 @@ class PrefixStore:
         while manager.free_blocks < blocks and reclaimable:
             key, _ = reclaimable.popitem(last=False)
             entry = self._entries.pop(key)
+            del self._resident[key]
             manager.release(entry.entry_id)
             self._reclaimable_blocks -= entry.blocks
             self.evictions += 1
@@ -203,6 +219,7 @@ class PrefixStore:
                 )
             if entry.refcount == 0:
                 del self._reclaimable[key]
+                self._referenced[key] = entry.tokens
                 self._reclaimable_blocks -= entry.blocks
                 self._referenced_blocks += entry.blocks
             entry.refcount += 1
@@ -218,6 +235,7 @@ class PrefixStore:
             key=key, tokens=shared_tokens, blocks=blocks, entry_id=entry_id, refcount=1
         )
         self._entries[key] = entry
+        self._resident[key] = self._referenced[key] = shared_tokens
         self._referenced_blocks += blocks
         self.misses += 1
         if len(self._entries) > self.peak_resident:
@@ -237,6 +255,7 @@ class PrefixStore:
         entry.refcount -= 1
         if entry.refcount == 0:
             self._reclaimable[key] = None
+            del self._referenced[key]
             self._referenced_blocks -= entry.blocks
             self._reclaimable_blocks += entry.blocks
 
@@ -255,6 +274,8 @@ class PrefixStore:
         for entry in self._entries.values():
             manager.release(entry.entry_id)
         self._entries.clear()
+        self._resident.clear()
+        self._referenced.clear()
         self._reclaimable.clear()
         self._referenced_blocks = 0
         self._reclaimable_blocks = 0

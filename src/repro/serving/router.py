@@ -1,10 +1,11 @@
 """Pluggable request routers for the multi-replica cluster simulator.
 
 A :class:`~repro.serving.cluster.ClusterSimulator` fronts N independent
-replica engines with one router: every arriving request is shown the
-current :class:`ReplicaSnapshot` of each replica (queue depth, batch
-occupancy, free KV blocks, preemptions so far) and the router picks which
-replica serves it.  Routing policy is as perf-critical as batch
+replica engines with one router: every arriving request is shown a tuple
+of live read-only replica views (:class:`~repro.serving.cluster.ReplicaView`:
+queue depth, batch occupancy, free KV blocks, preemptions so far — the
+fields of :class:`ReplicaSnapshot`) and the router picks which replica
+serves it.  Routing policy is as perf-critical as batch
 composition — a router that stacks marathon generations on one replica
 wrecks tail latency no matter how good that replica's scheduler is.  Five
 policies are provided:
@@ -35,8 +36,10 @@ policies are provided:
 from a private ``random.Random`` reseeded by :meth:`Router.reset` at the
 start of every cluster run — so two simulations of the same seeded
 workload route identically and the cluster's digest is bit-stable.
-Routers must pick a replica from the snapshot list as-is; they never see
-or mutate engine state.
+Routers must pick a replica from the candidates as given; they read the
+views only during :meth:`Router.route` (a view always reads its replica's
+current state, so a router that keeps a figure past the call copies it),
+and never see or mutate engine state.
 
 Like schedulers, routers are registered by name (:data:`ROUTERS`,
 resolved by :func:`get_router`) and the documented policy tables in
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Type, Union
+from typing import Dict, Mapping, Sequence, Type, Union
 
 from repro.serving.workload import Request
 
@@ -67,7 +70,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReplicaSnapshot:
-    """A read-only view of one replica at a routing decision.
+    """The fields a router reads about one replica at a routing decision.
+
+    The cluster shows routers live views with exactly these names
+    (:class:`~repro.serving.cluster.ReplicaView`); this frozen record is
+    the same interface as a point-in-time copy, which unit tests build
+    by hand and the view tests use as their oracle.
 
     ``waiting`` counts every request assigned to the replica that is not
     currently running (queued-for-arrival plus the scheduler's waiting
@@ -85,11 +93,11 @@ class ReplicaSnapshot:
 
     ``healthy`` is ``False`` while the replica is crashed
     (:mod:`repro.serving.faults`).  Under the cluster's default
-    health-aware routing, routers only ever *see* healthy snapshots —
+    health-aware routing, routers only ever *see* healthy replicas —
     every policy fails over automatically with no health logic of its own
     (a crashed replica's wiped prefix store also empties
     ``resident_prefixes``, so affinity can never key on a dead cache).
-    The health-blind baseline passes unfiltered snapshots instead.
+    The health-blind baseline passes every replica instead.
     """
 
     replica_id: int
@@ -117,7 +125,7 @@ class ReplicaSnapshot:
         return self.kv_total_blocks - self.kv_reserved_blocks
 
 
-def _require_replicas(replicas: List[ReplicaSnapshot]) -> None:
+def _require_replicas(replicas: Sequence[ReplicaSnapshot]) -> None:
     """Routing into an empty candidate list is a caller bug: the cluster
     defers arrivals while the whole fleet is down rather than asking."""
     if not replicas:
@@ -140,16 +148,21 @@ class Router:
         are independent and bit-identical.
         """
 
-    def route(self, request: Request, replicas: List[ReplicaSnapshot]) -> int:
+    def route(self, request: Request, replicas: Sequence[ReplicaSnapshot]) -> int:
         """The ``replica_id`` that should serve ``request``.
 
-        ``replicas`` holds one snapshot per replica, in id order.  Each
-        reflects the replica's state *as of the request's arrival*: the
-        cluster advances every engine until its clock passes the arrival
-        or it can make no further progress — an idle or blocked replica's
-        ``now_ms`` therefore reads its last event time (possibly well
-        before the arrival), but its state cannot change before new input
-        arrives, so the counts and block figures are current either way.
+        ``replicas`` is a tuple of candidate replicas in id order (every
+        replica, or only the healthy ones under health-aware routing),
+        each a live read-only view with :class:`ReplicaSnapshot`'s fields.
+        Read them during this call and copy what you keep: the cluster
+        shows the same views again at later decisions, by then reading
+        later state.  During the call each reflects the replica's state
+        *as of the request's arrival*: the cluster advances every engine
+        until its clock passes the arrival or it can make no further
+        progress — an idle or blocked replica's ``now_ms`` therefore reads
+        its last event time (possibly well before the arrival), but its
+        state cannot change before new input arrives, so the counts and
+        block figures are current either way.
         """
         raise NotImplementedError
 

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.serving.memory import (
     DEFAULT_HBM_UTILIZATION,
@@ -421,8 +421,9 @@ class ReplicaEngine:
         """
         return self._reserved_blocks
 
-    def resident_prefix_tokens(self) -> dict:
-        """Prefix id -> resident shared tokens, for router snapshots."""
+    def resident_prefix_tokens(self) -> Mapping[str, int]:
+        """Prefix id -> resident shared tokens, for router views: the
+        prefix store's live read-only map, which a crash empties."""
         return self.prefix_store.resident_tokens()
 
     # ------------------------------------------------------------------ #

@@ -107,14 +107,24 @@ def test_generate_validates_knobs():
 
 
 def test_event_validation():
-    with pytest.raises(ValueError):
-        ReplicaCrash(-1.0, 0)
-    with pytest.raises(ValueError):
-        ReplicaRecover(0.0, -1)
-    with pytest.raises(ValueError):
-        ReplicaSlowdown(0.0, 0, factor=0.0, duration_ms=10.0)
-    with pytest.raises(ValueError):
-        ReplicaSlowdown(0.0, 0, factor=2.0, duration_ms=0.0)
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        (lambda: ReplicaCrash(-1.0, 0), "at_ms"),
+        (lambda: ReplicaRecover(0.0, -1), "replica_id"),
+        (lambda: ReplicaSlowdown(0.0, 0, factor=0.0, duration_ms=10.0), "factor"),
+        (lambda: ReplicaSlowdown(0.0, 0, factor=2.0, duration_ms=0.0), "duration_ms"),
+        # Non-finite values: NaN fails every sign check, infinity passes it.
+        (lambda: ReplicaSlowdown(0.0, 0, factor=nan, duration_ms=10.0), "factor"),
+        (lambda: ReplicaSlowdown(0.0, 0, factor=inf, duration_ms=10.0), "factor"),
+        (lambda: ReplicaSlowdown(0.0, 0, factor=2.0, duration_ms=nan), "duration_ms"),
+        (lambda: ReplicaCrash(nan, 0), "at_ms"),
+        # Replica ids index the fleet: integers only, and bool is not one.
+        (lambda: ReplicaCrash(1.0, 1.5), "replica_id"),
+        (lambda: ReplicaRecover(1.0, True), "replica_id"),
+    ]
+    for build, field in cases:
+        with pytest.raises(ValueError, match=rf"^Replica\w+\.{field} "):
+            build()
 
 
 def test_schedule_sorts_events_and_orders_ties():

@@ -262,7 +262,11 @@ def test_request_prefix_validation():
 @pytest.mark.parametrize("seed", range(4))
 def test_randomized_store_invariants(seed):
     """Conservation under a random op mix: the pool's used blocks always
-    equal the private holdings plus each resident prefix counted once."""
+    equal the private holdings plus each resident prefix counted once.
+
+    The residency maps are live read-only proxies the store updates at
+    every entry change; after every operation they must equal the maps
+    recomputed from the entries, and refuse writes."""
     rng = random.Random(seed)
     block_tokens = 16
     manager = KvBlockManager(total_blocks=64, block_tokens=block_tokens)
@@ -288,6 +292,18 @@ def test_randomized_store_invariants(seed):
             assert store.refcount(key) == attached[key] >= 0
             if attached[key]:
                 assert key in store.referenced_tokens()
+        entries = store._entries
+        assert store.resident_tokens() == {
+            key: entry.blocks * block_tokens for key, entry in entries.items()
+        }
+        assert store.referenced_tokens() == {
+            key: entry.blocks * block_tokens
+            for key, entry in entries.items()
+            if entry.refcount > 0
+        }
+        for live in (store.resident_tokens(), store.referenced_tokens()):
+            with pytest.raises(TypeError):
+                live["intruder"] = block_tokens
 
     for _ in range(2000):
         op = rng.random()
@@ -317,8 +333,11 @@ def test_randomized_store_invariants(seed):
             rid = rng.choice(list(private))
             manager.release(rid)
             del private[rid]
-        else:  # pressure: force evictions of cached entries
+        elif op < 0.98:  # pressure: force evictions of cached entries
             store.ensure_free(rng.randint(1, manager.total_blocks))
+        else:  # a crash wipes every entry, referenced ones included
+            store.clear()
+            attached = dict.fromkeys(keys, 0)
         check()
     # Releases stay balanced: every key we believe is detached refuses
     # another release (idempotence guard), every attached one accepts it.

@@ -105,7 +105,10 @@ FLEET_CASES = [
 CASES = PRESSURE_CASES + DEADLINE_CASES + FLEET_CASES
 
 
-def _play(scheduler, seed, blocks, batch, deadline_factor, replicas):
+def _play(
+    scheduler, seed, blocks, batch, deadline_factor, replicas,
+    router="prefix-affinity", health_aware=True,
+):
     workload = _workload(seed, blocks, deadline_factor)
     common = dict(
         backend="hexcute", scheduler=scheduler, arch=ARCH,
@@ -119,7 +122,8 @@ def _play(scheduler, seed, blocks, batch, deadline_factor, replicas):
         mean_downtime_ms=span / 10.0,
     )
     cluster = ClusterSimulator(
-        SIM_MODEL, replicas=replicas, router="prefix-affinity", seed=seed, **common
+        SIM_MODEL, replicas=replicas, router=router, seed=seed,
+        health_aware=health_aware, **common
     )
     return cluster.simulate(workload, workload="prefix-shared", faults=faults)
 
