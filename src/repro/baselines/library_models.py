@@ -63,7 +63,6 @@ class RooflineLibrary:
             arch=arch,
             latency_us=latency,
             flops=flops,
-            bytes_moved=bytes_moved,
         )
 
 
@@ -98,7 +97,6 @@ def cublas_gemm(arch, m: int, n: int, k: int) -> OperatorResult:
         arch=gpu,
         latency_us=result.latency_us,
         flops=flops,
-        bytes_moved=bytes_moved,
         lines_of_code=703,  # CUTLASS reference implementation LoC (Table II)
     )
 
@@ -116,7 +114,6 @@ def cutlass_fp8_gemm(arch, m: int, n: int, k: int) -> OperatorResult:
         arch=gpu,
         latency_us=result.latency_us,
         flops=flops,
-        bytes_moved=bytes_moved,
         lines_of_code=900,
     )
 
@@ -136,7 +133,6 @@ def flash_attention_forward(arch, batch: int, heads: int, seq: int, dim: int) ->
         arch=gpu,
         latency_us=result.latency_us,
         flops=flops,
-        bytes_moved=bytes_moved,
         lines_of_code=loc,
     )
 
@@ -154,7 +150,6 @@ def flash_attention_decoding(arch, batch: int, heads: int, kv_len: int, dim: int
         arch=gpu,
         latency_us=result.latency_us,
         flops=flops,
-        bytes_moved=bytes_moved,
         lines_of_code=322,
     )
 
@@ -173,7 +168,7 @@ def marlin_old_moe(
 ) -> OperatorResult:
     """Marlin-old (vLLM 0.8.2): one kernel launch per active expert."""
     gpu = get_arch(arch)
-    routed, experts_active, flops, bytes_moved = _moe_work(num_tokens, num_experts, top_k, n, k)
+    routed, experts_active, flops, _ = _moe_work(num_tokens, num_experts, top_k, n, k)
     per_expert_tokens = max(1, routed // max(experts_active, 1))
     per_expert_flops = 2.0 * per_expert_tokens * n * k
     per_expert_bytes = n * k * 0.5 + per_expert_tokens * (k + n) * 2.0
@@ -189,7 +184,6 @@ def marlin_old_moe(
         arch=gpu,
         latency_us=latency,
         flops=flops,
-        bytes_moved=bytes_moved,
         lines_of_code=1411,
     )
 
@@ -206,7 +200,6 @@ def marlin_new_moe(
         arch=gpu,
         latency_us=result.latency_us,
         flops=flops,
-        bytes_moved=bytes_moved,
         lines_of_code=1889,
     )
 
@@ -225,6 +218,5 @@ def mamba_library_scan(arch, batch: int, seq_len: int, d_inner: int) -> Operator
         arch=gpu,
         latency_us=result.latency_us,
         flops=flops,
-        bytes_moved=bytes_moved,
         lines_of_code=650,
     )

@@ -75,7 +75,6 @@ def triton_gemm(arch, m: int, n: int, k: int) -> OperatorResult:
         arch=gpu,
         latency_us=kernel.latency_us * 1.05,  # scheduling overhead of generic codegen
         flops=2.0 * m * n * k,
-        bytes_moved=2.0 * (m * k + n * k + m * n),
         lines_of_code=71,
         kernels={"gemm": kernel},
     )
@@ -99,7 +98,6 @@ def triton_fp8_gemm(arch, m: int, n: int, k: int) -> OperatorResult:
         arch=gpu,
         latency_us=kernel.latency_us * 1.10,
         flops=2.0 * m * n * k,
-        bytes_moved=1.0 * (m * k + n * k) + 2.0 * m * n,
         lines_of_code=87,
         kernels={"fp8_gemm": kernel},
     )
@@ -118,7 +116,6 @@ def triton_attention_forward(arch, batch: int, heads: int, seq: int, dim: int) -
         arch=gpu,
         latency_us=kernel.latency_us * 1.10,
         flops=4.0 * batch * heads * seq * seq * dim,
-        bytes_moved=4.0 * batch * heads * seq * dim * 2,
         lines_of_code=114,
         kernels={"attention": kernel},
     )
@@ -141,7 +138,6 @@ def triton_attention_decoding(arch, batch: int, heads: int, kv_len: int, dim: in
         arch=gpu,
         latency_us=kernel.latency_us * 1.10,
         flops=4.0 * batch * heads * kv_len * dim,
-        bytes_moved=2.0 * batch * heads * kv_len * dim * 2,
         lines_of_code=224,
         kernels={"attention": kernel},
     )

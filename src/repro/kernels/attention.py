@@ -227,11 +227,9 @@ class AttentionOperator:
         if self.mode == "forward":
             program = build_mha_forward(seq_len, head_dim, num_heads, batch)
             flops = 4.0 * batch * num_heads * seq_len * seq_len * head_dim
-            bytes_moved = 2.0 * batch * num_heads * seq_len * head_dim * 4
         else:
             program = build_mha_decoding(seq_len, head_dim, num_heads, batch)
             flops = 4.0 * batch * num_heads * seq_len * head_dim
-            bytes_moved = 2.0 * batch * num_heads * seq_len * head_dim * 2
         kernel = compile_program(
             program, arch=self.arch, max_candidates=self.max_candidates, cache=self.cache
         )
@@ -240,7 +238,6 @@ class AttentionOperator:
             arch=self.arch,
             latency_us=kernel.latency_us,
             flops=flops,
-            bytes_moved=bytes_moved,
             lines_of_code=kernel.lines_of_code(),
             kernels={"attention": kernel},
         )

@@ -30,7 +30,6 @@ class OperatorResult:
     arch: GpuArch
     latency_us: float
     flops: float = 0.0
-    bytes_moved: float = 0.0
     lines_of_code: int = 0
     kernels: Dict[str, CompiledKernel] = field(default_factory=dict)
     extra: Dict[str, float] = field(default_factory=dict)

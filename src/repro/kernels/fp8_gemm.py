@@ -148,7 +148,6 @@ class Fp8GemmOperator:
             arch=self.arch,
             latency_us=tuned.best_latency_us,
             flops=2.0 * m * n * k,
-            bytes_moved=1.0 * (m * k + n * k) + 2.0 * m * n,
             lines_of_code=best.lines_of_code(),
             kernels={"fp8_gemm": best},
             extra=dict(tuned.best_params),

@@ -227,7 +227,6 @@ class GemmOperator:
             arch=self.arch,
             latency_us=tuned.best_latency_us,
             flops=2.0 * m * n * k,
-            bytes_moved=2.0 * (m * k + n * k + m * n),
             lines_of_code=best.lines_of_code(),
             kernels={"gemm": best},
             extra={

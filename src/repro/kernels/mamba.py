@@ -192,15 +192,12 @@ class SelectiveScanOperator:
 
     def run(self, batch: int, seq_len: int, d_inner: int, d_state: int = 16) -> OperatorResult:
         kernel = self.compile_kernel(seq_len, d_inner, batch)
-        tensors = 6  # u, delta, B, C, Z inputs plus Y output (A is negligible)
-        bytes_moved = tensors * batch * seq_len * d_inner * 2.0
         flops = 8.0 * batch * seq_len * d_inner * d_state
         return OperatorResult(
             name=f"selective_scan_{batch}x{seq_len}x{d_inner}",
             arch=self.arch,
             latency_us=kernel.latency_us,
             flops=flops,
-            bytes_moved=bytes_moved,
             lines_of_code=kernel.lines_of_code(),
             kernels={"scan": kernel},
         )

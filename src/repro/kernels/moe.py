@@ -227,7 +227,6 @@ class MixedTypeMoeOperator:
             arch=self.arch,
             latency_us=latency_us,
             flops=flops,
-            bytes_moved=bytes_moved,
             lines_of_code=kernel.lines_of_code(),
             kernels={"moe": kernel},
             extra={

@@ -15,19 +15,15 @@ from repro.layout.layout import (
     make_ordered_layout,
     row_major,
     column_major,
-    is_layout,
 )
 from repro.layout.algebra import (
     coalesce,
-    filter_zeros,
     composition,
     complement,
     right_inverse,
     left_inverse,
     logical_divide,
     zipped_divide,
-    tiled_divide,
-    flat_divide,
     logical_product,
     blocked_product,
     raked_product,
@@ -54,17 +50,13 @@ __all__ = [
     "make_ordered_layout",
     "row_major",
     "column_major",
-    "is_layout",
     "coalesce",
-    "filter_zeros",
     "composition",
     "complement",
     "right_inverse",
     "left_inverse",
     "logical_divide",
     "zipped_divide",
-    "tiled_divide",
-    "flat_divide",
     "logical_product",
     "blocked_product",
     "raked_product",

@@ -12,7 +12,7 @@ with CUTLASS, restricted to non-negative strides.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 from repro.layout.layout import Layout, make_layout
 from repro.utils.memo import memoized
@@ -29,21 +29,15 @@ from repro.utils.inttuple import (
 
 __all__ = [
     "coalesce",
-    "filter_zeros",
     "composition",
     "complement",
     "right_inverse",
     "left_inverse",
     "logical_divide",
     "zipped_divide",
-    "tiled_divide",
-    "flat_divide",
     "logical_product",
     "blocked_product",
     "raked_product",
-    "zipped_product",
-    "local_partition",
-    "local_tile",
 ]
 
 LayoutOrInt = Union[Layout, int]
@@ -102,14 +96,6 @@ def coalesce(layout: Layout, profile: IntTuple | None = None) -> Layout:
     if len(result_shape) == 1:
         return Layout(result_shape[0], result_stride[0])
     return Layout(tuple(result_shape), tuple(result_stride))
-
-
-def filter_zeros(layout: Layout) -> Layout:
-    """Replace the extent of every stride-0 mode with 1 and coalesce."""
-    flat_shape = flatten(layout.shape)
-    flat_stride = flatten(layout.stride)
-    new_shape = tuple(1 if d == 0 else s for s, d in zip(flat_shape, flat_stride))
-    return coalesce(Layout(new_shape, flat_stride))
 
 
 # --------------------------------------------------------------------------- #
@@ -300,24 +286,6 @@ def zipped_divide(layout: LayoutOrInt, tiler) -> Layout:
     return make_layout(make_layout(*tile_modes), make_layout(*rest_modes))
 
 
-def tiled_divide(layout: LayoutOrInt, tiler) -> Layout:
-    """Like :func:`zipped_divide` but with the rest modes unpacked at the
-    top level: ``((tile...), rest0, rest1, ...)``."""
-    zipped = zipped_divide(layout, tiler)
-    rest = zipped[1]
-    modes = [zipped[0]] + [rest[i] for i in range(rest.rank())]
-    return make_layout(*modes)
-
-
-def flat_divide(layout: LayoutOrInt, tiler) -> Layout:
-    """Like :func:`zipped_divide` with both groups unpacked at the top."""
-    zipped = zipped_divide(layout, tiler)
-    tile, rest = zipped[0], zipped[1]
-    modes = [tile[i] for i in range(tile.rank())]
-    modes += [rest[i] for i in range(rest.rank())]
-    return make_layout(*modes)
-
-
 # --------------------------------------------------------------------------- #
 # Products
 # --------------------------------------------------------------------------- #
@@ -333,10 +301,6 @@ def logical_product(layout_a: LayoutOrInt, layout_b: LayoutOrInt) -> Layout:
         complement(layout_a, layout_a.size() * layout_b.cosize()), layout_b
     )
     return make_layout(layout_a, rest)
-
-
-def zipped_product(layout_a: LayoutOrInt, layout_b: LayoutOrInt) -> Layout:
-    return logical_product(layout_a, layout_b)
 
 
 def blocked_product(layout_a: Layout, layout_b: Layout) -> Layout:
@@ -370,32 +334,3 @@ def _pad_rank(layout: Layout, rank: int) -> Layout:
     while len(modes) < rank:
         modes.append(Layout(1, 0))
     return make_layout(*modes)
-
-
-# --------------------------------------------------------------------------- #
-# Partitioning helpers
-# --------------------------------------------------------------------------- #
-def local_partition(layout: Layout, tile: Layout, index: int) -> Layout:
-    """The sub-layout owned by participant ``index`` under ``tile``.
-
-    ``tile`` distributes participants over the layout (e.g. a thread layout
-    over a data tile); the result is the layout of the data seen by one
-    participant.
-    """
-    divided = zipped_divide(layout, tuple(Layout(s) for s in flatten(tile.shape)))
-    # Mode 0 enumerates positions inside one tile of `tile.shape`; compose
-    # with `tile` to pick this participant's element of every tile.
-    inner = divided[0]
-    rest = divided[1]
-    offset = composition(inner, tile)(index)
-    return Layout(rest.shape, rest.stride), offset
-
-
-def local_tile(layout: Layout, tile_shape: Sequence[int], tile_coord: Sequence[int]):
-    """The sub-layout and offset of the tile at ``tile_coord`` for a layout
-    partitioned into tiles of ``tile_shape``."""
-    tiler = tuple(Layout(int(s)) for s in tile_shape)
-    divided = zipped_divide(layout, tiler)
-    inner, rest = divided[0], divided[1]
-    offset = rest(tuple(int(c) for c in tile_coord))
-    return inner, offset

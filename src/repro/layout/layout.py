@@ -37,7 +37,6 @@ __all__ = [
     "make_ordered_layout",
     "row_major",
     "column_major",
-    "is_layout",
 ]
 
 
@@ -218,11 +217,6 @@ def _fmt(value: IntTuple) -> str:
     if is_int(value):
         return str(value)
     return "(" + ",".join(_fmt(item) for item in value) + ")"
-
-
-def is_layout(value) -> bool:
-    """Return True if ``value`` is a :class:`Layout`."""
-    return isinstance(value, Layout)
 
 
 def make_layout(*layouts: Union[Layout, int]) -> Layout:

@@ -96,6 +96,7 @@ from repro.serving.scheduler import (
     SCHEDULERS,
     Scheduler,
     SloScheduler,
+    fitting_prefix,
     get_scheduler,
 )
 from repro.serving.simulator import ReplicaEngine, ServingSimulator, simulate
@@ -161,6 +162,7 @@ __all__ = [
     "bursty_workload",
     "deadline_workload",
     "diurnal_workload",
+    "fitting_prefix",
     "format_reports",
     "get_router",
     "get_scheduler",

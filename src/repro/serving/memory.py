@@ -81,7 +81,7 @@ def blocks_for_tokens(tokens: int, block_tokens: int = DEFAULT_KV_BLOCK_TOKENS) 
     :class:`KvBlockManager` and :class:`KvMemoryView` delegate here, and
     benchmarks/tests sizing a budget against a workload should too.
     Memoized: admission prices the same token counts over and over (every
-    scheduler's ``select_memory`` asks for each candidate it admits, and
+    scheduler's ``select`` asks for each candidate it admits, and
     ``memory-aware`` for the whole backlog), and the answer is pure integer
     arithmetic.
     """

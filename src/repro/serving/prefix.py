@@ -168,7 +168,7 @@ class PrefixStore:
         A fresh record per call whose block counts are fixed at the call;
         its residency map is the live :meth:`referenced_tokens` proxy, so
         read it before the store changes again (the engine hands the view
-        to one ``select_memory`` call and never reads it back).
+        to one ``select`` call and never reads it back).
         """
         manager = self.manager
         return KvMemoryView(

@@ -29,25 +29,24 @@ policy's order and a key-ordered policy admits from its head — ``slo``'s
 earliest-deadline-first is the same head slice as ``fcfs``.  The key
 ends in ``request_id``, so it is unique and insertion reproduces a full
 sort exactly.  Writing a policy is therefore a key plus liveness hooks:
-``queue_key`` for the order, ``select`` to decide how much of the head
-to admit now (``max-batch`` defers; ``memory-aware`` reorders by a
-pool-dependent footprint that no static key can capture, so it keeps the
-arrival key and ranks inside ``select_memory``), ``next_event_ms`` for
-time-based deferrals and ``preempt_order`` for victims.  A policy that
-reads ``waiting[0]`` as the oldest request must keep the arrival key.
 
-Policies also expose two hooks the engine drives:
-
-* :meth:`Scheduler.select_memory` — admission with a
-  :class:`~repro.serving.memory.KvMemoryView` attached; the base
-  implementation delegates to :meth:`Scheduler.select`, so existing
-  policies (and user subclasses that only override ``select``) keep
-  working unchanged;
+* :meth:`Scheduler.queue_key` — the waiting order;
+* :meth:`Scheduler.select` — which waiting requests join now, with the
+  replica's :class:`~repro.serving.memory.KvMemoryView` attached.  A
+  key-ordered policy decides how much of the head to take (``max-batch``
+  defers) and returns :func:`fitting_prefix` of it; ``memory-aware``
+  reorders by a pool-dependent footprint that no static key can
+  capture, so it keeps the arrival key and ranks inside ``select``;
+* :meth:`Scheduler.next_event_ms` — when a time-based deferral must be
+  re-polled;
 * :meth:`Scheduler.preempt_order` — the order running requests should be
   preempted in when a decode step would exceed the KV budget (first entry
   = first victim).  The default is newest-first (LIFO, vLLM's
   recompute-preemption order); ``slo`` preempts the latest deadline first
   and ``memory-aware`` the largest block holder first.
+
+A policy that reads ``waiting[0]`` as the oldest request must keep the
+arrival key.
 
 **Determinism contract.** Schedulers are deterministic: ties break on
 ``request_id``, and no policy consults wall-clock or random state.
@@ -58,9 +57,9 @@ and repeated runs — the cluster simulator relies on this.
 **Digest compatibility.** The simulator digests only the per-request
 trace, so a policy decision *is* observable: two schedulers that admit
 identically produce equal digests, and any behavioural change to a policy
-shows up in CI's digest checks.  ``select_memory``'s base implementation
-keeps the fitting *prefix* of ``select``'s choice, which is what keeps a
-``select``-only policy bit-identical under a never-exceeded KV budget.
+shows up in CI's digest checks.  :func:`fitting_prefix` keeps a *prefix*
+of the policy's choice, not a filter, which is what keeps a slot-only
+policy bit-identical under a never-exceeded KV budget.
 """
 
 from __future__ import annotations
@@ -80,6 +79,7 @@ __all__ = [
     "SCHEDULERS",
     "Scheduler",
     "SloScheduler",
+    "fitting_prefix",
     "get_scheduler",
 ]
 
@@ -116,51 +116,23 @@ class Scheduler:
     def select(
         self,
         waiting: List[Request],
-        running: int,
-        free_slots: int,
-        now_ms: float,
-        more_arrivals: bool,
-    ) -> List[Request]:
-        """The subset of ``waiting`` to admit this step.
-
-        ``waiting`` is sorted by :meth:`queue_key`, so a policy that
-        admits in its own key order takes a head slice; ``running`` is
-        the current batch occupancy, ``free_slots`` how many requests may
-        be admitted (none when it is ``<= 0``), and ``more_arrivals``
-        whether any request has yet to arrive (so a policy can
-        distinguish "wait for more traffic" from "this is all the traffic
-        there will ever be").
-        """
-        raise NotImplementedError
-
-    def select_memory(
-        self,
-        waiting: List[Request],
-        running: int,
         free_slots: int,
         now_ms: float,
         more_arrivals: bool,
         memory: KvMemoryView,
     ) -> List[Request]:
-        """Admission with the KV block pool attached.
+        """The requests of ``waiting`` to admit this step.
 
-        The base implementation delegates to :meth:`select` and then keeps
-        the *prefix* of the policy's choice whose admission blocks fit the
-        free pool — a prefix, not a filter, so no request sneaks past one
-        the policy ranked ahead of it (FCFS stays FCFS under memory
-        pressure).  Policies that only override ``select`` therefore keep
-        working unchanged.
+        ``waiting`` is sorted by :meth:`queue_key`, so a policy that
+        admits in its own key order takes a head slice; ``free_slots`` is
+        how many requests may be admitted (none when it is ``<= 0``),
+        ``more_arrivals`` whether any request has yet to arrive (so a
+        policy can distinguish "wait for more traffic" from "this is all
+        the traffic there will ever be"), and ``memory`` the replica's KV
+        block pool: every returned request must fit it, together with the
+        ones returned before it (see :func:`fitting_prefix`).
         """
-        chosen = self.select(waiting, running, free_slots, now_ms, more_arrivals)
-        admitted: List[Request] = []
-        free = memory.free_blocks
-        for request in chosen:
-            need = memory.admission_blocks(request)
-            if need > free:
-                break
-            admitted.append(request)
-            free -= need
-        return admitted
+        raise NotImplementedError
 
     def preempt_order(self, running: List[RunningInfo], now_ms: float) -> List[RunningInfo]:
         """The order running requests are preempted in (first = first victim).
@@ -187,13 +159,28 @@ class Scheduler:
         return f"{type(self).__name__}()"
 
 
+def fitting_prefix(chosen: List[Request], memory: KvMemoryView) -> List[Request]:
+    """The longest prefix of ``chosen`` whose admission blocks fit the
+    free pool — a prefix, not a filter, so no request sneaks past one the
+    policy ranked ahead of it (FCFS stays FCFS under memory pressure)."""
+    admitted: List[Request] = []
+    free = memory.free_blocks
+    for request in chosen:
+        need = memory.admission_blocks(request)
+        if need > free:
+            break
+        admitted.append(request)
+        free -= need
+    return admitted
+
+
 class FcfsScheduler(Scheduler):
     """First-come-first-served continuous batching."""
 
     name = "fcfs"
 
-    def select(self, waiting, running, free_slots, now_ms, more_arrivals):
-        return list(waiting[: max(free_slots, 0)])
+    def select(self, waiting, free_slots, now_ms, more_arrivals, memory):
+        return fitting_prefix(waiting[: max(free_slots, 0)], memory)
 
 
 class SloScheduler(Scheduler):
@@ -231,7 +218,7 @@ class MaxBatchScheduler(Scheduler):
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self.max_wait_ms = max_wait_ms
 
-    def select(self, waiting, running, free_slots, now_ms, more_arrivals):
+    def select(self, waiting, free_slots, now_ms, more_arrivals, memory):
         if not waiting or free_slots <= 0:
             return []
         oldest_age = now_ms - waiting[0].arrival_ms
@@ -240,7 +227,7 @@ class MaxBatchScheduler(Scheduler):
             or not more_arrivals
             or oldest_age >= self.max_wait_ms
         ):
-            return list(waiting[:free_slots])
+            return fitting_prefix(waiting[:free_slots], memory)
         return []
 
     def next_event_ms(self, waiting, now_ms):
@@ -262,9 +249,6 @@ class MemoryAwareScheduler(Scheduler):
     liveness escape ``max-batch`` uses for time).  Preemption targets the
     largest block holder first — evicting one marathon context frees the
     most blocks per recompute.
-
-    :meth:`select`, the slot-only view that knows no block costs, is plain
-    FCFS; the engine admits through :meth:`select_memory`.
     """
 
     name = "memory-aware"
@@ -274,36 +258,24 @@ class MemoryAwareScheduler(Scheduler):
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self.max_wait_ms = max_wait_ms
 
-    select = FcfsScheduler.select
-
-    def select_memory(self, waiting, running, free_slots, now_ms, more_arrivals, memory):
+    def select(self, waiting, free_slots, now_ms, more_arrivals, memory):
         if not waiting or free_slots <= 0:
             return []
         aged = [r for r in waiting if now_ms - r.arrival_ms >= self.max_wait_ms]
         fresh = [r for r in waiting if now_ms - r.arrival_ms < self.max_wait_ms]
-        # The admission loop below touches at most free_slots entries before
-        # a break, so the free_slots smallest fresh requests (nsmallest is
-        # exactly sorted(...)[:free_slots] — the key is unique) fully
-        # determine the round; no need to sort the whole backlog.
+        # At most free_slots requests join, so the free_slots smallest fresh
+        # requests (nsmallest is exactly sorted(...)[:free_slots] — the key
+        # is unique) fully determine the round; no need to sort the whole
+        # backlog.
         fresh = heapq.nsmallest(
             free_slots,
             fresh,
             key=lambda r: (memory.admission_blocks(r), r.arrival_ms, r.request_id),
         )
-        admitted: List[Request] = []
-        free = memory.free_blocks
         # Aged requests first, in arrival order, and nothing may jump past
         # one that does not fit; fresh requests are packed smallest-first
         # (sorted ascending, so the first misfit ends the round).
-        for request in aged + fresh:
-            if len(admitted) >= free_slots:
-                break
-            need = memory.admission_blocks(request)
-            if need > free:
-                break
-            admitted.append(request)
-            free -= need
-        return admitted
+        return fitting_prefix((aged + fresh)[:free_slots], memory)
 
     def preempt_order(self, running, now_ms):
         # Largest holder first — evicting one marathon context frees the

@@ -89,32 +89,29 @@ def _arrival_key(request: Request):
 
 @dataclass(slots=True)
 class _ActiveRequest:
-    """Mutable runtime state of one request inside the engine.
+    """Mutable runtime state of one request inside the engine, created
+    when the request first joins the running batch.
 
     ``join_step`` is the engine's step count when the request last joined
-    the running batch (-1 while waiting): every running request decodes
+    the running batch (-1 while preempted): every running request decodes
     one token per step, so after ``steps`` steps it has decoded
     ``steps - join_step`` tokens, and no per-step counter is kept.  The
     engine's calendars tag their entries with it, which is how an entry
     left behind by a preempted request is told apart from a live one.
 
-    ``blocks_held`` mirrors the :class:`KvBlockManager` holding for this
-    request (0 while waiting).
-
-    ``prefix_key`` / ``shared_tokens`` record an attachment to a shared
-    prefix in the replica's :class:`~repro.serving.prefix.PrefixStore`
-    (set at admission, cleared on preemption): the first ``shared_tokens``
-    tokens of the context live in the store's refcounted blocks, so
-    ``blocks_held`` covers only the private remainder.
+    ``shared_tokens`` records an attachment to ``request.prefix_id`` in
+    the replica's :class:`~repro.serving.prefix.PrefixStore` (set at
+    admission, cleared on preemption; 0 when unattached): the first
+    ``shared_tokens`` tokens of the context live in the store's
+    refcounted blocks, so the request's own :class:`KvBlockManager`
+    holding covers only the private remainder.
     """
 
     request: Request
-    scheduled_ms: float = -1.0
+    scheduled_ms: float
     admitted_ms: float = -1.0
     first_token_ms: float = -1.0
     join_step: int = -1
-    blocks_held: int = 0
-    prefix_key: Optional[str] = None
     shared_tokens: int = 0
 
 
@@ -236,18 +233,17 @@ class ReplicaEngine:
         for request in requests:
             self._reserve(request)
         self.queue = RequestQueue(requests)
-        # ``waiting`` is maintained sorted by the scheduler's static
-        # ``queue_key`` at all times (see :meth:`_enqueue`; shedding keeps
-        # the survivors' order and admission splits off the head), so the
-        # scheduler admits from the head instead of scanning the backlog.
-        # The key is unique per request, so this order is bit-identical to
-        # a full sort.  ``_waiting_reqs`` mirrors it as bare Requests: the
-        # scheduler wants List[Request] every step, and rebuilding that
-        # view per step is O(backlog) — the dominant cost under deep
-        # queues.
+        # ``waiting`` is the list the scheduler reads, maintained sorted by
+        # its static ``queue_key`` at all times (see :meth:`_enqueue`;
+        # shedding keeps the survivors' order and admission splits off the
+        # head), so the scheduler admits from the head instead of scanning
+        # the backlog.  The key is unique per request, so this order is
+        # bit-identical to a full sort.  A preempted request waits as its
+        # bare Request too; its runtime state waits in ``_preempted`` so
+        # that readmission keeps its first scheduling and first-token times.
         self._queue_key = sim.scheduler.queue_key
-        self.waiting: List[_ActiveRequest] = []
-        self._waiting_reqs: List[Request] = []
+        self.waiting: List[Request] = []
+        self._preempted: Dict[int, _ActiveRequest] = {}
         # Request id -> state, in join order: the order preemption victims
         # and finishers detach from their prefixes in, which decides the
         # eviction order of cached prefix entries.
@@ -329,12 +325,12 @@ class ReplicaEngine:
         if not self.healthy:
             raise ValueError(f"replica {self.replica_id} is already down")
         lost: List[Request] = list(self.queue)
-        lost.extend(self._waiting_reqs)
+        lost.extend(self.waiting)
         lost.extend(s.request for s in self.running.values())
         lost.sort(key=_arrival_key)
         self.queue = RequestQueue(())
         self.waiting = []
-        self._waiting_reqs = []
+        self._preempted.clear()
         self.running = {}
         self._crossings.clear()
         self._finishes.clear()
@@ -427,8 +423,8 @@ class ReplicaEngine:
         return self.prefix_store.resident_tokens()
 
     # ------------------------------------------------------------------ #
-    def _enqueue(self, state: _ActiveRequest) -> None:
-        """Insert ``state`` into ``waiting`` at its scheduler key.
+    def _enqueue(self, request: Request) -> None:
+        """Insert ``request`` into ``waiting`` at its scheduler key.
 
         The one insertion path for arrivals, crash retries and preemption
         victims.  Keys mostly grow with arrival time, so the common case
@@ -436,16 +432,12 @@ class ReplicaEngine:
         deadline, an early-arrival retry, a victim) bisects in.
         """
         key = self._queue_key
-        waiting_reqs = self._waiting_reqs
-        request = state.request
+        waiting = self.waiting
         k = key(request)
-        if not waiting_reqs or k > key(waiting_reqs[-1]):
-            self.waiting.append(state)
-            waiting_reqs.append(request)
+        if not waiting or k > key(waiting[-1]):
+            waiting.append(request)
         else:
-            index = bisect_left(waiting_reqs, k, key=key)
-            self.waiting.insert(index, state)
-            waiting_reqs.insert(index, request)
+            waiting.insert(bisect_left(waiting, k, key=key), request)
 
     def _grow_running(self) -> None:
         """Allocate the next decode token of each request whose private
@@ -481,7 +473,6 @@ class ReplicaEngine:
                 request.request_id,
                 request.prompt_tokens + step - join + 1 - state.shared_tokens,
             )
-            state.blocks_held += 1
             if next_step < join + request.output_tokens:
                 self._crossings.setdefault(next_step, []).append((state, join))
 
@@ -518,8 +509,8 @@ class ReplicaEngine:
         ref_blocks: dict = {}
         prefix_of: dict = {}
         for request_id, s in running.items():
-            key = s.prefix_key
-            if key is not None:
+            if s.shared_tokens:
+                key = s.request.prefix_id
                 prefix_of[request_id] = key
                 ref_counts[key] = ref_counts.get(key, 0) + 1
                 ref_blocks[key] = s.shared_tokens // manager.block_tokens
@@ -528,9 +519,9 @@ class ReplicaEngine:
                 request=s.request,
                 admitted_ms=s.admitted_ms,
                 tokens_done=step - s.join_step,
-                blocks_held=s.blocks_held,
+                blocks_held=manager.held(request_id),
             )
-            for s in running.values()
+            for request_id, s in running.items()
         ]
         order = self.sim.scheduler.preempt_order(infos, self.now)
         order_ids = [info.request.request_id for info in order]
@@ -558,16 +549,14 @@ class ReplicaEngine:
             if request_id in victims:
                 del running[request_id]
                 manager.release(request_id)
-                if state.prefix_key is not None:
-                    store.release(state.prefix_key)
-                    state.prefix_key = None
+                if state.shared_tokens:
+                    store.release(state.request.prefix_id)
                     state.shared_tokens = 0
                 # Recompute-on-readmit: the generation restarts from the
                 # prompt (it re-pays prefill and re-decodes on readmission).
                 state.join_step = -1
-                state.admitted_ms = -1.0
-                state.blocks_held = 0
-                self._enqueue(state)
+                self._preempted[request_id] = state
+                self._enqueue(state.request)
         self.preemptions += len(victims)
 
     # ------------------------------------------------------------------ #
@@ -584,44 +573,27 @@ class ReplicaEngine:
         store = self.prefix_store
         running = self.running  # mutated in place; only crash() replaces it
         waiting = self.waiting
-        waiting_reqs = self._waiting_reqs
 
         for r in self.queue.pop_arrived(self.now):
-            self._enqueue(_ActiveRequest(r))
+            self._enqueue(r)
 
-        if self._has_deadlines and waiting_reqs:
+        if self._has_deadlines and waiting:
             # Deadline-driven load shedding: a request still waiting past
             # its hard deadline is hopeless — drop it (counted as shed,
             # not served) rather than let it clog the queue.  Requests
             # already decoding run to completion.  Never entered unless
             # some request actually carries a deadline.
             now = self.now
-            kept = [
-                s
-                for s in waiting
-                if s.request.deadline_ms is None or s.request.deadline_ms > now
-            ]
+            kept = [r for r in waiting if r.deadline_ms is None or r.deadline_ms > now]
             if len(kept) != len(waiting):
-                for state in waiting:
-                    r = state.request
+                for r in waiting:
                     if r.deadline_ms is not None and r.deadline_ms <= now:
                         self.shed.append(r.request_id)
+                        self._preempted.pop(r.request_id, None)
                         self._reserved_blocks -= manager.blocks_for(
                             r.prompt_tokens + r.output_tokens
                         )
                 self.waiting = waiting = kept
-                self._waiting_reqs = waiting_reqs = [s.request for s in kept]
-
-        if not waiting and not running:
-            # Fully idle: jump to the next (local or external) arrival.
-            hints = [self.queue.next_arrival_ms, external_next_arrival_ms]
-            wake = min((t for t in hints if t is not None and t > self.now), default=None)
-            if wake is None:
-                # Only reachable when shedding just emptied the engine
-                # (the idle check at the top saw the now-shed requests).
-                return False
-            self.now = wake
-            return True
 
         # Grow the already-running requests first (preempting if the
         # pool cannot cover the growth), then admit into what is left —
@@ -629,13 +601,10 @@ class ReplicaEngine:
         # straight back out.
         if running:
             self._grow_running()
-            waiting = self.waiting
-            waiting_reqs = self._waiting_reqs
 
-        if waiting_reqs:
-            admitted = sim.scheduler.select_memory(
-                waiting_reqs,
-                running=len(running),
+        if waiting:
+            admitted = sim.scheduler.select(
+                waiting,
                 free_slots=sim.max_batch_size - len(running),
                 now_ms=self.now,
                 more_arrivals=len(self.queue) > 0 or external_pending,
@@ -646,42 +615,49 @@ class ReplicaEngine:
             # whatever a hypothetical one returned could not join anyway —
             # joining requests come *out of* the waiting list).
             admitted = ()
+        joined: List[_ActiveRequest] = []
         if admitted:
             admitted_ids = {r.request_id for r in admitted}
+            count = len(admitted_ids)
             free_slots = sim.max_batch_size - len(running)
-            if len(admitted_ids) > free_slots:
+            if count > free_slots:
                 raise RuntimeError(
-                    f"scheduler {sim.scheduler.name!r} admitted {len(admitted_ids)} "
+                    f"scheduler {sim.scheduler.name!r} admitted {count} "
                     f"requests into {free_slots} free slots"
                 )
-            count = len(admitted_ids)
             if count <= len(waiting) and all(
-                waiting_reqs[i].request_id in admitted_ids for i in range(count)
+                waiting[i].request_id in admitted_ids for i in range(count)
             ):
                 # The admitted set is exactly the head of the queue (always
                 # true for a policy that admits in its own key order, like
-                # fcfs/slo/max-batch under the memory-prefix base policy)
-                # — split off the prefix instead of rebuilding both mirrors.
+                # fcfs/slo/max-batch) — split off the prefix.
                 joining = waiting[:count]
                 del waiting[:count]
-                del waiting_reqs[:count]
             else:
-                joining = [s for s in waiting if s.request.request_id in admitted_ids]
+                joining = [r for r in waiting if r.request_id in admitted_ids]
+                if len(joining) < count:
+                    found = {r.request_id for r in joining}
+                    stray = next(r.request_id for r in admitted if r.request_id not in found)
+                    raise RuntimeError(
+                        f"scheduler {sim.scheduler.name!r} admitted request "
+                        f"{stray}, which is not waiting"
+                    )
                 self.waiting = waiting = [
-                    s for s in waiting if s.request.request_id not in admitted_ids
+                    r for r in waiting if r.request_id not in admitted_ids
                 ]
-                self._waiting_reqs = waiting_reqs = [s.request for s in waiting]
             # Join in arrival order whatever the admission key: the order
             # of ``running`` decides the order of prefix acquires and of
             # ensure_free evictions, here and in every later step.
-            joining.sort(key=lambda s: _arrival_key(s.request))
+            joining.sort(key=_arrival_key)
+            now = self.now
             step = self.steps
             block_tokens = manager.block_tokens
-            for state in joining:
-                if state.scheduled_ms < 0:
-                    state.scheduled_ms = self.now
-                state.admitted_ms = self.now
-                request = state.request
+            preempted = self._preempted
+            for request in joining:
+                state = preempted.pop(request.request_id, None)
+                if state is None:
+                    state = _ActiveRequest(request, scheduled_ms=now)
+                state.admitted_ms = now
                 # The prompt plus the first decode token, mirroring
                 # KvMemoryView.admission_blocks; an attached shared prefix
                 # covers its whole-block head, so only the private
@@ -690,21 +666,18 @@ class ReplicaEngine:
                 try:
                     if request.prefix_id is not None:
                         shared = store.acquire(request.prefix_id, request.prefix_tokens)
-                        if shared:
-                            state.prefix_key = request.prefix_id
-                            state.shared_tokens = shared
-                            admit_tokens -= shared
-                    blocks = manager.blocks_for(admit_tokens)
-                    store.ensure_free(blocks)
+                        state.shared_tokens = shared
+                        admit_tokens -= shared
+                    store.ensure_free(manager.blocks_for(admit_tokens))
                     manager.allocate(request.request_id, admit_tokens)
                 except RuntimeError as exc:
                     raise RuntimeError(
                         f"scheduler {sim.scheduler.name!r} admitted request "
                         f"{request.request_id} beyond the KV budget: {exc}"
                     ) from exc
-                state.blocks_held = blocks
                 state.join_step = step
                 running[request.request_id] = state
+                joined.append(state)
                 # Book the finish, and the first crossing: the grow phase
                 # at ``step + d`` covers ``admit_tokens + d`` tokens, which
                 # needs one more block than the holding when
@@ -715,27 +688,26 @@ class ReplicaEngine:
                 if cross < finish:
                     self._crossings.setdefault(cross, []).append(entry)
                 self._finishes.setdefault(finish, []).append(entry)
-        else:
-            joining = []
 
         if not running:
-            # The scheduler deferred (e.g. max-batch waiting to fill, or
-            # nothing fits the KV pool) and nothing is in flight:
-            # advance to whichever comes first, the next arrival (local or
-            # external) or the scheduler's own re-poll time (so a
+            # Nothing is in flight: the engine holds no waiting requests
+            # (fully idle, or shedding just emptied it) or the scheduler
+            # deferred (e.g. max-batch waiting to fill, or nothing fits the
+            # KV pool).  Advance to whichever comes first, the next arrival
+            # (local or external) or the scheduler's own re-poll time (so a
             # time-based deferral like max_wait_ms cannot be slept past).
             hints = [
                 self.queue.next_arrival_ms,
-                sim.scheduler.next_event_ms(waiting_reqs, self.now),
+                sim.scheduler.next_event_ms(waiting, self.now),
                 external_next_arrival_ms,
             ]
             wake = min((t for t in hints if t is not None and t > self.now), default=None)
             if wake is not None:
                 self.now = wake
                 return True
-            if external_pending:
-                # Blocked: only a future injection can unblock this
-                # replica — hand control back to the cluster.
+            if external_pending or not waiting:
+                # Blocked or drained: only a future injection can unblock
+                # this replica — hand control back to the cluster.
                 return False
             raise RuntimeError(
                 f"scheduler {sim.scheduler.name!r} admitted nothing with "
@@ -760,8 +732,8 @@ class ReplicaEngine:
                 step_ms = step_ms * self._slow_factor
             else:
                 self._slow_factor = 1.0
-        if joining:
-            prefill_tokens = sum(s.request.prompt_tokens for s in joining)
+        if joined:
+            prefill_tokens = sum(s.request.prompt_tokens for s in joined)
             self.now += step_ms + (
                 prefill_tokens * (step_ms / batch) / sim.prefill_parallelism
             )
@@ -775,7 +747,7 @@ class ReplicaEngine:
             self.max_queue_depth = depth
         self.kv_utilization_sum += manager.utilization
 
-        self._retire(joining)
+        self._retire(joined)
         return True
 
     def _retire(self, joining: List[_ActiveRequest]) -> None:
@@ -803,10 +775,10 @@ class ReplicaEngine:
         manager = self.manager
         del self.running[request.request_id]
         manager.release(request.request_id)
-        if state.prefix_key is not None:
+        if state.shared_tokens:
             # Detach from the shared prefix; the entry stays cached for
             # later arrivals until evicted.
-            self.prefix_store.release(state.prefix_key)
+            self.prefix_store.release(request.prefix_id)
         self._reserved_blocks -= manager.blocks_for(
             request.prompt_tokens + request.output_tokens
         )

@@ -20,10 +20,8 @@ from repro.utils.inttuple import (
     shape_div,
     crd2idx,
     idx2crd,
-    crd2crd,
     prefix_product,
     ceil_div,
-    tuple_max,
     unflatten_like,
 )
 
@@ -41,9 +39,7 @@ __all__ = [
     "shape_div",
     "crd2idx",
     "idx2crd",
-    "crd2crd",
     "prefix_product",
     "ceil_div",
-    "tuple_max",
     "unflatten_like",
 ]

@@ -37,10 +37,8 @@ __all__ = [
     "shape_div",
     "crd2idx",
     "idx2crd",
-    "crd2crd",
     "prefix_product",
     "ceil_div",
-    "tuple_max",
     "unflatten_like",
 ]
 
@@ -267,22 +265,11 @@ def _idx2crd_impl(idx: int, shape: IntTuple) -> tuple[IntTuple, int]:
     return tuple(items), idx
 
 
-def crd2crd(coord: IntTuple, src_shape: IntTuple, dst_shape: IntTuple) -> IntTuple:
-    """Convert a coordinate between two congruently-sized shapes."""
-    return idx2crd(crd2idx(coord, src_shape), dst_shape)
-
-
 def ceil_div(a: int, b: int) -> int:
     """Ceiling division of non-negative integers."""
     if b <= 0:
         raise ValueError(f"ceil_div: divisor must be positive, got {b}")
     return -(-a // b)
-
-
-def tuple_max(value: IntTuple) -> int:
-    """Maximum leaf of an IntTuple (0 for an empty tuple)."""
-    leaves = flatten(value)
-    return max(leaves) if leaves else 0
 
 
 def unflatten_like(flat: Iterable[int], template: IntTuple) -> IntTuple:

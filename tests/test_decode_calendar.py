@@ -52,13 +52,13 @@ class ScanEngine(ReplicaEngine):
         )
         if demand > manager.total_blocks:
             self._preempt()
-        for state in self.running.values():
+        for request_id, state in self.running.items():
             tokens = context(state)
             target = manager.blocks_for(tokens)
-            if target != state.blocks_held:
-                store.ensure_free(target - state.blocks_held)
-                manager.allocate(state.request.request_id, tokens)
-                state.blocks_held = target
+            held = manager.held(request_id)
+            if target != held:
+                store.ensure_free(target - held)
+                manager.allocate(request_id, tokens)
 
     def _retire(self, joining):
         for state in list(self.running.values()):

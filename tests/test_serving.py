@@ -174,7 +174,9 @@ def _request(rid, arrival, slo=10_000.0):
 
 def test_fcfs_admits_in_arrival_order():
     waiting = [_request(0, 0.0), _request(1, 1.0), _request(2, 2.0)]
-    picked = FcfsScheduler().select(waiting, running=0, free_slots=2, now_ms=5.0, more_arrivals=True)
+    picked = FcfsScheduler().select(
+        waiting, free_slots=2, now_ms=5.0, more_arrivals=True, memory=_view(1000)
+    )
     assert [r.request_id for r in picked] == [0, 1]
 
 
@@ -187,7 +189,9 @@ def test_slo_scheduler_prefers_tight_deadlines():
         [_request(0, 0.0, slo=50_000.0), _request(1, 1.0, slo=1_000.0)],
         key=scheduler.queue_key,
     )
-    picked = scheduler.select(waiting, running=0, free_slots=1, now_ms=5.0, more_arrivals=True)
+    picked = scheduler.select(
+        waiting, free_slots=1, now_ms=5.0, more_arrivals=True, memory=_view(1000)
+    )
     assert [r.request_id for r in picked] == [1]
 
 
@@ -213,23 +217,22 @@ def test_no_free_slot_admits_nothing(name):
     scheduler = get_scheduler(name)
     for free_slots in (0, -2):
         for more_arrivals in (True, False):
-            args = (waiting, 4, free_slots, 1e6, more_arrivals)
-            assert scheduler.select(*args) == []
-            assert scheduler.select_memory(*args, _view(1000)) == []
+            assert scheduler.select(waiting, free_slots, 1e6, more_arrivals, _view(1000)) == []
 
 
 def test_max_batch_defers_until_full_or_final():
     scheduler = MaxBatchScheduler(max_wait_ms=500.0)
     waiting = [_request(0, 0.0), _request(1, 1.0)]
+    pool = _view(1000)
     # Batch cannot be filled and more traffic is coming: hold.
-    assert scheduler.select(waiting, 0, free_slots=4, now_ms=5.0, more_arrivals=True) == []
+    assert scheduler.select(waiting, 4, now_ms=5.0, more_arrivals=True, memory=pool) == []
     # No more arrivals ever: flush.
-    assert len(scheduler.select(waiting, 0, free_slots=4, now_ms=5.0, more_arrivals=False)) == 2
+    assert len(scheduler.select(waiting, 4, now_ms=5.0, more_arrivals=False, memory=pool)) == 2
     # Enough waiting to fill: admit.
     waiting4 = waiting + [_request(2, 2.0), _request(3, 3.0)]
-    assert len(scheduler.select(waiting4, 0, free_slots=4, now_ms=5.0, more_arrivals=True)) == 4
+    assert len(scheduler.select(waiting4, 4, now_ms=5.0, more_arrivals=True, memory=pool)) == 4
     # A straggler ages past max_wait_ms: forced admission round.
-    assert len(scheduler.select(waiting, 0, free_slots=4, now_ms=600.0, more_arrivals=True)) == 2
+    assert len(scheduler.select(waiting, 4, now_ms=600.0, more_arrivals=True, memory=pool)) == 2
 
 
 def test_get_scheduler_resolves_names_and_instances():
@@ -474,7 +477,7 @@ def test_simulator_rejects_overadmitting_scheduler():
     class Greedy(Scheduler):
         name = "greedy"
 
-        def select(self, waiting, running, free_slots, now_ms, more_arrivals):
+        def select(self, waiting, free_slots, now_ms, more_arrivals, memory):
             return list(waiting)  # ignores free_slots
 
     workload = steady_workload(num_requests=8, rate_rps=1000.0, seed=0)
@@ -483,6 +486,27 @@ def test_simulator_rejects_overadmitting_scheduler():
         step_model=shared_step_model("a100"),
     )
     with pytest.raises(RuntimeError):
+        sim.simulate(workload)
+
+
+def test_simulator_rejects_scheduler_admitting_a_request_not_waiting():
+    class Phantom(FcfsScheduler):
+        name = "phantom"
+
+        def select(self, waiting, free_slots, now_ms, more_arrivals, memory):
+            # Leave a slot for the phantom, so only membership can catch it.
+            head = waiting[0]
+            phantom = dataclasses.replace(head, request_id=10_000 + head.request_id)
+            chosen = super().select(waiting, free_slots - 1, now_ms, more_arrivals, memory)
+            return chosen + [phantom]
+
+    workload = steady_workload(num_requests=20, rate_rps=1000.0, seed=0)
+    sim = ServingSimulator(
+        TINY_DENSE, scheduler=Phantom(), arch="a100", max_batch_size=4,
+        step_model=shared_step_model("a100"),
+    )
+    message = "scheduler 'phantom' admitted request 10000, which is not waiting"
+    with pytest.raises(RuntimeError, match=message):
         sim.simulate(workload)
 
 
@@ -704,24 +728,26 @@ def _running(rid, admitted, blocks, slo=10_000.0, done=4):
     )
 
 
-def test_base_select_memory_keeps_the_fitting_prefix():
-    scheduler = FcfsScheduler()
+@pytest.mark.parametrize("name", ["fcfs", "slo", "max-batch"])
+def test_head_slice_policies_keep_the_fitting_prefix(name):
+    scheduler = get_scheduler(name)
+    # Arrival order is deadline order here, so every policy's queue_key
+    # agrees with the list order.
     waiting = [
         Request(request_id=0, arrival_ms=0.0, prompt_tokens=31, output_tokens=8, slo_ms=1e4),
         Request(request_id=1, arrival_ms=1.0, prompt_tokens=160, output_tokens=8, slo_ms=1e4),
         Request(request_id=2, arrival_ms=2.0, prompt_tokens=15, output_tokens=8, slo_ms=1e4),
     ]
+    assert sorted(waiting, key=scheduler.queue_key) == waiting
     # 2 + 11 + 1 admission blocks; 8 free: the 11-block request does not fit
     # and, as a *prefix* policy, nothing behind it may jump the queue.
-    picked = FcfsScheduler().select_memory(
-        waiting, running=0, free_slots=3, now_ms=5.0, more_arrivals=False,
-        memory=_view(free=8),
+    picked = scheduler.select(
+        waiting, free_slots=3, now_ms=5.0, more_arrivals=False, memory=_view(free=8),
     )
     assert [r.request_id for r in picked] == [0]
-    # With room for all three, the prefix is select()'s whole choice.
-    assert scheduler.select_memory(
-        waiting, 0, 3, 5.0, False, memory=_view(free=14)
-    ) == scheduler.select(waiting, 0, 3, 5.0, False)
+    # With room for all three, the prefix is the whole head slice.
+    picked = scheduler.select(waiting, 3, 5.0, False, memory=_view(free=14))
+    assert [r.request_id for r in picked] == [0, 1, 2]
 
 
 def test_memory_aware_scheduler_packs_smallest_first():
@@ -730,9 +756,8 @@ def test_memory_aware_scheduler_packs_smallest_first():
         Request(request_id=1, arrival_ms=1.0, prompt_tokens=15, output_tokens=8, slo_ms=1e4),
         Request(request_id=2, arrival_ms=2.0, prompt_tokens=31, output_tokens=8, slo_ms=1e4),
     ]
-    picked = MemoryAwareScheduler().select_memory(
-        waiting, running=0, free_slots=3, now_ms=5.0, more_arrivals=False,
-        memory=_view(free=8),
+    picked = MemoryAwareScheduler().select(
+        waiting, free_slots=3, now_ms=5.0, more_arrivals=False, memory=_view(free=8),
     )
     # Unlike FCFS, the big head-of-line request is skipped and the two small
     # ones are packed (1 + 2 admission blocks <= 8 free).
@@ -747,12 +772,12 @@ def test_memory_aware_scheduler_ages_starving_requests():
     ]
     # Aged past max_wait_ms, the big request becomes head-of-line: it does
     # not fit 8 free blocks and nothing may jump past it any more.
-    assert scheduler.select_memory(
-        waiting, 0, 2, now_ms=200.0, more_arrivals=False, memory=_view(free=8)
+    assert scheduler.select(
+        waiting, 2, now_ms=200.0, more_arrivals=False, memory=_view(free=8)
     ) == []
     # With enough free blocks it is admitted first, in arrival order.
-    picked = scheduler.select_memory(
-        waiting, 0, 2, now_ms=200.0, more_arrivals=False, memory=_view(free=16)
+    picked = scheduler.select(
+        waiting, 2, now_ms=200.0, more_arrivals=False, memory=_view(free=16)
     )
     assert [r.request_id for r in picked] == [0, 1]
 

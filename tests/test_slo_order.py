@@ -34,6 +34,7 @@ from repro.serving import (
     ServingSimulator,
     SloScheduler,
     diurnal_workload,
+    fitting_prefix,
     prefix_shared_workload,
 )
 from repro.serving.memory import DEFAULT_KV_BLOCK_TOKENS
@@ -58,11 +59,14 @@ class FullScanEdf(Scheduler):
 
     name = "slo"  # the digest covers the policy name
 
-    def select(self, waiting, running, free_slots, now_ms, more_arrivals):
+    def select(self, waiting, free_slots, now_ms, more_arrivals, memory):
         if free_slots <= 0:
             return []
-        return heapq.nsmallest(
-            free_slots, waiting, key=lambda r: (r.slo_deadline_ms, r.request_id)
+        return fitting_prefix(
+            heapq.nsmallest(
+                free_slots, waiting, key=lambda r: (r.slo_deadline_ms, r.request_id)
+            ),
+            memory,
         )
 
     preempt_order = SloScheduler.preempt_order
