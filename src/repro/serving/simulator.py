@@ -507,11 +507,9 @@ class ReplicaEngine:
         # sweep can tell when a victim was a prefix's last holder.
         ref_counts: dict = {}
         ref_blocks: dict = {}
-        prefix_of: dict = {}
-        for request_id, s in running.items():
+        for s in running.values():
             if s.shared_tokens:
                 key = s.request.prefix_id
-                prefix_of[request_id] = key
                 ref_counts[key] = ref_counts.get(key, 0) + 1
                 ref_blocks[key] = s.shared_tokens // manager.block_tokens
         infos = [
@@ -535,8 +533,9 @@ class ReplicaEngine:
             if total_needed <= manager.total_blocks or len(needed) == 1:
                 break
             total_needed -= needed.pop(request_id)
-            key = prefix_of.get(request_id)
-            if key is not None:
+            s = running[request_id]
+            if s.shared_tokens:
+                key = s.request.prefix_id
                 ref_counts[key] -= 1
                 if ref_counts[key] == 0:
                     total_needed -= ref_blocks[key]
