@@ -20,7 +20,6 @@ The Marlin MoE baselines are modelled structurally:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.kernels.common import OperatorResult, ceil_div
 from repro.sim.arch import GpuArch, get_arch

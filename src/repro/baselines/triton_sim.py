@@ -25,11 +25,12 @@ from __future__ import annotations
 from repro.compiler import compile_kernel
 from repro.instructions.registry import InstructionSet, instruction_set
 from repro.kernels.attention import build_mha_decoding, build_mha_forward
-from repro.kernels.common import OperatorResult, ceil_div
+from repro.kernels.common import OperatorResult
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm
 from repro.kernels.fp8_gemm import Fp8GemmConfig, build_fp8_blockwise_gemm
 from repro.kernels.mamba import SelectiveScanOperator
-from repro.kernels.moe import MixedTypeMoeOperator
+from repro.kernels.moe import MixedTypeMoeOperator, build_moe_gemm
+from repro.pipeline import CompileRequest
 from repro.sim.arch import get_arch
 
 __all__ = [
@@ -155,9 +156,7 @@ class TritonMoeOperator(MixedTypeMoeOperator):
         kwargs.setdefault("dataflow", "triton")
         super().__init__(arch=arch, **kwargs)
 
-    def compile_expert_kernel(self, tokens_per_expert: int):
-        from repro.kernels.moe import build_moe_gemm
-
+    def expert_request(self, tokens_per_expert: int) -> CompileRequest:
         program = build_moe_gemm(tokens_per_expert, self.n, self.k, dataflow="triton")
         program.num_stages = 2
         for copy in program.copies():
@@ -167,12 +166,8 @@ class TritonMoeOperator(MixedTypeMoeOperator):
             int4 = copy.src.dtype.bits == 4 or copy.dst.dtype.bits == 4
             if int4 or ("scale" in names and copy.dst.is_register):
                 copy.max_vector_bytes = 2
-        return compile_kernel(
-            program,
-            arch=self.arch,
-            instructions=triton_instruction_set(self.arch),
-            max_candidates=self.max_candidates,
-            cache=self.cache,
+        return CompileRequest(
+            program, self.arch, triton_instruction_set(self.arch), self.max_candidates
         )
 
 

@@ -9,8 +9,8 @@ operator (Hexcute kernels) or by the corresponding baseline implementation,
 and the end-to-end latency is the per-step latency times the number of
 generated tokens (decode steps are sequentially dependent).
 
-The per-operator latency functions live in
-:mod:`repro.serving.step_model`; ``decode_latency`` evaluates them through
+The per-operator latency dispatch (``operator_us``) lives in
+:mod:`repro.serving.step_model`; ``decode_latency`` evaluates it through
 the process-wide memoized :class:`~repro.serving.step_model.StepLatencyModel`,
 so repeated calls at the same (config, batch, backend, arch) are near-free
 and the serving simulator and the Fig. 13 harness share one latency source.

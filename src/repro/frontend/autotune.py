@@ -13,13 +13,15 @@ through :func:`repro.pipeline.compile_many`, in order on the calling
 thread, so repeated configurations are compile-cache hits.  It records
 *every* candidate as a :class:`Trial` — infeasible ones keep the exception
 message that disqualified them, so tuning failures are debuggable instead
-of silently dropped.
+of silently dropped.  Its build loop, :func:`build_sweep`, is also what the
+autotuned operators' ``requests`` enumerate, so a precompile skips exactly
+the tiles the sweep finds infeasible to build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ir.graph import ProgramError
 from repro.sim.arch import DEFAULT_ARCH
@@ -31,6 +33,7 @@ __all__ = [
     "Trial",
     "TuneResult",
     "autotune_compile",
+    "build_sweep",
     "gemm_tile_candidates",
     "INFEASIBLE_ERRORS",
 ]
@@ -124,6 +127,27 @@ def _pick_best(trials: List[Trial]) -> TuneResult:
     )
 
 
+def build_sweep(
+    build_program: Callable[[Dict], object], candidates: Sequence[Dict]
+) -> Tuple[List[Optional[Trial]], List[Tuple[int, object]]]:
+    """Build every candidate's program, in candidate order.
+
+    Returns one slot per candidate — an infeasible :class:`Trial` carrying
+    the message of the build error, or ``None`` when the build succeeded —
+    and the ``(candidate index, program)`` pairs of the builds that did.
+    """
+    trials: List[Optional[Trial]] = [None] * len(candidates)
+    built: List[Tuple[int, object]] = []
+    for index, params in enumerate(candidates):
+        try:
+            built.append((index, build_program(params)))
+        except INFEASIBLE_ERRORS as exc:
+            if isinstance(exc, _ALWAYS_RAISE):
+                raise
+            trials[index] = Trial(params=params, latency_us=None, error=_describe_error(exc))
+    return trials, built
+
+
 def autotune_compile(
     build_program: Callable[[Dict], object],
     candidates: Iterable[Dict],
@@ -143,27 +167,15 @@ def autotune_compile(
     from repro.pipeline.driver import compile_many
 
     candidates = list(candidates)
-    trials: List[Optional[Trial]] = [None] * len(candidates)
-    programs = []
-    indices = []
-    for index, params in enumerate(candidates):
-        try:
-            programs.append(build_program(params))
-        except INFEASIBLE_ERRORS as exc:
-            if isinstance(exc, _ALWAYS_RAISE):
-                raise
-            trials[index] = Trial(params=params, latency_us=None, error=_describe_error(exc))
-            continue
-        indices.append(index)
-
+    trials, built = build_sweep(build_program, candidates)
     outcomes = compile_many(
-        programs,
+        [program for _, program in built],
         arch=arch,
         cache=cache,
         return_errors=True,
         max_candidates=max_candidates,
     )
-    for index, outcome in zip(indices, outcomes):
+    for (index, _), outcome in zip(built, outcomes):
         params = candidates[index]
         if isinstance(outcome, BaseException):
             if not isinstance(outcome, INFEASIBLE_ERRORS) or isinstance(

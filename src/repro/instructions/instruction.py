@@ -12,7 +12,7 @@ are supplied by the per-architecture tables in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.ir.tensor import Scope

@@ -14,7 +14,7 @@ reported speedups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.instructions import atoms
 from repro.instructions.instruction import MemoryInstruction, MmaInstruction

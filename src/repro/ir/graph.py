@@ -9,7 +9,7 @@ partitioning used by the thread-value layout solver.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.ir.ops import (
     AllocRegister,
@@ -19,7 +19,7 @@ from repro.ir.ops import (
     GlobalView,
     Operation,
 )
-from repro.ir.tensor import Scope, TileTensor
+from repro.ir.tensor import TileTensor
 
 __all__ = ["KernelProgram", "ProgramError"]
 

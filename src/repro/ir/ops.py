@@ -13,7 +13,6 @@ import itertools
 from typing import Callable, List, Optional, Sequence
 
 from repro.ir.tensor import Scope, TileTensor
-from repro.ir.types import DataType
 
 __all__ = [
     "Operation",

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.compiler import CompiledKernel
-from repro.pipeline import compile_program
+from repro.pipeline import CompileRequest, compile_many
 from repro.frontend.script import KernelBuilder
 from repro.ir import types
 from repro.kernels.common import OperatorResult, ceil_div
@@ -217,6 +216,14 @@ class AttentionOperator:
         # Optional repro.pipeline.CompileCache; None uses the process default.
         self.cache = cache
 
+    def requests(
+        self, batch: int, num_heads: int, seq_len: int, head_dim: int
+    ) -> List[CompileRequest]:
+        """The compile request ``run`` issues for the same shape."""
+        build = build_mha_forward if self.mode == "forward" else build_mha_decoding
+        program = build(seq_len, head_dim, num_heads, batch)
+        return [CompileRequest(program, self.arch, max_candidates=self.max_candidates)]
+
     def run(
         self,
         batch: int,
@@ -224,15 +231,13 @@ class AttentionOperator:
         seq_len: int,
         head_dim: int,
     ) -> OperatorResult:
+        (kernel,) = compile_many(
+            self.requests(batch, num_heads, seq_len, head_dim), cache=self.cache
+        )
         if self.mode == "forward":
-            program = build_mha_forward(seq_len, head_dim, num_heads, batch)
             flops = 4.0 * batch * num_heads * seq_len * seq_len * head_dim
         else:
-            program = build_mha_decoding(seq_len, head_dim, num_heads, batch)
             flops = 4.0 * batch * num_heads * seq_len * head_dim
-        kernel = compile_program(
-            program, arch=self.arch, max_candidates=self.max_candidates, cache=self.cache
-        )
         return OperatorResult(
             name=f"mha_{self.mode}_{batch}x{num_heads}x{seq_len}x{head_dim}",
             arch=self.arch,

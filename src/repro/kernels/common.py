@@ -10,10 +10,10 @@ reports the simulated latency along with the metrics the paper tabulates
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.compiler import CompiledKernel
-from repro.sim.arch import GpuArch, get_arch
+from repro.sim.arch import GpuArch
 
 __all__ = ["ceil_div", "OperatorResult"]
 

@@ -12,13 +12,14 @@ movement and compute structure of the blockwise-scaled kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
-from repro.frontend.autotune import autotune_compile, gemm_tile_candidates
+from repro.frontend.autotune import autotune_compile, build_sweep, gemm_tile_candidates
 from repro.frontend.script import KernelBuilder
 from repro.ir import types
 from repro.kernels.common import OperatorResult, ceil_div
 from repro.layout.layout import Layout
+from repro.pipeline import CompileRequest
 from repro.sim.arch import get_arch
 
 __all__ = ["Fp8GemmConfig", "build_fp8_blockwise_gemm", "Fp8GemmOperator"]
@@ -110,11 +111,8 @@ class Fp8GemmOperator:
         config = Fp8GemmConfig(bm=params["bm"], bn=params["bn"], bk=128)
         return build_fp8_blockwise_gemm(m, n, k, config)
 
-    def tile_candidates(self, m: int, n: int, k: int) -> list:
-        """The tile sweep ``run`` evaluates for one problem size.
-
-        Exposed so batch precompilers (e.g. the serving step-latency model)
-        can build the exact programs the autotune path will request."""
+    def _tile_candidates(self, m: int, n: int, k: int) -> list:
+        """The tile sweep ``run`` autotunes over for one problem size."""
         candidates = [
             {"bm": c["bm"], "bn": c["bn"]}
             for c in gemm_tile_candidates(m, n, max(k, 128))
@@ -132,12 +130,23 @@ class Fp8GemmOperator:
             unique.append({"bm": 128, "bn": 128})
         return unique
 
+    def requests(self, m: int, n: int, k: int) -> List[CompileRequest]:
+        """The compile requests ``run(m, n, k)`` issues, in order: one per
+        tile of the sweep whose program builds."""
+        _, built = build_sweep(
+            lambda params: self._build(m, n, k, params), self._tile_candidates(m, n, k)
+        )
+        return [
+            CompileRequest(program, self.arch, max_candidates=self.max_candidates)
+            for _, program in built
+        ]
+
     def run(self, m: int, n: int, k: int) -> OperatorResult:
         # Batch-compile the tile sweep through the pipeline (cached),
         # keeping the fastest configuration.
         tuned = autotune_compile(
             lambda params: self._build(m, n, k, params),
-            self.tile_candidates(m, n, k),
+            self._tile_candidates(m, n, k),
             arch=self.arch,
             cache=self.cache,
             max_candidates=self.max_candidates,

@@ -17,13 +17,14 @@ in these kernels is synthesized by the compiler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
-from repro.frontend.autotune import autotune_compile, gemm_tile_candidates
+from repro.frontend.autotune import autotune_compile, build_sweep, gemm_tile_candidates
 from repro.frontend.script import KernelBuilder
 from repro.ir import types
 from repro.kernels.common import OperatorResult, ceil_div
 from repro.layout.layout import Layout
+from repro.pipeline import CompileRequest
 from repro.sim.arch import get_arch
 
 __all__ = [
@@ -157,14 +158,12 @@ class GemmOperator:
         self,
         arch="a100",
         warp_specialized: bool = False,
-        allow_non_power_of_two: bool = True,
         max_candidates: int = 12,
         max_tile_trials: int = 10,
         cache=None,
     ):
         self.arch = get_arch(arch)
         self.warp_specialized = warp_specialized
-        self.allow_non_power_of_two = allow_non_power_of_two
         self.max_candidates = max_candidates
         self.max_tile_trials = max_tile_trials
         # Optional repro.pipeline.CompileCache; None uses the process default.
@@ -182,12 +181,9 @@ class GemmOperator:
             return build_warp_specialized_gemm(m, n, k, config)
         return build_fp16_gemm(m, n, k, config)
 
-    def tile_candidates(self, m: int, n: int, k: int) -> list:
-        """The tile sweep ``run`` evaluates for one problem size.
-
-        Exposed so batch precompilers (e.g. the serving step-latency model)
-        can build the exact programs the autotune path will request."""
-        candidates = gemm_tile_candidates(m, n, k, self.allow_non_power_of_two)
+    def _tile_candidates(self, m: int, n: int, k: int) -> list:
+        """The tile sweep ``run`` autotunes over for one problem size."""
+        candidates = gemm_tile_candidates(m, n, k)
         candidates = [
             c for c in candidates if c["bm"] <= max(64, m) and c["bn"] <= max(64, n)
         ]
@@ -209,13 +205,24 @@ class GemmOperator:
                 candidates.append(fallback)
         return candidates
 
+    def requests(self, m: int, n: int, k: int) -> List[CompileRequest]:
+        """The compile requests ``run(m, n, k)`` issues, in order: one per
+        tile of the sweep whose program builds."""
+        _, built = build_sweep(
+            lambda params: self._build(m, n, k, params), self._tile_candidates(m, n, k)
+        )
+        return [
+            CompileRequest(program, self.arch, max_candidates=self.max_candidates)
+            for _, program in built
+        ]
+
     def run(self, m: int, n: int, k: int) -> OperatorResult:
         """Tile-size autotune + compile, returning the best configuration."""
         # Batch-compile the whole tile sweep: repeats are served from the
         # compile cache.
         tuned = autotune_compile(
             lambda params: self._build(m, n, k, params),
-            self.tile_candidates(m, n, k),
+            self._tile_candidates(m, n, k),
             arch=self.arch,
             cache=self.cache,
             max_candidates=self.max_candidates,

@@ -17,12 +17,12 @@ instructions are — the bytes-per-instruction comparison of Table IV.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.compiler import CompiledKernel
-from repro.pipeline import compile_program
+from repro.pipeline import CompileRequest, compile_many
 from repro.frontend.script import KernelBuilder
 from repro.instructions.registry import instruction_set
 from repro.ir import types
@@ -176,19 +176,18 @@ class SelectiveScanOperator:
         # Optional repro.pipeline.CompileCache; None uses the process default.
         self.cache = cache
 
-    def compile_kernel(self, seq_len: int, d_inner: int, batch: int) -> CompiledKernel:
+    def requests(self, batch: int, seq_len: int, d_inner: int) -> List[CompileRequest]:
+        """The compile request ``run(batch, seq_len, d_inner)`` issues."""
         config = ScanConfig(use_shared_stage=self.use_shared_stage, num_stages=self.num_stages)
         program = build_selective_scan(seq_len, d_inner, batch, config)
         instructions = instruction_set(self.arch.sm_arch)
         if self.instruction_cap_bytes is not None:
             instructions = instructions.narrowed(self.instruction_cap_bytes)
-        return compile_program(
-            program,
-            arch=self.arch,
-            instructions=instructions,
-            max_candidates=self.max_candidates,
-            cache=self.cache,
-        )
+        return [CompileRequest(program, self.arch, instructions, self.max_candidates)]
+
+    def compile_kernel(self, seq_len: int, d_inner: int, batch: int) -> CompiledKernel:
+        (kernel,) = compile_many(self.requests(batch, seq_len, d_inner), cache=self.cache)
+        return kernel
 
     def run(self, batch: int, seq_len: int, d_inner: int, d_state: int = 16) -> OperatorResult:
         kernel = self.compile_kernel(seq_len, d_inner, batch)

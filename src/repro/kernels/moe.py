@@ -24,12 +24,12 @@ the ablation study of Fig. 14 can be regenerated:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.compiler import CompiledKernel
-from repro.pipeline import compile_program
+from repro.pipeline import CompileRequest, compile_many
 from repro.frontend.script import KernelBuilder
-from repro.instructions.registry import InstructionSet, instruction_set
+from repro.instructions.registry import instruction_set
 from repro.ir import types
 from repro.kernels.common import OperatorResult, ceil_div
 from repro.layout.layout import Layout
@@ -185,29 +185,30 @@ class MixedTypeMoeOperator:
         # Optional repro.pipeline.CompileCache; None uses the process default.
         self.cache = cache
 
-    def _instruction_set(self) -> InstructionSet:
-        base = instruction_set(self.arch.sm_arch)
+    def _tokens_per_expert(self, num_tokens: int) -> int:
+        # Each token activates `top_k` experts; work is spread over experts.
+        return max(1, ceil_div(num_tokens * self.top_k, self.num_experts))
+
+    def expert_request(self, tokens_per_expert: int) -> CompileRequest:
+        """The compile request of the per-expert GEMM kernel."""
+        program = build_moe_gemm(tokens_per_expert, self.n, self.k, dataflow=self.dataflow)
+        instructions = instruction_set(self.arch.sm_arch)
         if self.max_weight_vector_bytes is not None:
-            return base.narrowed(self.max_weight_vector_bytes)
-        return base
+            instructions = instructions.narrowed(self.max_weight_vector_bytes)
+        return CompileRequest(program, self.arch, instructions, self.max_candidates)
+
+    def requests(self, num_tokens: int) -> List[CompileRequest]:
+        """The compile request ``run(num_tokens)`` issues."""
+        return [self.expert_request(self._tokens_per_expert(num_tokens))]
 
     def compile_expert_kernel(self, tokens_per_expert: int) -> CompiledKernel:
-        program = build_moe_gemm(
-            tokens_per_expert, self.n, self.k, dataflow=self.dataflow
-        )
-        return compile_program(
-            program,
-            arch=self.arch,
-            instructions=self._instruction_set(),
-            max_candidates=self.max_candidates,
-            cache=self.cache,
-        )
+        (kernel,) = compile_many([self.expert_request(tokens_per_expert)], cache=self.cache)
+        return kernel
 
     def run(self, num_tokens: int) -> OperatorResult:
         """Latency of the whole MoE layer for ``num_tokens`` routed tokens."""
-        # Each token activates `top_k` experts; work is spread over experts.
         routed = num_tokens * self.top_k
-        tokens_per_expert = max(1, ceil_div(routed, self.num_experts))
+        tokens_per_expert = self._tokens_per_expert(num_tokens)
         kernel = self.compile_expert_kernel(tokens_per_expert)
         # The fused kernel covers all experts in one launch: scale the grid.
         experts_active = min(self.num_experts, routed)

@@ -20,10 +20,8 @@ from repro.utils.inttuple import (
     IntTuple,
     ceil_div,
     flatten,
-    is_int,
     is_tuple,
     prefix_product,
-    product,
     shape_div,
 )
 

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple, Union
 
-from repro.layout.algebra import coalesce, complement, composition
+from repro.layout.algebra import complement, composition
 from repro.layout.layout import Layout
 from repro.utils.inttuple import product
 

@@ -320,11 +320,9 @@ class ClusterSimulator:
     instance) or a :class:`Scheduler` instance (shared — safe because
     schedulers hold no per-run mutable state).
 
-    Remaining keyword arguments (e.g. ``kv_block_tokens``) pass through
-    to every replica's :class:`ServingSimulator`.  Prefix caches are
-    strictly per replica — sharing happens *within* a replica's pool, and
-    the ``prefix-affinity`` router is what keeps a fleet from duplicating
-    hot prefixes across pools.
+    Prefix caches are strictly per replica — sharing happens *within* a
+    replica's pool, and the ``prefix-affinity`` router is what keeps a
+    fleet from duplicating hot prefixes across pools.
 
     ``health_aware`` only matters once a fault schedule crashes a
     replica: ``True`` (the default) filters crashed replicas out of the
@@ -342,12 +340,10 @@ class ClusterSimulator:
         scheduler: Union[str, Scheduler] = "fcfs",
         arch=DEFAULT_EVAL_ARCH,
         max_batch_size: int = 32,
-        prefill_parallelism: float = 8.0,
         step_model: Optional[StepLatencyModel] = None,
         seed: int = 0,
         kv_budget_blocks: Union[int, Sequence[int], None] = None,
         health_aware: bool = True,
-        **replica_kwargs,
     ):
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
@@ -373,10 +369,8 @@ class ClusterSimulator:
                 scheduler=scheduler,
                 arch=arch,
                 max_batch_size=max_batch_size,
-                prefill_parallelism=prefill_parallelism,
                 step_model=step_model,
                 kv_budget_blocks=budgets[index],
-                **replica_kwargs,
             )
             for index in range(replicas)
         ]

@@ -95,7 +95,6 @@ class RunningInfo:
 
     request: Request
     admitted_ms: float
-    tokens_done: int
     blocks_held: int
 
 

@@ -24,8 +24,8 @@ discrete-event loop modelled on vLLM's engine step:
    :class:`~repro.serving.step_model.StepLatencyModel` at the *bucketed*
    batch size.  Requests joining this step first pay a prefill surcharge
    proportional to their prompt length (prefill processes tokens
-   ``prefill_parallelism`` times more efficiently than decode, reflecting
-   its compute-dense batching);
+   :data:`PREFILL_PARALLELISM` times more efficiently than decode,
+   reflecting its compute-dense batching);
 5. requests that decoded their last token leave the batch, freeing their
    KV blocks and recording their finish time.
 
@@ -65,12 +65,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.serving.memory import (
-    DEFAULT_HBM_UTILIZATION,
-    DEFAULT_KV_BLOCK_TOKENS,
-    KvBlockManager,
-    kv_budget_blocks as _derive_kv_budget_blocks,
-)
+from repro.serving.memory import KvBlockManager, kv_budget_blocks as _derive_kv_budget_blocks
 from repro.serving.prefix import PrefixStore
 from repro.serving.report import RequestMetrics, ServeReport
 from repro.serving.scheduler import RunningInfo, Scheduler, get_scheduler
@@ -78,7 +73,11 @@ from repro.serving.step_model import PrecompileStats, StepLatencyModel, shared_s
 from repro.serving.workload import Request, RequestQueue, check_unique_ids
 from repro.sim.arch import DEFAULT_EVAL_ARCH, get_arch
 
-__all__ = ["ReplicaEngine", "ServingSimulator", "simulate"]
+__all__ = ["PREFILL_PARALLELISM", "ReplicaEngine", "ServingSimulator", "simulate"]
+
+# How many times more efficiently prefill processes a token than a decode
+# step does (its compute-dense batching).
+PREFILL_PARALLELISM = 8.0
 
 
 def _arrival_key(request: Request):
@@ -143,39 +142,27 @@ class ServingSimulator:
         scheduler: Union[str, Scheduler] = "fcfs",
         arch=DEFAULT_EVAL_ARCH,
         max_batch_size: int = 32,
-        prefill_parallelism: float = 8.0,
         step_model: Optional[StepLatencyModel] = None,
-        kv_block_tokens: int = DEFAULT_KV_BLOCK_TOKENS,
         kv_budget_blocks: Optional[int] = None,
-        hbm_utilization: float = DEFAULT_HBM_UTILIZATION,
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if prefill_parallelism <= 0:
-            raise ValueError(f"prefill_parallelism must be > 0, got {prefill_parallelism}")
         self.model_config = model_config
         self.backend = backend
         self.scheduler = get_scheduler(scheduler)
         self.arch = get_arch(arch)
         self.max_batch_size = max_batch_size
-        self.prefill_parallelism = prefill_parallelism
         self.step_model = step_model if step_model is not None else shared_step_model(self.arch)
         # A batch above the largest step-model bucket would previously be
         # *silently* timed at the largest bucket; extend the bucket set so
         # every step is timed at a bucket covering the actual batch.
         self.step_model.ensure_bucket(max_batch_size)
-        self.kv_block_tokens = kv_block_tokens
         if kv_budget_blocks is not None:
             if kv_budget_blocks < 1:
                 raise ValueError(f"kv_budget_blocks must be >= 1, got {kv_budget_blocks}")
             self.kv_budget_blocks = int(kv_budget_blocks)
         else:
-            self.kv_budget_blocks = _derive_kv_budget_blocks(
-                model_config,
-                self.arch,
-                block_tokens=kv_block_tokens,
-                hbm_utilization=hbm_utilization,
-            )
+            self.kv_budget_blocks = _derive_kv_budget_blocks(model_config, self.arch)
 
     # ------------------------------------------------------------------ #
     def precompile(self) -> PrecompileStats:
@@ -227,7 +214,7 @@ class ReplicaEngine:
     def __init__(self, sim: ServingSimulator, requests: Sequence[Request] = (), replica_id: int = 0):
         self.sim = sim
         self.replica_id = replica_id
-        self.manager = KvBlockManager(sim.kv_budget_blocks, sim.kv_block_tokens)
+        self.manager = KvBlockManager(sim.kv_budget_blocks)
         self.prefix_store = PrefixStore(self.manager)
         self._reserved_blocks = 0
         for request in requests:
@@ -516,7 +503,6 @@ class ReplicaEngine:
             RunningInfo(
                 request=s.request,
                 admitted_ms=s.admitted_ms,
-                tokens_done=step - s.join_step,
                 blocks_held=manager.held(request_id),
             )
             for request_id, s in running.items()
@@ -734,7 +720,7 @@ class ReplicaEngine:
         if joined:
             prefill_tokens = sum(s.request.prompt_tokens for s in joined)
             self.now += step_ms + (
-                prefill_tokens * (step_ms / batch) / sim.prefill_parallelism
+                prefill_tokens * (step_ms / batch) / PREFILL_PARALLELISM
             )
         else:
             self.now += step_ms
@@ -823,7 +809,7 @@ class ReplicaEngine:
             max_queue_depth=self.max_queue_depth,
             requests=finished,
             preemptions=self.preemptions,
-            kv_block_tokens=sim.kv_block_tokens,
+            kv_block_tokens=manager.block_tokens,
             kv_total_blocks=manager.total_blocks,
             kv_peak_utilization=manager.peak_used_blocks / manager.total_blocks,
             mean_kv_utilization=self.kv_utilization_sum / self.steps if self.steps else 0.0,

@@ -4,8 +4,8 @@ A continuous-batching simulator recomposes its decode batch every step, so
 it asks for step latencies at many different batch sizes, thousands of
 times.  Recompiling the underlying kernels per query (what
 ``e2e.engine.decode_latency`` used to do inline) would dwarf the simulated
-traffic, so this module turns the per-operator latency functions into a
-reusable provider with two levels of reuse:
+traffic, so this module turns the per-operator latencies into a reusable
+provider with two levels of reuse:
 
 * **memoization** — per-operator latencies are cached on
   ``(config, backend, batch)``, so repeated queries are dictionary lookups;
@@ -13,18 +13,20 @@ reusable provider with two levels of reuse:
   bucket (powers of two by default), the same trick real engines use to
   bound the number of captured CUDA graphs / compiled kernel shapes.  The
   whole bucket set can be **precompiled up front** through
-  :func:`repro.pipeline.compile_many`: one batch compiles exactly the tile
-  programs the operators will request, so kernel compilation cost
-  is paid once per bucket at serving startup (and a warm compile cache
-  makes that startup measurably faster — the cold-vs-warm experiment in
-  ``benchmarks/bench_serving.py``).  Without a precompile, each
-  (config, backend, bucket) cell compiles on its first lookup through the
-  same cache, so buckets the traffic never reaches are never compiled;
-  the latencies are identical either way.
+  :func:`repro.pipeline.compile_many`: one batch compiles the hexcute
+  operators' ``requests`` — exactly the programs their ``run`` compiles —
+  so kernel compilation cost is paid once per bucket at serving startup
+  (and a warm compile cache makes that startup measurably faster — the
+  cold-vs-warm experiment in ``benchmarks/bench_serving.py``).  Without a
+  precompile, each (config, backend, bucket) cell compiles on its first
+  lookup through the same cache, so buckets the traffic never reaches are
+  never compiled; the latencies are identical either way.
 
-The per-operator functions themselves (attention / MoE / Mamba scan / FFN)
-are the ones ``e2e.engine`` composes into Fig. 13; ``decode_latency`` now
-delegates here, so end-to-end and serving numbers come from one source.
+:func:`hexcute_operator` maps each operator class of a step (attention /
+MoE / Mamba scan / FFN) to its hexcute operator and shape arguments, and
+:func:`operator_us` times it on a backend — the composition ``e2e.engine``
+reports as Fig. 13; ``decode_latency`` delegates here, so end-to-end and
+serving numbers come from one source.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baselines import (
     TritonMoeOperator,
@@ -43,12 +45,11 @@ from repro.baselines import (
     marlin_old_moe,
     triton_scan,
 )
-from repro.kernels.attention import AttentionOperator, build_mha_decoding
-from repro.kernels.common import ceil_div
+from repro.kernels.attention import AttentionOperator
 from repro.kernels.fp8_gemm import Fp8GemmOperator
 from repro.kernels.gemm import GemmOperator
-from repro.kernels.mamba import ScanConfig, SelectiveScanOperator, build_selective_scan
-from repro.kernels.moe import MixedTypeMoeOperator, build_moe_gemm
+from repro.kernels.mamba import SelectiveScanOperator
+from repro.kernels.moe import MixedTypeMoeOperator
 from repro.instructions.registry import instruction_set
 from repro.pipeline.cache import CompileCache, compile_key, default_cache
 from repro.pipeline.context import CompileRequest
@@ -59,11 +60,9 @@ __all__ = [
     "DEFAULT_BATCH_BUCKETS",
     "PrecompileStats",
     "StepLatencyModel",
-    "attention_step_us",
-    "ffn_step_us",
-    "mamba_step_us",
-    "moe_step_us",
+    "hexcute_operator",
     "operator_plan",
+    "operator_us",
     "shared_step_model",
 ]
 
@@ -75,69 +74,50 @@ DEFAULT_BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 # --------------------------------------------------------------------------- #
 # Per-operator step latencies (moved out of e2e.engine)
 # --------------------------------------------------------------------------- #
-def attention_step_us(arch, config, batch: int, backend: str, cache=None) -> float:
-    """One decoding-attention layer invocation, in microseconds."""
-    heads = max(1, config.num_heads // config.tensor_parallel)
-    if backend == "hexcute":
+def hexcute_operator(name: str, arch, config, batch: int, cache=None) -> Tuple[object, tuple]:
+    """The hexcute operator behind operator class ``name`` of one decode step
+    of ``config`` at ``batch``, and the shape arguments of its ``run`` and
+    ``requests`` (the baselines take the same shapes)."""
+    tp = config.tensor_parallel
+    if name == "attention":
+        heads = max(1, config.num_heads // tp)
         op = AttentionOperator(arch=arch, mode="decoding", cache=cache)
-        return op.run(batch, heads, config.kv_len, config.head_dim).latency_us
-    return flash_attention_decoding(
-        arch, batch, heads, config.kv_len, config.head_dim
-    ).latency_us
-
-
-def moe_step_us(arch, config, batch: int, backend: str, cache=None) -> float:
-    """One mixed-type MoE layer invocation, in microseconds."""
-    n = config.moe_intermediate
-    k = max(1, config.hidden_size // config.tensor_parallel)
-    if backend == "hexcute":
+        return op, (batch, heads, config.kv_len, config.head_dim)
+    if name == "moe":
         op = MixedTypeMoeOperator(
-            arch=arch, num_experts=config.moe_experts, top_k=config.moe_top_k, n=n, k=k,
-            cache=cache,
+            arch=arch, num_experts=config.moe_experts, top_k=config.moe_top_k,
+            n=config.moe_intermediate, k=max(1, config.hidden_size // tp), cache=cache,
+        )
+        return op, (batch,)
+    if name == "mamba_scan":
+        d_inner = max(64, config.mamba_d_inner // tp)
+        return SelectiveScanOperator(arch=arch, cache=cache), (batch, config.kv_len, d_inner)
+    if name == "ffn":
+        gemm = Fp8GemmOperator if config.weight_dtype == "fp8" else GemmOperator
+        m, n = max(batch, 16), max(256, config.ffn_intermediate // tp)
+        return gemm(arch=arch, max_tile_trials=2, cache=cache), (m, n, config.hidden_size)
+    raise KeyError(f"unknown operator class {name!r}")
+
+
+def operator_us(name: str, arch, config, batch: int, backend: str, cache=None) -> float:
+    """One invocation of operator class ``name`` on ``backend``, in microseconds."""
+    op, args = hexcute_operator(name, arch, config, batch, cache)
+    if backend == "hexcute":
+        return op.run(*args).latency_us
+    if name == "attention":
+        return flash_attention_decoding(arch, *args).latency_us
+    if name == "moe":
+        if backend == "marlin-old":
+            return marlin_old_moe(arch, batch, op.num_experts, op.top_k, op.n, op.k).latency_us
+        op = TritonMoeOperator(
+            arch=arch, num_experts=op.num_experts, top_k=op.top_k, n=op.n, k=op.k, cache=cache
         )
         return op.run(batch).latency_us
-    if backend == "marlin-old":
-        return marlin_old_moe(arch, batch, config.moe_experts, config.moe_top_k, n, k).latency_us
-    op = TritonMoeOperator(
-        arch=arch, num_experts=config.moe_experts, top_k=config.moe_top_k, n=n, k=k,
-        cache=cache,
-    )
-    return op.run(batch).latency_us
-
-
-def mamba_step_us(arch, config, batch: int, backend: str, cache=None) -> float:
-    """One Mamba selective-scan layer invocation, in microseconds."""
-    d_inner = max(64, config.mamba_d_inner // config.tensor_parallel)
-    if backend == "hexcute":
-        op = SelectiveScanOperator(arch=arch, cache=cache)
-        return op.run(batch, config.kv_len, d_inner).latency_us
-    if backend == "triton":
-        return triton_scan(arch, batch, config.kv_len, d_inner).latency_us
-    return mamba_library_scan(arch, batch, config.kv_len, d_inner).latency_us
-
-
-def ffn_step_us(arch, config, batch: int, backend: str, cache=None) -> float:
-    """One dense FFN GEMM invocation, in microseconds."""
-    m = max(batch, 16)
-    n = max(256, config.ffn_intermediate // config.tensor_parallel)
-    k = config.hidden_size
-    if config.weight_dtype == "fp8":
-        if backend == "hexcute":
-            op = Fp8GemmOperator(arch=arch, max_tile_trials=2, cache=cache)
-            return op.run(m, n, k).latency_us
-        return cutlass_fp8_gemm(arch, m, n, k).latency_us
-    if backend == "hexcute":
-        op = GemmOperator(arch=arch, max_tile_trials=2, cache=cache)
-        return op.run(m, n, k).latency_us
-    return cublas_gemm(arch, m, n, k).latency_us
-
-
-_OP_FUNCS: Dict[str, Callable] = {
-    "attention": attention_step_us,
-    "moe": moe_step_us,
-    "mamba_scan": mamba_step_us,
-    "ffn": ffn_step_us,
-}
+    if name == "mamba_scan":
+        scan = triton_scan if backend == "triton" else mamba_library_scan
+        return scan(arch, *args).latency_us
+    gemm = cutlass_fp8_gemm if config.weight_dtype == "fp8" else cublas_gemm
+    return gemm(arch, *args).latency_us
 
 
 def operator_plan(config, backend: str) -> List[Tuple[str, int, str]]:
@@ -274,7 +254,7 @@ class StepLatencyModel:
             self.memo_misses += 1
 
         per_op = {
-            name: _OP_FUNCS[name](self.arch, config, effective, op_backend, self.cache)
+            name: operator_us(name, self.arch, config, effective, op_backend, self.cache)
             for name, _, op_backend in operator_plan(config, backend)
         }
 
@@ -316,69 +296,21 @@ class StepLatencyModel:
     ) -> List[CompileRequest]:
         """The compile requests evaluation at each bucket will issue.
 
-        Each request reproduces the exact ``(program, instruction set,
-        max_candidates)`` the corresponding operator submits, so its
-        fingerprint matches and the later evaluation compiles become cache
-        replays.  Only the hexcute backend contributes; the library
-        baselines are analytical and the Triton baselines compile on first
-        lookup.
+        Each operator's ``requests`` returns exactly what its ``run``
+        compiles, so the fingerprints match and the later evaluation
+        compiles become cache replays.  Only the hexcute backend
+        contributes; the library baselines are analytical and the Triton
+        baselines compile on first lookup.
         """
         requests: List[CompileRequest] = []
         if backend != "hexcute":
             return requests
         buckets = self.buckets if buckets is None else tuple(sorted({int(b) for b in buckets}))
-        for name, _, op_backend in operator_plan(config, backend):
+        for name, _, _ in operator_plan(config, backend):
             for bucket in buckets:
-                requests.extend(self._op_requests(name, config, bucket, op_backend))
+                op, args = hexcute_operator(name, self.arch, config, bucket)
+                requests.extend(op.requests(*args))
         return requests
-
-    def _op_requests(
-        self, name: str, config, batch: int, backend: str
-    ) -> List[CompileRequest]:
-        if name == "attention":
-            op = AttentionOperator(arch=self.arch, mode="decoding")
-            heads = max(1, config.num_heads // config.tensor_parallel)
-            program = build_mha_decoding(config.kv_len, config.head_dim, heads, batch)
-            return [CompileRequest(program, self.arch, max_candidates=op.max_candidates)]
-        if name == "moe":
-            n = config.moe_intermediate
-            k = max(1, config.hidden_size // config.tensor_parallel)
-            op = MixedTypeMoeOperator(
-                arch=self.arch, num_experts=config.moe_experts, top_k=config.moe_top_k, n=n, k=k
-            )
-            routed = batch * op.top_k
-            tokens_per_expert = max(1, ceil_div(routed, op.num_experts))
-            program = build_moe_gemm(tokens_per_expert, op.n, op.k, dataflow=op.dataflow)
-            return [
-                CompileRequest(program, self.arch, op._instruction_set(), op.max_candidates)
-            ]
-        if name == "mamba_scan":
-            op = SelectiveScanOperator(arch=self.arch)
-            d_inner = max(64, config.mamba_d_inner // config.tensor_parallel)
-            scan_config = ScanConfig(
-                use_shared_stage=op.use_shared_stage, num_stages=op.num_stages
-            )
-            program = build_selective_scan(config.kv_len, d_inner, batch, scan_config)
-            return [CompileRequest(program, self.arch, max_candidates=op.max_candidates)]
-        if name == "ffn":
-            m = max(batch, 16)
-            n = max(256, config.ffn_intermediate // config.tensor_parallel)
-            k = config.hidden_size
-            if config.weight_dtype == "fp8":
-                op = Fp8GemmOperator(arch=self.arch, max_tile_trials=2)
-            else:
-                op = GemmOperator(arch=self.arch, max_tile_trials=2)
-            requests = []
-            for params in op.tile_candidates(m, n, k):
-                try:
-                    program = op._build(m, n, k, params)
-                except (ValueError, RuntimeError):
-                    continue  # infeasible tile; the autotune sweep records it
-                requests.append(
-                    CompileRequest(program, self.arch, max_candidates=op.max_candidates)
-                )
-            return requests
-        raise KeyError(f"unknown operator class {name!r}")
 
     def precompile(
         self,

@@ -38,7 +38,7 @@ from repro.ir.ops import (
     Rearrange,
     Reduce,
 )
-from repro.ir.tensor import Scope, TileTensor
+from repro.ir.tensor import TileTensor
 
 __all__ = ["ExecutionError", "FunctionalExecutor", "run_kernel"]
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from repro.ir.graph import KernelProgram
 from repro.ir.ops import Copy, Gemm
-from repro.ir.tensor import Scope
 from repro.sim.arch import GpuArch
 from repro.synthesis.cost_model import CostBreakdown
 

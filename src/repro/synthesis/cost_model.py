@@ -35,7 +35,6 @@ from repro.ir.ops import (
     Rearrange,
     Reduce,
 )
-from repro.ir.tensor import Scope, TileTensor
 
 __all__ = [
     "OperationCost",

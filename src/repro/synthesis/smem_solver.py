@@ -38,7 +38,7 @@ from repro.layout.swizzle import (
 )
 from repro.layout.tv import TVLayout
 from repro.synthesis.tiling import value_vector_run
-from repro.utils.inttuple import flatten, prefix_product
+from repro.utils.inttuple import flatten
 
 __all__ = [
     "SMEM_BANKS",

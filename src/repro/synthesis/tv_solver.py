@@ -13,7 +13,7 @@ multi-gemm kernels) or by inserting ``rearrange`` operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.instructions.registry import InstructionSet, instruction_set
 from repro.ir.graph import KernelProgram

@@ -1,7 +1,6 @@
 """Tests for the layout algebra: coalesce, composition, complement, inverse,
 divide and product — including the worked examples from the paper appendix."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.layout import (

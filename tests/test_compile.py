@@ -3,7 +3,7 @@
 import pytest
 
 from repro.compiler import compile_kernel
-from repro.frontend import KernelBuilder, kernel
+from repro.frontend import kernel
 from repro.ir import types
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm
 from repro.kernels.moe import build_moe_gemm

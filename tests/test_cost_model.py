@@ -1,7 +1,6 @@
 """Tests for the analytical cost model (Section VI)."""
 
 from repro.compiler import compile_kernel
-from repro.instructions import instruction_set
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm
 from repro.kernels.moe import build_moe_gemm
 from repro.synthesis import AnalyticalCostModel

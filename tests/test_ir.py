@@ -16,7 +16,7 @@ from repro.ir import (
     types,
 )
 from repro.frontend import KernelBuilder
-from repro.layout import Layout, row_major
+from repro.layout import row_major
 
 
 def test_datatype_properties():

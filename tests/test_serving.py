@@ -43,7 +43,7 @@ from repro.serving import (
 from repro.serving.memory import blocks_for_tokens
 from repro.serving.report import RequestMetrics, ServeReport
 from repro.serving.scheduler import Scheduler
-from repro.serving.step_model import attention_step_us, operator_plan
+from repro.serving.step_model import operator_plan, operator_us
 from repro.sim.arch import get_arch
 
 # Small model configs so the compiles under test stay cheap.
@@ -383,8 +383,12 @@ def test_precompile_warms_cache_and_evaluation_hits_it(operator, arch, config):
 
 def test_head_dim_is_parameterized():
     gpu = get_arch("a100")
-    narrow = attention_step_us(gpu, dataclasses.replace(TINY_DENSE, head_dim=64), 4, "baseline")
-    wide = attention_step_us(gpu, dataclasses.replace(TINY_DENSE, head_dim=128), 4, "baseline")
+    narrow = operator_us(
+        "attention", gpu, dataclasses.replace(TINY_DENSE, head_dim=64), 4, "baseline"
+    )
+    wide = operator_us(
+        "attention", gpu, dataclasses.replace(TINY_DENSE, head_dim=128), 4, "baseline"
+    )
     assert narrow < wide  # half the head dim moves half the KV bytes
 
 
@@ -719,12 +723,9 @@ def _view(free, total=1000, block_tokens=16):
     return KvMemoryView(block_tokens=block_tokens, total_blocks=total, free_blocks=free)
 
 
-def _running(rid, admitted, blocks, slo=10_000.0, done=4):
+def _running(rid, admitted, blocks, slo=10_000.0):
     return RunningInfo(
-        request=_request(rid, arrival=0.0, slo=slo),
-        admitted_ms=admitted,
-        tokens_done=done,
-        blocks_held=blocks,
+        request=_request(rid, arrival=0.0, slo=slo), admitted_ms=admitted, blocks_held=blocks
     )
 
 
