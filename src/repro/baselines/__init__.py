@@ -19,7 +19,7 @@ from repro.baselines.triton_sim import (
     triton_attention_forward,
     triton_attention_decoding,
     TritonMoeOperator,
-    triton_scan,
+    TritonScanOperator,
 )
 
 __all__ = [
@@ -37,5 +37,5 @@ __all__ = [
     "triton_attention_forward",
     "triton_attention_decoding",
     "TritonMoeOperator",
-    "triton_scan",
+    "TritonScanOperator",
 ]

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.kernels.common import OperatorResult, ceil_div
+from repro.kernels.common import OperatorResult
+from repro.kernels.mamba import ScanConfig
 from repro.sim.arch import GpuArch, get_arch
+from repro.utils.inttuple import ceil_div
 
 __all__ = [
     "RooflineLibrary",
@@ -52,17 +54,12 @@ class RooflineLibrary:
         bytes_moved: float,
         dtype_bits: int = 16,
         num_waves_penalty: float = 1.0,
-    ) -> OperatorResult:
+    ) -> float:
+        """Latency in microseconds of one launch moving ``bytes_moved``."""
         peak = arch.peak_tensor_tflops(dtype_bits) * 1e12
         compute_us = flops / (peak * self.compute_efficiency) * 1e6
         memory_us = bytes_moved / (arch.dram_bandwidth_gbps * 1e9 * self.memory_efficiency) * 1e6
-        latency = self.launch_us + max(compute_us, memory_us) * num_waves_penalty
-        return OperatorResult(
-            name=self.name,
-            arch=arch,
-            latency_us=latency,
-            flops=flops,
-        )
+        return self.launch_us + max(compute_us, memory_us) * num_waves_penalty
 
 
 # Efficiency factors for well-tuned kernels on large shapes.
@@ -90,11 +87,10 @@ def cublas_gemm(arch, m: int, n: int, k: int) -> OperatorResult:
     bytes_moved = 2.0 * (m * k + n * k + m * n)
     blocks = ceil_div(m, 128) * ceil_div(n, 128)
     penalty = _utilization_penalty(gpu, blocks)
-    result = _CUBLAS.latency(gpu, flops, bytes_moved, 16, penalty)
     return OperatorResult(
         name=f"cublas_gemm_{m}x{n}x{k}",
         arch=gpu,
-        latency_us=result.latency_us,
+        latency_us=_CUBLAS.latency(gpu, flops, bytes_moved, 16, penalty),
         flops=flops,
         lines_of_code=703,  # CUTLASS reference implementation LoC (Table II)
     )
@@ -107,11 +103,10 @@ def cutlass_fp8_gemm(arch, m: int, n: int, k: int) -> OperatorResult:
     bytes_moved = 1.0 * (m * k + n * k) + 2.0 * m * n
     blocks = ceil_div(m, 128) * ceil_div(n, 128)
     penalty = _utilization_penalty(gpu, blocks)
-    result = _CUTLASS_FP8.latency(gpu, flops, bytes_moved, 8, penalty)
     return OperatorResult(
         name=f"cutlass_fp8_gemm_{m}x{n}x{k}",
         arch=gpu,
-        latency_us=result.latency_us,
+        latency_us=_CUTLASS_FP8.latency(gpu, flops, bytes_moved, 8, penalty),
         flops=flops,
         lines_of_code=900,
     )
@@ -125,12 +120,11 @@ def flash_attention_forward(arch, batch: int, heads: int, seq: int, dim: int) ->
     bytes_moved = 4.0 * batch * heads * seq * dim * 2
     blocks = batch * heads * ceil_div(seq, 64)
     penalty = _utilization_penalty(gpu, blocks)
-    result = library.latency(gpu, flops, bytes_moved, 16, penalty)
     loc = 1684 if gpu.sm_arch >= 90 else 577
     return OperatorResult(
         name=f"{library.name}_{batch}x{heads}x{seq}x{dim}",
         arch=gpu,
-        latency_us=result.latency_us,
+        latency_us=library.latency(gpu, flops, bytes_moved, 16, penalty),
         flops=flops,
         lines_of_code=loc,
     )
@@ -143,11 +137,10 @@ def flash_attention_decoding(arch, batch: int, heads: int, kv_len: int, dim: int
     bytes_moved = 2.0 * batch * heads * kv_len * dim * 2
     blocks = batch * heads
     penalty = _utilization_penalty(gpu, blocks)
-    result = _FLASHINFER.latency(gpu, flops, bytes_moved, 16, penalty)
     return OperatorResult(
         name=f"flashinfer_decode_{batch}x{heads}x{kv_len}x{dim}",
         arch=gpu,
-        latency_us=result.latency_us,
+        latency_us=_FLASHINFER.latency(gpu, flops, bytes_moved, 16, penalty),
         flops=flops,
         lines_of_code=322,
     )
@@ -171,12 +164,12 @@ def marlin_old_moe(
     per_expert_tokens = max(1, routed // max(experts_active, 1))
     per_expert_flops = 2.0 * per_expert_tokens * n * k
     per_expert_bytes = n * k * 0.5 + per_expert_tokens * (k + n) * 2.0
-    per_expert = _MARLIN.latency(gpu, per_expert_flops, per_expert_bytes, 16, 1.0)
+    per_expert_us = _MARLIN.latency(gpu, per_expert_flops, per_expert_bytes, 16, 1.0)
     # Sequential launches: each expert pays kernel-launch overhead and runs a
     # GEMM too small to fill the GPU.
     fill_penalty = _utilization_penalty(gpu, ceil_div(n, 128))
     latency = experts_active * (
-        gpu.kernel_launch_us + (per_expert.latency_us - _MARLIN.launch_us) * fill_penalty
+        gpu.kernel_launch_us + (per_expert_us - _MARLIN.launch_us) * fill_penalty
     )
     return OperatorResult(
         name=f"marlin_old_moe_{num_tokens}tok",
@@ -193,11 +186,10 @@ def marlin_new_moe(
     """Marlin-new (vLLM 0.9.2): a fused, near-roofline mixed-type MoE kernel."""
     gpu = get_arch(arch)
     routed, experts_active, flops, bytes_moved = _moe_work(num_tokens, num_experts, top_k, n, k)
-    result = _MARLIN.latency(gpu, flops, bytes_moved, 16, 1.0)
     return OperatorResult(
         name=f"marlin_new_moe_{num_tokens}tok",
         arch=gpu,
-        latency_us=result.latency_us,
+        latency_us=_MARLIN.latency(gpu, flops, bytes_moved, 16, 1.0),
         flops=flops,
         lines_of_code=1889,
     )
@@ -208,14 +200,13 @@ def mamba_library_scan(arch, batch: int, seq_len: int, d_inner: int) -> Operator
     accesses: it sustains only a fraction of DRAM bandwidth, Table IV)."""
     gpu = get_arch(arch)
     bytes_moved = 6.0 * batch * seq_len * d_inner * 2.0
-    flops = 8.0 * batch * seq_len * d_inner * 16
+    flops = 8.0 * batch * seq_len * d_inner * ScanConfig.d_state
     blocks = batch * ceil_div(d_inner, 64)
     penalty = _utilization_penalty(gpu, blocks)
-    result = _MAMBA_LIB.latency(gpu, flops, bytes_moved, 16, penalty)
     return OperatorResult(
         name=f"mamba_lib_scan_{batch}x{seq_len}x{d_inner}",
         arch=gpu,
-        latency_us=result.latency_us,
+        latency_us=_MAMBA_LIB.latency(gpu, flops, bytes_moved, 16, penalty),
         flops=flops,
         lines_of_code=650,
     )

@@ -40,7 +40,7 @@ __all__ = [
     "triton_attention_forward",
     "triton_attention_decoding",
     "TritonMoeOperator",
-    "triton_scan",
+    "TritonScanOperator",
 ]
 
 
@@ -62,68 +62,61 @@ def _triton_tile(m: int, n: int) -> tuple[int, int]:
     return bm, bn
 
 
-def triton_gemm(arch, m: int, n: int, k: int) -> OperatorResult:
-    """Triton FP16 GEMM: same dataflow, shallower pipeline, fixed tiles."""
+def _triton_result(
+    name: str, arch, program, kernel_key: str, overhead: float, flops: float, lines_of_code: int
+) -> OperatorResult:
+    """Compile ``program`` with Triton's instruction menu and a shallow
+    search, and report its latency scaled by ``overhead``, the scheduling
+    cost of generic codegen."""
     gpu = get_arch(arch)
-    bm, bn = _triton_tile(m, n)
-    config = GemmConfig(bm=bm, bn=bn, bk=32, num_stages=2)
-    program = build_fp16_gemm(m, n, k, config)
     kernel = compile_kernel(
         program, arch=gpu, instructions=triton_instruction_set(gpu), max_candidates=4
     )
     return OperatorResult(
-        name=f"triton_gemm_{m}x{n}x{k}",
+        name=name,
         arch=gpu,
-        latency_us=kernel.latency_us * 1.05,  # scheduling overhead of generic codegen
-        flops=2.0 * m * n * k,
-        lines_of_code=71,
-        kernels={"gemm": kernel},
+        latency_us=kernel.latency_us * overhead,
+        flops=flops,
+        lines_of_code=lines_of_code,
+        kernels={kernel_key: kernel},
+    )
+
+
+def triton_gemm(arch, m: int, n: int, k: int) -> OperatorResult:
+    """Triton FP16 GEMM: same dataflow, shallower pipeline, fixed tiles."""
+    bm, bn = _triton_tile(m, n)
+    program = build_fp16_gemm(m, n, k, GemmConfig(bm=bm, bn=bn, bk=32, num_stages=2))
+    return _triton_result(
+        f"triton_gemm_{m}x{n}x{k}", arch, program, "gemm",
+        overhead=1.05, flops=2.0 * m * n * k, lines_of_code=71,
     )
 
 
 def triton_fp8_gemm(arch, m: int, n: int, k: int) -> OperatorResult:
     """Triton blockwise-scaled FP8 GEMM: no TMA, shallow pipelining, and the
     scale handling stays on a narrow path."""
-    gpu = get_arch(arch)
     bm, bn = _triton_tile(m, n)
-    config = Fp8GemmConfig(bm=bm, bn=bn, num_stages=2)
-    program = build_fp8_blockwise_gemm(m, n, k, config)
+    program = build_fp8_blockwise_gemm(m, n, k, Fp8GemmConfig(bm=bm, bn=bn, num_stages=2))
     for copy in program.copies():
         if "scale" in copy.src.name or "scale" in copy.dst.name:
             copy.max_vector_bytes = 4
-    kernel = compile_kernel(
-        program, arch=gpu, instructions=triton_instruction_set(gpu), max_candidates=4
-    )
-    return OperatorResult(
-        name=f"triton_fp8_gemm_{m}x{n}x{k}",
-        arch=gpu,
-        latency_us=kernel.latency_us * 1.10,
-        flops=2.0 * m * n * k,
-        lines_of_code=87,
-        kernels={"fp8_gemm": kernel},
+    return _triton_result(
+        f"triton_fp8_gemm_{m}x{n}x{k}", arch, program, "fp8_gemm",
+        overhead=1.10, flops=2.0 * m * n * k, lines_of_code=87,
     )
 
 
 def triton_attention_forward(arch, batch: int, heads: int, seq: int, dim: int) -> OperatorResult:
-    gpu = get_arch(arch)
     program = build_mha_forward(seq, dim, heads, batch)
     program.num_stages = 1
     program.warp_specialized = False
-    kernel = compile_kernel(
-        program, arch=gpu, instructions=triton_instruction_set(gpu), max_candidates=4
-    )
-    return OperatorResult(
-        name=f"triton_mha_fwd_{batch}x{heads}x{seq}x{dim}",
-        arch=gpu,
-        latency_us=kernel.latency_us * 1.10,
-        flops=4.0 * batch * heads * seq * seq * dim,
-        lines_of_code=114,
-        kernels={"attention": kernel},
+    return _triton_result(
+        f"triton_mha_fwd_{batch}x{heads}x{seq}x{dim}", arch, program, "attention",
+        overhead=1.10, flops=4.0 * batch * heads * seq * seq * dim, lines_of_code=114,
     )
 
 
 def triton_attention_decoding(arch, batch: int, heads: int, kv_len: int, dim: int) -> OperatorResult:
-    gpu = get_arch(arch)
     program = build_mha_decoding(kv_len, dim, heads, batch)
     program.num_stages = 1
     # Triton's decode kernels split the reduction across elements and end up
@@ -131,16 +124,9 @@ def triton_attention_decoding(arch, batch: int, heads: int, kv_len: int, dim: in
     for copy in program.copies():
         if copy.src.is_global:
             copy.max_vector_bytes = 4
-    kernel = compile_kernel(
-        program, arch=gpu, instructions=triton_instruction_set(gpu), max_candidates=4
-    )
-    return OperatorResult(
-        name=f"triton_mha_decode_{batch}x{heads}x{kv_len}x{dim}",
-        arch=gpu,
-        latency_us=kernel.latency_us * 1.10,
-        flops=4.0 * batch * heads * kv_len * dim,
-        lines_of_code=224,
-        kernels={"attention": kernel},
+    return _triton_result(
+        f"triton_mha_decode_{batch}x{heads}x{kv_len}x{dim}", arch, program, "attention",
+        overhead=1.10, flops=4.0 * batch * heads * kv_len * dim, lines_of_code=224,
     )
 
 
@@ -153,11 +139,10 @@ class TritonMoeOperator(MixedTypeMoeOperator):
     """
 
     def __init__(self, arch="h100", **kwargs):
-        kwargs.setdefault("dataflow", "triton")
-        super().__init__(arch=arch, **kwargs)
+        super().__init__(arch=arch, dataflow="triton", **kwargs)
 
     def expert_request(self, tokens_per_expert: int) -> CompileRequest:
-        program = build_moe_gemm(tokens_per_expert, self.n, self.k, dataflow="triton")
+        program = build_moe_gemm(tokens_per_expert, self.n, self.k, dataflow=self.dataflow)
         program.num_stages = 2
         for copy in program.copies():
             names = (copy.src.name + " " + copy.dst.name).lower()
@@ -171,12 +156,17 @@ class TritonMoeOperator(MixedTypeMoeOperator):
         )
 
 
-def triton_scan(arch, batch: int, seq_len: int, d_inner: int) -> OperatorResult:
-    """Triton selective scan: no shared-memory staging, shallow pipelining."""
-    operator = SelectiveScanOperator(
-        arch=arch, use_shared_stage=False, num_stages=1, instruction_cap_bytes=4
-    )
-    result = operator.run(batch, seq_len, d_inner)
-    result.name = f"triton_scan_{batch}x{seq_len}x{d_inner}"
-    result.lines_of_code = 160
-    return result
+class TritonScanOperator(SelectiveScanOperator):
+    """The Triton selective scan: no shared-memory staging, shallow
+    pipelining, 4-byte accesses."""
+
+    def __init__(self, arch, cache=None):
+        super().__init__(
+            arch, use_shared_stage=False, num_stages=1, instruction_cap_bytes=4, cache=cache
+        )
+
+    def run(self, batch: int, seq_len: int, d_inner: int) -> OperatorResult:
+        result = super().run(batch, seq_len, d_inner)
+        result.name = f"triton_scan_{batch}x{seq_len}x{d_inner}"
+        result.lines_of_code = 160
+        return result

@@ -102,20 +102,6 @@ class KernelProgram:
     def global_tensors(self) -> List[TileTensor]:
         return [t for t in self.tensors() if t.is_global]
 
-    def producers(self) -> Dict[TileTensor, List[Operation]]:
-        result: Dict[TileTensor, List[Operation]] = {}
-        for op in self.operations:
-            for tensor in op.outputs:
-                result.setdefault(tensor, []).append(op)
-        return result
-
-    def consumers(self) -> Dict[TileTensor, List[Operation]]:
-        result: Dict[TileTensor, List[Operation]] = {}
-        for op in self.operations:
-            for tensor in op.inputs:
-                result.setdefault(tensor, []).append(op)
-        return result
-
     def copies(self) -> List[Copy]:
         return [op for op in self.operations if isinstance(op, Copy)]
 
@@ -211,16 +197,6 @@ class KernelProgram:
         """A rough "lines of code" count for the kernel body (one line per
         declared tensor or operation), used by the Table II harness."""
         return len(self.operations)
-
-    def summary(self) -> str:
-        lines = [
-            f"kernel {self.name}: {self.num_threads} threads, "
-            f"{self.grid_blocks} blocks, {self.num_stages} stages"
-            + (", warp-specialized" if self.warp_specialized else "")
-        ]
-        for op in self.operations:
-            lines.append(f"  {op.describe()}")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"KernelProgram({self.name!r}, ops={len(self.operations)})"

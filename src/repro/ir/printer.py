@@ -54,8 +54,8 @@ def format_operation(op: Operation) -> str:
     return op.describe()
 
 
-def print_program(program: KernelProgram, include_layouts: bool = True) -> str:
-    """Render a whole program, optionally annotated with synthesized layouts."""
+def print_program(program: KernelProgram) -> str:
+    """Render a whole program, annotated with its synthesized layouts."""
     lines = [f"# kernel {program.name}"]
     lines.append(
         f"# threads={program.num_threads} blocks={program.grid_blocks} "
@@ -67,16 +67,15 @@ def print_program(program: KernelProgram, include_layouts: bool = True) -> str:
         lines.append(f"{prefix}{format_operation(op)}{loop_note}")
         if op.selected_instruction is not None:
             lines.append(f"{prefix}    # instruction: {op.selected_instruction.name}")
-    if include_layouts:
-        lines.append("# synthesized layouts:")
-        for tensor in program.tensors():
-            if tensor.is_register and tensor.tv_layout is not None:
-                lines.append(f"#   {tensor.name}: tv = {tensor.tv_layout.layout}")
-            elif tensor.is_shared and tensor.layout is not None:
-                swizzle = (
-                    f" swizzle={tensor.swizzled_layout.swizzle}"
-                    if tensor.swizzled_layout is not None
-                    else ""
-                )
-                lines.append(f"#   {tensor.name}: smem = {tensor.layout}{swizzle}")
+    lines.append("# synthesized layouts:")
+    for tensor in program.tensors():
+        if tensor.is_register and tensor.tv_layout is not None:
+            lines.append(f"#   {tensor.name}: tv = {tensor.tv_layout.layout}")
+        elif tensor.is_shared and tensor.layout is not None:
+            swizzle = (
+                f" swizzle={tensor.swizzled_layout.swizzle}"
+                if tensor.swizzled_layout is not None
+                else ""
+            )
+            lines.append(f"#   {tensor.name}: smem = {tensor.layout}{swizzle}")
     return "\n".join(lines)

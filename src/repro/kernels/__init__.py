@@ -1,7 +1,7 @@
 """The paper's kernels written in the Hexcute DSL, plus host-level operators
 that pick tile sizes and report simulated latency."""
 
-from repro.kernels.common import OperatorResult, ceil_div
+from repro.kernels.common import OperatorResult, TileSweepOperator
 from repro.kernels.gemm import (
     GemmConfig,
     GemmOperator,
@@ -20,7 +20,7 @@ from repro.kernels.mamba import ScanConfig, SelectiveScanOperator, build_selecti
 
 __all__ = [
     "OperatorResult",
-    "ceil_div",
+    "TileSweepOperator",
     "GemmConfig",
     "GemmOperator",
     "build_fp16_gemm",

@@ -26,9 +26,10 @@ import numpy as np
 from repro.pipeline import CompileRequest, compile_many
 from repro.frontend.script import KernelBuilder
 from repro.ir import types
-from repro.kernels.common import OperatorResult, ceil_div
+from repro.kernels.common import OperatorResult
 from repro.layout.layout import Layout
 from repro.sim.arch import get_arch
+from repro.utils.inttuple import ceil_div
 
 __all__ = [
     "AttentionConfig",

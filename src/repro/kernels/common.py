@@ -10,16 +10,14 @@ reports the simulated latency along with the metrics the paper tabulates
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List
 
 from repro.compiler import CompiledKernel
-from repro.sim.arch import GpuArch
+from repro.frontend.autotune import autotune_compile, build_sweep
+from repro.pipeline import CompileRequest
+from repro.sim.arch import GpuArch, get_arch
 
-__all__ = ["ceil_div", "OperatorResult"]
-
-
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+__all__ = ["OperatorResult", "TileSweepOperator"]
 
 
 @dataclass
@@ -52,3 +50,58 @@ class OperatorResult:
         for kernel in self.kernels.values():
             merged.update(kernel.bytes_per_instruction())
         return merged
+
+
+class TileSweepOperator:
+    """A host-level ``(m, n, k)`` operator that autotunes one kernel over a
+    tile sweep (the FP16 and FP8 GEMMs).
+
+    Subclasses supply ``_build(m, n, k, params)``, which builds the tile
+    program of one sweep entry, and ``_tile_candidates(m, n, k)``, the
+    sweep itself.  ``kernel_key`` names the kernel in the result.  The
+    constructor defaults are the FP8 GEMM's (Hopper, 8 tile trials);
+    :class:`~repro.kernels.gemm.GemmOperator` declares its own.
+    """
+
+    kernel_key = "gemm"
+
+    def __init__(
+        self, arch="h100", max_candidates: int = 12, max_tile_trials: int = 8, cache=None
+    ):
+        self.arch = get_arch(arch)
+        self.max_candidates = max_candidates
+        self.max_tile_trials = max_tile_trials
+        # Optional repro.pipeline.CompileCache; None uses the process default.
+        self.cache = cache
+
+    def requests(self, m: int, n: int, k: int) -> List[CompileRequest]:
+        """The compile requests ``run(m, n, k)`` issues, in order: one per
+        tile of the sweep whose program builds."""
+        _, built = build_sweep(
+            lambda params: self._build(m, n, k, params), self._tile_candidates(m, n, k)
+        )
+        return [
+            CompileRequest(program, self.arch, max_candidates=self.max_candidates)
+            for _, program in built
+        ]
+
+    def run(self, m: int, n: int, k: int) -> OperatorResult:
+        """Batch-compile the whole tile sweep (repeats are compile-cache
+        hits) and report the fastest configuration."""
+        tuned = autotune_compile(
+            lambda params: self._build(m, n, k, params),
+            self._tile_candidates(m, n, k),
+            arch=self.arch,
+            cache=self.cache,
+            max_candidates=self.max_candidates,
+        )
+        best = tuned.best_kernel
+        return OperatorResult(
+            name=f"{best.program.name}_{m}x{n}x{k}",
+            arch=self.arch,
+            latency_us=tuned.best_latency_us,
+            flops=2.0 * m * n * k,
+            lines_of_code=best.lines_of_code(),
+            kernels={self.kernel_key: best},
+            extra={**tuned.best_params, "tile_trials": tuned.num_feasible},
+        )

@@ -12,15 +12,14 @@ movement and compute structure of the blockwise-scaled kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from repro.frontend.autotune import autotune_compile, build_sweep, gemm_tile_candidates
+from repro.frontend.autotune import gemm_tile_candidates
 from repro.frontend.script import KernelBuilder
 from repro.ir import types
-from repro.kernels.common import OperatorResult, ceil_div
+from repro.kernels.common import TileSweepOperator
 from repro.layout.layout import Layout
-from repro.pipeline import CompileRequest
-from repro.sim.arch import get_arch
+from repro.utils.inttuple import ceil_div
 
 __all__ = ["Fp8GemmConfig", "build_fp8_blockwise_gemm", "Fp8GemmOperator"]
 
@@ -95,21 +94,14 @@ def build_fp8_blockwise_gemm(m: int, n: int, k: int, config: Optional[Fp8GemmCon
     return program
 
 
-class Fp8GemmOperator:
+class Fp8GemmOperator(TileSweepOperator):
     """Host-level blockwise-scaled FP8 GEMM with tile autotuning."""
 
-    def __init__(
-        self, arch="h100", max_candidates: int = 12, max_tile_trials: int = 8, cache=None
-    ):
-        self.arch = get_arch(arch)
-        self.max_candidates = max_candidates
-        self.max_tile_trials = max_tile_trials
-        # Optional repro.pipeline.CompileCache; None uses the process default.
-        self.cache = cache
+    kernel_key = "fp8_gemm"
 
     def _build(self, m: int, n: int, k: int, params: dict):
-        config = Fp8GemmConfig(bm=params["bm"], bn=params["bn"], bk=128)
-        return build_fp8_blockwise_gemm(m, n, k, config)
+        # bk stays at one quantization block (Fp8GemmConfig's default).
+        return build_fp8_blockwise_gemm(m, n, k, Fp8GemmConfig(**params))
 
     def _tile_candidates(self, m: int, n: int, k: int) -> list:
         """The tile sweep ``run`` autotunes over for one problem size."""
@@ -129,35 +121,3 @@ class Fp8GemmOperator:
         if {"bm": 128, "bn": 128} not in unique:
             unique.append({"bm": 128, "bn": 128})
         return unique
-
-    def requests(self, m: int, n: int, k: int) -> List[CompileRequest]:
-        """The compile requests ``run(m, n, k)`` issues, in order: one per
-        tile of the sweep whose program builds."""
-        _, built = build_sweep(
-            lambda params: self._build(m, n, k, params), self._tile_candidates(m, n, k)
-        )
-        return [
-            CompileRequest(program, self.arch, max_candidates=self.max_candidates)
-            for _, program in built
-        ]
-
-    def run(self, m: int, n: int, k: int) -> OperatorResult:
-        # Batch-compile the tile sweep through the pipeline (cached),
-        # keeping the fastest configuration.
-        tuned = autotune_compile(
-            lambda params: self._build(m, n, k, params),
-            self._tile_candidates(m, n, k),
-            arch=self.arch,
-            cache=self.cache,
-            max_candidates=self.max_candidates,
-        )
-        best = tuned.best_kernel
-        return OperatorResult(
-            name=f"fp8_blockwise_gemm_{m}x{n}x{k}",
-            arch=self.arch,
-            latency_us=tuned.best_latency_us,
-            flops=2.0 * m * n * k,
-            lines_of_code=best.lines_of_code(),
-            kernels={"fp8_gemm": best},
-            extra=dict(tuned.best_params),
-        )

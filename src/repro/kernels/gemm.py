@@ -16,16 +16,16 @@ in these kernels is synthesized by the compiler.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from repro.frontend.autotune import autotune_compile, build_sweep, gemm_tile_candidates
+from repro.frontend.autotune import gemm_tile_candidates
 from repro.frontend.script import KernelBuilder
 from repro.ir import types
-from repro.kernels.common import OperatorResult, ceil_div
+from repro.kernels.common import TileSweepOperator
 from repro.layout.layout import Layout
-from repro.pipeline import CompileRequest
-from repro.sim.arch import get_arch
+from repro.utils.inttuple import ceil_div
 
 __all__ = [
     "build_fp16_gemm",
@@ -49,8 +49,27 @@ class GemmConfig:
     acc_dtype: types.DataType = types.float32
 
 
-def _gemm_body(hx: KernelBuilder, m: int, n: int, k: int, config: GemmConfig) -> None:
-    """The shared tile-level dataflow of both GEMM variants."""
+def _build_gemm(
+    name: str, m: int, n: int, k: int, config: GemmConfig, warp_specialized: bool
+):
+    """The tile-level dataflow of both GEMM variants.
+
+    The warp-specialized variant issues the same operations inside the
+    producer (memory movement) and consumer (Tensor Core math) warp-group
+    contexts; the pipelined variant runs them under no-op contexts.
+    """
+    grid = ceil_div(m, config.bm) * ceil_div(n, config.bn)
+    hx = KernelBuilder(
+        name,
+        num_threads=config.num_threads,
+        grid_blocks=grid,
+        num_stages=config.num_stages,
+        warp_specialized=warp_specialized,
+    )
+    if warp_specialized:
+        producer, consumer = hx.warp_groups_producer, hx.warp_groups_consumer
+    else:
+        producer = consumer = contextlib.nullcontext
     bm, bn, bk = config.bm, config.bn, config.bk
     trips = max(1, ceil_div(k, bk))
     # Iterator views: one K-slice per loop trip (paper Fig. 15, lines 3-4).
@@ -69,89 +88,40 @@ def _gemm_body(hx: KernelBuilder, m: int, n: int, k: int, config: GemmConfig) ->
     rc = hx.register_tensor(config.acc_dtype, (bm, bn), name="rc")
     hx.fill(rc, 0.0)
     with hx.for_range(trips):
-        hx.copy(ga, sa)
-        hx.copy(gb, sb)
-        hx.copy(sa, ra)
-        hx.copy(sb, rb)
-        hx.gemm(rc, ra, rb)
-    rc_out = hx.cast(rc, config.out_dtype, name="rc_out")
-    # Redistribute through shared memory so the global store is coalesced
-    # (paper Fig. 15, lines 14-20).
-    sc = hx.shared_tensor(config.out_dtype, (bm, bn), name="sc")
-    hx.copy(rc_out, sc)
-    r_store = hx.register_tensor(config.out_dtype, (bm, bn), name="r_store")
-    hx.copy(sc, r_store)
-    hx.copy(r_store, gc)
-
-
-def _problem_footprint(m: int, n: int, k: int, bits: int = 16) -> float:
-    return (m * k + n * k + m * n) * bits / 8
-
-
-def build_fp16_gemm(m: int, n: int, k: int, config: Optional[GemmConfig] = None):
-    """Build the pipelined FP16 GEMM tile program for one problem size."""
-    config = config or GemmConfig()
-    grid = ceil_div(m, config.bm) * ceil_div(n, config.bn)
-    hx = KernelBuilder(
-        "fp16_gemm",
-        num_threads=config.num_threads,
-        grid_blocks=grid,
-        num_stages=config.num_stages,
-    )
-    _gemm_body(hx, m, n, k, config)
-    program = hx.build()
-    program.unique_global_bytes = _problem_footprint(m, n, k)
-    return program
-
-
-def build_warp_specialized_gemm(m: int, n: int, k: int, config: Optional[GemmConfig] = None):
-    """Build the warp-specialized GEMM: producer warps move data, consumer
-    warps compute (Hopper)."""
-    config = config or GemmConfig(num_threads=256, num_stages=4)
-    grid = ceil_div(m, config.bm) * ceil_div(n, config.bn)
-    hx = KernelBuilder(
-        "ws_fp16_gemm",
-        num_threads=config.num_threads,
-        grid_blocks=grid,
-        num_stages=config.num_stages,
-        warp_specialized=True,
-    )
-    bm, bn, bk = config.bm, config.bn, config.bk
-    trips = max(1, ceil_div(k, bk))
-    ga = hx.global_view(
-        "a", config.in_dtype, (bm, bk, trips), layout=Layout((bm, bk, trips), (k, 1, bk))
-    )
-    gb = hx.global_view(
-        "b", config.in_dtype, (bn, bk, trips), layout=Layout((bn, bk, trips), (k, 1, bk))
-    )
-    gc = hx.global_view("c", config.out_dtype, (bm, bn), layout=Layout((bm, bn), (n, 1)))
-    sa = hx.shared_tensor(config.in_dtype, (bm, bk), name="sa")
-    sb = hx.shared_tensor(config.in_dtype, (bn, bk), name="sb")
-    ra = hx.register_tensor(config.in_dtype, (bm, bk), name="ra")
-    rb = hx.register_tensor(config.in_dtype, (bn, bk), name="rb")
-    rc = hx.register_tensor(config.acc_dtype, (bm, bn), name="rc")
-    hx.fill(rc, 0.0)
-    with hx.for_range(trips):
-        with hx.warp_groups_producer():
+        with producer():
             hx.copy(ga, sa)
             hx.copy(gb, sb)
-        with hx.warp_groups_consumer():
+        with consumer():
             hx.copy(sa, ra)
             hx.copy(sb, rb)
             hx.gemm(rc, ra, rb)
-    with hx.warp_groups_consumer():
+    with consumer():
         rc_out = hx.cast(rc, config.out_dtype, name="rc_out")
+        # Redistribute through shared memory so the global store is
+        # coalesced (paper Fig. 15, lines 14-20).
         sc = hx.shared_tensor(config.out_dtype, (bm, bn), name="sc")
         hx.copy(rc_out, sc)
         r_store = hx.register_tensor(config.out_dtype, (bm, bn), name="r_store")
         hx.copy(sc, r_store)
         hx.copy(r_store, gc)
     program = hx.build()
-    program.unique_global_bytes = _problem_footprint(m, n, k)
+    program.unique_global_bytes = 2.0 * (m * k + n * k + m * n)  # FP16 A, B and C
     return program
 
 
-class GemmOperator:
+def build_fp16_gemm(m: int, n: int, k: int, config: Optional[GemmConfig] = None):
+    """Build the pipelined FP16 GEMM tile program for one problem size."""
+    return _build_gemm("fp16_gemm", m, n, k, config or GemmConfig(), warp_specialized=False)
+
+
+def build_warp_specialized_gemm(m: int, n: int, k: int, config: Optional[GemmConfig] = None):
+    """Build the warp-specialized GEMM: producer warps move data, consumer
+    warps compute (Hopper)."""
+    config = config or GemmConfig(num_threads=256, num_stages=4)
+    return _build_gemm("ws_fp16_gemm", m, n, k, config, warp_specialized=True)
+
+
+class GemmOperator(TileSweepOperator):
     """Host-level FP16 GEMM: picks tile sizes and reports simulated latency."""
 
     def __init__(
@@ -162,24 +132,14 @@ class GemmOperator:
         max_tile_trials: int = 10,
         cache=None,
     ):
-        self.arch = get_arch(arch)
+        super().__init__(arch, max_candidates, max_tile_trials, cache)
         self.warp_specialized = warp_specialized
-        self.max_candidates = max_candidates
-        self.max_tile_trials = max_tile_trials
-        # Optional repro.pipeline.CompileCache; None uses the process default.
-        self.cache = cache
 
     def _build(self, m: int, n: int, k: int, params: dict):
-        config = GemmConfig(
-            bm=params["bm"],
-            bn=params["bn"],
-            bk=params["bk"],
-            num_threads=256 if self.warp_specialized else 128,
-            num_stages=4 if self.warp_specialized else 3,
-        )
         if self.warp_specialized:
+            config = GemmConfig(**params, num_threads=256, num_stages=4)
             return build_warp_specialized_gemm(m, n, k, config)
-        return build_fp16_gemm(m, n, k, config)
+        return build_fp16_gemm(m, n, k, GemmConfig(**params))
 
     def _tile_candidates(self, m: int, n: int, k: int) -> list:
         """The tile sweep ``run`` autotunes over for one problem size."""
@@ -204,42 +164,3 @@ class GemmOperator:
             if feasible and fallback not in candidates:
                 candidates.append(fallback)
         return candidates
-
-    def requests(self, m: int, n: int, k: int) -> List[CompileRequest]:
-        """The compile requests ``run(m, n, k)`` issues, in order: one per
-        tile of the sweep whose program builds."""
-        _, built = build_sweep(
-            lambda params: self._build(m, n, k, params), self._tile_candidates(m, n, k)
-        )
-        return [
-            CompileRequest(program, self.arch, max_candidates=self.max_candidates)
-            for _, program in built
-        ]
-
-    def run(self, m: int, n: int, k: int) -> OperatorResult:
-        """Tile-size autotune + compile, returning the best configuration."""
-        # Batch-compile the whole tile sweep: repeats are served from the
-        # compile cache.
-        tuned = autotune_compile(
-            lambda params: self._build(m, n, k, params),
-            self._tile_candidates(m, n, k),
-            arch=self.arch,
-            cache=self.cache,
-            max_candidates=self.max_candidates,
-        )
-        best = tuned.best_kernel
-        name = "ws_fp16_gemm" if self.warp_specialized else "fp16_gemm"
-        return OperatorResult(
-            name=f"{name}_{m}x{n}x{k}",
-            arch=self.arch,
-            latency_us=tuned.best_latency_us,
-            flops=2.0 * m * n * k,
-            lines_of_code=best.lines_of_code(),
-            kernels={"gemm": best},
-            extra={
-                "bm": tuned.best_params["bm"],
-                "bn": tuned.best_params["bn"],
-                "bk": tuned.best_params["bk"],
-                "tile_trials": tuned.num_feasible,
-            },
-        )

@@ -26,9 +26,10 @@ from repro.pipeline import CompileRequest, compile_many
 from repro.frontend.script import KernelBuilder
 from repro.instructions.registry import instruction_set
 from repro.ir import types
-from repro.kernels.common import OperatorResult, ceil_div
+from repro.kernels.common import OperatorResult
 from repro.layout.layout import Layout
 from repro.sim.arch import get_arch
+from repro.utils.inttuple import ceil_div
 
 __all__ = ["ScanConfig", "build_selective_scan", "SelectiveScanOperator"]
 
@@ -189,9 +190,9 @@ class SelectiveScanOperator:
         (kernel,) = compile_many(self.requests(batch, seq_len, d_inner), cache=self.cache)
         return kernel
 
-    def run(self, batch: int, seq_len: int, d_inner: int, d_state: int = 16) -> OperatorResult:
+    def run(self, batch: int, seq_len: int, d_inner: int) -> OperatorResult:
         kernel = self.compile_kernel(seq_len, d_inner, batch)
-        flops = 8.0 * batch * seq_len * d_inner * d_state
+        flops = 8.0 * batch * seq_len * d_inner * ScanConfig.d_state
         return OperatorResult(
             name=f"selective_scan_{batch}x{seq_len}x{d_inner}",
             arch=self.arch,

@@ -17,7 +17,6 @@ from typing import Union
 from repro.layout.layout import Layout, make_layout
 from repro.utils.memo import memoized
 from repro.utils.inttuple import (
-    IntTuple,
     ceil_div,
     flatten,
     is_tuple,
@@ -59,21 +58,12 @@ def _as_layout(value: LayoutOrInt) -> Layout:
 # candidate leaf.  Exceptions (e.g. a non-complementable layout) are never
 # cached.
 @memoized(maxsize=16384)
-def coalesce(layout: Layout, profile: IntTuple | None = None) -> Layout:
+def coalesce(layout: Layout) -> Layout:
     """Simplify a layout without changing it as a function.
 
     Adjacent flat modes ``(s0:d0, s1:d1)`` merge into ``s0*s1 : d0`` whenever
-    ``d1 == s0 * d0``; size-1 modes are dropped.  With ``profile`` given, the
-    coalescing is applied per top-level mode of the profile so that the
-    result keeps that rank (CuTe's "by-mode" coalesce).
+    ``d1 == s0 * d0``; size-1 modes are dropped.
     """
-    if profile is not None and is_tuple(profile):
-        modes = [
-            coalesce(layout[i], profile[i] if i < len(profile) else None)
-            for i in range(len(profile))
-        ]
-        return make_layout(*modes)
-
     flat_shape = flatten(layout.shape)
     flat_stride = flatten(layout.stride)
 

@@ -22,12 +22,10 @@ from repro.utils.inttuple import (
     congruent,
     crd2idx,
     flatten,
-    idx2crd,
     is_int,
     is_tuple,
     prefix_product,
     product,
-    unflatten_like,
     validate,
 )
 
@@ -95,11 +93,6 @@ class Layout:
             return len(self.shape)
         return 1
 
-    def depth(self) -> int:
-        from repro.utils.inttuple import depth as _depth
-
-        return _depth(self.shape)
-
     def flat_shape(self) -> tuple[int, ...]:
         return flatten(self.shape)
 
@@ -148,10 +141,6 @@ class Layout:
             crd = tuple(coord)
         return crd2idx(crd, self.shape, self.stride)
 
-    def coordinate(self, idx: int) -> IntTuple:
-        """Convert a linear domain index to a hierarchical coordinate."""
-        return idx2crd(idx, self.shape)
-
     def all_indices(self) -> list[int]:
         """The image of the layout enumerated over its whole domain."""
         return [self(i) for i in range(self.size())]
@@ -178,17 +167,6 @@ class Layout:
     def flatten(self) -> "Layout":
         """A rank-``n`` layout with every leaf mode promoted to the top."""
         return Layout(flatten(self.shape), flatten(self.stride))
-
-    def with_shape(self, new_shape: IntTuple) -> "Layout":
-        """Reinterpret the flat strides with a new (congruently sized) shape."""
-        if product(new_shape) != self.size():
-            raise ValueError(
-                f"with_shape: new shape {new_shape} has size {product(new_shape)}, "
-                f"expected {self.size()}"
-            )
-        flat = self.flatten()
-        # Only legal when the new shape refines the flat modes in order.
-        return composed_reshape(flat, new_shape)
 
     def append(self, other: "Layout") -> "Layout":
         """Concatenate ``other`` as an extra top-level mode."""
@@ -276,37 +254,3 @@ def make_ordered_layout(shape: Sequence[int], order: Sequence[int]) -> Layout:
         running *= shape[dim]
     return Layout(shape, tuple(strides))
 
-
-def composed_reshape(flat_layout: Layout, new_shape: IntTuple) -> Layout:
-    """Reinterpret a flat layout's domain with ``new_shape``.
-
-    The flat modes are split/merged so that the resulting layout, evaluated
-    colexicographically over ``new_shape``, agrees with ``flat_layout``
-    evaluated over its own domain.  Raises if the reshape would require
-    non-affine strides.
-    """
-    flat_shapes = list(flat_layout.flat_shape())
-    flat_strides = list(flat_layout.flat_stride())
-    target_leaves = flatten(new_shape)
-
-    result_strides: list[int] = []
-    mode_index = 0
-    remaining_in_mode = flat_shapes[0] if flat_shapes else 1
-    current_stride = flat_strides[0] if flat_strides else 0
-    for leaf in target_leaves:
-        if leaf == 1:
-            result_strides.append(0)
-            continue
-        if remaining_in_mode == 1 and mode_index + 1 < len(flat_shapes):
-            mode_index += 1
-            remaining_in_mode = flat_shapes[mode_index]
-            current_stride = flat_strides[mode_index]
-        if remaining_in_mode % leaf != 0:
-            raise ValueError(
-                f"cannot reshape layout {flat_layout} to shape {new_shape}: "
-                f"leaf {leaf} does not divide remaining extent {remaining_in_mode}"
-            )
-        result_strides.append(current_stride)
-        current_stride *= leaf
-        remaining_in_mode //= leaf
-    return Layout(new_shape, unflatten_like(result_strides, new_shape))

@@ -70,7 +70,7 @@ from repro.serving.router import Router, get_router
 from repro.serving.scheduler import Scheduler
 from repro.serving.simulator import ReplicaEngine, ServingSimulator
 from repro.serving.step_model import PrecompileStats, StepLatencyModel, shared_step_model
-from repro.serving.workload import Request, check_unique_ids
+from repro.serving.workload import Request, arrival_key, check_unique_ids
 from repro.sim.arch import DEFAULT_EVAL_ARCH
 
 __all__ = [
@@ -418,7 +418,7 @@ class ClusterSimulator:
         check_unique_ids(requests)
         if faults is None:
             faults = FaultSchedule()
-        ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
+        ordered = sorted(requests, key=arrival_key)
         engines = [
             ReplicaEngine(sim, replica_id=index)
             for index, sim in enumerate(self.replicas)

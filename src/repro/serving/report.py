@@ -241,7 +241,6 @@ class ServeReport(BaseReport):
     # Counters, all outside digest(), which hashes only the per-request
     # trace.  KV-cache memory model:
     preemptions: int = 0
-    kv_block_tokens: int = 0
     kv_total_blocks: int = 0
     kv_peak_utilization: float = 0.0
     mean_kv_utilization: float = 0.0

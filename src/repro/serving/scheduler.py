@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple, Type, Union
 
 from repro.serving.memory import KvMemoryView
-from repro.serving.workload import Request
+from repro.serving.workload import Request, arrival_key
 
 __all__ = [
     "FcfsScheduler",
@@ -110,7 +110,7 @@ class Scheduler:
         ``request_id`` (unique keys make insertion equal a full sort).
         The default is arrival order, ``(arrival_ms, request_id)``.
         """
-        return (request.arrival_ms, request.request_id)
+        return arrival_key(request)
 
     def select(
         self,

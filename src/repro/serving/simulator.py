@@ -70,7 +70,7 @@ from repro.serving.prefix import PrefixStore
 from repro.serving.report import RequestMetrics, ServeReport
 from repro.serving.scheduler import RunningInfo, Scheduler, get_scheduler
 from repro.serving.step_model import PrecompileStats, StepLatencyModel, shared_step_model
-from repro.serving.workload import Request, RequestQueue, check_unique_ids
+from repro.serving.workload import Request, RequestQueue, arrival_key, check_unique_ids
 from repro.sim.arch import DEFAULT_EVAL_ARCH, get_arch
 
 __all__ = ["PREFILL_PARALLELISM", "ReplicaEngine", "ServingSimulator", "simulate"]
@@ -78,12 +78,6 @@ __all__ = ["PREFILL_PARALLELISM", "ReplicaEngine", "ServingSimulator", "simulate
 # How many times more efficiently prefill processes a token than a decode
 # step does (its compute-dense batching).
 PREFILL_PARALLELISM = 8.0
-
-
-def _arrival_key(request: Request):
-    """Arrival order, unique per request: the order requests join the
-    running batch in and a crash hands its lost requests back in."""
-    return (request.arrival_ms, request.request_id)
 
 
 @dataclass(slots=True)
@@ -314,7 +308,7 @@ class ReplicaEngine:
         lost: List[Request] = list(self.queue)
         lost.extend(self.waiting)
         lost.extend(s.request for s in self.running.values())
-        lost.sort(key=_arrival_key)
+        lost.sort(key=arrival_key)
         self.queue = RequestQueue(())
         self.waiting = []
         self._preempted.clear()
@@ -633,7 +627,7 @@ class ReplicaEngine:
             # Join in arrival order whatever the admission key: the order
             # of ``running`` decides the order of prefix acquires and of
             # ensure_free evictions, here and in every later step.
-            joining.sort(key=_arrival_key)
+            joining.sort(key=arrival_key)
             now = self.now
             step = self.steps
             block_tokens = manager.block_tokens
@@ -809,7 +803,6 @@ class ReplicaEngine:
             max_queue_depth=self.max_queue_depth,
             requests=finished,
             preemptions=self.preemptions,
-            kv_block_tokens=manager.block_tokens,
             kv_total_blocks=manager.total_blocks,
             kv_peak_utilization=manager.peak_used_blocks / manager.total_blocks,
             mean_kv_utilization=self.kv_utilization_sum / self.steps if self.steps else 0.0,

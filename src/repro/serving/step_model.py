@@ -38,12 +38,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baselines import (
     TritonMoeOperator,
+    TritonScanOperator,
     cublas_gemm,
     cutlass_fp8_gemm,
     flash_attention_decoding,
     mamba_library_scan,
     marlin_old_moe,
-    triton_scan,
 )
 from repro.kernels.attention import AttentionOperator
 from repro.kernels.fp8_gemm import Fp8GemmOperator
@@ -114,8 +114,9 @@ def operator_us(name: str, arch, config, batch: int, backend: str, cache=None) -
         )
         return op.run(batch).latency_us
     if name == "mamba_scan":
-        scan = triton_scan if backend == "triton" else mamba_library_scan
-        return scan(arch, *args).latency_us
+        if backend == "triton":
+            return TritonScanOperator(arch, cache=cache).run(*args).latency_us
+        return mamba_library_scan(arch, *args).latency_us
     gemm = cutlass_fp8_gemm if config.weight_dtype == "fp8" else cublas_gemm
     return gemm(arch, *args).latency_us
 

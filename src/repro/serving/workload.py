@@ -57,6 +57,7 @@ __all__ = [
     "Request",
     "RequestQueue",
     "WORKLOADS",
+    "arrival_key",
     "bursty_workload",
     "deadline_workload",
     "diurnal_workload",
@@ -155,7 +156,10 @@ class Request:
         return self.arrival_ms + self.slo_ms
 
 
-def _arrival_order(request: Request):
+def arrival_key(request: Request):
+    """Arrival order, unique per request: the order the queue releases
+    requests in, a cluster routes them in, they join a running batch in,
+    and a crash hands its lost requests back in."""
     return (request.arrival_ms, request.request_id)
 
 
@@ -186,7 +190,7 @@ class RequestQueue:
     _COMPACT_AT = 4096
 
     def __init__(self, requests):
-        self._ordered: List[Request] = sorted(requests, key=_arrival_order)
+        self._ordered: List[Request] = sorted(requests, key=arrival_key)
         self._cursor = 0
 
     def __len__(self) -> int:
@@ -210,12 +214,12 @@ class RequestQueue:
         the pending suffix.
         """
         ordered = self._ordered
-        if not ordered or len(ordered) == self._cursor or _arrival_order(
+        if not ordered or len(ordered) == self._cursor or arrival_key(
             request
-        ) >= _arrival_order(ordered[-1]):
+        ) >= arrival_key(ordered[-1]):
             ordered.append(request)
         else:
-            insort(ordered, request, lo=self._cursor, key=_arrival_order)
+            insort(ordered, request, lo=self._cursor, key=arrival_key)
 
     def pop_arrived(self, now_ms: float) -> List[Request]:
         """Remove and return every request with ``arrival_ms <= now_ms``."""

@@ -79,8 +79,7 @@ class SelectionStats:
 
     ``leaves_evaluated`` counts full leaf evaluations (shared-memory plan
     assembly plus a cost-model run); ``leaves_pruned`` counts the leaf
-    equivalents inside subtrees cut by branch-and-bound, split into
-    ``infeasible_cuts``/``bound_cuts`` subtree-cut events.
+    equivalents inside subtrees cut by branch-and-bound.
     ``subproblems_memoized`` counts shared-memory subproblem cache hits and
     ``smem_solves`` the actual constraint-unification solves that ran.
     ``swizzles_scored``/``swizzles_pruned`` aggregate, over those fresh
@@ -93,8 +92,6 @@ class SelectionStats:
     leaves_evaluated: int = 0
     leaves_pruned: int = 0
     leaf_memo_hits: int = 0
-    infeasible_cuts: int = 0
-    bound_cuts: int = 0
     subproblems_memoized: int = 0
     smem_solves: int = 0
     swizzles_scored: int = 0
@@ -119,13 +116,6 @@ class Candidate:
     @property
     def total_cycles(self) -> float:
         return self.cost.total_cycles if self.cost else float("inf")
-
-    def bytes_per_instruction(self) -> Dict[str, int]:
-        """Per-copy ``direction -> vector bytes`` summary (Tables III / IV)."""
-        result: Dict[str, int] = {}
-        for op_id, instr in self.assignment.items():
-            result[str(op_id)] = instr.vector_bytes
-        return result
 
     def named_assignment(self, program: KernelProgram) -> List[tuple]:
         """The assignment as ``(name, direction, vector_bytes)`` triples in
@@ -541,15 +531,11 @@ class InstructionSelector:
         budget = self.max_candidates
         assignment: Dict[int, MemoryInstruction] = {}
 
-        def prune(depth: int, kind: str) -> None:
+        def prune(depth: int) -> None:
             nonlocal budget
             cut = min(subtree[depth], budget)
             budget -= cut
             self.stats.leaves_pruned += cut
-            if kind == "infeasible":
-                self.stats.infeasible_cuts += 1
-            else:
-                self.stats.bound_cuts += 1
 
         def dfs(depth: int, assigned_issue: float) -> None:
             nonlocal best, budget
@@ -576,7 +562,7 @@ class InstructionSelector:
                         feasible = False
                         break
                 if not feasible:
-                    prune(depth + 1, "infeasible")
+                    prune(depth + 1)
                     continue
                 prefix_issue = assigned_issue + terms[depth][choice]
                 # Prune when the bound cannot *strictly* beat the incumbent.
@@ -588,7 +574,7 @@ class InstructionSelector:
                     and invariants.lower_bound(prefix_issue + suffix_min[depth + 1])
                     >= best.total_cycles
                 ):
-                    prune(depth + 1, "bound")
+                    prune(depth + 1)
                 else:
                     dfs(depth + 1, prefix_issue)
             del assignment[copy.op_id]

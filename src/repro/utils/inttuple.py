@@ -171,7 +171,7 @@ def shape_div(a: IntTuple, b: IntTuple) -> IntTuple:
 
 
 @memoized(maxsize=8192)
-def prefix_product(shape: IntTuple, init: int = 1) -> IntTuple:
+def prefix_product(shape: IntTuple) -> IntTuple:
     """Exclusive prefix products over the leaves, preserving structure.
 
     Memoized: shapes are immutable and the compiler re-derives the strides
@@ -184,7 +184,7 @@ def prefix_product(shape: IntTuple, init: int = 1) -> IntTuple:
     >>> prefix_product(((2, 2), 8))
     ((1, 2), 4)
     """
-    result, _ = _prefix_product_impl(shape, init)
+    result, _ = _prefix_product_impl(shape, 1)
     return result
 
 

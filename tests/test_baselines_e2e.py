@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import (
     TritonMoeOperator,
+    TritonScanOperator,
     cublas_gemm,
     cutlass_fp8_gemm,
     flash_attention_decoding,
@@ -14,7 +15,6 @@ from repro.baselines import (
     triton_attention_forward,
     triton_gemm,
     triton_instruction_set,
-    triton_scan,
 )
 from repro.e2e import DEEPSEEK_R1_AWQ, JAMBA_MINI, QWEN3_32B, decode_latency
 from repro.kernels import GemmOperator, MixedTypeMoeOperator, SelectiveScanOperator
@@ -68,11 +68,22 @@ def test_triton_moe_compiles_through_its_cache():
     assert first.latency_us == second.latency_us
 
 
+def test_triton_moe_names_the_dataflow_it_compiles():
+    op = TritonMoeOperator(arch="h100", num_experts=8, top_k=2, n=256, k=512, max_candidates=2)
+    result = op.run(4)
+    assert result.kernels["moe"].program.name == "moe_w4a16_triton"
+    assert result.name == "moe_w4a16_triton_4tok"
+    # The baseline's dataflow is fixed: asking for another one is an error,
+    # not a result named after a kernel that never ran.
+    with pytest.raises(TypeError):
+        TritonMoeOperator(arch="h100", dataflow="hexcute")
+
+
 def test_scan_beats_library_baseline():
     hexcute = SelectiveScanOperator(arch="h100", max_candidates=2).run(2, 1024, 512)
     library = mamba_library_scan("h100", 2, 1024, 512)
     assert library.latency_us > hexcute.latency_us
-    assert triton_scan("h100", 2, 1024, 512).latency_us > 0
+    assert TritonScanOperator("h100").run(2, 1024, 512).latency_us > 0
 
 
 def test_triton_attention_baseline_runs():

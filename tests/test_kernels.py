@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import mamba_library_scan
 from repro.frontend.autotune import autotune_compile, gemm_tile_candidates
 from repro.kernels import (
     AttentionOperator,
@@ -110,6 +111,20 @@ def test_scan_operator_instruction_cap_slows_it_down():
                                  use_shared_stage=False, num_stages=1,
                                  max_candidates=2).run(1, 512, 256)
     assert slow.latency_us > fast.latency_us
+
+
+def test_scan_flops_count_the_compiled_state_size():
+    # The work the scan reports is the work of the kernel it compiled: the
+    # state size comes from the kernel's A tile, not from the caller.
+    result = SelectiveScanOperator(arch="h100", max_candidates=2).run(1, 256, 128)
+    (a_mat,) = [
+        t for t in result.kernels["scan"].program.tensors() if t.buffer_name == "a_mat"
+    ]
+    d_state = a_mat.shape[1]
+    assert result.flops == 8.0 * 1 * 256 * 128 * d_state
+    assert mamba_library_scan("h100", 1, 256, 128).flops == result.flops
+    with pytest.raises(TypeError):
+        SelectiveScanOperator(arch="h100", max_candidates=2).run(1, 256, 128, d_state=64)
 
 
 def test_capped_shared_stage_scan_keeps_the_cp_async_floor():

@@ -8,7 +8,7 @@ the compile keys of ``requests``, in order, and store nothing else.
 
 import pytest
 
-from repro.baselines import TritonMoeOperator
+from repro.baselines import TritonMoeOperator, TritonScanOperator
 from repro.instructions.registry import instruction_set
 from repro.kernels import (
     AttentionOperator,
@@ -64,8 +64,18 @@ FAMILIES = {
         ),
         (1, 256, 128),
     ),
+    "triton-scan": (
+        lambda arch, cache: TritonScanOperator(arch, cache=cache),
+        (1, 256, 128),
+    ),
     "gemm": (
         lambda arch, cache: GemmOperator(arch, max_tile_trials=2, max_candidates=2, cache=cache),
+        (256, 256, 256),
+    ),
+    "ws-gemm": (
+        lambda arch, cache: GemmOperator(
+            arch, warp_specialized=True, max_tile_trials=2, max_candidates=2, cache=cache
+        ),
         (256, 256, 256),
     ),
     "fp8-gemm": (

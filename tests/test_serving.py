@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.e2e import ModelConfig
-from repro.pipeline import CompileCache
+from repro.pipeline import CompileCache, default_cache
 from repro.serving import (
     ClusterSimulator,
     FcfsScheduler,
@@ -390,6 +390,18 @@ def test_head_dim_is_parameterized():
         "attention", gpu, dataclasses.replace(TINY_DENSE, head_dim=128), 4, "baseline"
     )
     assert narrow < wide  # half the head dim moves half the KV bytes
+
+
+def test_triton_scan_compiles_into_the_step_models_cache():
+    # On the triton backend the tiny Mamba step compiles one kernel, the
+    # Triton scan baseline; it must land in the model's cache, not in the
+    # process default.
+    cache = CompileCache()
+    default_puts = default_cache().stats.puts
+    model = StepLatencyModel(arch="a100", buckets=(2,), cache=cache)
+    assert model.step_latency_ms(TINY_MAMBA, "triton", batch=2) > 0
+    assert cache.stats.puts == 1
+    assert default_cache().stats.puts == default_puts
 
 
 # --------------------------------------------------------------------------- #
