@@ -19,11 +19,13 @@ plus two smoke checks:
   and the arch registry must cover every backend in
   ``repro.codegen.BACKENDS``;
 * the swizzle prune gate (``--smoke``): the fig22 GEMM plus the other four
-  kernel families, searched with analytic swizzle pruning off and on under
-  both backends' banking geometries (32x4 B and 64x4 B) — pruning must
-  score strictly fewer swizzle candidates through the conflict model while
-  returning a bit-identical winner (same instruction assignment, cost, and
-  per-buffer ``SmemSolution``).
+  kernel families, each searched from a cold structural cache under both
+  backends' banking geometries (32x4 B and 64x4 B); every distinct
+  shared-memory subproblem the search solved is then solved again with
+  analytic swizzle pruning off and on (``solve_subproblem(prune=...)``) —
+  each pair must return the same ``winner`` (layout, swizzle, conflict
+  factor, failure), and pruning must score strictly fewer swizzle
+  candidates in total.
 
 Run as a script for the standalone modes::
 
@@ -47,7 +49,8 @@ from repro.synthesis.search import InstructionSelector
 from repro.synthesis.smem_solver import (
     SmemBankParams,
     clear_smem_cache,
-    set_swizzle_pruning,
+    solve_subproblem,
+    subproblem_key,
 )
 from repro.synthesis.tv_solver import ThreadValueSolver
 from repro.utils.memo import clear_caches
@@ -324,8 +327,15 @@ PRUNE_GATE_BANKINGS = (
 )
 
 
-def _prune_gate_search(build, arch: str, bank_params: SmemBankParams, prune: bool):
-    """One cold search of a family program with pruning forced on or off."""
+def _prune_gate_cell(build, arch: str, bank_params: SmemBankParams):
+    """One cold search of a family program, then every distinct subproblem
+    it solved, solved again with pruning off and with pruning on.
+
+    The subproblems come from the selector's ``(tensor, instructions)``
+    memo, rebuilt through its access memo and deduplicated by structural
+    key, as the process-wide cache deduplicates them: after a cleared cache
+    they are exactly the subproblems the search solved.
+    """
     gpu = get_arch(arch)
     iset = instruction_set(gpu.sm_arch)
     program = build()
@@ -333,53 +343,59 @@ def _prune_gate_search(build, arch: str, bank_params: SmemBankParams, prune: boo
     selector = InstructionSelector(
         program, tv, iset, max_candidates=MAX_CANDIDATES, bank_params=bank_params
     )
-    previous = set_swizzle_pruning(prune)
-    try:
-        # Fresh structural cache so both toggles actually solve (a cached
-        # solution would carry the *other* run's swizzle counters).
-        clear_smem_cache()
-        best = selector.best()
-    finally:
-        set_swizzle_pruning(previous)
-    return selector, best, program
-
-
-def _smem_winners(best, program):
-    """The per-buffer smem results of a winning candidate, keyed by name."""
-    return {
-        tensor.name: (repr(plan.base_layout), plan.swizzle, plan.conflict_factor)
-        for tensor, plan in best.smem_plans.items()
-    }
+    clear_smem_cache()
+    selector.best()
+    tensors = {tensor.tensor_id: tensor for tensor in program.shared_tensors()}
+    subproblems = {}
+    for tensor_id, instructions in selector._smem_cache:
+        tensor = tensors[tensor_id]
+        accesses = [
+            selector._access_for(copy, instr, tensor)
+            for copy, instr in zip(selector._touching[tensor_id], instructions)
+        ]
+        key = subproblem_key(tensor, accesses, bank_params)
+        subproblems.setdefault(key, (tensor, accesses))
+    solved = subproblems.values()
+    off = [solve_subproblem(t, a, bank_params, prune=False) for t, a in solved]
+    on = [solve_subproblem(t, a, bank_params, prune=True) for t, a in solved]
+    return selector, off, on
 
 
 def run_prune_gate() -> int:
     """CI gate: analytic swizzle pruning scores strictly fewer candidates
-    and returns a bit-identical winner on every kernel family under both
-    backends' banking geometries.  Returns a process exit code.
+    and returns a bit-identical winner on every subproblem the search
+    solves, for every kernel family under both backends' banking
+    geometries.  Returns a process exit code.
 
     Pruning uses the integer-set relation view of the warp accesses
     (``repro.layout.relation``): the conflict floor (1.0) ends the scan as
     soon as the incumbent is conflict-free, and candidates whose
     restriction to the touched address window ties an already-scored one
     are skipped (``swizzle_window_key``).  Both prunes can only skip
-    candidates that tie or lose, so the winner must not move.
+    candidates that tie or lose, so no winner may move; the search reads
+    pruning only through those winners.
     """
     failures = []
     print("swizzle prune gate (fig22 sweep, both banking geometries):")
     for family, arch, build in PRUNE_GATE_FAMILIES:
         for bank_label, bank_params in PRUNE_GATE_BANKINGS:
-            sel_off, best_off, prog_off = _prune_gate_search(
-                build, arch, bank_params, prune=False
-            )
-            sel_on, best_on, prog_on = _prune_gate_search(
-                build, arch, bank_params, prune=True
-            )
+            selector, off, on = _prune_gate_cell(build, arch, bank_params)
             cell = f"{family} ({arch}, {bank_label})"
-            scored_off = sel_off.stats.swizzles_scored
-            scored_on = sel_on.stats.swizzles_scored
-            pruned_on = sel_on.stats.swizzles_pruned
+            scored_off = sum(solution.swizzles_scored for solution in off)
+            scored_on = sum(solution.swizzles_scored for solution in on)
+            pruned_off = sum(solution.swizzles_pruned for solution in off)
+            pruned_on = sum(solution.swizzles_pruned for solution in on)
             print(f"  {cell:32s}: scored {scored_off:3d} -> {scored_on:3d} "
-                  f"({pruned_on} pruned, {sel_on.stats.smem_solves} solves)")
+                  f"({pruned_on} pruned, {selector.stats.smem_solves} solves)")
+            if (len(on), scored_on, pruned_on) != (
+                selector.stats.smem_solves,
+                selector.stats.swizzles_scored,
+                selector.stats.swizzles_pruned,
+            ):
+                failures.append(
+                    f"{cell}: the re-solved subproblems are not the ones the "
+                    f"search solved"
+                )
             if not scored_on < scored_off:
                 failures.append(
                     f"{cell}: pruning scored {scored_on} candidates, "
@@ -387,24 +403,15 @@ def run_prune_gate() -> int:
                 )
             if pruned_on <= 0:
                 failures.append(f"{cell}: prune counters never engaged")
-            if sel_off.stats.swizzles_pruned != 0:
+            if pruned_off != 0:
                 failures.append(
-                    f"{cell}: unpruned reference reports "
-                    f"{sel_off.stats.swizzles_pruned} pruned candidates"
+                    f"{cell}: unpruned reference reports {pruned_off} pruned candidates"
                 )
-            if best_on.named_assignment(prog_on) != best_off.named_assignment(
-                prog_off
-            ):
-                failures.append(f"{cell}: winning assignment moved under pruning")
-            if best_on.total_cycles != best_off.total_cycles:
+            moved = sum(a.winner != b.winner for a, b in zip(off, on))
+            if moved:
                 failures.append(
-                    f"{cell}: winning cost moved under pruning "
-                    f"({best_on.total_cycles} vs {best_off.total_cycles})"
-                )
-            if _smem_winners(best_on, prog_on) != _smem_winners(best_off, prog_off):
-                failures.append(
-                    f"{cell}: smem layout/swizzle/conflict-factor moved "
-                    f"under pruning"
+                    f"{cell}: {moved} smem layout/swizzle/conflict-factor "
+                    f"winners moved under pruning"
                 )
     for failure in failures:
         print(f"  FAIL: {failure}")

@@ -135,11 +135,31 @@ class TritonMoeOperator(MixedTypeMoeOperator):
 
     Uses the staged dataflow of Fig. 4 (a) and caps the quantized-weight and
     zero-point paths at scalar widths, reflecting Triton's inability to
-    synthesize the INT4 register layouts needed for wide accesses.
+    synthesize the INT4 register layouts needed for wide accesses.  Both
+    are fixed, so the constructor takes no ``dataflow`` or
+    ``max_weight_vector_bytes``.
     """
 
-    def __init__(self, arch="h100", **kwargs):
-        super().__init__(arch=arch, dataflow="triton", **kwargs)
+    def __init__(
+        self,
+        arch="h100",
+        num_experts: int = 256,
+        top_k: int = 8,
+        n: int = 2048,
+        k: int = 7168,
+        max_candidates: int = 8,
+        cache=None,
+    ):
+        super().__init__(
+            arch=arch,
+            num_experts=num_experts,
+            top_k=top_k,
+            n=n,
+            k=k,
+            dataflow="triton",
+            max_candidates=max_candidates,
+            cache=cache,
+        )
 
     def expert_request(self, tokens_per_expert: int) -> CompileRequest:
         program = build_moe_gemm(tokens_per_expert, self.n, self.k, dataflow=self.dataflow)

@@ -16,9 +16,16 @@ the ablation study of Fig. 14 can be regenerated:
 
 * ``dataflow="hexcute"`` — the efficient register-direct dataflow;
 * ``dataflow="triton"`` — the extra-copy dataflow of Fig. 4 (a);
-* ``max_weight_vector_bytes`` — cap on the weight-path instruction width,
-  emulating Triton's scalar fallback or the enforced Triton shared-memory
-  layout.
+* ``max_weight_vector_bytes`` (on :class:`MixedTypeMoeOperator`) — despite
+  its name, a cap on *every* copy, not only the weight path: the operator
+  compiles with ``InstructionSet.narrowed(max_weight_vector_bytes)``, which
+  keeps only plain instructions at most that wide (plus each direction's
+  narrowest plain fallback) and drops ``ldmatrix``/``stmatrix`` and TMA.
+  With ``2`` on h100 the activation load ``sa -> ra`` falls from
+  ``ldmatrix.x4`` to ``ld.shared.b16`` and the output store from
+  ``st.global.v4.b32`` to ``st.global.b16``.  Fig. 14 uses it to emulate
+  the narrow accesses Triton's enforced shared-memory layout leaves (the
+  kernel's own INT4 weight load ``sb -> rb_q`` is already 1 byte wide).
 """
 
 from __future__ import annotations
@@ -181,6 +188,8 @@ class MixedTypeMoeOperator:
         self.n = n
         self.k = k
         self.dataflow = dataflow
+        # Caps every copy of the kernel, not only the weight path (see the
+        # module docstring).
         self.max_weight_vector_bytes = max_weight_vector_bytes
         self.max_candidates = max_candidates
         # Optional repro.pipeline.CompileCache; None uses the process default.

@@ -129,27 +129,20 @@ def candidate_swizzles(
     element_bits: int,
     row_bytes: int,
     phase_bytes: int = 128,
-    window_bits: int | None = None,
 ) -> list[Swizzle]:
     """Enumerate the swizzles worth trying for a shared-memory buffer.
 
     ``element_bits`` is the storage width of one element and ``row_bytes``
     the byte length of one contiguous row of the base layout; the candidates
     mirror the canonical CUTLASS shared-memory atoms (none, 32 B, 64 B and
-    128 B swizzles) expressed at element granularity.
+    128 B swizzles) expressed at element granularity.  The identity swizzle
+    always comes first.
 
     ``phase_bytes`` is the banked window one warp-wide access phase covers
     (``banks * bank_bytes`` — 128 B on NVIDIA's 32x4 B banking).  The widest
     useful swizzle permutes one full phase of 16-byte vectors, so targets
     with wider banking (e.g. CDNA's 256 B LDS window) enumerate one more
     swizzle tier and admit proportionally wider spans.
-
-    ``window_bits``, when given, prunes the menu analytically *before*
-    enumeration: candidates whose restriction to the touched address
-    window ``[0, 2**window_bits)`` coincides with the identity or with an
-    earlier candidate (see :func:`swizzle_window_key`) are dropped — they
-    could only ever tie, never beat, the survivor.  The identity swizzle
-    always stays first.
     """
     candidates = [Swizzle(0, 0, 0)]
     element_bytes = max(1, element_bits // 8)
@@ -166,9 +159,7 @@ def candidate_swizzles(
     else:
         span_limit_bytes = max(row_bytes, 16) * (1 << max_bits) if row_bytes else None
     for bits in range(1, max_bits + 1):
-        for shift in (bits, max_bits):
-            if shift < bits:
-                continue
+        for shift in sorted({bits, max_bits}):
             candidate = Swizzle(bits, base, shift)
             # The span must come from *this* candidate's period: a
             # Swizzle(bits, base, 3) permutes within 2**(base+3+bits)
@@ -180,23 +171,4 @@ def candidate_swizzles(
             if span_limit_bytes is not None and span_bytes > span_limit_bytes:
                 continue
             candidates.append(candidate)
-    # Deduplicate while preserving order.
-    seen = set()
-    unique = []
-    for sw in candidates:
-        if sw not in seen:
-            seen.add(sw)
-            unique.append(sw)
-    if window_bits is None:
-        return unique
-    # Window pruning: keep the identity plus one candidate per distinct
-    # restriction to [0, 2**window_bits).
-    keys = {swizzle_window_key(unique[0], window_bits)}
-    pruned = [unique[0]]
-    for sw in unique[1:]:
-        key = swizzle_window_key(sw, window_bits)
-        if key in keys:
-            continue
-        keys.add(key)
-        pruned.append(sw)
-    return pruned
+    return candidates

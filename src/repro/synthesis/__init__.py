@@ -30,17 +30,13 @@ from repro.synthesis.smem_solver import (
     bank_conflict_factor,
     clear_smem_cache,
     copy_access_for,
-    set_swizzle_pruning,
     smem_solution_for,
     solve_subproblem,
-    swizzle_pruning_enabled,
-    synthesize_smem_layout,
 )
 from repro.synthesis.cost_model import (
     AnalyticalCostModel,
     CostBreakdown,
     InvariantCosts,
-    OperationCost,
     copy_issue_cycles,
 )
 from repro.synthesis.search import (
@@ -72,15 +68,11 @@ __all__ = [
     "bank_conflict_factor",
     "clear_smem_cache",
     "copy_access_for",
-    "set_swizzle_pruning",
     "smem_solution_for",
     "solve_subproblem",
-    "swizzle_pruning_enabled",
-    "synthesize_smem_layout",
     "AnalyticalCostModel",
     "CostBreakdown",
     "InvariantCosts",
-    "OperationCost",
     "copy_issue_cycles",
     "Candidate",
     "InstructionSelector",

@@ -20,8 +20,8 @@ results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.instructions.instruction import MemoryInstruction, MmaInstruction
 from repro.ir.graph import KernelProgram
@@ -37,7 +37,6 @@ from repro.ir.ops import (
 )
 
 __all__ = [
-    "OperationCost",
     "CostBreakdown",
     "AnalyticalCostModel",
     "InvariantCosts",
@@ -109,30 +108,13 @@ class InvariantCosts:
 
 
 @dataclass
-class OperationCost:
-    """Cycle accounting for one operation across all of its trips."""
-
-    op: Operation
-    instruction_name: str
-    invocations_per_trip: float
-    issue_cycles: float
-    completion_cycles: float
-    stall_cycles: float = 0.0
-    start_cycle: float = 0.0
-    end_issue_cycle: float = 0.0
-    complete_cycle: float = 0.0
-
-
-@dataclass
 class CostBreakdown:
     """The cost model's estimate for a whole candidate program."""
 
     total_cycles: float
-    issue_cycles: float
     stall_cycles: float
     memory_issue_cycles: float
     compute_issue_cycles: float
-    per_op: List[OperationCost] = field(default_factory=list)
 
 
 class AnalyticalCostModel:
@@ -151,92 +133,45 @@ class AnalyticalCostModel:
     # ------------------------------------------------------------------ #
     # Per-operation costs
     # ------------------------------------------------------------------ #
-    def _copy_cost(self, op: Copy) -> OperationCost:
-        instruction = self.instruction_choice.get(op.op_id) or op.selected_instruction
-        if instruction is None:
-            raise ValueError(f"copy {op.describe()} has no selected instruction")
-        total_bytes = op.moves_bytes()  # per-trip tile bytes (iterator views excluded)
-        if instruction.single_thread:
-            # TMA: one bulk copy per trip; the copy engine streams the tile.
-            invocations = 1.0
-        else:
-            participating = (
-                32 if instruction.collective else self.program.num_threads
-            )
-            invocations = math.ceil(
-                total_bytes / (instruction.vector_bytes * participating)
-            )
-        issue = copy_issue_cycles(
-            self.program, op, instruction, self.conflict_factors.get(op.op_id, 1.0)
-        )
-        return OperationCost(
-            op=op,
-            instruction_name=instruction.name,
-            invocations_per_trip=invocations,
-            issue_cycles=issue,
-            completion_cycles=instruction.completion_cycles,
-        )
-
-    def _gemm_cost(self, op: Gemm) -> OperationCost:
-        instruction: Optional[MmaInstruction] = op.selected_instruction
-        if instruction is None:
-            raise ValueError(f"gemm {op.describe()} has no selected instruction")
-        m, n, k = op.mnk
-        atom_work = instruction.m * instruction.n * instruction.k
-        total_atoms = (m * n * k) / atom_work
-        per_warp = total_atoms / max(1, self.program.num_warps)
-        issue = per_warp * instruction.issue_cycles
-        return OperationCost(
-            op=op,
-            instruction_name=instruction.name,
-            invocations_per_trip=per_warp,
-            issue_cycles=issue,
-            completion_cycles=instruction.completion_cycles,
-        )
-
-    def _register_op_cost(self, op: Operation, name: str, cycles_per_element: float) -> OperationCost:
+    def _register_issue(self, op: Operation, cycles_per_element: float) -> float:
         reg = next((t for t in op.register_tensors() if t.tv_layout is not None), None)
         per_thread = reg.tv_layout.values_per_thread if reg is not None else 1
-        issue = per_thread * cycles_per_element
-        return OperationCost(
-            op=op,
-            instruction_name=name,
-            invocations_per_trip=per_thread,
-            issue_cycles=issue,
-            completion_cycles=4.0,
-        )
+        return per_thread * cycles_per_element
 
-    def _rearrange_cost(self, op: Rearrange) -> OperationCost:
-        # Redistribution = store to shared + syncthreads + load from shared.
-        per_thread = (
-            op.src.tv_layout.values_per_thread if op.src.tv_layout is not None else 8
-        )
-        issue = per_thread * 2 * 2.0 + 30.0
-        return OperationCost(
-            op=op,
-            instruction_name="rearrange.smem",
-            invocations_per_trip=per_thread * 2,
-            issue_cycles=issue,
-            completion_cycles=30.0,
-        )
-
-    def cost_of(self, op: Operation) -> Optional[OperationCost]:
+    def cost_of(self, op: Operation) -> Optional[Tuple[float, float]]:
+        """``(issue cycles per trip, completion cycles)`` of one operation,
+        or ``None`` for an operation the model does not time."""
         if isinstance(op, Copy):
-            return self._copy_cost(op)
+            instruction = self.instruction_choice.get(op.op_id) or op.selected_instruction
+            if instruction is None:
+                raise ValueError(f"copy {op.describe()} has no selected instruction")
+            issue = copy_issue_cycles(
+                self.program, op, instruction, self.conflict_factors.get(op.op_id, 1.0)
+            )
+            return issue, instruction.completion_cycles
         if isinstance(op, Gemm):
-            return self._gemm_cost(op)
+            mma: Optional[MmaInstruction] = op.selected_instruction
+            if mma is None:
+                raise ValueError(f"gemm {op.describe()} has no selected instruction")
+            m, n, k = op.mnk
+            total_atoms = (m * n * k) / (mma.m * mma.n * mma.k)
+            per_warp = total_atoms / max(1, self.program.num_warps)
+            return per_warp * mma.issue_cycles, mma.completion_cycles
         if isinstance(op, Cast):
-            return self._register_op_cost(op, "cvt", 0.5)
+            return self._register_issue(op, 0.5), 4.0
         if isinstance(op, Elementwise):
-            return self._register_op_cost(op, f"ew.{op.fn_name}", 1.0)
+            return self._register_issue(op, 1.0), 4.0
         if isinstance(op, Reduce):
-            cost = self._register_op_cost(op, f"red.{op.kind}", 1.0)
-            cost.issue_cycles += 5 * math.log2(32)  # warp shuffle tree
-            return cost
+            # Per-element work plus the warp shuffle tree.
+            return self._register_issue(op, 1.0) + 5 * math.log2(32), 4.0
         if isinstance(op, Fill):
-            return self._register_op_cost(op, "mov", 0.25)
+            return self._register_issue(op, 0.25), 4.0
         if isinstance(op, Rearrange):
-            return self._rearrange_cost(op)
+            # Redistribution = store to shared + syncthreads + load from shared.
+            per_thread = (
+                op.src.tv_layout.values_per_thread if op.src.tv_layout is not None else 8
+            )
+            return per_thread * 2 * 2.0 + 30.0, 30.0
         return None
 
     def invariant_costs(self) -> InvariantCosts:
@@ -251,7 +186,7 @@ class AnalyticalCostModel:
             cost = self.cost_of(op)
             if cost is None:
                 continue
-            total = cost.issue_cycles * op.trips
+            total = cost[0] * op.trips
             if isinstance(op, Rearrange):
                 memory += total
             else:
@@ -276,12 +211,12 @@ class AnalyticalCostModel:
         compute_issue = 0.0
         completion_of: Dict[int, float] = {}
         producer_of: Dict[int, Operation] = {}
-        costs: List[OperationCost] = []
 
         for op in self.program.operations:
             cost = self.cost_of(op)
             if cost is None:
                 continue
+            issue, completion = cost
             # RAW stall: wait for in-flight producers of our inputs, unless
             # their latency is hidden by prefetching (async copy + pipelining)
             # or by a producer warp group.
@@ -307,25 +242,18 @@ class AnalyticalCostModel:
             stall_total += stall * op.trips
             current = ready
 
-            issue_total = cost.issue_cycles * op.trips
-            cost.stall_cycles = stall * op.trips
-            cost.start_cycle = current
+            issue_total = issue * op.trips
             current += issue_total
-            cost.end_issue_cycle = current
-            cost.complete_cycle = current + cost.completion_cycles
             for tensor in op.outputs:
                 producer_of[tensor.tensor_id] = op
-            completion_of[op.op_id] = cost.complete_cycle
-            costs.append(cost)
+            completion_of[op.op_id] = current + completion
 
             if isinstance(op, (Copy, Rearrange)):
                 memory_issue += issue_total
             else:
                 compute_issue += issue_total
 
-        drain = max(
-            (c.complete_cycle for c in costs), default=0.0
-        )
+        drain = max(completion_of.values(), default=0.0)
         total = max(current, drain)
         if overlap_mem_compute:
             # Memory issue overlaps with compute issue in the steady state of
@@ -336,9 +264,7 @@ class AnalyticalCostModel:
             total = max(memory_issue, compute_issue) + other + stall_total
         return CostBreakdown(
             total_cycles=total,
-            issue_cycles=memory_issue + compute_issue,
             stall_cycles=stall_total,
             memory_issue_cycles=memory_issue,
             compute_issue_cycles=compute_issue,
-            per_op=costs,
         )

@@ -53,7 +53,9 @@ from repro.synthesis.cost_model import (
     copy_issue_cycles,
 )
 from repro.synthesis.smem_solver import (
+    DEFAULT_BANK_PARAMS,
     CopyAccess,
+    SmemBankParams,
     SmemPlan,
     copy_access_for,
     smem_solution_for,
@@ -150,16 +152,15 @@ class InstructionSelector:
         tv_solution: TVSolution,
         instructions: InstructionSet,
         max_candidates: int = 256,
-        bank_params=None,
+        bank_params: SmemBankParams = DEFAULT_BANK_PARAMS,
     ):
         self.program = program
         self.tv_solution = tv_solution
         self.instructions = instructions
         self.max_candidates = max_candidates
-        # Target banking geometry for shared-memory synthesis (None keeps
-        # the default NVIDIA 32x4 B banks); supplied per compile by the
-        # codegen backend so rocm targets score conflicts over their own
-        # LDS window.
+        # Target banking geometry for shared-memory synthesis; supplied per
+        # compile by the codegen backend so rocm targets score conflicts
+        # over their own LDS window.
         self.bank_params = bank_params
         self.stats = SelectionStats()
         self.last_failed_tensor: Optional[TileTensor] = None
@@ -212,8 +213,7 @@ class InstructionSelector:
         menu = self.instructions.copies(
             copy.src.scope, copy.dst.scope, max_vector_bytes=copy.max_vector_bytes
         )
-        reg = copy.register_operand()
-        reg_tv = reg.tv_layout if reg is not None else None
+        reg_tv = self._reg_tv[copy.op_id]
         valid: List[MemoryInstruction] = []
         for instr in menu:
             if instr.collective:

@@ -41,8 +41,6 @@ from repro.synthesis.tiling import value_vector_run
 from repro.utils.inttuple import flatten
 
 __all__ = [
-    "SMEM_BANKS",
-    "SMEM_BANK_BYTES",
     "CopyAccess",
     "DEFAULT_BANK_PARAMS",
     "SmemBankParams",
@@ -51,34 +49,27 @@ __all__ = [
     "SmemSynthesisError",
     "bank_conflict_factor",
     "copy_access_for",
-    "smem_cache_info",
     "clear_smem_cache",
-    "set_swizzle_pruning",
     "smem_solution_for",
     "solve_subproblem",
     "subproblem_key",
-    "swizzle_pruning_enabled",
-    "synthesize_smem_layout",
 ]
-
-SMEM_BANKS = 32
-SMEM_BANK_BYTES = 4
 
 
 @dataclass(frozen=True)
 class SmemBankParams:
     """The banking geometry the conflict model and swizzle enumeration use.
 
-    The defaults reproduce NVIDIA's 32 banks of 4 bytes (the constants the
-    solver always assumed); a codegen backend supplies the target's own
-    geometry (``repro.codegen.Backend.smem_bank_params``), so e.g. CDNA's
-    wider LDS window enumerates wider swizzles and scores conflicts over
-    64 banks.  ``banks <= 1`` means an unbanked scratchpad: every access is
+    The defaults are NVIDIA's 32 banks of 4 bytes; a codegen backend
+    supplies the target's own geometry
+    (``repro.codegen.Backend.smem_bank_params``), so e.g. CDNA's wider LDS
+    window enumerates wider swizzles and scores conflicts over 64 banks.
+    ``banks <= 1`` means an unbanked scratchpad: every access is
     conflict-free, so the solver keeps the identity swizzle.
     """
 
-    banks: int = SMEM_BANKS
-    bank_bytes: int = SMEM_BANK_BYTES
+    banks: int = 32
+    bank_bytes: int = 4
 
     @property
     def phase_bytes(self) -> int:
@@ -226,7 +217,7 @@ def bank_conflict_factor(
     coords: Sequence[Tuple[int, ...]],
     element_bytes: float,
     access_bytes: int,
-    bank_params: Optional[SmemBankParams] = None,
+    bank_params: SmemBankParams = DEFAULT_BANK_PARAMS,
 ) -> float:
     """Average bank-conflict multiplier of a warp-wide access.
 
@@ -238,18 +229,17 @@ def bank_conflict_factor(
     """
     if not coords:
         return 1.0
-    params = bank_params or DEFAULT_BANK_PARAMS
-    if params.banks <= 1:
+    if bank_params.banks <= 1:
         return 1.0  # unbanked scratchpad: nothing to conflict on
-    threads_per_phase = max(1, int(params.phase_bytes // max(access_bytes, 1)))
+    threads_per_phase = max(1, int(bank_params.phase_bytes // max(access_bytes, 1)))
     factors = []
     for start in range(0, len(coords), threads_per_phase):
         phase = coords[start:start + threads_per_phase]
         banks: Dict[int, set] = {}
         for coord in phase:
             address = int(layout(tuple(coord)) * element_bytes)
-            bank = (address // params.bank_bytes) % params.banks
-            banks.setdefault(bank, set()).add(address // params.phase_bytes)
+            bank = (address // bank_params.bank_bytes) % bank_params.banks
+            banks.setdefault(bank, set()).add(address // bank_params.phase_bytes)
         worst = max(len(lines) for lines in banks.values())
         factors.append(worst)
     return sum(factors) / len(factors)
@@ -282,8 +272,8 @@ class SmemSolution:
     so solutions can be shared across compiles of equivalent tile programs
     (e.g. the same tile config at different problem shapes in an autotuning
     sweep).  ``failure`` carries the reason when the constraints do not
-    unify; failures are cached too, so an infeasible combination is proven
-    exactly once per process.
+    unify or a TMA copy's contiguity check fails; failures are cached too,
+    so an infeasible combination is proven exactly once per process.
     """
 
     base_layout: Optional[Layout]
@@ -324,7 +314,7 @@ def _access_signature(access: CopyAccess) -> tuple:
 def subproblem_key(
     tensor: TileTensor,
     accesses: Sequence[CopyAccess],
-    bank_params: Optional[SmemBankParams] = None,
+    bank_params: SmemBankParams = DEFAULT_BANK_PARAMS,
 ) -> tuple:
     """The canonical structural key of one smem synthesis subproblem.
 
@@ -332,11 +322,10 @@ def subproblem_key(
     structure solved for different targets (cuda vs rocm) yields different
     swizzles, so the process-wide cache must never cross-serve them.
     """
-    params = bank_params or DEFAULT_BANK_PARAMS
     return (
         tuple(tensor.shape),
         tensor.dtype.bits,
-        (params.banks, params.bank_bytes),
+        (bank_params.banks, bank_params.bank_bytes),
         tuple(_access_signature(access) for access in accesses),
     )
 
@@ -346,60 +335,16 @@ def subproblem_key(
 # small, highly repetitive working set.
 _SOLUTION_CACHE: Dict[tuple, SmemSolution] = {}
 _SOLUTION_CACHE_MAX = 4096
-_CACHE_HITS = 0
-_CACHE_MISSES = 0
-
-
-def smem_cache_info() -> Tuple[int, int, int]:
-    """``(hits, misses, size)`` of the process-wide smem subproblem cache."""
-    return _CACHE_HITS, _CACHE_MISSES, len(_SOLUTION_CACHE)
 
 
 def clear_smem_cache() -> None:
-    global _CACHE_HITS, _CACHE_MISSES
     _SOLUTION_CACHE.clear()
-    _CACHE_HITS = 0
-    _CACHE_MISSES = 0
 
 
-# --------------------------------------------------------------------------- #
-# Swizzle pruning toggle
-# --------------------------------------------------------------------------- #
-# When enabled (the default), _solve_subproblem consults the integer-set
-# relation view of the warp accesses (repro.layout.relation) to skip swizzle
-# candidates that provably cannot beat the incumbent: candidates whose
-# restriction to the touched address window ties an already-scored candidate,
-# and the whole remainder once the conflict floor (1.0) is reached.  The
-# pruned search returns a bit-identical winner; the unpruned path survives
-# behind this toggle for the equivalence suite and the prune-gate benchmark.
-_SWIZZLE_PRUNE = True
-
-
-def swizzle_pruning_enabled() -> bool:
-    return _SWIZZLE_PRUNE
-
-
-def set_swizzle_pruning(enabled: bool) -> bool:
-    """Enable/disable analytic swizzle pruning; returns the previous value.
-
-    Pruning never changes the solved layout/swizzle/conflict-factor — only
-    how many candidates are scored — but solutions are memoized in the
-    structural cache regardless of the toggle, so equivalence measurements
-    should call :func:`clear_smem_cache` between runs.
-    """
-    global _SWIZZLE_PRUNE
-    previous = _SWIZZLE_PRUNE
-    _SWIZZLE_PRUNE = bool(enabled)
-    return previous
-
-
-# --------------------------------------------------------------------------- #
-# Main entry points
-# --------------------------------------------------------------------------- #
 def smem_solution_for(
     tensor: TileTensor,
     accesses: Sequence[CopyAccess],
-    bank_params: Optional[SmemBankParams] = None,
+    bank_params: SmemBankParams = DEFAULT_BANK_PARAMS,
 ) -> Tuple[SmemSolution, bool]:
     """The (possibly memoized) solution of one subproblem plus whether the
     structural cache already held it.
@@ -409,41 +354,13 @@ def smem_solution_for(
     attribute their own solve/hit statistics correctly even when other
     threads use the cache concurrently.
     """
-    global _CACHE_HITS, _CACHE_MISSES
-    params = bank_params or DEFAULT_BANK_PARAMS
-    key = subproblem_key(tensor, accesses, params)
+    key = subproblem_key(tensor, accesses, bank_params)
     cached = _SOLUTION_CACHE.get(key)
     if cached is not None:
-        _CACHE_HITS += 1
         return cached, True
-    _CACHE_MISSES += 1
-    try:
-        solution = _solve_subproblem(tensor, accesses, params)
-    except SmemSynthesisError as exc:
-        # Cache the failure under its tensor-independent reason.
-        reason = str(exc)
-        prefix = f"shared tensor {tensor.name!r}: "
-        if reason.startswith(prefix):
-            reason = reason[len(prefix):]
-        solution = SmemSolution(None, None, 0.0, failure=reason)
+    solution = solve_subproblem(tensor, accesses, bank_params)
     _remember(key, solution)
     return solution, False
-
-
-def synthesize_smem_layout(
-    tensor: TileTensor,
-    accesses: Sequence[CopyAccess],
-    bank_params: Optional[SmemBankParams] = None,
-) -> SmemPlan:
-    """Unify the constraints of all accesses and pick the best swizzle.
-
-    Consults the structural subproblem cache first: equivalent subproblems
-    (same buffer shape/dtype, same banking, same access signatures) reuse
-    the solved layout/swizzle and re-raise memoized failures without
-    re-unifying.
-    """
-    solution, _hit = smem_solution_for(tensor, accesses, bank_params)
-    return solution.as_plan(tensor, accesses)
 
 
 def _remember(key: tuple, solution: SmemSolution) -> None:
@@ -457,6 +374,9 @@ def _remember(key: tuple, solution: SmemSolution) -> None:
     _SOLUTION_CACHE[key] = solution
 
 
+# --------------------------------------------------------------------------- #
+# Swizzle selection
+# --------------------------------------------------------------------------- #
 # The analytic lower bound of _total_conflicts: every phase pays at least
 # one access per bank, so the trip-weighted mean can never drop below 1.0.
 # Once the incumbent reaches it, no candidate can *strictly* improve, and
@@ -483,50 +403,38 @@ def _access_window_bits(base: Layout, accesses: Sequence[CopyAccess]) -> int:
 def solve_subproblem(
     tensor: TileTensor,
     accesses: Sequence[CopyAccess],
-    bank_params: Optional[SmemBankParams] = None,
-    prune: Optional[bool] = None,
+    bank_params: SmemBankParams,
+    prune: bool = True,
 ) -> SmemSolution:
     """Solve one smem subproblem, bypassing the structural cache.
 
-    ``prune`` overrides the process-wide toggle (see
-    :func:`set_swizzle_pruning`); the equivalence suite uses this to check
-    that the pruned and unpruned searches return the same ``winner``.
+    Never raises: when the constraints do not unify, or a TMA copy's
+    contiguity requirement fails, the solution's ``failure`` says why.
+    ``prune=True`` (the search's setting) consults the integer-set relation
+    view of the warp accesses (:mod:`repro.layout.relation`) to skip swizzle
+    candidates that cannot beat the incumbent: the whole remainder once the
+    conflict floor is reached, and candidates whose restriction to the
+    touched address window ties an already-scored one.  ``prune=False``
+    scores every candidate: it is the oracle the equivalence suite and the
+    prune gate compare ``winner``s against.
     """
-    return _solve_subproblem(
-        tensor, accesses, bank_params or DEFAULT_BANK_PARAMS, prune=prune
-    )
-
-
-def _solve_subproblem(
-    tensor: TileTensor,
-    accesses: Sequence[CopyAccess],
-    bank_params: SmemBankParams = DEFAULT_BANK_PARAMS,
-    prune: Optional[bool] = None,
-) -> SmemSolution:
-    if prune is None:
-        prune = _SWIZZLE_PRUNE
     if not accesses:
         # An unused buffer: any compact layout works.
         return SmemSolution(Layout(tensor.shape), Swizzle(0, 0, 0), 1.0)
 
     constraints = [access.constraint(tensor.shape) for access in accesses]
     try:
-        merged = unify(constraints)
-        base = merged.materialize()
+        base = unify(constraints).materialize()
     except UnificationError as exc:
-        raise SmemSynthesisError(
-            f"shared tensor {tensor.name!r}: {exc}"
-        ) from exc
+        return SmemSolution(None, None, 0.0, failure=str(exc))
 
     # TMA feasibility check for single-thread copies.
-    for access in accesses:
-        if access.instruction.single_thread and not check_tma_compatible(
-            base, tensor.dtype.bits
-        ):
-            raise SmemSynthesisError(
-                f"shared tensor {tensor.name!r}: layout {base} does not satisfy "
-                f"TMA contiguity requirements"
-            )
+    tma = any(access.instruction.single_thread for access in accesses)
+    if tma and not check_tma_compatible(base, tensor.dtype.bits):
+        return SmemSolution(
+            None, None, 0.0,
+            failure=f"layout {base} does not satisfy TMA contiguity requirements",
+        )
 
     element_bytes = tensor.dtype.bits / 8
     row_bytes = int(
@@ -578,7 +486,7 @@ def _total_conflicts(
     swizzle: Swizzle,
     accesses: Sequence[CopyAccess],
     element_bytes: float,
-    bank_params: SmemBankParams = DEFAULT_BANK_PARAMS,
+    bank_params: SmemBankParams,
 ) -> float:
     layout = ComposedLayout(swizzle, base)
     total = 0.0

@@ -228,10 +228,8 @@ def coalesced_copy_tv(
 
     # Small tensor: fewer elements than threads. Each element goes to one
     # thread; the remaining threads replicate (stride-0 mode).
-    vec = 1
     active = total
     replicas = max(1, num_threads // active)
-    access = Layout((active, 1), (1, 0))
     mapped = composition(perm, Layout(active, 1))
     thread = make_layout(Layout(mapped.shape, mapped.stride), Layout(replicas, 0))
     value = Layout(1, 0)

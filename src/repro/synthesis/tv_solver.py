@@ -18,16 +18,11 @@ from typing import Dict, List, Optional
 from repro.instructions.registry import InstructionSet, instruction_set
 from repro.ir.graph import KernelProgram
 from repro.sim.arch import DEFAULT_ARCH, get_arch
-from repro.ir.ops import Cast, Copy, Elementwise, Fill, Gemm, Operation, Rearrange, Reduce
+from repro.ir.ops import Cast, Copy, Elementwise, Gemm, Operation, Rearrange, Reduce
 from repro.ir.tensor import Scope, TileTensor
 from repro.layout.layout import row_major
 from repro.layout.tv import TVLayout
-from repro.synthesis.tiling import (
-    TiledMma,
-    coalesced_copy_tv,
-    make_tiled_mma,
-    reduce_tv_layout,
-)
+from repro.synthesis.tiling import coalesced_copy_tv, make_tiled_mma, reduce_tv_layout
 
 __all__ = ["TVSynthesisError", "TVSolution", "ThreadValueSolver"]
 
@@ -44,7 +39,6 @@ class TVSolution:
     """The result of thread-value layout synthesis."""
 
     layouts: Dict[TileTensor, TVLayout] = field(default_factory=dict)
-    tiled_mmas: Dict[Gemm, TiledMma] = field(default_factory=dict)
     anchors: List[Operation] = field(default_factory=list)
     inserted_rearranges: List[Rearrange] = field(default_factory=list)
     mma_operands: Dict[TileTensor, str] = field(default_factory=dict)
@@ -203,7 +197,6 @@ class ThreadValueSolver:
             raise TVSynthesisError(
                 f"gemm {gemm.describe()}: {exc}"
             ) from exc
-        self.solution.tiled_mmas[gemm] = tiled
         gemm.selected_instruction = instruction
         self._assign(gemm.c, tiled.c_tv, gemm)
         self._assign(gemm.a, tiled.a_tv, gemm)
@@ -262,12 +255,10 @@ class ThreadValueSolver:
             return self._propagate_equal(op)
         if isinstance(op, Reduce):
             return self._propagate_reduce(op)
-        if isinstance(op, Fill):
-            return False
-        # Copy / Gemm / Rearrange impose no further register-register
+        # Copy / Gemm / Rearrange / Fill impose no further register-register
         # equalities: copies relate registers to memory (handled by the
-        # anchor and the shared-memory solver) and rearranges are explicit
-        # redistribution points.
+        # anchor and the shared-memory solver), rearranges are explicit
+        # redistribution points and a fill has no register input.
         return False
 
     def _propagate_equal(self, op: Operation) -> bool:

@@ -79,6 +79,13 @@ def test_triton_moe_names_the_dataflow_it_compiles():
         TritonMoeOperator(arch="h100", dataflow="hexcute")
 
 
+def test_triton_moe_rejects_a_width_cap_it_would_ignore():
+    # The baseline caps its INT4 copies itself and never narrows its
+    # instruction set, so a whole-set cap would be stored and ignored.
+    with pytest.raises(TypeError):
+        TritonMoeOperator("h100", max_weight_vector_bytes=1)
+
+
 def test_scan_beats_library_baseline():
     hexcute = SelectiveScanOperator(arch="h100", max_candidates=2).run(2, 1024, 512)
     library = mamba_library_scan("h100", 2, 1024, 512)

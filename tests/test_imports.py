@@ -1,4 +1,5 @@
-"""No module under ``src/repro/`` imports a name it never uses.
+"""No module under ``src/repro/``, ``benchmarks/``, ``examples/`` or
+``tests/`` imports a name it never uses.
 
 A stand-in for a linter's unused-import check, built on :mod:`ast`.  A
 module-level import counts as used when the module reads the bound name,
@@ -9,7 +10,8 @@ lists it in ``__all__`` or names it inside a string annotation.  Package
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 
 def _bound_names(node):
@@ -69,14 +71,25 @@ def unused_imports(source: str):
     ]
 
 
-def test_src_has_no_unused_imports():
-    modules = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+def _unused_under(*roots):
+    modules = sorted(
+        path for root in roots for path in root.rglob("*.py") if path.name != "__init__.py"
+    )
     assert modules
-    unused = [
-        f"{path.relative_to(SRC.parents[1])}:{line}: {name}"
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in modules
         for line, name in unused_imports(path.read_text())
     ]
+
+
+def test_src_has_no_unused_imports():
+    unused = _unused_under(SRC)
+    assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_benchmarks_examples_and_tests_have_no_unused_imports():
+    unused = _unused_under(ROOT / "benchmarks", ROOT / "examples", ROOT / "tests")
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 

@@ -31,7 +31,6 @@ from repro.layout import (
     LayoutRelation,
     Swizzle,
     TVLayout,
-    candidate_swizzles,
     coalesce,
     complement,
     composition,
@@ -438,24 +437,6 @@ def test_swizzle_window_key_soundness():
                 s1(x) == s2(x) for x in range(1 << window)
             ), (s1, s2, window)
             checked += 1
-
-
-def test_candidate_swizzles_window_pruning():
-    full = candidate_swizzles(16, 16, 256)
-    assert len(full) > 2
-    for window in (0, 4, 8, 10, 14):
-        pruned = candidate_swizzles(16, 16, 256, window_bits=window)
-        assert pruned[0] == Swizzle(0, 0, 0)
-        assert set(pruned) <= set(full)
-        keys = [swizzle_window_key(sw, window) for sw in pruned]
-        assert len(set(keys)) == len(keys), (window, pruned)
-        # Completeness: every dropped candidate's restriction is already
-        # represented by a survivor, so pruning loses no behavior.
-        surviving = set(keys)
-        for sw in full:
-            assert swizzle_window_key(sw, window) in surviving, (sw, window)
-    # A zero-width window collapses everything onto the identity.
-    assert candidate_swizzles(16, 16, 256, window_bits=0) == [Swizzle(0, 0, 0)]
 
 
 # --------------------------------------------------------------------------- #

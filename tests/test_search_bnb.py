@@ -22,9 +22,10 @@ from repro.sim.arch import DEFAULT_ARCH, get_arch
 from repro.synthesis import smem_solver
 from repro.synthesis.search import InstructionSelector
 from repro.synthesis.smem_solver import (
-    SmemSynthesisError,
+    SmemBankParams,
     clear_smem_cache,
-    synthesize_smem_layout,
+    smem_solution_for,
+    solve_subproblem,
 )
 from repro.synthesis.tv_solver import ThreadValueSolver
 
@@ -36,6 +37,8 @@ KERNEL_FAMILIES = [
     ("moe", lambda: build_moe_gemm(16, 128, 128), "h100"),
 ]
 FAMILY_IDS = [f[0] for f in KERNEL_FAMILIES]
+# CDNA's LDS banking: more swizzle candidates than the default 32x4 B.
+ROCM_BANKS = SmemBankParams(64, 4)
 
 
 def make_selector(build, arch, max_candidates):
@@ -90,7 +93,8 @@ def test_bnb_never_does_more_full_evaluations(name, build, arch):
 def test_memoized_smem_subproblems_match_fresh_solves(name, build, arch):
     """For every enumerated assignment and every shared buffer, the plan
     served through the (selector + process-wide) memo layers equals a fresh
-    uncached constraint solve."""
+    uncached constraint solve, and that solve's winner equals the unpruned
+    swizzle search's."""
     selector = make_selector(build, arch, 16)
     checked = 0
     for assignment in selector.enumerate_assignments():
@@ -100,12 +104,16 @@ def test_memoized_smem_subproblems_match_fresh_solves(name, build, arch):
                 selector._access_for(copy, assignment[copy.op_id], tensor)
                 for copy in touching
             ]
-            try:
-                fresh = smem_solver._solve_subproblem(tensor, accesses)
-            except SmemSynthesisError:
-                fresh = None
+            fresh = solve_subproblem(tensor, accesses, selector.bank_params)
+            # The swizzle prune keeps every winner, on both backends' banks.
+            assert fresh.winner == solve_subproblem(
+                tensor, accesses, selector.bank_params, prune=False
+            ).winner
+            assert solve_subproblem(tensor, accesses, ROCM_BANKS).winner == (
+                solve_subproblem(tensor, accesses, ROCM_BANKS, prune=False).winner
+            )
             plan = selector._plan_for(tensor, assignment)
-            if fresh is None:
+            if fresh.failure is not None:
                 assert plan is None
             else:
                 assert plan is not None
@@ -132,11 +140,12 @@ def test_structural_smem_cache_round_trip():
         for copy in selector._touching[tensor.tensor_id]
     ]
     clear_smem_cache()
-    first = synthesize_smem_layout(tensor, accesses)
-    hits, misses, size = smem_solver.smem_cache_info()
-    assert (hits, misses) == (0, 1) and size == 1
-    second = synthesize_smem_layout(tensor, accesses)
-    assert smem_solver.smem_cache_info()[0] == 1
+    solution, hit = smem_solution_for(tensor, accesses)
+    assert not hit and len(smem_solver._SOLUTION_CACHE) == 1
+    replayed, hit = smem_solution_for(tensor, accesses)
+    assert hit and replayed is solution
+    first = solution.as_plan(tensor, accesses)
+    second = replayed.as_plan(tensor, accesses)
     assert second.base_layout == first.base_layout
     assert second.swizzle == first.swizzle
     assert second.conflict_factor == first.conflict_factor

@@ -13,10 +13,8 @@ from repro.synthesis import (
     bank_conflict_factor,
     clear_smem_cache,
     copy_access_for,
-    set_swizzle_pruning,
+    smem_solution_for,
     solve_subproblem,
-    swizzle_pruning_enabled,
-    synthesize_smem_layout,
 )
 
 
@@ -47,10 +45,16 @@ def _accesses(program, smem, vector_bytes=16):
     return accesses
 
 
+def _plan(smem, accesses):
+    """The search's (cached) solve of one buffer, as a plan."""
+    solution, _hit = smem_solution_for(smem, accesses)
+    return solution.as_plan(smem, accesses)
+
+
 def test_compatible_accesses_unify_to_wide_layout():
     layout = Layout((64, 64), (64, 1))  # row-major source and destination
     program, smem = _staged_copy_program(layout, layout)
-    plan = synthesize_smem_layout(smem, _accesses(program, smem))
+    plan = _plan(smem, _accesses(program, smem))
     assert plan.base_layout.is_injective()
     assert plan.base_layout.cosize() == 64 * 64
     # The unified layout keeps 8 fp16 contiguous along the vectorized dim.
@@ -62,9 +66,9 @@ def test_conflicting_accesses_fail_until_degraded():
     col = Layout((64, 64), (1, 64))
     program, smem = _staged_copy_program(row, col)
     with pytest.raises(SmemSynthesisError):
-        synthesize_smem_layout(smem, _accesses(program, smem, vector_bytes=16))
+        _plan(smem, _accesses(program, smem, vector_bytes=16))
     # Scalar accesses impose no alignment constraint and always unify.
-    plan = synthesize_smem_layout(smem, _accesses(program, smem, vector_bytes=2))
+    plan = _plan(smem, _accesses(program, smem, vector_bytes=2))
     assert plan.base_layout.is_injective()
 
 
@@ -80,7 +84,7 @@ def test_bank_conflict_factor_bounds():
 def test_swizzle_selected_when_it_helps():
     row = Layout((64, 64), (64, 1))
     program, smem = _staged_copy_program(row, row)
-    plan = synthesize_smem_layout(smem, _accesses(program, smem))
+    plan = _plan(smem, _accesses(program, smem))
     assert plan.conflict_factor <= 8.0
 
 
@@ -88,7 +92,7 @@ def test_unused_buffer_gets_default_layout():
     from repro.ir.tensor import Scope, TileTensor
 
     tensor = TileTensor("s", types.float16, Scope.SHARED, (32, 32))
-    plan = synthesize_smem_layout(tensor, [])
+    plan = _plan(tensor, [])
     assert plan.base_layout.is_compact()
     assert plan.swizzle.is_identity()
 
@@ -96,7 +100,7 @@ def test_unused_buffer_gets_default_layout():
 def test_plan_apply_installs_layout():
     layout = Layout((64, 64), (64, 1))
     program, smem = _staged_copy_program(layout, layout)
-    plan = synthesize_smem_layout(smem, _accesses(program, smem))
+    plan = _plan(smem, _accesses(program, smem))
     plan.apply()
     assert smem.layout is plan.base_layout
     assert smem.swizzled_layout is not None
@@ -105,10 +109,10 @@ def test_plan_apply_installs_layout():
 # --------------------------------------------------------------------------- #
 # Analytic swizzle pruning (relation-based): equivalence and instrumentation
 # --------------------------------------------------------------------------- #
-def _solve_both_ways(smem, accesses, bank_params=None):
+def _solve_both_ways(smem, accesses, bank_params):
     """The same subproblem with pruning off and on, bypassing the cache."""
-    off = solve_subproblem(smem, accesses, bank_params=bank_params, prune=False)
-    on = solve_subproblem(smem, accesses, bank_params=bank_params, prune=True)
+    off = solve_subproblem(smem, accesses, bank_params, prune=False)
+    on = solve_subproblem(smem, accesses, bank_params, prune=True)
     return off, on
 
 
@@ -140,16 +144,6 @@ def test_conflict_free_search_skips_every_candidate():
     assert on.swizzles_scored == 0
     assert on.swizzles_pruned > 0
     assert on.swizzle.is_identity()
-
-
-def test_pruning_toggle_round_trips():
-    previous = set_swizzle_pruning(False)
-    try:
-        assert swizzle_pruning_enabled() is False
-        assert set_swizzle_pruning(True) is False
-        assert swizzle_pruning_enabled() is True
-    finally:
-        set_swizzle_pruning(previous)
 
 
 def test_prune_counters_reach_selection_stats_and_pass_stats():
