@@ -15,7 +15,8 @@ divide/product — live in :mod:`repro.layout.algebra`.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Union
+import numbers
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from repro.utils.inttuple import (
     IntTuple,
@@ -25,7 +26,6 @@ from repro.utils.inttuple import (
     is_int,
     is_tuple,
     prefix_product,
-    product,
     validate,
 )
 
@@ -36,6 +36,26 @@ __all__ = [
     "row_major",
     "column_major",
 ]
+
+
+class _FlatForm(NamedTuple):
+    """What a layout derives from its shape and stride, computed once.
+
+    ``digits`` holds one ``(divisor, extent, stride)`` triple per leaf of
+    the whole shape, where ``divisor`` is the product of the extents
+    before it: an integer ``i`` has leaf coordinate ``i // divisor %
+    extent`` (its colexicographic digit), so ``L(i)`` is the sum of digit
+    times stride.  ``modes`` holds the same triples per top-level mode, or
+    the mode's stride when the mode is an integer.  An integral shape has
+    neither: ``L(i)`` is ``i * stride`` with no wrap-around, as in
+    :func:`crd2idx`.
+    """
+
+    size: int
+    shape: tuple
+    stride: tuple
+    digits: Optional[tuple]
+    modes: Optional[tuple]
 
 
 class Layout:
@@ -50,31 +70,52 @@ class Layout:
         If omitted, the compact column-major strides of ``shape`` are used.
     """
 
-    __slots__ = ("shape", "stride", "_hash")
+    __slots__ = ("shape", "stride", "_hash", "_flat")
 
     def __init__(self, shape: IntTuple, stride: IntTuple | None = None):
-        validate(shape)
         if stride is None:
+            validate(shape)
             stride = prefix_product(shape)
-        else:
+        elif not _well_formed(shape, stride):
+            # The full checks accept what the fast walk does not know
+            # (int subclasses, tuple subclasses) and name what is wrong.
+            validate(shape)
             validate(stride)
-        if not congruent(shape, stride):
-            raise ValueError(
-                f"layout shape {shape!r} and stride {stride!r} are not congruent"
-            )
+            if not congruent(shape, stride):
+                raise ValueError(
+                    f"layout shape {shape!r} and stride {stride!r} are not congruent"
+                )
         self.shape = shape
         self.stride = stride
         # Structural hash, computed lazily and cached: layouts are immutable
         # after construction and are used as keys in the memoized layout
         # algebra (repro.utils.memo), so hashing must be cheap on repeats.
         self._hash = None
+        # The flat form (see _FlatForm), built on first use.
+        self._flat = None
+
+    def _flat_form(self) -> _FlatForm:
+        shape, stride = self.shape, self.stride
+        if is_int(shape):
+            form = _FlatForm(shape, (shape,), (stride,), None, None)
+        else:
+            flat_shape, flat_stride = flatten(shape), flatten(stride)
+            digits, size = _digits(flat_shape, flat_stride)
+            modes = tuple(
+                mode_stride if is_int(mode_shape)
+                else _digits(flatten(mode_shape), flatten(mode_stride))[0]
+                for mode_shape, mode_stride in zip(shape, stride)
+            )
+            form = _FlatForm(size, flat_shape, flat_stride, digits, modes)
+        self._flat = form
+        return form
 
     # ------------------------------------------------------------------ #
     # Basic queries
     # ------------------------------------------------------------------ #
     def size(self) -> int:
         """Size of the domain (number of coordinates)."""
-        return product(self.shape)
+        return (self._flat or self._flat_form()).size
 
     def cosize(self) -> int:
         """One past the largest index produced by the layout.
@@ -83,9 +124,10 @@ class Layout:
         ``L(size - 1) + 1`` because the largest coordinate in every mode
         maximises the inner product when strides are non-negative.
         """
-        if self.size() == 0:
+        size = self.size()
+        if size == 0:
             return 0
-        return self(self.size() - 1) + 1
+        return self(size - 1) + 1
 
     def rank(self) -> int:
         """Number of top-level modes."""
@@ -94,10 +136,10 @@ class Layout:
         return 1
 
     def flat_shape(self) -> tuple[int, ...]:
-        return flatten(self.shape)
+        return (self._flat or self._flat_form()).shape
 
     def flat_stride(self) -> tuple[int, ...]:
-        return flatten(self.stride)
+        return (self._flat or self._flat_form()).stride
 
     # ------------------------------------------------------------------ #
     # Mode access
@@ -131,15 +173,35 @@ class Layout:
         """Evaluate the layout at a coordinate.
 
         The coordinate may be a single linear index, a single hierarchical
-        coordinate, or one coordinate per top-level mode.
+        coordinate, or one coordinate per top-level mode.  An integer, or
+        one integer per top-level mode, is evaluated on the flat form;
+        anything else goes through :func:`crd2idx`.
         """
-        if len(coord) == 0:
-            raise TypeError("layout call requires at least one coordinate")
         if len(coord) == 1:
-            crd = coord[0]
-        else:
-            crd = tuple(coord)
-        return crd2idx(crd, self.shape, self.stride)
+            coord = coord[0]
+        elif not coord:
+            raise TypeError("layout call requires at least one coordinate")
+        _, _, _, digits, modes = self._flat or self._flat_form()
+        if type(coord) is int:
+            if digits is None:
+                return coord * self.stride
+            index = 0
+            for divisor, extent, step in digits:
+                index += coord // divisor % extent * step
+            return index
+        if type(coord) is tuple and modes is not None and len(coord) == len(modes):
+            index = 0
+            for crd, mode in zip(coord, modes):
+                if type(crd) is not int:
+                    break
+                if type(mode) is tuple:
+                    for divisor, extent, step in mode:
+                        index += crd // divisor % extent * step
+                else:
+                    index += crd * mode
+            else:
+                return index
+        return crd2idx(coord, self.shape, self.stride)
 
     def all_indices(self) -> list[int]:
         """The image of the layout enumerated over its whole domain."""
@@ -166,7 +228,7 @@ class Layout:
     # ------------------------------------------------------------------ #
     def flatten(self) -> "Layout":
         """A rank-``n`` layout with every leaf mode promoted to the top."""
-        return Layout(flatten(self.shape), flatten(self.stride))
+        return Layout(self.flat_shape(), self.flat_stride())
 
     def append(self, other: "Layout") -> "Layout":
         """Concatenate ``other`` as an extra top-level mode."""
@@ -189,6 +251,30 @@ class Layout:
 
     def __repr__(self) -> str:
         return f"{_fmt(self.shape)}:{_fmt(self.stride)}"
+
+
+def _well_formed(shape: IntTuple, stride: IntTuple) -> bool:
+    """One walk: ``shape`` and ``stride`` are congruent and every leaf is a
+    plain non-negative ``int`` (never a ``bool``)."""
+    if type(shape) is int:
+        return type(stride) is int and shape >= 0 and stride >= 0
+    return (
+        type(shape) is tuple
+        and type(stride) is tuple
+        and len(shape) == len(stride)
+        and all(map(_well_formed, shape, stride))
+    )
+
+
+def _digits(extents: tuple, strides: tuple) -> tuple[tuple, int]:
+    """The ``(divisor, extent, stride)`` triple of each flat leaf, and the
+    product of the extents."""
+    digits = []
+    divisor = 1
+    for extent, stride in zip(extents, strides):
+        digits.append((divisor, extent, stride))
+        divisor *= extent
+    return tuple(digits), divisor
 
 
 def _fmt(value: IntTuple) -> str:
@@ -216,9 +302,26 @@ def make_layout(*layouts: Union[Layout, int]) -> Layout:
     )
 
 
+def as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of plain ints.
+
+    Any integral type (a numpy integer, say) is accepted, but not ``bool``;
+    anything else raises ``TypeError`` naming the value instead of being
+    truncated by ``int(...)``.
+    """
+    result = []
+    for value in values:
+        if type(value) is not int:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{what}: {value!r} is not an integer")
+            value = int(value)
+        result.append(value)
+    return tuple(result)
+
+
 def row_major(shape: Sequence[int]) -> Layout:
     """A generalized row-major (C order) layout for a flat shape."""
-    shape = tuple(int(s) for s in shape)
+    shape = as_ints(shape, "row_major shape")
     strides = []
     running = 1
     for extent in reversed(shape):
@@ -229,7 +332,7 @@ def row_major(shape: Sequence[int]) -> Layout:
 
 def column_major(shape: Sequence[int]) -> Layout:
     """A generalized column-major (Fortran order) layout for a flat shape."""
-    shape = tuple(int(s) for s in shape)
+    shape = as_ints(shape, "column_major shape")
     return Layout(shape, prefix_product(shape))
 
 
@@ -240,8 +343,8 @@ def make_ordered_layout(shape: Sequence[int], order: Sequence[int]) -> Layout:
     order 0 is contiguous (stride 1), the dimension with the next-larger
     order has stride equal to the first dimension's extent, and so on.
     """
-    shape = tuple(int(s) for s in shape)
-    order = tuple(int(o) for o in order)
+    shape = as_ints(shape, "make_ordered_layout shape")
+    order = as_ints(order, "make_ordered_layout order")
     if len(shape) != len(order):
         raise ValueError("make_ordered_layout: shape and order must have equal length")
     if sorted(order) != list(range(len(order))):

@@ -18,10 +18,11 @@ instruction-level TV layouts through composition with inverses
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 from repro.layout.algebra import coalesce, composition, right_inverse
-from repro.layout.layout import Layout, make_layout
+from repro.layout.layout import Layout, as_ints, make_layout
 from repro.utils.inttuple import (
     IntTuple,
     flatten,
@@ -43,8 +44,8 @@ def rebase_strides(layout: Layout, old_tile: Sequence[int], new_tile: Sequence[i
     of ``new_tile``.  The old tile must fit inside the new tile
     dimension-wise.
     """
-    old_tile = tuple(int(x) for x in old_tile)
-    new_tile = tuple(int(x) for x in new_tile)
+    old_tile = as_ints(old_tile, "rebase_strides old tile")
+    new_tile = as_ints(new_tile, "rebase_strides new tile")
     if len(old_tile) != len(new_tile):
         raise ValueError(
             f"rebase_strides: tiles {old_tile} and {new_tile} have different ranks"
@@ -89,24 +90,28 @@ class TVLayout:
             raise ValueError(
                 f"a TV layout needs (thread, value) modes, got rank {self.layout.rank()}"
             )
-        object.__setattr__(self, "tile_shape", tuple(int(x) for x in self.tile_shape))
+        object.__setattr__(self, "tile_shape", as_ints(self.tile_shape, "TV tile shape"))
 
     # ------------------------------------------------------------------ #
     # Basic queries
     # ------------------------------------------------------------------ #
-    @property
+    # Computed once per TV layout, like the hash below: the layout is
+    # immutable, and synthesis asks for its modes thousands of times.
+    # (``cached_property`` stores into the instance dict, which a frozen
+    # dataclass allows; equality and hashing read the fields only.)
+    @cached_property
     def thread_layout(self) -> Layout:
         return self.layout[0]
 
-    @property
+    @cached_property
     def value_layout(self) -> Layout:
         return self.layout[1]
 
-    @property
+    @cached_property
     def num_threads(self) -> int:
         return self.thread_layout.size()
 
-    @property
+    @cached_property
     def values_per_thread(self) -> int:
         return self.value_layout.size()
 
@@ -208,10 +213,7 @@ class TVLayout:
     def rebase(self, new_tile: Sequence[int]) -> "TVLayout":
         """Re-express this layout over a larger tile (same distribution,
         anchored at the tile origin)."""
-        return TVLayout(
-            rebase_strides(self.layout, self.tile_shape, new_tile),
-            tuple(int(x) for x in new_tile),
-        )
+        return TVLayout(rebase_strides(self.layout, self.tile_shape, new_tile), new_tile)
 
     def with_threads(self, num_threads: int) -> "TVLayout":
         """Broadcast this layout to a larger thread count by appending a
@@ -263,4 +265,4 @@ def make_tv_layout(
 ) -> TVLayout:
     """Convenience constructor from explicit thread/value shape-stride pairs."""
     layout = Layout((thread_shape, value_shape), (thread_stride, value_stride))
-    return TVLayout(layout, tuple(int(x) for x in tile_shape))
+    return TVLayout(layout, tile_shape)

@@ -2,7 +2,7 @@
 
 Layouts (and the IntTuples they are built from) are immutable, structurally
 hashable values, so the algebraic operations on them — ``coalesce``,
-``composition``, ``complement``, ``right_inverse``, ``crd2idx``,
+``composition``, ``complement``, ``right_inverse``, ``idx2crd``,
 ``prefix_product``, and the relation-backed injectivity predicate
 ``layout.relation.layout_is_injective`` — are pure functions of their
 arguments.  The compiler calls them with a small working set of distinct
@@ -10,6 +10,11 @@ arguments but an enormous number of repeats (every candidate leaf of the
 instruction-selection search re-derives the same composites, and constraint
 materialization queries injectivity on the same layouts throughout the
 search), which makes them ideal memoization targets.
+
+Layout evaluation is not among them: a ``Layout`` evaluates integer
+coordinates on its flat form, which it computes once
+(:mod:`repro.layout.layout`), and only other coordinates reach the
+unmemoized ``crd2idx``.
 
 :func:`memoized` wraps a function in a bounded :func:`functools.lru_cache`
 and records it in a process-wide registry so that benchmarks and tests can

@@ -1,6 +1,6 @@
 """Docs-consistency checks: the documentation may not drift from the tree.
 
-Three contracts, all cheap enough to run in the tier-1 suite (CI runs it
+Four contracts, all cheap enough to run in the tier-1 suite (CI runs it
 on every push):
 
 1. **File references resolve.**  Every backticked file path in
@@ -22,16 +22,26 @@ on every push):
    ``tests/``, so importing each ``examples/*.py`` and ``benchmarks/*.py``
    module here (without calling ``main()``) is what catches a script still
    importing a removed or renamed API.
+
+4. **The memoized functions match the memo registry.**  The one
+   ``Memoized functions:`` line of ``docs/architecture.md`` must name
+   exactly the functions in ``repro.utils.memo.cache_stats()`` once every
+   ``repro`` module is imported, so adding or removing a memo without
+   saying so fails.
 """
 
+import importlib
 import importlib.util
+import pkgutil
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.serving import ROUTERS, SCHEDULERS, WORKLOADS
+from repro.utils.memo import cache_stats
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DOCS = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
@@ -137,6 +147,19 @@ def test_documented_fault_api_names_exist():
     for name in ("FaultSchedule", "ReplicaCrash", "ReplicaRecover",
                  "ReplicaSlowdown"):
         assert hasattr(serving, name), f"repro.serving no longer exports {name}"
+
+
+def test_documented_memoized_functions_match_the_registry():
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    text = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if line.startswith("Memoized functions:")]
+    assert len(lines) == 1, "docs/architecture.md needs one 'Memoized functions:' line"
+    documented = set(re.findall(r"`([\w.]+)`", lines[0]))
+    assert documented == set(cache_stats()), (
+        f"docs/architecture.md memoized functions {sorted(documented)} != "
+        f"repro.utils.memo registry {sorted(cache_stats())}"
+    )
 
 
 def test_readme_states_the_tier1_verify_command():

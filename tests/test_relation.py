@@ -21,7 +21,14 @@ Two jobs:
    ``covers_tile``, ``is_replicated`` and ``tiling.value_vector_run``
    used to run on the compile path survive here, and the coalesced-form
    decisions must agree with them on generated TV layouts.
+
+4. **The hierarchical evaluator as the oracle of the flat form** —
+   ``Layout.__call__`` evaluates integers on the layout's flattened
+   leaves, and must give what ``crd2idx`` gives (value or exception) on
+   every coordinate, inside the domain or out of it.
 """
+
+import random
 
 import pytest
 
@@ -42,7 +49,7 @@ from repro.layout import (
 )
 from repro.synthesis.smem_solver import SmemBankParams, bank_conflict_factor
 from repro.synthesis.tiling import value_vector_run
-from repro.utils.inttuple import unflatten_like
+from repro.utils.inttuple import crd2idx, flatten, idx2crd, is_tuple, product, unflatten_like
 from repro.utils.memo import cache_stats
 
 from strategies import LayoutSampler, layout_cases
@@ -175,6 +182,85 @@ def test_relation_dunder_plumbing():
     assert "LayoutRelation" in repr(rel)
     with pytest.raises(ValueError, match="non-negative"):
         LayoutRelation([(-1, 0)])
+
+
+# --------------------------------------------------------------------------- #
+# Randomized oracle: evaluation on the flat form against crd2idx
+# --------------------------------------------------------------------------- #
+# Integral and tuple shapes, nesting, and extent-0, extent-1 and stride-0
+# modes (the sampler draws no extent 0).
+FLAT_FORM_HAND_CASES = [
+    Layout(4, 1),
+    Layout(0, 3),
+    Layout(1, 0),
+    Layout((4,), (1,)),
+    Layout(()),
+    Layout((3, 0, 2), (1, 5, 7)),
+    Layout((2, 1, 3), (0, 9, 2)),
+    Layout(((2, 0), 3), ((1, 2), 4)),
+    Layout(((2, 1), (1, 3)), ((0, 5), (7, 1))),
+    Layout(((2, 2), 8), ((1, 16), 2)),
+    Layout((4, (2, 3)), (3, (0, 1))),
+]
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def check_flat_form(layout, rng):
+    shape, stride = layout.shape, layout.stride
+
+    def same(*coord):
+        crd = coord[0] if len(coord) == 1 else coord
+        expected = _outcome(crd2idx, crd, shape, stride)
+        assert _outcome(layout, *coord) == expected, (layout, coord)
+
+    size = product(shape)
+    assert layout.size() == size
+    assert layout.flat_shape() == flatten(shape)
+    assert layout.flat_stride() == flatten(stride)
+    # Integers inside the domain and out of it.
+    for i in range(3 * max(size, 1)):
+        same(i)
+    # One integer per top-level mode, inside and outside each mode, as
+    # one tuple and as separate arguments.
+    mode_sizes = [product(mode) for mode in shape] if is_tuple(shape) else [size]
+    for _ in range(24):
+        coord = tuple(rng.randrange(2 * m + 2) for m in mode_sizes)
+        same(coord)
+        if len(coord) > 1:
+            same(*coord)
+    # Nested, wrong-rank and None coordinates: the same value or error.
+    for i in range(min(size, 8)):
+        same(idx2crd(i, shape))
+    rank = len(mode_sizes)
+    for coord in (None, True, (0,) * (rank + 1), (0,) * (rank - 1), (None,) * rank):
+        same(coord)
+
+
+def test_flat_form_wraps_exactly_like_crd2idx():
+    assert Layout((4,), (1,))(7) == 3  # a tuple shape reduces every leaf
+    assert Layout(4, 1)(7) == 7  # an integral shape does not
+    assert Layout((4, 2), (1, 4))((7, 0)) == 7  # nor does an integral mode
+    with pytest.raises(ZeroDivisionError):
+        Layout((2, 0), (1, 2))(1)
+
+
+def test_flat_form_matches_crd2idx_on_hand_cases():
+    rng = random.Random(107)
+    for layout in FLAT_FORM_HAND_CASES:
+        check_flat_form(layout, rng)
+
+
+def test_flat_form_matches_crd2idx_on_generated_layouts():
+    rng = random.Random(108)
+    for layout in layout_cases(seed=108, count=CASES):
+        check_flat_form(layout, rng)
 
 
 # --------------------------------------------------------------------------- #
