@@ -12,7 +12,7 @@ are supplied by the per-architecture tables in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from repro.ir.tensor import Scope
@@ -81,6 +81,16 @@ class MemoryInstruction:
             raise ValueError(f"{self.name}: vector_bytes must be positive")
         if self.alignment_bytes == 0:
             object.__setattr__(self, "alignment_bytes", self.vector_bytes)
+        # Structural hash, computed once: instructions key the search's
+        # leaf, subproblem and access memos, which hash tuples of them for
+        # every candidate leaf.  The value is the one the dataclass would
+        # generate (the hash of the field tuple), matching its __eq__.
+        object.__setattr__(
+            self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self)))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def direction(self) -> str:

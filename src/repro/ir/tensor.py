@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.ir.types import DataType
-from repro.layout.layout import Layout
+from repro.layout.layout import Layout, as_ints
 from repro.layout.swizzle import ComposedLayout
 from repro.layout.tv import TVLayout
 from repro.utils.inttuple import product
@@ -62,7 +62,7 @@ class TileTensor:
     tensor_id: int = field(default_factory=lambda: next(_tensor_counter))
 
     def __post_init__(self):
-        self.shape = tuple(int(x) for x in self.shape)
+        self.shape = as_ints(self.shape, f"tensor {self.name!r} shape")
         if any(extent <= 0 for extent in self.shape):
             raise ValueError(f"tensor {self.name} has a non-positive extent: {self.shape}")
         if self.scope is Scope.GLOBAL and self.layout is None:

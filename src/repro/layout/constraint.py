@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple, Union
 
 from repro.layout.algebra import complement, composition
-from repro.layout.layout import Layout
+from repro.layout.layout import Layout, as_ints
 from repro.utils.inttuple import product
 
 __all__ = [
@@ -85,7 +85,7 @@ class LayoutConstraint:
     """
 
     def __init__(self, tensor_shape: Sequence[int], dims: Sequence[Sequence[ConstraintMode]]):
-        self.tensor_shape = tuple(int(x) for x in tensor_shape)
+        self.tensor_shape = as_ints(tensor_shape, "constraint tensor shape")
         self.dims: List[List[ConstraintMode]] = [list(modes) for modes in dims]
         if len(self.dims) != len(self.tensor_shape):
             raise ValueError("constraint must have one mode list per tensor dimension")
@@ -101,7 +101,8 @@ class LayoutConstraint:
     @classmethod
     def unconstrained(cls, tensor_shape: Sequence[int]) -> "LayoutConstraint":
         """A constraint with every dimension a single free mode."""
-        dims = [[ConstraintMode(int(extent), StrideVar())] for extent in tensor_shape]
+        tensor_shape = as_ints(tensor_shape, "constraint tensor shape")
+        dims = [[ConstraintMode(extent, StrideVar())] for extent in tensor_shape]
         return cls(tensor_shape, dims)
 
     @classmethod
@@ -113,7 +114,7 @@ class LayoutConstraint:
     ) -> "LayoutConstraint":
         """The constraint produced by a copy whose instruction accesses
         ``vector_elems`` contiguous elements along ``contiguous_dim``."""
-        tensor_shape = tuple(int(x) for x in tensor_shape)
+        tensor_shape = as_ints(tensor_shape, "constraint tensor shape")
         if not 0 <= contiguous_dim < len(tensor_shape):
             raise ValueError(f"contiguous_dim {contiguous_dim} out of range")
         extent = tensor_shape[contiguous_dim]
@@ -136,7 +137,7 @@ class LayoutConstraint:
     @classmethod
     def from_known_layout(cls, layout: Layout, tensor_shape: Sequence[int]) -> "LayoutConstraint":
         """Wrap a fully-known layout (one mode list per dimension)."""
-        tensor_shape = tuple(int(x) for x in tensor_shape)
+        tensor_shape = as_ints(tensor_shape, "constraint tensor shape")
         if layout.rank() != len(tensor_shape):
             raise ValueError("layout rank must match the tensor rank")
         dims = []

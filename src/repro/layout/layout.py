@@ -161,6 +161,16 @@ class Layout:
             raise IndexError(f"layout mode index {index} out of range for rank 1")
         return Layout(self.shape, self.stride)
 
+    def mode_leaves(self, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The flat extents and strides of the top-level mode at ``index``:
+        ``self[index].flat_shape()`` and ``flat_stride()``, without building
+        (and validating) the mode as a layout of its own."""
+        if is_tuple(self.shape):
+            return flatten(self.shape[index]), flatten(self.stride[index])
+        if index not in (0, -1):
+            raise IndexError(f"layout mode index {index} out of range for rank 1")
+        return (self.shape,), (self.stride,)
+
     def modes(self) -> Iterator["Layout"]:
         """Iterate over the top-level modes as layouts."""
         for i in range(self.rank()):

@@ -37,9 +37,11 @@ The relation view also answers *feasibility* queries analytically:
   multiplier computed from the relation pairs alone (the oracle twin of
   ``smem_solver.bank_conflict_factor``).
 
-The shared-memory solver's swizzle pruning (``smem_solver``) uses the
-relation image of the warp-access pattern to bound the touched address
-window — see ``swizzle_window_key`` in :mod:`repro.layout.swizzle`.
+The shared-memory solver's swizzle pruning (``smem_solver``) bounds the
+touched address window by the largest base-layout offset of the warp
+accesses — the maximum of their access relations' images, which
+``tests/test_relation.py`` checks it against; see ``swizzle_window_key``
+in :mod:`repro.layout.swizzle`.
 """
 
 from __future__ import annotations

@@ -132,20 +132,57 @@ class TVLayout:
             crd = (crd,)
         return tuple(crd)
 
-    def owner_of(self, coords: Sequence[int]) -> Tuple[int, int]:
-        """Return some ``(tid, vid)`` pair holding the element at ``coords``.
+    @cached_property
+    def warp_coords(self) -> Tuple[Tuple[int, ...], ...]:
+        """The tile coordinates of value 0 of the first ``min(32, T)``
+        threads: one warp's simultaneous accesses, which the shared-memory
+        solver scores for every candidate instruction of a copy.
 
-        Raises ``KeyError`` if the coordinate is not covered by the layout.
+        Equal to ``coords(t, 0)`` for each of those threads: value 0
+        contributes nothing, so the index of ``(t, 0)`` is the thread
+        mode's flat form at ``t`` (the sum of each leaf's colexicographic
+        digit times its stride), and the index is split colexicographically
+        over the tile (digit ``i`` is ``index // prefix_i % extent_i``,
+        which is what ``idx2crd`` computes).
         """
-        target = sum(
-            int(c) * int(d)
-            for c, d in zip(coords, flatten(prefix_product(self.tile_shape)))
-        )
-        for tid in range(self.num_threads):
-            for vid in range(self.values_per_thread):
-                if self(tid, vid) == target:
-                    return tid, vid
-        raise KeyError(f"coordinate {tuple(coords)} is not covered by {self}")
+        thread = self.thread_layout
+        leaves = tuple(zip(thread.flat_shape(), thread.flat_stride()))
+        tile = tuple(zip(flatten(prefix_product(self.tile_shape)), self.tile_shape))
+        coords = []
+        for tid in range(min(32, self.num_threads)):
+            index = 0
+            rest = tid
+            for extent, stride in leaves:
+                index += rest % extent * stride
+                rest //= extent
+            coords.append(tuple(index // prefix % extent for prefix, extent in tile))
+        return tuple(coords)
+
+    @cached_property
+    def vector_run(self) -> Tuple[int, int]:
+        """The per-thread contiguous run: ``(dim, run)``, the tile dimension
+        along which consecutive values of a thread advance by one element,
+        and the length of that run.  ``run == 1`` means the values are not
+        contiguous along any dimension (only scalar accesses are possible
+        without a collective instruction).
+
+        Read off the first mode ``s0:d0`` of the coalesced value layout:
+        thread 0 holds ``v·d0`` for ``v < s0``, which steps one element
+        along the tile dimension of extent > 1 whose colex stride is
+        ``d0`` until the mode or that dimension runs out.  Exact whenever
+        the image lies inside the tile: the next value, at the second
+        mode's stride ``d1 != s0·d0``, is then a different tile element
+        than a further unit step would reach.
+        """
+        if self.values_per_thread == 1:
+            return 0, 1
+        first = coalesce(self.value_layout)
+        run, stride = first.flat_shape()[0], first.flat_stride()[0]
+        dim_strides = flatten(prefix_product(self.tile_shape))
+        for dim, (extent, dim_stride) in enumerate(zip(self.tile_shape, dim_strides)):
+            if extent > 1 and dim_stride == stride:
+                return dim, min(run, extent)
+        return 0, 1
 
     def covers_tile(self) -> bool:
         """Whether every tile element is held by exactly one (tid, vid).
@@ -227,18 +264,6 @@ class TVLayout:
             return self
         thread = make_layout(self.thread_layout, Layout(replicas, 0))
         return TVLayout(make_layout(thread, self.value_layout), self.tile_shape)
-
-    def projected(self, dim: int) -> dict[tuple[int, int], int]:
-        """The restriction of the mapping to a single tile dimension.
-
-        Returns ``{(tid, vid): coordinate_along_dim}`` — used to check the
-        dimension-wise gemm constraints (Fig. 19 b).
-        """
-        return {
-            (t, v): self.coords(t, v)[dim]
-            for t in range(self.num_threads)
-            for v in range(self.values_per_thread)
-        }
 
     def __hash__(self) -> int:
         # Structural hash with per-instance caching (TV layouts participate

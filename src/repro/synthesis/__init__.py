@@ -6,7 +6,6 @@ from repro.synthesis.tiling import (
     TiledMma,
     make_tiled_mma,
     coalesced_copy_tv,
-    value_vector_run,
     reduce_tv_layout,
     pick_warp_grid,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "TiledMma",
     "make_tiled_mma",
     "coalesced_copy_tv",
-    "value_vector_run",
     "reduce_tv_layout",
     "pick_warp_grid",
     "check_copy_constraint",

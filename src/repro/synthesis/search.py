@@ -46,12 +46,7 @@ from repro.instructions.registry import InstructionSet
 from repro.ir.graph import KernelProgram
 from repro.ir.ops import Copy
 from repro.ir.tensor import Scope, TileTensor
-from repro.synthesis.cost_model import (
-    AnalyticalCostModel,
-    CostBreakdown,
-    InvariantCosts,
-    copy_issue_cycles,
-)
+from repro.synthesis.cost_model import AnalyticalCostModel, CostBreakdown
 from repro.synthesis.smem_solver import (
     DEFAULT_BANK_PARAMS,
     CopyAccess,
@@ -60,9 +55,7 @@ from repro.synthesis.smem_solver import (
     copy_access_for,
     smem_solution_for,
 )
-from repro.synthesis.tiling import value_vector_run
 from repro.synthesis.tv_solver import TVSolution
-from repro.utils.inttuple import flatten
 
 __all__ = ["Candidate", "InstructionSelector", "SelectionError", "SelectionStats"]
 
@@ -86,9 +79,9 @@ class SelectionStats:
     ``smem_solves`` the actual constraint-unification solves that ran.
     ``swizzles_scored``/``swizzles_pruned`` aggregate, over those fresh
     solves, how many swizzle candidates went through the conflict model and
-    how many the analytic relation predicates discarded (conflict-floor
-    early exit + touched-window restriction dedupe; see
-    ``repro.layout.relation``).
+    how many the analytic prune predicates discarded (conflict-floor early
+    exit + touched-window restriction dedupe; see
+    ``smem_solver.solve_subproblem``).
     """
 
     leaves_evaluated: int = 0
@@ -142,8 +135,8 @@ class InstructionSelector:
     """Enumerates, validates and ranks candidate programs.
 
     Program structure that the search reuses for every leaf — the copy list,
-    the per-copy instruction menus and the per-buffer touching-copy lists —
-    is computed once here rather than per leaf.
+    the per-copy instruction menus, the per-buffer touching-copy lists and
+    the cost model's table — is computed once here rather than per leaf.
     """
 
     def __init__(
@@ -195,9 +188,11 @@ class InstructionSelector:
         # the greedy repair and the DFS revisit identical assignments (the
         # incumbent's leaf in particular), which replay from here for free.
         self._leaf_cache: Dict[tuple, tuple] = {}
-        # Assignment-invariant cost terms, computed on first use (they need
-        # the gemm instructions / TV layouts installed by tv-synthesis).
-        self._invariants: Optional[InvariantCosts] = None
+        # One cost model per search: every operation's assignment-invariant
+        # facts, read by each leaf's estimate and by the lower bound (the
+        # gemm instructions and TV layouts tv-synthesis installed are in
+        # place by now).
+        self.cost_model = AnalyticalCostModel(program)
 
     @property
     def candidates_explored(self) -> int:
@@ -261,7 +256,7 @@ class InstructionSelector:
         if elems * dtype.bits < 8:
             return False
         if reg_tv is not None:
-            run_dim, run = value_vector_run(reg_tv)
+            run_dim, run = reg_tv.vector_run
             if elems > 1 and (run < elems or run % elems != 0):
                 return False
             contiguous_dim = run_dim
@@ -283,9 +278,7 @@ class InstructionSelector:
             return False
         dims = range(tensor.rank) if contiguous_dim is None else [contiguous_dim]
         for dim in dims:
-            mode = layout[dim]
-            strides = flatten(mode.stride)
-            shapes = flatten(mode.shape)
+            shapes, strides = layout.mode_leaves(dim)
             if 1 in strides:
                 extent = shapes[strides.index(1)]
                 if extent % elems == 0:
@@ -416,36 +409,22 @@ class InstructionSelector:
                     plan.conflict_factor,
                 )
 
-        # The model reads the assignment directly (``instruction_choice``
-        # takes precedence over ``op.selected_instruction`` for every copy),
-        # so nothing needs to be installed on the program.
-        model = AnalyticalCostModel(
-            self.program, assignment, candidate.conflict_factors
-        )
-        candidate.cost = model.estimate()
+        # The model reads the assignment directly, so nothing needs to be
+        # installed on the program.
+        candidate.cost = self.cost_model.estimate(assignment, candidate.conflict_factors)
         self._leaf_cache[leaf_key] = (candidate, None)
         return candidate
 
     # ------------------------------------------------------------------ #
     # Incremental cost bound
     # ------------------------------------------------------------------ #
-    def _invariant_costs(self) -> InvariantCosts:
-        if self._invariants is None:
-            self._invariants = AnalyticalCostModel(self.program).invariant_costs()
-        return self._invariants
-
     def _issue_terms_for(self, order: Sequence[Copy]) -> List[List[float]]:
         """Per-depth, per-menu-entry total issue cycles at conflict 1.0 —
         the per-copy building blocks of the admissible lower bound."""
-        terms: List[List[float]] = []
-        for copy in order:
-            terms.append(
-                [
-                    copy_issue_cycles(self.program, copy, instr, 1.0) * copy.trips
-                    for instr in self._menus[copy.op_id]
-                ]
-            )
-        return terms
+        return [
+            [self.cost_model.copy_issue_bound(copy, instr) for instr in self._menus[copy.op_id]]
+            for copy in order
+        ]
 
     # ------------------------------------------------------------------ #
     # Search
@@ -519,7 +498,7 @@ class InstructionSelector:
             if touching:
                 complete_at[max(pos[c.op_id] for c in touching)].append(tensor)
 
-        invariants = self._invariant_costs()
+        invariants = self.cost_model.invariant_costs()
         terms = self._issue_terms_for(order)
         # suffix_min[i]: cheapest possible issue total of copies i..n-1 — the
         # unassigned-copy part of the bound, precomputed once so every DFS

@@ -28,8 +28,7 @@ from repro.instructions.instruction import MemoryInstruction
 from repro.ir.ops import Copy
 from repro.ir.tensor import TileTensor
 from repro.layout.constraint import LayoutConstraint, UnificationError, unify
-from repro.layout.layout import Layout
-from repro.layout.relation import LayoutRelation
+from repro.layout.layout import Layout, as_ints
 from repro.layout.swizzle import (
     ComposedLayout,
     Swizzle,
@@ -37,8 +36,7 @@ from repro.layout.swizzle import (
     swizzle_window_key,
 )
 from repro.layout.tv import TVLayout
-from repro.synthesis.tiling import value_vector_run
-from repro.utils.inttuple import flatten
+from repro.utils.inttuple import product
 
 __all__ = [
     "CopyAccess",
@@ -98,7 +96,7 @@ class CopyAccess:
     instruction: MemoryInstruction
     contiguous_dim: int
     vector_elems: int
-    thread_coords: List[Tuple[int, ...]] = field(default_factory=list)
+    thread_coords: Sequence[Tuple[int, ...]] = field(default_factory=tuple)
 
     def constraint(self, tensor_shape: Sequence[int]) -> LayoutConstraint:
         if self.vector_elems <= 1 or self.instruction.single_thread:
@@ -160,21 +158,20 @@ def copy_access_for(
         # the 32 rows of a warp walk down the other dimension first.  The
         # `.trans` variants read rows along the other tile dimension and
         # transpose in flight.
-        run_dim, _ = value_vector_run(reg_tv)
+        run_dim, _ = reg_tv.vector_run
         contiguous_dim = run_dim
         if instruction.transposed and len(shape) == 2:
             contiguous_dim = 1 - run_dim
         coords = _strided_warp_coords(shape, contiguous_dim, vec)
         return CopyAccess(copy, instruction, contiguous_dim, vec, coords)
 
-    run_dim, run = value_vector_run(reg_tv)
+    run_dim, run = reg_tv.vector_run
     usable = min(vec, run) if run > 1 else 1
     # Clamp to a width that actually divides the run (vector accesses must
     # not straddle the thread's contiguous segment).
     while usable > 1 and run % usable != 0:
         usable //= 2
-    coords = [reg_tv.coords(t, 0) for t in range(min(32, reg_tv.num_threads))]
-    return CopyAccess(copy, instruction, run_dim, usable, coords)
+    return CopyAccess(copy, instruction, run_dim, usable, reg_tv.warp_coords)
 
 
 def _global_contiguous_dim(copy: Copy, smem_shape: Sequence[int]) -> int:
@@ -182,10 +179,10 @@ def _global_contiguous_dim(copy: Copy, smem_shape: Sequence[int]) -> int:
     other = copy.src if copy.src.is_global else copy.dst if copy.dst.is_global else None
     if other is None or other.layout is None:
         return len(smem_shape) - 1
-    strides = [
-        flatten(other.layout[i].stride)[-1] if other.layout[i].size() > 1 else 1 << 30
-        for i in range(min(other.rank, len(smem_shape)))
-    ]
+    strides = []
+    for i in range(min(other.rank, len(smem_shape))):
+        extents, mode_strides = other.layout.mode_leaves(i)
+        strides.append(mode_strides[-1] if product(extents) > 1 else 1 << 30)
     return int(min(range(len(strides)), key=lambda i: strides[i]))
 
 
@@ -195,7 +192,7 @@ def _strided_warp_coords(
     """Coordinates of the 32 simultaneous per-thread accesses of one warp
     when each thread owns one ``vec``-element run along ``contiguous_dim``
     and consecutive threads walk the other dimensions first."""
-    shape = tuple(int(x) for x in shape)
+    shape = as_ints(shape, "warp access shape")
     other_dims = [i for i in range(len(shape)) if i != contiguous_dim]
     coords = []
     for t in range(32):
@@ -227,17 +224,28 @@ def bank_conflict_factor(
     is the maximum number of distinct bank conflicts, and the result is the
     mean over phases.  1.0 means conflict-free.
     """
-    if not coords:
+    offsets = [layout(tuple(coord)) for coord in coords]
+    return _offset_conflict_factor(offsets, element_bytes, access_bytes, bank_params)
+
+
+def _offset_conflict_factor(
+    offsets: Sequence[int],
+    element_bytes: float,
+    access_bytes: int,
+    bank_params: SmemBankParams,
+) -> float:
+    """:func:`bank_conflict_factor` of the element offsets the warp's
+    accesses reach, one per access slot in issue order."""
+    if not offsets:
         return 1.0
     if bank_params.banks <= 1:
         return 1.0  # unbanked scratchpad: nothing to conflict on
     threads_per_phase = max(1, int(bank_params.phase_bytes // max(access_bytes, 1)))
     factors = []
-    for start in range(0, len(coords), threads_per_phase):
-        phase = coords[start:start + threads_per_phase]
+    for start in range(0, len(offsets), threads_per_phase):
         banks: Dict[int, set] = {}
-        for coord in phase:
-            address = int(layout(tuple(coord)) * element_bytes)
+        for offset in offsets[start:start + threads_per_phase]:
+            address = int(offset * element_bytes)
             bank = (address // bank_params.bank_bytes) % bank_params.banks
             banks.setdefault(bank, set()).add(address // bank_params.phase_bytes)
         worst = max(len(lines) for lines in banks.values())
@@ -282,7 +290,7 @@ class SmemSolution:
     failure: Optional[str] = None
     # Instrumentation of the swizzle selection that produced this solution:
     # how many candidates were actually scored through the conflict model
-    # and how many the analytic relation predicates pruned away.  Not part
+    # and how many the analytic prune predicates skipped.  Not part
     # of the solution's *result* (see `winner`).
     swizzles_scored: int = 0
     swizzles_pruned: int = 0
@@ -384,20 +392,22 @@ def _remember(key: tuple, solution: SmemSolution) -> None:
 _CONFLICT_FLOOR = 1.0
 
 
-def _access_window_bits(base: Layout, accesses: Sequence[CopyAccess]) -> int:
-    """Bit width of the element-index window the warp accesses touch.
+def _access_offsets(base: Layout, accesses: Sequence[CopyAccess]) -> List[List[int]]:
+    """The base-layout offset of every access slot, per access: what every
+    candidate swizzle permutes."""
+    return [[base(tuple(coord)) for coord in access.thread_coords] for access in accesses]
 
-    Built from the relation image of every access pattern: all addresses
-    the conflict model will ever evaluate lie in ``[0, 2**bits)``, so two
-    swizzles with equal restrictions to that window (equal
-    ``swizzle_window_key``) produce identical conflict factors.
+
+def _access_window_bits(offsets: Sequence[Sequence[int]]) -> int:
+    """Bit width of the element-index window the warp accesses touch:
+    the bit length of the largest base-layout offset of any access (the
+    maximum of the accesses' relation images, ``LayoutRelation.from_access``).
+
+    All addresses the conflict model will ever evaluate lie in
+    ``[0, 2**bits)``, so two swizzles with equal restrictions to that window
+    (equal ``swizzle_window_key``) produce identical conflict factors.
     """
-    max_index = 0
-    for access in accesses:
-        image = LayoutRelation.from_access(base, access.thread_coords).image()
-        if image:
-            max_index = max(max_index, image[-1])
-    return max_index.bit_length()
+    return max((max(access) for access in offsets if access), default=0).bit_length()
 
 
 def solve_subproblem(
@@ -410,13 +420,16 @@ def solve_subproblem(
 
     Never raises: when the constraints do not unify, or a TMA copy's
     contiguity requirement fails, the solution's ``failure`` says why.
-    ``prune=True`` (the search's setting) consults the integer-set relation
-    view of the warp accesses (:mod:`repro.layout.relation`) to skip swizzle
-    candidates that cannot beat the incumbent: the whole remainder once the
-    conflict floor is reached, and candidates whose restriction to the
-    touched address window ties an already-scored one.  ``prune=False``
-    scores every candidate: it is the oracle the equivalence suite and the
-    prune gate compare ``winner``s against.
+    ``prune=True`` (the search's setting) skips swizzle candidates that
+    cannot beat the incumbent: the whole remainder once the conflict floor
+    is reached, and candidates whose restriction to the touched address
+    window ties an already-scored one.  ``prune=False`` scores every
+    candidate: it is the oracle the equivalence suite and the prune gate
+    compare ``winner``s against.
+
+    A swizzle permutes the base layout's integer offsets, so each access
+    slot's offset is computed once, and the identity and every candidate
+    are scored by applying the swizzle to those integers.
     """
     if not accesses:
         # An unused buffer: any compact layout works.
@@ -444,15 +457,16 @@ def solve_subproblem(
         )
         * element_bytes
     )
+    offsets = _access_offsets(base, accesses)
     best_swizzle = Swizzle(0, 0, 0)
-    best_factor = _total_conflicts(base, best_swizzle, accesses, element_bytes, bank_params)
+    best_factor = _total_conflicts(offsets, best_swizzle, accesses, element_bytes, bank_params)
     candidates = candidate_swizzles(
         tensor.dtype.bits, row_bytes, bank_params.phase_bytes
     )
     scored = 0
     pruned = 0
     if prune:
-        window = _access_window_bits(base, accesses)
+        window = _access_window_bits(offsets)
         seen_keys = {swizzle_window_key(best_swizzle, window)}
     for swizzle in candidates:
         if prune:
@@ -468,7 +482,7 @@ def solve_subproblem(
                 continue
             seen_keys.add(key)
         scored += 1
-        factor = _total_conflicts(base, swizzle, accesses, element_bytes, bank_params)
+        factor = _total_conflicts(offsets, swizzle, accesses, element_bytes, bank_params)
         if factor < best_factor - 1e-9:
             best_factor = factor
             best_swizzle = swizzle
@@ -482,19 +496,19 @@ def solve_subproblem(
 
 
 def _total_conflicts(
-    base: Layout,
+    offsets: Sequence[Sequence[int]],
     swizzle: Swizzle,
     accesses: Sequence[CopyAccess],
     element_bytes: float,
     bank_params: SmemBankParams,
 ) -> float:
-    layout = ComposedLayout(swizzle, base)
+    """Trip-weighted mean conflict factor of ``swizzle`` applied to each
+    access's base-layout offsets."""
     total = 0.0
     weight = 0.0
-    for access in accesses:
-        factor = bank_conflict_factor(
-            layout,
-            access.thread_coords,
+    for access, access_offsets in zip(accesses, offsets):
+        factor = _offset_conflict_factor(
+            [swizzle(offset) for offset in access_offsets],
             element_bytes,
             access.instruction.vector_bytes,
             bank_params,

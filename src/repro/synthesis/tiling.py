@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.instructions.instruction import MmaInstruction
 from repro.layout.algebra import coalesce, composition
-from repro.layout.layout import Layout, make_layout
+from repro.layout.layout import Layout, as_ints, make_layout
 from repro.layout.tv import TVLayout, rebase_strides
 from repro.utils.inttuple import flatten, prefix_product, product
 
@@ -29,7 +29,6 @@ __all__ = [
     "TiledMma",
     "make_tiled_mma",
     "coalesced_copy_tv",
-    "value_vector_run",
     "reduce_tv_layout",
     "pick_warp_grid",
 ]
@@ -174,7 +173,7 @@ def coalesced_copy_tv(
     limited by the contiguous extent and ``max_vector_elems``; consecutive
     threads then access consecutive vectors (Algorithm 1, line 15).
     """
-    tile_shape = tuple(int(x) for x in tile_shape)
+    tile_shape = as_ints(tile_shape, "coalesced_copy_tv tile shape")
     total = product(tile_shape)
     tile_strides = flatten(prefix_product(tile_shape))
 
@@ -234,32 +233,6 @@ def coalesced_copy_tv(
     thread = make_layout(Layout(mapped.shape, mapped.stride), Layout(replicas, 0))
     value = Layout(1, 0)
     return TVLayout(make_layout(thread, value), tile_shape)
-
-
-def value_vector_run(tv: TVLayout) -> Tuple[int, int]:
-    """The per-thread contiguous run of a TV layout.
-
-    Returns ``(dim, run)``: the tile dimension along which consecutive
-    values of a thread advance by one element, and the length of that run.
-    ``run == 1`` means the values are not contiguous along any dimension
-    (only scalar accesses are possible without a collective instruction).
-
-    Read off the first mode ``s0:d0`` of the coalesced value layout: thread
-    0 holds ``v·d0`` for ``v < s0``, which steps one element along the tile
-    dimension of extent > 1 whose colex stride is ``d0`` until the mode or
-    that dimension runs out.  Exact whenever the image lies inside the
-    tile: the next value, at the second mode's stride ``d1 != s0·d0``, is
-    then a different tile element than a further unit step would reach.
-    """
-    if tv.values_per_thread == 1:
-        return 0, 1
-    first = coalesce(tv.value_layout)
-    run, stride = first.flat_shape()[0], first.flat_stride()[0]
-    dim_strides = flatten(prefix_product(tv.tile_shape))
-    for dim, (extent, dim_stride) in enumerate(zip(tv.tile_shape, dim_strides)):
-        if extent > 1 and dim_stride == stride:
-            return dim, min(run, extent)
-    return 0, 1
 
 
 def reduce_tv_layout(tv: TVLayout, dim: int) -> TVLayout:

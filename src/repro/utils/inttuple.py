@@ -245,11 +245,11 @@ def _crd2idx(coord: IntTuple, shape: IntTuple, stride: IntTuple) -> int:
 def idx2crd(idx: int, shape: IntTuple) -> IntTuple:
     """Map a linear (colexicographic) index to a hierarchical coordinate.
 
-    Memoized: the smem solver derives a warp's access coordinates
-    (``TVLayout.coords`` of its first 32 threads) once per candidate copy
-    instruction, and TV synthesis decomposes the same atom and tile
-    strides (``rebase_strides``, ``reduce_tv_layout``) in every compile,
-    so the same (index, shape) pairs recur.
+    Memoized: TV synthesis decomposes the same atom and tile strides
+    (``rebase_strides``, ``reduce_tv_layout``) in every compile and in
+    every compile of a sweep, so the same (index, shape) pairs recur.  A
+    warp's access coordinates do not come through here: each TV layout
+    splits them over its tile once (``TVLayout.warp_coords``).
     """
     crd, _ = _idx2crd_impl(idx, shape)
     return crd

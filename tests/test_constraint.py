@@ -1,5 +1,7 @@
 """Tests for layout constraints and unification (Fig. 10 of the paper)."""
 
+import re
+
 import pytest
 
 from repro.layout import Layout, LayoutConstraint, UnificationError, unify
@@ -65,6 +67,26 @@ def test_from_known_layout_roundtrip():
 def test_vector_width_must_divide_extent():
     with pytest.raises(UnificationError):
         LayoutConstraint.from_vectorized_access((12, 64), 0, 8)
+
+
+@pytest.mark.parametrize(
+    "build,bad",
+    [
+        pytest.param(lambda: LayoutConstraint((2.5, 4), [[ConstraintMode(2, 1)],
+                                                       [ConstraintMode(4, 2)]]),
+                     2.5, id="init"),
+        pytest.param(lambda: LayoutConstraint.unconstrained((64.9, 4)), 64.9,
+                     id="unconstrained"),
+        pytest.param(lambda: LayoutConstraint.from_vectorized_access((64, True), 0, 8), True,
+                     id="vectorized"),
+        pytest.param(lambda: LayoutConstraint.from_known_layout(Layout((4, 2)), (4.0, 2)), 4.0,
+                     id="known"),
+    ],
+)
+def test_constraint_shapes_reject_non_integer_extents(build, bad):
+    """``int(...)`` used to truncate these (``64.9`` became ``64``)."""
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        build()
 
 
 def test_unify_many():

@@ -87,6 +87,18 @@ def test_elements_per_thread():
     assert cp16.asynchronous and not cp16.collective
 
 
+def test_memory_instruction_hash_is_computed_once_and_structural():
+    from dataclasses import fields, replace
+
+    for instr in instruction_set(90).copies(Scope.GLOBAL, Scope.SHARED):
+        assert hash(instr) == hash(tuple(getattr(instr, f.name) for f in fields(instr)))
+        twin = replace(instr)
+        assert twin == instr and twin is not instr and hash(twin) == hash(instr)
+        wider = replace(instr, vector_bytes=2 * instr.vector_bytes)
+        assert wider != instr
+        assert hash(wider) == hash(tuple(getattr(wider, f.name) for f in fields(wider)))
+
+
 def test_by_name_lookup_error():
     with pytest.raises(KeyError):
         instruction_set(80).by_name("no.such.instruction")

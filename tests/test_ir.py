@@ -45,6 +45,20 @@ def test_global_tensor_requires_layout():
     assert t.is_global and t.nbytes() == 32
 
 
+@pytest.mark.parametrize("shape,bad", [((64.9, True), 64.9), ((64, True), True), ((8.0, 4), 8.0)])
+def test_tensor_rejects_non_integer_extents(shape, bad):
+    """``int(...)`` used to truncate these: ``(64.9, True)`` became
+    ``(64, 1)``."""
+    with pytest.raises(TypeError) as info:
+        TileTensor("a", types.float16, Scope.SHARED, shape)
+    assert "'a'" in str(info.value) and repr(bad) in str(info.value)
+
+
+def test_tensor_accepts_numpy_integer_extents():
+    t = TileTensor("a", types.float16, Scope.SHARED, (np.int64(64), np.int32(8)))
+    assert t.shape == (64, 8) and all(type(x) is int for x in t.shape)
+
+
 def test_register_tensor_rejects_memory_layout():
     with pytest.raises(ValueError):
         TileTensor("r", types.float16, Scope.REGISTER, (4, 4), layout=row_major((4, 4)))

@@ -61,6 +61,16 @@ def test_layout_getitem_and_modes():
     assert [m.shape for m in layout.modes()] == [(2, 2), 8]
 
 
+def test_mode_leaves_are_the_modes_flat_form():
+    for layout in (Layout(((2, 2), 8), ((1, 16), 2)), Layout((4, (2, 3)), (3, (1, 12))),
+                   Layout(8, 2)):
+        for i in range(layout.rank()):
+            assert layout.mode_leaves(i) == (layout[i].flat_shape(), layout[i].flat_stride())
+    assert Layout(8, 2).mode_leaves(-1) == ((8,), (2,))
+    with pytest.raises(IndexError):
+        Layout(8, 2).mode_leaves(1)
+
+
 def test_layout_incongruent_raises():
     with pytest.raises(ValueError):
         Layout((2, 2), (1, 2, 3))

@@ -13,14 +13,16 @@ Two jobs:
    definition on hundreds of seeded random layouts (see
    ``tests/strategies.py``), plus the metamorphic algebra laws
    (associativity, inverse-then-compose = identity, complement
-   disjointness/cover) and the analytic predicates backing the smem
-   solver's swizzle pruning (``swizzle_window_key``, injectivity).
+   disjointness/cover), the analytic predicates backing the smem
+   solver's swizzle pruning (``swizzle_window_key``, injectivity) and its
+   scoring of swizzles on precomputed base-layout offsets.
 
 3. **Per-element oracles for the TV-layout predicates** — the loops over
    every (thread, value) pair that ``TVLayout.equivalent``,
-   ``covers_tile``, ``is_replicated`` and ``tiling.value_vector_run``
-   used to run on the compile path survive here, and the coalesced-form
-   decisions must agree with them on generated TV layouts.
+   ``covers_tile``, ``is_replicated``, ``vector_run`` and
+   ``warp_coords`` used to run on the compile path survive here, and the
+   coalesced-form and flat-form decisions must agree with them on
+   generated TV layouts.
 
 4. **The hierarchical evaluator as the oracle of the flat form** —
    ``Layout.__call__`` evaluates integers on the layout's flattened
@@ -29,6 +31,7 @@ Two jobs:
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,8 +50,11 @@ from repro.layout import (
     right_inverse,
     swizzle_window_key,
 )
-from repro.synthesis.smem_solver import SmemBankParams, bank_conflict_factor
-from repro.synthesis.tiling import value_vector_run
+from repro.instructions.instruction import MemoryInstruction
+from repro.ir.tensor import Scope
+from repro.layout.swizzle import candidate_swizzles
+from repro.synthesis import smem_solver
+from repro.synthesis.smem_solver import CopyAccess, SmemBankParams, bank_conflict_factor
 from repro.utils.inttuple import crd2idx, flatten, idx2crd, is_tuple, product, unflatten_like
 from repro.utils.memo import cache_stats
 
@@ -453,6 +459,56 @@ def test_bank_conflict_degree_matches_enumerated_factor():
         checked += 1
 
 
+def test_offset_scoring_matches_the_composed_layout_factor():
+    """The smem solver evaluates the base layout once per access slot and
+    scores the identity and every candidate swizzle by permuting those
+    offsets.  Each score must equal the trip-weighted conflict factor of
+    the swizzle-composed layout evaluated coordinate by coordinate, and
+    the pruning window must be the bit length of the largest offset in
+    the access relations' images."""
+    sampler = LayoutSampler(seed=602)
+    checked = scored = 0
+    while checked < CASES:
+        base = sampler.layout(style=sampler.rng.choice(("permuted", "strided")))
+        if not isinstance(base.shape, tuple):
+            continue  # multi-coordinate accesses need a tuple-shaped tile
+        element_bits = sampler.rng.choice((8, 16, 32))
+        element_bytes = element_bits / 8
+        params = sampler.rng.choice(BANKINGS)
+        accesses = []
+        for _ in range(sampler.rng.randint(1, 3)):
+            access_bytes = sampler.rng.choice((4, 8, 16))
+            instruction = MemoryInstruction(
+                f"ld.shared.{access_bytes}", Scope.SHARED, Scope.REGISTER, access_bytes, 1.0, 1.0)
+            copy = SimpleNamespace(trips=sampler.rng.randint(1, 4))
+            accesses.append(CopyAccess(copy, instruction, 0, 1, sampler.coords(base, count=32)))
+
+        offsets = smem_solver._access_offsets(base, accesses)
+        image_max = max(
+            LayoutRelation.from_access(base, access.thread_coords).image()[-1]
+            for access in accesses
+        )
+        assert smem_solver._access_window_bits(offsets) == image_max.bit_length()
+
+        row_bytes = sampler.rng.choice((4, 16, 64, 128))
+        swizzles = candidate_swizzles(element_bits, row_bytes, params.phase_bytes)
+        for swizzle in swizzles + [sampler.swizzle()]:
+            composed = ComposedLayout(swizzle, base)
+            total = weight = 0.0
+            for access in accesses:
+                factor = bank_conflict_factor(
+                    composed, access.thread_coords, element_bytes,
+                    access.instruction.vector_bytes, params)
+                total += factor * access.copy.trips
+                weight += access.copy.trips
+            score = smem_solver._total_conflicts(
+                offsets, swizzle, accesses, element_bytes, params)
+            assert score == total / weight, (base, swizzle, params)
+            scored += 1
+        checked += 1
+    assert scored >= 3 * CASES
+
+
 def test_bank_conflict_degree_defaults_access_to_element_width():
     rel = LayoutRelation(enumerate(32 * t for t in range(32)))
     assert rel.bank_conflict_degree(32, 4, 32) == rel.bank_conflict_degree(
@@ -641,9 +697,30 @@ def test_value_vector_run_matches_the_per_element_oracle():
         tv = sampler.tv_layout()
         assert tv.layout.cosize() <= tv.tile_size(), tv  # exactness needs it
         expected = value_vector_run_oracle(tv)
-        assert value_vector_run(tv) == expected, tv
+        assert tv.vector_run == expected, tv
         vectorized += expected[1] > 1
     assert vectorized >= CASES // 3
+
+
+def test_warp_coords_match_the_per_thread_oracle():
+    """``TVLayout.warp_coords`` (computed once per layout from its flat
+    form) equals ``coords(t, 0)`` for the first ``min(32, T)`` threads.
+    Each sampled layout is checked as drawn (mostly fewer than 32
+    threads) and broadcast past 40 threads by a replicated (stride-0)
+    thread mode."""
+    sampler = LayoutSampler(seed=806)
+    wide = narrow = replicated = 0
+    for _ in range(CASES + 100):
+        tv = sampler.tv_layout()
+        broadcast = tv.with_threads(tv.num_threads * (1 + 40 // tv.num_threads))
+        for case in (tv, broadcast):
+            expected = [case.coords(t, 0) for t in range(min(32, case.num_threads))]
+            assert list(case.warp_coords) == expected, case
+            assert case.warp_coords is case.warp_coords
+            wide += case.num_threads > 32
+            narrow += case.num_threads < 32
+            replicated += case.is_replicated()
+    assert min(wide, narrow, replicated) >= CASES // 2, (wide, narrow, replicated)
 
 
 def test_covers_tile_matches_the_per_element_oracle():

@@ -12,14 +12,17 @@ import pytest
 
 from repro.compiler import compile_kernel
 from repro.instructions.registry import instruction_set
+from repro.ir.ops import Copy
 from repro.kernels.attention import build_mha_decoding
 from repro.kernels.fp8_gemm import build_fp8_blockwise_gemm
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm
 from repro.kernels.mamba import build_selective_scan
 from repro.kernels.moe import build_moe_gemm
-from repro.pipeline import CompileCache
+from repro.layout.relation import LayoutRelation
+from repro.layout.tv import TVLayout
+from repro.pipeline import CompileCache, compile_program
 from repro.sim.arch import DEFAULT_ARCH, get_arch
-from repro.synthesis import smem_solver
+from repro.synthesis import cost_model, smem_solver
 from repro.synthesis.search import InstructionSelector
 from repro.synthesis.smem_solver import (
     SmemBankParams,
@@ -28,6 +31,7 @@ from repro.synthesis.smem_solver import (
     solve_subproblem,
 )
 from repro.synthesis.tv_solver import ThreadValueSolver
+from repro.utils.memo import clear_caches
 
 KERNEL_FAMILIES = [
     ("gemm", lambda: build_fp16_gemm(256, 256, 512, GemmConfig(bm=128, bn=128, bk=32)), "a100"),
@@ -185,3 +189,60 @@ def test_tv_solver_defaults_to_canonical_arch():
     program = build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32))
     solver = ThreadValueSolver(program)
     assert solver.instructions.arch == get_arch(DEFAULT_ARCH).sm_arch
+
+
+# --------------------------------------------------------------------------- #
+# Per-compile facts are computed once (clock-free work bounds)
+# --------------------------------------------------------------------------- #
+def test_compiles_compute_per_compile_facts_once(monkeypatch):
+    """A cold compile and a replay of every kernel family read each warp's
+    coordinates from its TV layout (no ``TVLayout.coords`` call), score
+    swizzles without building a ``LayoutRelation``, and cost each non-copy
+    operation at most once per compile (one cost table per search)."""
+    coords_calls = []
+    relations = []
+    costed = {}
+    original_coords = TVLayout.coords
+    original_relation_init = LayoutRelation.__init__
+    original_cost = cost_model.operation_cost
+
+    def counted_coords(self, tid, vid):
+        coords_calls.append((tid, vid))
+        return original_coords(self, tid, vid)
+
+    def counted_relation_init(self, pairs):
+        relations.append(pairs)
+        original_relation_init(self, pairs)
+
+    def counted_cost(program, op):
+        assert not isinstance(op, Copy)
+        costed[id(op)] = costed.get(id(op), 0) + 1
+        return original_cost(program, op)
+
+    monkeypatch.setattr(TVLayout, "coords", counted_coords)
+    monkeypatch.setattr(LayoutRelation, "__init__", counted_relation_init)
+    monkeypatch.setattr(cost_model, "operation_cost", counted_cost)
+    clear_caches()
+    clear_smem_cache()
+    cache = CompileCache()
+    programs = []
+    for _, build, arch in KERNEL_FAMILIES:
+        cold = compile_program(build(), arch=arch, cache=cache, max_candidates=64)
+        replay = compile_program(build(), arch=arch, cache=cache, max_candidates=64)
+        assert not cold.cache_hit and replay.cache_hit
+        assert cold.pass_stats["instruction-selection.leaves_evaluated"] > 1
+        programs += [cold.program, replay.program]
+    assert coords_calls == []
+    assert relations == []
+    # Every non-copy operation of every compiled program, costed once.
+    assert set(costed) == {
+        id(op) for program in programs for op in program.operations
+        if not isinstance(op, Copy)
+    }
+    assert set(costed.values()) == {1}
+    # The patched names are the ones the compile path would reach.
+    tv = next(copy.register_operand() for copy in programs[0].copies()
+              if copy.register_operand() is not None).tv_layout
+    tv.coords(0, 0)
+    LayoutRelation.from_access(tv.layout, [(0, 0)])
+    assert len(coords_calls) == 1 and len(relations) == 1

@@ -81,6 +81,14 @@ def test_bank_conflict_factor_bounds():
     assert worst > best >= 1.0
 
 
+def test_strided_warp_coords_reject_non_integer_extents():
+    from repro.synthesis.smem_solver import _strided_warp_coords
+
+    assert _strided_warp_coords((4, 8), 1, 2)[:3] == [(0, 0), (1, 0), (2, 0)]
+    with pytest.raises(TypeError, match="4.5"):
+        _strided_warp_coords((4.5, 8), 1, 2)
+
+
 def test_swizzle_selected_when_it_helps():
     row = Layout((64, 64), (64, 1))
     program, smem = _staged_copy_program(row, row)

@@ -11,7 +11,6 @@ from repro.synthesis import (
     make_tiled_mma,
     pick_warp_grid,
     reduce_tv_layout,
-    value_vector_run,
 )
 
 
@@ -54,13 +53,13 @@ def test_pick_warp_grid_prefers_square_partitions():
 def test_coalesced_copy_row_major():
     tv = coalesced_copy_tv((64, 64), Layout((64, 64), (64, 1)), 128, 8)
     assert tv.covers_tile()
-    dim, run = value_vector_run(tv)
+    dim, run = tv.vector_run
     assert dim == 1 and run >= 8  # vectorized along the contiguous dim
 
 
 def test_coalesced_copy_column_major():
     tv = coalesced_copy_tv((64, 64), Layout((64, 64), (1, 64)), 128, 8)
-    dim, run = value_vector_run(tv)
+    dim, run = tv.vector_run
     assert dim == 0 and run >= 8
 
 
@@ -70,9 +69,14 @@ def test_coalesced_copy_small_tensor_replicates():
     assert tv.is_replicated()
 
 
+def test_coalesced_copy_rejects_non_integer_tile_extents():
+    with pytest.raises(TypeError, match="16.5"):
+        coalesced_copy_tv((16.5, 8), Layout((16, 8), (8, 1)), 32, 4)
+
+
 def test_value_vector_run_scalar_layout():
     tv = coalesced_copy_tv((64, 64), Layout((64, 64), (64, 1)), 128, 1)
-    _, run = value_vector_run(tv)
+    _, run = tv.vector_run
     assert run >= 1
 
 

@@ -41,13 +41,6 @@ def test_extent_one_stride_zero_thread_mode_is_not_replication():
     assert f.with_threads(8).is_replicated()
 
 
-def test_owner_of():
-    f = paper_tv()
-    assert f.owner_of((1, 5)) == (2, 3)
-    with pytest.raises(KeyError):
-        TVLayout(Layout((4, 2), (0, 1)), (2, 4)).owner_of((1, 3))
-
-
 def test_equivalent_and_rebase():
     f = paper_tv()
     assert f.equivalent(paper_tv())
@@ -86,9 +79,3 @@ def test_composite_onto_instruction():
     for i in range(16):
         assert composite(i) == i
 
-
-def test_projected_returns_per_dim_coordinates():
-    f = paper_tv()
-    rows = f.projected(0)
-    assert rows[(2, 3)] == 1
-    assert set(rows.values()) <= set(range(4))
