@@ -14,10 +14,10 @@ plus two smoke checks:
 * the per-backend compile-time report (``--smoke``): the same GEMM compiled
   cold then warm through every registered codegen backend (on an arch that
   declares it) via one shared cache — every backend's warm recompile must
-  be a cache replay (a hit that evaluates at most two candidates, at least
-  2x faster than cold), the emitted sources must differ across backends,
-  and the arch registry must cover every backend in
-  ``repro.codegen.BACKENDS``;
+  be a cache replay (a hit that explores one candidate and evaluates its
+  one cached leaf, pruning none; the cold/warm time ratio is printed, not
+  gated), the emitted sources must differ across backends, and the arch
+  registry must cover every backend in ``repro.codegen.BACKENDS``;
 * the swizzle prune gate (``--smoke``): the fig22 GEMM plus the other four
   kernel families, each searched from a cold structural cache under both
   backends' banking geometries (32x4 B and 64x4 B); every distinct
@@ -245,12 +245,13 @@ def run_backend_compile_times() -> int:
     The same GEMM program is compiled once per registered backend, on an
     architecture that declares that backend (a100 -> cuda, mi300 -> rocm,
     cpu-sim -> cpu-sim), then recompiled from an equivalent rebuilt
-    program.  The warm path must replay out of the cache — a cache hit
-    that evaluates at most two candidates instead of searching ~100, and
-    at least 2x faster than the cold compile (a replay skips the search
-    but still re-runs TV synthesis and the later passes; with TV-layout
-    equality decided on coalesced forms those are cheap, so the ratio
-    shows whether the search was skipped).  The per-backend cache entries
+    program.  The warm path must replay out of the cache instead of
+    searching ~100 candidates: a cache hit with ``candidates_explored ==
+    1`` whose instruction selection evaluated exactly one leaf (the cached
+    assignment) and pruned none.  Those counters say exactly whether the
+    search was skipped; the cold/warm wall-clock ratio is printed but not
+    gated, since a replay still re-runs TV synthesis and the later passes
+    and a noisy machine moves the ratio.  The per-backend cache entries
     must not collide (distinct emitted sources prove distinct entries),
     and the arch registry must cover every backend — a new backend
     without a compiling arch fails here before it fails anywhere
@@ -289,15 +290,13 @@ def run_backend_compile_times() -> int:
             failures.append(f"{backend} warm recompile missed the cache")
         if warm.source != cold.source:
             failures.append(f"{backend} warm recompile is not bit-identical")
-        if warm.candidates_explored > 2:
+        leaves = warm.pass_stats.get("instruction-selection.leaves_evaluated")
+        pruned = warm.pass_stats.get("instruction-selection.leaves_pruned")
+        if (warm.candidates_explored, leaves, pruned) != (1, 1, 0):
             failures.append(
-                f"{backend} warm recompile searched "
-                f"{warm.candidates_explored} candidates instead of replaying"
-            )
-        if warm_s * 2 > cold_s:
-            failures.append(
-                f"{backend} warm recompile not at least 2x faster than cold "
-                f"({warm_s * 1000:.1f} ms vs {cold_s * 1000:.1f} ms)"
+                f"{backend} warm recompile searched instead of replaying "
+                f"({warm.candidates_explored} candidates explored, {leaves} "
+                f"leaves evaluated, {pruned} pruned; a replay reads 1, 1, 0)"
             )
     if len(set(sources.values())) != len(sources):
         failures.append(

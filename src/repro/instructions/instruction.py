@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
-from repro.ir.tensor import Scope
+from repro.ir.tensor import Scope, direction_tag
 from repro.ir.types import DataType
 from repro.layout.tv import TVLayout
 
@@ -88,14 +88,13 @@ class MemoryInstruction:
         object.__setattr__(
             self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self)))
         )
+        # The direction tag (``G2S``, ...), stored once: a cache replay reads
+        # it for every menu entry of every copy.  Like the hash it is not a
+        # field, so equality, the hash and every cache key stay the same.
+        object.__setattr__(self, "direction", direction_tag(self.src_scope, self.dst_scope))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def direction(self) -> str:
-        tags = {Scope.GLOBAL: "G", Scope.SHARED: "S", Scope.REGISTER: "R"}
-        return f"{tags[self.src_scope]}2{tags[self.dst_scope]}"
 
     def elements_per_thread(self, dtype: DataType) -> int:
         """How many elements of ``dtype`` one thread moves per invocation."""

@@ -238,25 +238,6 @@ class InstructionSet:
         ]
         return sorted(result, key=lambda i: (-i.vector_bytes, i.collective))
 
-    def narrowed(self, max_vector_bytes: int) -> "InstructionSet":
-        """This set with only plain (not collective, not single-thread)
-        memory instructions of at most ``max_vector_bytes`` — how compilers
-        and libraries that fall back to narrow accesses are modelled.
-
-        A direction with no instruction that narrow keeps its narrowest
-        plain one (``cp.async`` starts at 4 B), so every copy still has a
-        fallback.  Directions are visited in instruction-set order, so the
-        result, and the cache key built from it, is the same in every
-        process."""
-        plain = [i for i in self.memory if not i.collective and not i.single_thread]
-        kept = [i for i in plain if i.vector_bytes <= max_vector_bytes]
-        for src, dst in dict.fromkeys((i.src_scope, i.dst_scope) for i in self.memory):
-            if not any(i.src_scope is src and i.dst_scope is dst for i in kept):
-                same = [i for i in plain if i.src_scope is src and i.dst_scope is dst]
-                if same:
-                    kept.append(min(same, key=lambda i: i.vector_bytes))
-        return InstructionSet(arch=self.arch, memory=kept, mma=list(self.mma))
-
     def scalar_copy(self, src_scope: Scope, dst_scope: Scope) -> MemoryInstruction:
         """The narrowest (always-valid fallback) instruction for a direction."""
         candidates = self.copies(src_scope, dst_scope, include_collective=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, List, Optional, Sequence
 
-from repro.ir.tensor import Scope, TileTensor
+from repro.ir.tensor import TileTensor, direction_tag
 
 __all__ = [
     "Operation",
@@ -159,8 +159,7 @@ class Copy(Operation):
     @property
     def direction(self) -> str:
         """A short tag such as ``G2S`` (global to shared) used in Tables III/IV."""
-        tags = {Scope.GLOBAL: "G", Scope.SHARED: "S", Scope.REGISTER: "R"}
-        return f"{tags[self.src.scope]}2{tags[self.dst.scope]}"
+        return direction_tag(self.src.scope, self.dst.scope)
 
     def memory_operand(self) -> TileTensor:
         """The side of the copy that lives in addressable memory.

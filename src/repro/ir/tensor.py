@@ -24,7 +24,7 @@ from repro.layout.swizzle import ComposedLayout
 from repro.layout.tv import TVLayout
 from repro.utils.inttuple import product
 
-__all__ = ["Scope", "TileTensor"]
+__all__ = ["Scope", "TileTensor", "direction_tag"]
 
 _tensor_counter = itertools.count()
 
@@ -38,6 +38,16 @@ class Scope(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+_SCOPE_LETTERS = {Scope.GLOBAL: "G", Scope.SHARED: "S", Scope.REGISTER: "R"}
+
+
+def direction_tag(src: Scope, dst: Scope) -> str:
+    """The short tag of a move from ``src`` to ``dst``, such as ``G2S``
+    (global to shared), used in Tables III/IV: the one spelling copies and
+    memory instructions share."""
+    return f"{_SCOPE_LETTERS[src]}2{_SCOPE_LETTERS[dst]}"
 
 
 @dataclass

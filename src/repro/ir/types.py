@@ -51,11 +51,6 @@ class DataType:
     storage: np.dtype
 
     @property
-    def bytes(self) -> float:
-        """Logical size in bytes (may be fractional for sub-byte types)."""
-        return self.bits / 8
-
-    @property
     def is_integer(self) -> bool:
         return not self.is_float
 

@@ -154,10 +154,11 @@ def build_selective_scan(
 class SelectiveScanOperator:
     """Host-level Mamba selective scan.
 
-    ``instruction_cap_bytes`` restricts the memory-instruction width, which
-    is how the hand-written Mamba library baseline (scalar ``cub::BlockLoad``
-    accesses, Table IV) is modelled; the Hexcute build leaves it unset so the
-    compiler is free to pick 16-byte copies.
+    ``instruction_cap_bytes`` caps the access width of every copy
+    (``Copy.max_vector_bytes``), which is how the hand-written Mamba library
+    baseline (scalar ``cub::BlockLoad`` accesses, Table IV) and the Triton
+    scan are modelled; the Hexcute build leaves it unset so the compiler is
+    free to pick 16-byte copies.
     """
 
     def __init__(
@@ -181,9 +182,10 @@ class SelectiveScanOperator:
         """The compile request ``run(batch, seq_len, d_inner)`` issues."""
         config = ScanConfig(use_shared_stage=self.use_shared_stage, num_stages=self.num_stages)
         program = build_selective_scan(seq_len, d_inner, batch, config)
-        instructions = instruction_set(self.arch.sm_arch)
         if self.instruction_cap_bytes is not None:
-            instructions = instructions.narrowed(self.instruction_cap_bytes)
+            for copy in program.copies():
+                copy.max_vector_bytes = self.instruction_cap_bytes
+        instructions = instruction_set(self.arch.sm_arch)
         return [CompileRequest(program, self.arch, instructions, self.max_candidates)]
 
     def compile_kernel(self, seq_len: int, d_inner: int, batch: int) -> CompiledKernel:

@@ -18,10 +18,12 @@ the ablation study of Fig. 14 can be regenerated:
 * ``dataflow="triton"`` — the extra-copy dataflow of Fig. 4 (a);
 * ``max_weight_vector_bytes`` (on :class:`MixedTypeMoeOperator`) — despite
   its name, a cap on *every* copy, not only the weight path: the operator
-  compiles with ``InstructionSet.narrowed(max_weight_vector_bytes)``, which
-  keeps only plain instructions at most that wide (plus each direction's
-  narrowest plain fallback) and drops ``ldmatrix``/``stmatrix`` and TMA.
-  With ``2`` on h100 the activation load ``sa -> ra`` falls from
+  sets it as ``Copy.max_vector_bytes`` on each copy of the program it
+  builds, as the Triton baselines cap their copies.  Instruction selection
+  then offers a copy only the instructions at most that wide, plus its
+  direction's narrowest plain instruction as the fallback (``cp.async``
+  starts at 4 B); ``ldmatrix``/``stmatrix`` and TMA are 16 B wide.  With
+  ``2`` on h100 the activation load ``sa -> ra`` falls from
   ``ldmatrix.x4`` to ``ld.shared.b16`` and the output store from
   ``st.global.v4.b32`` to ``st.global.b16``.  Fig. 14 uses it to emulate
   the narrow accesses Triton's enforced shared-memory layout leaves (the
@@ -202,9 +204,10 @@ class MixedTypeMoeOperator:
     def expert_request(self, tokens_per_expert: int) -> CompileRequest:
         """The compile request of the per-expert GEMM kernel."""
         program = build_moe_gemm(tokens_per_expert, self.n, self.k, dataflow=self.dataflow)
-        instructions = instruction_set(self.arch.sm_arch)
         if self.max_weight_vector_bytes is not None:
-            instructions = instructions.narrowed(self.max_weight_vector_bytes)
+            for copy in program.copies():
+                copy.max_vector_bytes = self.max_weight_vector_bytes
+        instructions = instruction_set(self.arch.sm_arch)
         return CompileRequest(program, self.arch, instructions, self.max_candidates)
 
     def requests(self, num_tokens: int) -> List[CompileRequest]:

@@ -1,8 +1,8 @@
 """Layout algebra: the foundation of Hexcute's layout synthesis.
 
 This package implements CuTe-style layouts (hierarchical shape:stride
-functions), their algebra (coalesce, composition, complement, inverses,
-divides and products), thread-value layouts for register tensors, swizzles
+functions), the core of their algebra (coalesce, composition, complement,
+right inverse), thread-value layouts for register tensors, swizzles
 for bank-conflict-free shared memory, parameterized layout constraints
 with unification, and the integer-set-relation view
 (:mod:`repro.layout.relation`) that serves as an independent oracle for
@@ -21,12 +21,6 @@ from repro.layout.algebra import (
     composition,
     complement,
     right_inverse,
-    left_inverse,
-    logical_divide,
-    zipped_divide,
-    logical_product,
-    blocked_product,
-    raked_product,
 )
 from repro.layout.relation import LayoutRelation, layout_is_injective
 from repro.layout.tv import TVLayout, make_tv_layout, rebase_strides
@@ -54,12 +48,6 @@ __all__ = [
     "composition",
     "complement",
     "right_inverse",
-    "left_inverse",
-    "logical_divide",
-    "zipped_divide",
-    "logical_product",
-    "blocked_product",
-    "raked_product",
     "LayoutRelation",
     "layout_is_injective",
     "TVLayout",

@@ -1,10 +1,15 @@
-"""CuTe layout algebra: coalesce, composition, complement, inverse, divide, product.
+"""CuTe layout algebra: coalesce, composition, complement and right inverse.
 
 These operations are what make layouts a practical representation for layout
 *synthesis*: because layouts are closed under composition and admit (right)
 inverses on their image, Hexcute can express constraints such as
 ``f ∘ p⁻¹ = g ∘ q⁻¹`` (the copy constraint of Section IV-A) and solve them
-symbolically, e.g. ``f = g ∘ q⁻¹ ∘ p``.
+symbolically, e.g. ``f = g ∘ q⁻¹ ∘ p``.  The compiler uses this core:
+``coalesce`` canonicalizes TV layouts, ``composition`` builds copy and
+tiling layouts, and ``complement`` places the free modes of a shared-memory
+layout constraint.  ``right_inverse`` is what the tests build composites
+such as Appendix C's ``g ∘ q⁻¹`` with.  CuTe's divides and products are
+not implemented: no compile splits or repeats one layout by another.
 
 The algorithms follow the ``pycute`` reference implementation distributed
 with CUTLASS, restricted to non-negative strides.
@@ -29,12 +34,6 @@ __all__ = [
     "composition",
     "complement",
     "right_inverse",
-    "left_inverse",
-    "logical_divide",
-    "zipped_divide",
-    "logical_product",
-    "blocked_product",
-    "raked_product",
 ]
 
 LayoutOrInt = Union[Layout, int]
@@ -155,8 +154,7 @@ def complement(layout: LayoutOrInt, cosize_hi: int | None = None) -> Layout:
     """The layout covering the codomain indices *not* touched by ``layout``.
 
     ``complement(L, M)`` is the "rest" layout ``R`` such that ``(L, R)`` is
-    an admissible (injective) cover of ``[0, M)``.  Used to build divides
-    and products.
+    an admissible (injective) cover of ``[0, M)``.
     """
     layout = _as_layout(layout)
     if cosize_hi is None:
@@ -188,7 +186,7 @@ def complement(layout: LayoutOrInt, cosize_hi: int | None = None) -> Layout:
 
 
 # --------------------------------------------------------------------------- #
-# Inverses
+# Right inverse
 # --------------------------------------------------------------------------- #
 @memoized(maxsize=8192)
 def right_inverse(layout: LayoutOrInt) -> Layout:
@@ -221,104 +219,3 @@ def right_inverse(layout: LayoutOrInt) -> Layout:
     if not result_shape:
         return Layout(1, 0)
     return coalesce(Layout(tuple(result_shape), tuple(result_stride)))
-
-
-def left_inverse(layout: LayoutOrInt) -> Layout:
-    """A layout ``R`` with ``R(L(i)) = i`` for every domain index ``i``.
-
-    Only defined for injective layouts; computed as the right inverse of
-    ``(L, complement(L))``.
-    """
-    layout = _as_layout(layout)
-    return right_inverse(make_layout(layout, complement(layout)))
-
-
-# --------------------------------------------------------------------------- #
-# Divides
-# --------------------------------------------------------------------------- #
-def logical_divide(layout: LayoutOrInt, tiler) -> Layout:
-    """Split ``layout`` by ``tiler``: mode 0 iterates inside a tile, mode 1
-    across the tiles.
-
-    ``tiler`` may be a Layout, int, or a tuple of tilers (applied by-mode).
-    """
-    layout = _as_layout(layout)
-    if tiler is None:
-        return layout
-    if isinstance(tiler, tuple):
-        modes = [logical_divide(layout[i], sub) for i, sub in enumerate(tiler)]
-        # Remaining, untiled modes pass through unchanged.
-        for i in range(len(tiler), layout.rank()):
-            modes.append(layout[i])
-        return make_layout(*modes)
-    tiler = _as_layout(tiler)
-    return composition(layout, make_layout(tiler, complement(tiler, layout.size())))
-
-
-def zipped_divide(layout: LayoutOrInt, tiler) -> Layout:
-    """Like :func:`logical_divide` but gathers the tile modes first and the
-    rest modes second: result is ``((tile...), (rest...))``."""
-    layout = _as_layout(layout)
-    if not isinstance(tiler, tuple):
-        tiler = (tiler,)
-    divided = logical_divide(layout, tiler)
-    tile_modes = []
-    rest_modes = []
-    for i in range(divided.rank()):
-        mode = divided[i]
-        if i < len(tiler):
-            tile_modes.append(mode[0])
-            rest_modes.append(mode[1])
-        else:
-            rest_modes.append(mode)
-    return make_layout(make_layout(*tile_modes), make_layout(*rest_modes))
-
-
-# --------------------------------------------------------------------------- #
-# Products
-# --------------------------------------------------------------------------- #
-def logical_product(layout_a: LayoutOrInt, layout_b: LayoutOrInt) -> Layout:
-    """Repeat ``layout_a`` according to ``layout_b``.
-
-    The result's first mode is ``layout_a`` (one tile) and its second mode
-    arranges ``size(layout_b)`` replicas of that tile.
-    """
-    layout_a = _as_layout(layout_a)
-    layout_b = _as_layout(layout_b)
-    rest = composition(
-        complement(layout_a, layout_a.size() * layout_b.cosize()), layout_b
-    )
-    return make_layout(layout_a, rest)
-
-
-def blocked_product(layout_a: Layout, layout_b: Layout) -> Layout:
-    """Block-wise product: tiles of ``layout_a`` arranged per ``layout_b``,
-    with the result presented dimension-by-dimension (tile-major)."""
-    rank = max(layout_a.rank(), layout_b.rank())
-    padded_a = _pad_rank(layout_a, rank)
-    padded_b = _pad_rank(layout_b, rank)
-    prod = logical_product(padded_a, padded_b)
-    modes = []
-    for i in range(rank):
-        modes.append(coalesce(make_layout(prod[0][i], prod[1][i])))
-    return make_layout(*modes)
-
-
-def raked_product(layout_a: Layout, layout_b: Layout) -> Layout:
-    """Interleaved ("raked") product: replicas of ``layout_a`` interleaved at
-    the granularity of single elements along each dimension."""
-    rank = max(layout_a.rank(), layout_b.rank())
-    padded_a = _pad_rank(layout_a, rank)
-    padded_b = _pad_rank(layout_b, rank)
-    prod = logical_product(padded_a, padded_b)
-    modes = []
-    for i in range(rank):
-        modes.append(coalesce(make_layout(prod[1][i], prod[0][i])))
-    return make_layout(*modes)
-
-
-def _pad_rank(layout: Layout, rank: int) -> Layout:
-    modes = [layout[i] for i in range(layout.rank())]
-    while len(modes) < rank:
-        modes.append(Layout(1, 0))
-    return make_layout(*modes)

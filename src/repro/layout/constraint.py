@@ -134,20 +134,6 @@ class LayoutConstraint:
             dims.append(modes)
         return cls(tensor_shape, dims)
 
-    @classmethod
-    def from_known_layout(cls, layout: Layout, tensor_shape: Sequence[int]) -> "LayoutConstraint":
-        """Wrap a fully-known layout (one mode list per dimension)."""
-        tensor_shape = as_ints(tensor_shape, "constraint tensor shape")
-        if layout.rank() != len(tensor_shape):
-            raise ValueError("layout rank must match the tensor rank")
-        dims = []
-        for i in range(layout.rank()):
-            mode = layout[i].flatten()
-            shapes = mode.flat_shape()
-            strides = mode.flat_stride()
-            dims.append([ConstraintMode(s, d) for s, d in zip(shapes, strides)])
-        return cls(tensor_shape, dims)
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -159,9 +145,6 @@ class LayoutConstraint:
 
     def free_modes(self) -> List[ConstraintMode]:
         return [m for dim in self.dims for m in dim if not m.known and m.shape > 1]
-
-    def is_fully_known(self) -> bool:
-        return not self.free_modes()
 
     def __repr__(self) -> str:
         dims = ",".join(

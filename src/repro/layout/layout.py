@@ -9,8 +9,8 @@ memory layouts) and how register tensors are distributed across threads
 
 The class below mirrors CuTe's semantics (and the ``pycute`` reference
 implementation) restricted to non-negative strides.  The algebraic
-operations — coalesce, composition, complement, inverse, logical
-divide/product — live in :mod:`repro.layout.algebra`.
+operations — coalesce, composition, complement, right inverse — live in
+:mod:`repro.layout.algebra`.
 """
 
 from __future__ import annotations
@@ -239,10 +239,6 @@ class Layout:
     def flatten(self) -> "Layout":
         """A rank-``n`` layout with every leaf mode promoted to the top."""
         return Layout(self.flat_shape(), self.flat_stride())
-
-    def append(self, other: "Layout") -> "Layout":
-        """Concatenate ``other`` as an extra top-level mode."""
-        return make_layout(self, other)
 
     # ------------------------------------------------------------------ #
     # Dunder plumbing

@@ -12,7 +12,7 @@ definition on relations:
 
 * composition ``A ∘ B``       → relational composition
   ``{ (x, z) : (x, y) ∈ R_B and (y, z) ∈ R_A }``;
-* right/left inverse          → the converse relation restricted to the
+* right inverse               → the converse relation restricted to the
   image (``inverse_on_image``);
 * complement in ``[0, M)``    → the greedy cover: scan the codomain and
   give the next uncovered offset to the complement, requiring the sumset
@@ -21,7 +21,7 @@ definition on relations:
 None of these definitions share any code with the closed-form algebra in
 :mod:`repro.layout.algebra` — the whole point.  ``tests/test_relation.py``
 cross-checks the memoized algebra (coalesce / composition / complement /
-right_inverse / left_inverse) and the enumerated bank-conflict model
+right_inverse) and the enumerated bank-conflict model
 against this view on hundreds of randomized layouts per operation, so a
 wrong cached composite cannot silently corrupt synthesis.
 

@@ -11,8 +11,13 @@ colexicographic linearisation of the tile.
 The same representation models the semantics of collective instructions
 (``ldmatrix``, ``mma``…): each instruction operand has a TV layout over the
 instruction's own tile, and layout synthesis relates operation-level and
-instruction-level TV layouts through composition with inverses
-(Section IV-A).
+instruction-level TV layouts (Section IV-A).
+
+A TV layout answers what synthesis asks of it from its coalesced or flat
+form, never by visiting every (thread, value) pair: ``equivalent`` (the
+unification check), ``vector_run`` and ``warp_coords``.  Whether a layout
+covers its tile or is replicated across threads is asked only by the
+tests, which decide it per element (``tests/strategies.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Tuple
 
-from repro.layout.algebra import coalesce, composition, right_inverse
+from repro.layout.algebra import coalesce
 from repro.layout.layout import Layout, as_ints, make_layout
 from repro.utils.inttuple import (
     IntTuple,
@@ -55,16 +60,21 @@ def rebase_strides(layout: Layout, old_tile: Sequence[int], new_tile: Sequence[i
             raise ValueError(
                 f"rebase_strides: old tile {old_tile} does not fit in {new_tile}"
             )
-    new_strides = flatten(prefix_product(new_tile))
+    return _restride(layout, old_tile, flatten(prefix_product(new_tile)))
+
+
+def _restride(layout: Layout, tile: Sequence[int], dim_strides: Sequence[int]) -> Layout:
+    """``layout`` with every stride split colexicographically over ``tile``
+    into per-dimension steps and recombined with ``dim_strides``, one stride
+    per tile dimension (a stride of 0 drops that dimension's steps)."""
 
     def convert(stride: int) -> int:
-        steps = idx2crd(stride, old_tile)
+        steps = idx2crd(stride, tile)
         if not is_tuple(steps):
             steps = (steps,)
-        return sum(int(s) * int(d) for s, d in zip(steps, new_strides))
+        return sum(int(s) * int(d) for s, d in zip(steps, dim_strides))
 
-    flat = flatten(layout.stride)
-    converted = tuple(convert(d) for d in flat)
+    converted = tuple(convert(d) for d in flatten(layout.stride))
     return Layout(layout.shape, unflatten_like(converted, layout.stride))
 
 
@@ -184,51 +194,9 @@ class TVLayout:
                 return dim, min(run, extent)
         return 0, 1
 
-    def covers_tile(self) -> bool:
-        """Whether every tile element is held by exactly one (tid, vid).
-
-        Decided on the layout: ``T·V == tile_size`` coordinates, an image
-        inside ``[0, tile_size)`` (cosize) and no two coordinates colliding
-        (the memoized ``layout_is_injective``) make it a bijection onto
-        the tile.
-        """
-        tile_size = self.tile_size()
-        return (
-            self.num_threads * self.values_per_thread == tile_size
-            and self.layout.cosize() <= tile_size
-            and self.layout.is_injective()
-        )
-
-    def is_replicated(self) -> bool:
-        """Whether a broadcast thread mode (extent > 1, stride 0) hands
-        the same elements to more than one thread — the way every
-        distribution built here replicates.  Extent-1 modes broadcast
-        nothing, whatever their stride."""
-        thread = self.thread_layout
-        return any(
-            s > 1 and d == 0
-            for s, d in zip(thread.flat_shape(), thread.flat_stride())
-        )
-
     # ------------------------------------------------------------------ #
     # Algebra
     # ------------------------------------------------------------------ #
-    def to_layout(self) -> Layout:
-        return self.layout
-
-    def inverse(self) -> Layout:
-        """Right inverse of the underlying layout: tile index -> (t, v) index."""
-        return right_inverse(self.layout)
-
-    def composite_onto(self, instruction: "TVLayout") -> Layout:
-        """The composite ``self ∘ instruction⁻¹``.
-
-        Maps an index within the *instruction* tile to the index within this
-        layout's tile that the same ``(tid, vid)`` pair touches — the
-        function the copy/gemm constraints of Section IV-A reason about.
-        """
-        return coalesce(composition(self.layout, instruction.inverse()))
-
     def equivalent(self, other: "TVLayout") -> bool:
         """Function-level equality over the common (thread, value) domain.
 
@@ -246,11 +214,6 @@ class TVLayout:
         if self.values_per_thread != other.values_per_thread:
             return False
         return coalesce(self.layout) == coalesce(other.layout)
-
-    def rebase(self, new_tile: Sequence[int]) -> "TVLayout":
-        """Re-express this layout over a larger tile (same distribution,
-        anchored at the tile origin)."""
-        return TVLayout(rebase_strides(self.layout, self.tile_shape, new_tile), new_tile)
 
     def with_threads(self, num_threads: int) -> "TVLayout":
         """Broadcast this layout to a larger thread count by appending a

@@ -58,7 +58,7 @@ bare ``ServingSimulator`` under every routing policy.  See
 ``docs/serving.md``.
 """
 
-from repro.serving.cluster import ClusterReport, ClusterSimulator, simulate_cluster
+from repro.serving.cluster import ClusterReport, ClusterSimulator
 from repro.serving.faults import (
     FaultEvent,
     FaultSchedule,
@@ -99,7 +99,7 @@ from repro.serving.scheduler import (
     fitting_prefix,
     get_scheduler,
 )
-from repro.serving.simulator import ReplicaEngine, ServingSimulator, simulate
+from repro.serving.simulator import ReplicaEngine, ServingSimulator
 from repro.serving.step_model import (
     DEFAULT_BATCH_BUCKETS,
     PrecompileStats,
@@ -175,8 +175,6 @@ __all__ = [
     "percentile",
     "prefix_shared_workload",
     "shared_step_model",
-    "simulate",
-    "simulate_cluster",
     "steady_workload",
     "weight_bytes",
 ]

@@ -77,7 +77,6 @@ __all__ = [
     "ClusterReport",
     "ClusterSimulator",
     "ReplicaView",
-    "simulate_cluster",
 ]
 
 
@@ -593,17 +592,3 @@ class ClusterSimulator:
             failovers=failovers,
             shed_while_down=shed_while_down,
         )
-
-
-def simulate_cluster(
-    model_config,
-    requests: Sequence[Request],
-    replicas: int = 2,
-    router: Union[str, Router] = "round-robin",
-    workload: str = "custom",
-    faults: Optional[FaultSchedule] = None,
-    **kwargs,
-) -> ClusterReport:
-    """One-shot convenience wrapper around :class:`ClusterSimulator`."""
-    cluster = ClusterSimulator(model_config, replicas=replicas, router=router, **kwargs)
-    return cluster.simulate(requests, workload=workload, faults=faults)

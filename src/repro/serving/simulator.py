@@ -36,8 +36,8 @@ takes its own entries: a step's work grows with its joins, crossings and
 finishes, not with the batch.
 
 The loop itself lives in :class:`ReplicaEngine`, the *steppable* form of
-the simulator: ``simulate()`` constructs an engine and drives it to
-completion, while the multi-replica :class:`~repro.serving.cluster.\
+the simulator: ``ServingSimulator.simulate`` constructs an engine and
+drives it to completion, while the multi-replica :class:`~repro.serving.cluster.\
 ClusterSimulator` interleaves several engines in simulated-time order,
 injecting requests as its router assigns them.  One engine iteration
 (:meth:`ReplicaEngine.advance`) is exactly one iteration of the monolithic
@@ -73,7 +73,7 @@ from repro.serving.step_model import PrecompileStats, StepLatencyModel, shared_s
 from repro.serving.workload import Request, RequestQueue, arrival_key, check_unique_ids
 from repro.sim.arch import DEFAULT_EVAL_ARCH, get_arch
 
-__all__ = ["PREFILL_PARALLELISM", "ReplicaEngine", "ServingSimulator", "simulate"]
+__all__ = ["PREFILL_PARALLELISM", "ReplicaEngine", "ServingSimulator"]
 
 # How many times more efficiently prefill processes a token than a decode
 # step does (its compute-dense batching).
@@ -815,16 +815,3 @@ class ReplicaEngine:
             crashes=self.crashes,
             downtime_ms=self.downtime_ms,
         )
-
-
-def simulate(
-    model_config,
-    requests: Sequence[Request],
-    backend: str = "hexcute",
-    scheduler: Union[str, Scheduler] = "fcfs",
-    workload: str = "custom",
-    **kwargs,
-) -> ServeReport:
-    """One-shot convenience wrapper around :class:`ServingSimulator`."""
-    sim = ServingSimulator(model_config, backend=backend, scheduler=scheduler, **kwargs)
-    return sim.simulate(requests, workload=workload)

@@ -9,12 +9,7 @@ from repro.synthesis.tiling import (
     reduce_tv_layout,
     pick_warp_grid,
 )
-from repro.synthesis.tv_constraints import (
-    check_copy_constraint,
-    check_gemm_constraint,
-    check_elementwise_constraint,
-    check_reduce_constraint,
-)
+from repro.synthesis.tv_constraints import check_gemm_constraint
 from repro.synthesis.tv_solver import (
     TVSynthesisError,
     TVSolution,
@@ -51,10 +46,7 @@ __all__ = [
     "coalesced_copy_tv",
     "reduce_tv_layout",
     "pick_warp_grid",
-    "check_copy_constraint",
     "check_gemm_constraint",
-    "check_elementwise_constraint",
-    "check_reduce_constraint",
     "TVSynthesisError",
     "TVSolution",
     "ThreadValueSolver",

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 from repro.instructions.instruction import MmaInstruction
 from repro.layout.algebra import coalesce, composition
 from repro.layout.layout import Layout, as_ints, make_layout
-from repro.layout.tv import TVLayout, rebase_strides
+from repro.layout.tv import TVLayout, _restride, rebase_strides
 from repro.utils.inttuple import flatten, prefix_product, product
 
 __all__ = [
@@ -239,27 +239,13 @@ def reduce_tv_layout(tv: TVLayout, dim: int) -> TVLayout:
     """The TV layout of ``reduce(a, dim)``'s output (Fig. 19 d).
 
     Composes the input layout with the projection that collapses the reduced
-    dimension: every stride's step along ``dim`` is zeroed, and the output
-    tile has extent 1 in that dimension.  Threads that held different slices
-    along ``dim`` now hold replicated copies of the partial results.
+    dimension: every stride is re-expressed over the output tile, as
+    :func:`~repro.layout.tv.rebase_strides` does, with its step along ``dim``
+    weighted 0, and the output tile has extent 1 in that dimension.  Threads
+    that held different slices along ``dim`` now hold replicated copies of
+    the partial results.
     """
     out_tile = tuple(1 if i == dim else extent for i, extent in enumerate(tv.tile_shape))
-    out_strides = flatten(prefix_product(out_tile))
-    in_shape = tv.tile_shape
-
-    from repro.utils.inttuple import idx2crd, is_tuple, unflatten_like
-
-    def project(stride: int) -> int:
-        steps = idx2crd(stride, in_shape)
-        if not is_tuple(steps):
-            steps = (steps,)
-        return sum(
-            int(step) * int(out_strides[i])
-            for i, step in enumerate(steps)
-            if i != dim
-        )
-
-    flat = flatten(tv.layout.stride)
-    projected = tuple(project(d) for d in flat)
-    layout = Layout(tv.layout.shape, unflatten_like(projected, tv.layout.stride))
-    return TVLayout(layout, out_tile)
+    out_strides = list(flatten(prefix_product(out_tile)))
+    out_strides[dim] = 0
+    return TVLayout(_restride(tv.layout, tv.tile_shape, out_strides), out_tile)

@@ -12,11 +12,7 @@ from repro.utils.inttuple import (
     is_tuple,
     flatten,
     product,
-    size,
-    depth,
-    rank,
     congruent,
-    elem_scale,
     shape_div,
     crd2idx,
     idx2crd,
@@ -31,11 +27,7 @@ __all__ = [
     "is_tuple",
     "flatten",
     "product",
-    "size",
-    "depth",
-    "rank",
     "congruent",
-    "elem_scale",
     "shape_div",
     "crd2idx",
     "idx2crd",

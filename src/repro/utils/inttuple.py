@@ -29,11 +29,7 @@ __all__ = [
     "is_tuple",
     "flatten",
     "product",
-    "size",
-    "depth",
-    "rank",
     "congruent",
-    "elem_scale",
     "shape_div",
     "crd2idx",
     "idx2crd",
@@ -98,27 +94,6 @@ def product(value: IntTuple) -> int:
     return result
 
 
-def size(shape: IntTuple) -> int:
-    """The number of coordinates described by ``shape`` (alias of product)."""
-    return product(shape)
-
-
-def depth(value: IntTuple) -> int:
-    """Nesting depth: an int has depth 0, a flat tuple depth 1, and so on."""
-    if is_int(value):
-        return 0
-    if not value:
-        return 1
-    return 1 + max(depth(item) for item in value)
-
-
-def rank(value: IntTuple) -> int:
-    """Number of top-level modes (1 for a plain integer)."""
-    if is_int(value):
-        return 1
-    return len(value)
-
-
 def congruent(a: IntTuple, b: IntTuple) -> bool:
     """Whether two IntTuples share the same hierarchical structure."""
     if is_int(a) and is_int(b):
@@ -128,18 +103,6 @@ def congruent(a: IntTuple, b: IntTuple) -> bool:
             return False
         return all(congruent(x, y) for x, y in zip(a, b))
     return False
-
-
-def elem_scale(a: IntTuple, b: IntTuple) -> IntTuple:
-    """Element-wise scale of ``a`` by the total size of matching modes of ``b``.
-
-    Used by layout products; mirrors CuTe's ``elem_scale``.
-    """
-    if is_int(a):
-        return a * product(b)
-    if not is_tuple(b) or len(a) != len(b):
-        raise ValueError(f"elem_scale: incongruent operands {a} and {b}")
-    return tuple(elem_scale(x, y) for x, y in zip(a, b))
 
 
 def shape_div(a: IntTuple, b: IntTuple) -> IntTuple:

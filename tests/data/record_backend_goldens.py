@@ -20,6 +20,11 @@ Two more entries pin the other backends byte for byte:
   cpu-sim on cpu-sim);
 * ``fig22_mi300`` — the source sha256 and the per-buffer swizzles of the
   fig22 GEMM compiled on mi300, whose wider LDS banking changes synthesis.
+
+A ``capped`` entry pins three width-capped kernels the same way (source
+sha256, named assignment, latency), each compiled through its operator's
+``requests()``: the Fig. 14 MoE layout ablation, the Table IV library
+scan and the Triton scan.
 """
 
 from __future__ import annotations
@@ -28,14 +33,15 @@ import hashlib
 import json
 from pathlib import Path
 
+from repro.baselines import TritonScanOperator
 from repro.codegen import get_backend
 from repro.compiler import compile_kernel
 from repro.kernels.attention import AttentionConfig, build_mha_decoding, build_mha_forward
 from repro.kernels.fp8_gemm import Fp8GemmConfig, build_fp8_blockwise_gemm
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm, build_warp_specialized_gemm
-from repro.kernels.mamba import ScanConfig, build_selective_scan
-from repro.kernels.moe import MoeConfig, build_moe_gemm
-from repro.pipeline import CompileCache
+from repro.kernels.mamba import ScanConfig, SelectiveScanOperator, build_selective_scan
+from repro.kernels.moe import MixedTypeMoeOperator, MoeConfig, build_moe_gemm
+from repro.pipeline import CompileCache, compile_many
 from repro.sim.arch import get_arch
 
 OUT = Path(__file__).with_name("golden_backend_digests.json")
@@ -56,6 +62,19 @@ FAMILY_BUILDS = {
 # (backend, arch) pairs each family's cuda-compiled program is re-emitted
 # through for the cross_backend entry.
 CROSS_EMITS = (("rocm", "mi300"), ("cpu-sim", "cpu-sim"))
+
+# The width-capped kernels of the capped entry, as their operators' compile
+# requests: the Fig. 14 MoE at 16 tokens per expert (512 tokens over 256
+# experts, top-8) with every copy capped at 2 B, and the Table IV scan
+# shape with the library's 2 B and Triton's 4 B caps.
+CAPPED_REQUESTS = {
+    "moe_fig14": lambda: MixedTypeMoeOperator(
+        "h100", max_weight_vector_bytes=2, max_candidates=4).requests(512),
+    "scan_library": lambda: SelectiveScanOperator(
+        "h100", use_shared_stage=False, num_stages=1, instruction_cap_bytes=2,
+        max_candidates=4).requests(1, 2048, 1024),
+    "scan_triton": lambda: TritonScanOperator("h100").requests(1, 2048, 1024),
+}
 
 
 def sha256(source: str) -> str:
@@ -81,21 +100,32 @@ def swizzles(kernel) -> dict:
     return {t.name: str(p.swizzle) for t, p in kernel.candidate.smem_plans.items()}
 
 
+def kernel_digest(kernel) -> dict:
+    """The emitted source's sha256, the named assignment and the latency."""
+    return {
+        "source_sha256": sha256(kernel.source),
+        "assignment": [list(item) for item in kernel.candidate.named_assignment(kernel.program)],
+        "latency_us": float(kernel.timing.latency_us).hex(),
+    }
+
+
+def compile_capped(name: str):
+    """One kernel of the capped entry, compiled through a fresh cache."""
+    (kernel,) = compile_many(CAPPED_REQUESTS[name](), cache=CompileCache())
+    return kernel
+
+
 def record() -> dict:
     entries = {}
     cross_backend = {}
     for family, (build, arch, max_candidates) in sorted(FAMILY_BUILDS.items()):
         kernel = compile_kernel(build(), arch=arch, max_candidates=max_candidates,
                                 cache=CompileCache())
-        entries[family] = {
-            "arch": arch,
-            "max_candidates": max_candidates,
-            "source_sha256": sha256(kernel.source),
-            "assignment": [list(item) for item in kernel.candidate.named_assignment(kernel.program)],
-            "latency_us": float(kernel.timing.latency_us).hex(),
-        }
+        entries[family] = {"arch": arch, "max_candidates": max_candidates,
+                           **kernel_digest(kernel)}
         cross_backend[family] = cross_backend_digests(kernel)
     entries["cross_backend"] = cross_backend
+    entries["capped"] = {name: kernel_digest(compile_capped(name)) for name in CAPPED_REQUESTS}
     rocm = compile_fig22_mi300()
     entries["fig22_mi300"] = {
         "arch": "mi300",

@@ -14,6 +14,10 @@ well under a second, and returns plain ``repro.layout`` values.
 ``LayoutSampler.refactor`` rewrites a layout into a structurally
 different one computing the same function, which is what the analytic
 ``TVLayout.equivalent`` has to see through.
+
+``covers_tile_oracle`` and ``is_replicated_oracle`` decide the two
+TV-layout predicates nothing on the compile path asks, per (thread,
+value) pair; the tests use them to check the layouts the compiler builds.
 """
 
 from __future__ import annotations
@@ -24,7 +28,13 @@ from typing import Iterator, List, Tuple
 from repro.layout import Layout, Swizzle, TVLayout, make_layout, make_ordered_layout
 from repro.utils.inttuple import flatten, prefix_product, product
 
-__all__ = ["LayoutSampler", "layout_cases"]
+__all__ = [
+    "LayoutSampler",
+    "layout_cases",
+    "tv_elements",
+    "covers_tile_oracle",
+    "is_replicated_oracle",
+]
 
 
 class LayoutSampler:
@@ -305,3 +315,26 @@ def layout_cases(seed: int, count: int, style: str | None = None,
     sampler = LayoutSampler(seed)
     for _ in range(count):
         yield sampler.layout(style=style, max_modes=max_modes)
+
+
+def tv_elements(tv: TVLayout) -> dict:
+    """``{(tid, vid): tile index}`` over the whole (thread, value) domain."""
+    return {
+        (t, v): tv(t, v)
+        for t in range(tv.num_threads)
+        for v in range(tv.values_per_thread)
+    }
+
+
+def covers_tile_oracle(tv: TVLayout) -> bool:
+    """Whether every tile element is held by exactly one (tid, vid)."""
+    images = list(tv_elements(tv).values())
+    return sorted(images) == list(range(tv.tile_size()))
+
+
+def is_replicated_oracle(tv: TVLayout) -> bool:
+    """Whether some tile element is held by more than one thread."""
+    holders = {}
+    for (t, _v), index in tv_elements(tv).items():
+        holders.setdefault(index, set()).add(t)
+    return any(len(threads) > 1 for threads in holders.values())

@@ -1,21 +1,15 @@
-"""Tests for the layout algebra: coalesce, composition, complement, inverse,
-divide and product — including the worked examples from the paper appendix."""
+"""Tests for the layout algebra: coalesce, composition, complement and right
+inverse — including the worked example from the paper appendix."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.layout import (
     Layout,
-    blocked_product,
     coalesce,
     complement,
     composition,
-    left_inverse,
-    logical_divide,
-    logical_product,
     make_layout,
-    raked_product,
     right_inverse,
-    zipped_divide,
 )
 from repro.utils.inttuple import crd2idx
 
@@ -74,13 +68,6 @@ def test_right_inverse_property():
         assert layout(inverse(i)) == i
 
 
-def test_left_inverse_property():
-    layout = Layout((4, 8), (8, 1))
-    inverse = left_inverse(layout)
-    for i in range(layout.size()):
-        assert inverse(layout(i)) == i
-
-
 def test_ldmatrix_composite_from_appendix_c():
     # Appendix C: g o q^-1 for the ldmatrix fragment maps (17,5) -> 337.
     q = Layout(((4, 8), (2, 4)), ((64, 1), (32, 8)))
@@ -88,38 +75,6 @@ def test_ldmatrix_composite_from_appendix_c():
     composite = composition(g_restricted, right_inverse(q))
     idx = crd2idx((17, 5), (32, 8))
     assert composite(idx) == 337
-
-
-def test_logical_divide_tiles_domain():
-    layout = Layout((8, 8))
-    divided = logical_divide(layout, (Layout(2), Layout(4)))
-    # Mode 0 of each dimension iterates within a tile, mode 1 across tiles.
-    assert divided.size() == layout.size()
-    values = sorted(divided(i) for i in range(divided.size()))
-    assert values == list(range(64))
-
-
-def test_zipped_divide_groups_tile_first():
-    layout = Layout((8, 8))
-    zipped = zipped_divide(layout, (Layout(2), Layout(4)))
-    assert zipped[0].size() == 8      # 2x4 tile
-    assert zipped[1].size() == 8      # 4x2 grid of tiles
-
-
-def test_logical_product_replicates():
-    tile = Layout(4, 1)
-    prod = logical_product(tile, Layout(3))
-    assert prod.size() == 12
-    image = sorted(prod(i) for i in range(12))
-    assert image == list(range(12))
-
-
-def test_blocked_and_raked_products_are_bijections():
-    a = Layout((2, 2))
-    b = Layout((3, 3))
-    for prod in (blocked_product(a, b), raked_product(a, b)):
-        image = sorted(prod(i) for i in range(prod.size()))
-        assert image == list(range(36))
 
 
 @st.composite

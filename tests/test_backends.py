@@ -105,7 +105,7 @@ def test_backend_bank_params_follow_the_arch():
 # cuda bit-identity (the pre-refactor golden gate)
 # --------------------------------------------------------------------------- #
 def test_cuda_backend_bit_identical_to_prerefactor_goldens(family_kernels):
-    assert set(family_kernels) == set(GOLDEN) - {"cross_backend", "fig22_mi300"}
+    assert set(family_kernels) == set(GOLDEN) - {"cross_backend", "fig22_mi300", "capped"}
     for family, kernel in family_kernels.items():
         entry = GOLDEN[family]
         digest = hashlib.sha256(kernel.source.encode("utf-8")).hexdigest()
@@ -115,6 +115,14 @@ def test_cuda_backend_bit_identical_to_prerefactor_goldens(family_kernels):
         assert float(kernel.timing.latency_us).hex() == entry["latency_us"], (
             f"{family}: simulated latency diverged"
         )
+
+
+@pytest.mark.parametrize("name", sorted(_recorder.CAPPED_REQUESTS))
+def test_width_capped_kernels_match_goldens(name):
+    """The Fig. 14 MoE ablation, the Table IV library scan and the Triton
+    scan, each compiled through its operator's requests(), reproduce the
+    recorded source, named assignment and latency byte for byte."""
+    assert _recorder.kernel_digest(_recorder.compile_capped(name)) == GOLDEN["capped"][name]
 
 
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.layout import Layout, LayoutConstraint, UnificationError, unify
+from repro.layout import LayoutConstraint, UnificationError, unify
 from repro.layout.constraint import ConstraintMode, StrideVar
 
 
@@ -55,15 +55,6 @@ def test_materialize_unconstrained():
     assert layout.is_compact()
 
 
-def test_from_known_layout_roundtrip():
-    base = Layout((16, 32), (1, 16))
-    constraint = LayoutConstraint.from_known_layout(base, (16, 32))
-    assert constraint.is_fully_known()
-    materialized = constraint.materialize()
-    for i in range(base.size()):
-        assert materialized(i) == base(i)
-
-
 def test_vector_width_must_divide_extent():
     with pytest.raises(UnificationError):
         LayoutConstraint.from_vectorized_access((12, 64), 0, 8)
@@ -79,8 +70,6 @@ def test_vector_width_must_divide_extent():
                      id="unconstrained"),
         pytest.param(lambda: LayoutConstraint.from_vectorized_access((64, True), 0, 8), True,
                      id="vectorized"),
-        pytest.param(lambda: LayoutConstraint.from_known_layout(Layout((4, 2)), (4.0, 2)), 4.0,
-                     id="known"),
     ],
 )
 def test_constraint_shapes_reject_non_integer_extents(build, bad):

@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.instructions import atoms, instruction_set
+from repro.instructions import MemoryInstruction, atoms, instruction_set
 from repro.ir import types
-from repro.ir.tensor import Scope
+from repro.ir.ops import Copy
+from repro.ir.tensor import Scope, TileTensor
+from repro.layout import Layout
+
+from strategies import covers_tile_oracle
 
 
 def test_mma_atoms_cover_their_fragments():
@@ -17,13 +21,13 @@ def test_mma_atoms_cover_their_fragments():
         atoms.MMA_M16N8K32_8BIT_B,
     ):
         assert atom.num_threads == 32
-        assert atom.covers_tile(), atom
+        assert covers_tile_oracle(atom), atom
 
 
 def test_ldmatrix_fragment_matches_paper_layout():
     q = atoms.LDMATRIX_X4_FRAGMENT
     assert q.num_threads == 32 and q.values_per_thread == 8
-    assert q.covers_tile()
+    assert covers_tile_oracle(q)
 
 
 def test_instruction_set_arch_filtering():
@@ -46,21 +50,6 @@ def test_scalar_copy_always_exists():
     iset = instruction_set(80)
     scalar = iset.scalar_copy(Scope.GLOBAL, Scope.REGISTER)
     assert scalar.vector_bytes <= 4
-
-
-def test_narrowed_keeps_each_directions_narrowest_in_set_order():
-    """Every direction keeps a fallback under any cap (cp.async starts at
-    4 B), appended in instruction-set order, so the narrowed set and the
-    cache key built from it are the same in every process."""
-    iset = instruction_set(90)
-    assert [i.name for i in iset.narrowed(0).memory] == [
-        "ld.global.b8", "st.global.b8", "cp.async.ca.4", "ld.shared.b8", "st.shared.b8",
-    ]
-    two = iset.narrowed(2)
-    assert not any(i.collective or i.single_thread for i in two.memory)
-    assert [i.name for i in two.memory if i.vector_bytes > 2] == ["cp.async.ca.4"]
-    assert two.scalar_copy(Scope.GLOBAL, Scope.SHARED).name == "cp.async.ca.4"
-    assert two.mma == iset.mma
 
 
 def test_fastest_mma_selection():
@@ -108,3 +97,23 @@ def test_transposed_ldmatrix_available():
     iset = instruction_set(80)
     trans = iset.by_name("ldmatrix.x4.trans")
     assert trans.transposed and trans.collective
+
+
+def test_direction_tag_is_stored_once_and_shared_with_copies():
+    """An instruction computes its direction tag at construction, and a
+    copy between the same scopes spells it the same way, in all six
+    directions."""
+    for instr in instruction_set(90).memory:
+        assert instr.direction is instr.direction
+
+    def tensor(scope, name):
+        layout = Layout((8,)) if scope is Scope.GLOBAL else None
+        return TileTensor(name, types.float16, scope, (8,), layout=layout)
+
+    letters = {Scope.GLOBAL: "G", Scope.SHARED: "S", Scope.REGISTER: "R"}
+    directions = [(s, d) for s in letters for d in letters if s is not d]
+    assert len(directions) == 6
+    for src, dst in directions:
+        copy = Copy(tensor(src, "a"), tensor(dst, "b"))
+        instr = MemoryInstruction("test.move", src, dst, 4, 1.0, 1.0)
+        assert copy.direction == instr.direction == f"{letters[src]}2{letters[dst]}"

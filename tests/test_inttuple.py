@@ -14,7 +14,6 @@ from repro.utils.inttuple import (
     prefix_product,
     product,
     shape_div,
-    size,
     unflatten_like,
 )
 
@@ -26,8 +25,9 @@ def test_flatten_nested():
 
 
 def test_product_and_size():
+    # A shape's size (its number of coordinates) is its product.
     assert product(((2, 2), 8)) == 32
-    assert size(7) == 7
+    assert product(7) == 7
     assert product(()) == 1
 
 
@@ -55,7 +55,7 @@ def test_crd2idx_integral_coordinate():
 
 def test_idx2crd_roundtrip_simple():
     shape = ((2, 2), 8)
-    for idx in range(size(shape)):
+    for idx in range(product(shape)):
         assert crd2idx(idx2crd(idx, shape), shape) == idx
 
 

@@ -128,9 +128,10 @@ def test_scan_flops_count_the_compiled_state_size():
 
 
 def test_capped_shared_stage_scan_keeps_the_cp_async_floor():
-    """A 2 B cap removes every cp.async, so the narrowed set keeps the 4 B
-    one as the global->shared fallback: the shared-stage scan compiles with
-    every other copy at most 2 B, and runs slower than the uncapped scan."""
+    """A 2 B cap on every copy leaves a global->shared copy no cp.async
+    that narrow, so it falls back to the 4 B one, its direction's narrowest:
+    the shared-stage scan compiles with every other copy at most 2 B, and
+    runs slower than the uncapped scan."""
     fast = SelectiveScanOperator(arch="h100").run(1, 512, 256)
     slow = SelectiveScanOperator(arch="h100", instruction_cap_bytes=2).run(1, 512, 256)
     kernel = slow.kernels["scan"]

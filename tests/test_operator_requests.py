@@ -118,3 +118,28 @@ def test_run_compiles_exactly_its_requests(arch, family):
         assert op.run(*args).latency_us > 0
     assert cache.looked_up == expected
     assert set(cache.keys()) <= set(expected)
+
+
+# family -> (operator factory, shape arguments, the width cap it sets)
+CAPPED = {
+    "moe-capped": (
+        lambda arch, cache: MixedTypeMoeOperator(
+            arch, max_weight_vector_bytes=2, cache=cache, **MOE_SHAPE
+        ),
+        (6,),
+        2,
+    ),
+    "scan-capped": (*FAMILIES["scan-capped"], 2),
+    "triton-scan": (*FAMILIES["triton-scan"], 4),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CAPPED))
+def test_operator_width_caps_are_per_copy_program_data(family):
+    """A width-capped operator compiles with its arch's full instruction set
+    and carries the cap on every copy of the program it builds."""
+    factory, args, cap = CAPPED[family]
+    op = factory("h100", None)
+    for request in op.requests(*args):
+        assert request.instructions is instruction_set(op.arch.sm_arch)
+        assert {copy.max_vector_bytes for copy in request.program.copies()} == {cap}

@@ -8,7 +8,7 @@ Two jobs:
 
 2. **Property-based cross-checks of the closed-form algebra** — every
    memoized operation in ``repro.layout.algebra`` (coalesce, composition,
-   complement, right_inverse, left_inverse) and the enumerated
+   complement, right_inverse) and the enumerated
    ``bank_conflict_factor`` is compared against its set-theoretic
    definition on hundreds of seeded random layouts (see
    ``tests/strategies.py``), plus the metamorphic algebra laws
@@ -19,10 +19,12 @@ Two jobs:
 
 3. **Per-element oracles for the TV-layout predicates** — the loops over
    every (thread, value) pair that ``TVLayout.equivalent``,
-   ``covers_tile``, ``is_replicated``, ``vector_run`` and
-   ``warp_coords`` used to run on the compile path survive here, and the
-   coalesced-form and flat-form decisions must agree with them on
-   generated TV layouts.
+   ``vector_run`` and ``warp_coords`` used to run on the compile path
+   survive here, and the coalesced-form and flat-form decisions must
+   agree with them on generated TV layouts.  Whether a layout covers its
+   tile or is replicated is decided only per element
+   (``covers_tile_oracle`` / ``is_replicated_oracle`` in
+   ``tests/strategies.py``).
 
 4. **The hierarchical evaluator as the oracle of the flat form** —
    ``Layout.__call__`` evaluates integers on the layout's flattened
@@ -45,7 +47,6 @@ from repro.layout import (
     complement,
     composition,
     layout_is_injective,
-    left_inverse,
     make_layout,
     right_inverse,
     swizzle_window_key,
@@ -58,7 +59,7 @@ from repro.synthesis.smem_solver import CopyAccess, SmemBankParams, bank_conflic
 from repro.utils.inttuple import crd2idx, flatten, idx2crd, is_tuple, product, unflatten_like
 from repro.utils.memo import cache_stats
 
-from strategies import LayoutSampler, layout_cases
+from strategies import LayoutSampler, is_replicated_oracle, layout_cases, tv_elements
 
 # Every randomized cross-check below runs at least this many generated
 # cases (the acceptance bar of the oracle suite).
@@ -375,18 +376,6 @@ def test_right_inverse_of_compact_layouts_is_a_full_inverse():
         assert backward == LayoutRelation.identity(layout.size())
 
 
-def test_left_inverse_oracle_identity_on_domain():
-    sampler = LayoutSampler(seed=403)
-    for _ in range(CASES + 20):
-        layout, _cover = sampler.complementable_layout()
-        inverse = left_inverse(layout)
-        domain = max(layout.cosize(), inverse.size())
-        composed = relation_of(inverse, domain_size=domain).compose(
-            relation_of(layout))
-        assert composed == LayoutRelation.identity(layout.size()), (
-            layout, inverse)
-
-
 # --------------------------------------------------------------------------- #
 # Randomized oracle: injectivity
 # --------------------------------------------------------------------------- #
@@ -584,15 +573,6 @@ def test_swizzle_window_key_soundness():
 # --------------------------------------------------------------------------- #
 # Randomized oracle: TV-layout predicates against per-element loops
 # --------------------------------------------------------------------------- #
-def tv_elements(tv):
-    """``{(tid, vid): tile index}`` over the whole (thread, value) domain."""
-    return {
-        (t, v): tv(t, v)
-        for t in range(tv.num_threads)
-        for v in range(tv.values_per_thread)
-    }
-
-
 def equivalent_oracle(a, b):
     return (
         a.tile_shape == b.tile_shape
@@ -600,18 +580,6 @@ def equivalent_oracle(a, b):
         and a.values_per_thread == b.values_per_thread
         and tv_elements(a) == tv_elements(b)
     )
-
-
-def covers_tile_oracle(tv):
-    images = list(tv_elements(tv).values())
-    return sorted(images) == list(range(tv.tile_size()))
-
-
-def is_replicated_oracle(tv):
-    holders = {}
-    for (t, _v), index in tv_elements(tv).items():
-        holders.setdefault(index, set()).add(t)
-    return any(len(threads) > 1 for threads in holders.values())
 
 
 def value_vector_run_oracle(tv):
@@ -719,34 +687,5 @@ def test_warp_coords_match_the_per_thread_oracle():
             assert case.warp_coords is case.warp_coords
             wide += case.num_threads > 32
             narrow += case.num_threads < 32
-            replicated += case.is_replicated()
+            replicated += is_replicated_oracle(case)
     assert min(wide, narrow, replicated) >= CASES // 2, (wide, narrow, replicated)
-
-
-def test_covers_tile_matches_the_per_element_oracle():
-    """Each sampled layout is checked over its own tile and over a flat
-    tile of exactly ``T·V`` elements, where gaps push images outside."""
-    sampler = LayoutSampler(seed=804)
-    outcomes = {True: 0, False: 0}
-    outside = 0
-    for _ in range(CASES + 100):
-        tv = sampler.tv_layout()
-        for case in (tv, TVLayout(tv.layout, (tv.layout.size(),))):
-            expected = covers_tile_oracle(case)
-            assert case.covers_tile() == expected, case
-            outcomes[expected] += 1
-            outside += case.layout.cosize() > case.tile_size()
-    assert min(outcomes.values()) >= CASES // 5 and outside >= CASES // 5
-
-
-def test_is_replicated_matches_the_per_element_oracle():
-    """Checked on the distributions the compiler builds: injective apart
-    from stride-0 modes (every sampler style but ``random``)."""
-    sampler = LayoutSampler(seed=805)
-    outcomes = {True: 0, False: 0}
-    for _ in range(CASES + 100):
-        tv = sampler.tv_layout(sampler.rng.choice(("tile", "broadcast", "partial")))
-        expected = is_replicated_oracle(tv)
-        assert tv.is_replicated() == expected, tv
-        outcomes[expected] += 1
-    assert min(outcomes.values()) >= CASES // 5

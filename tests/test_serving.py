@@ -36,7 +36,6 @@ from repro.serving import (
     make_workload,
     percentile,
     shared_step_model,
-    simulate_cluster,
     steady_workload,
     weight_bytes,
 )
@@ -1018,21 +1017,6 @@ def test_cluster_per_replica_budgets_and_validation():
         kv_budget_blocks=[64, 128],
     )
     assert [sim.kv_budget_blocks for sim in cluster.replicas] == [64, 128]
-
-
-def test_simulate_cluster_wrapper_matches_class():
-    workload = steady_workload(
-        num_requests=8, rate_rps=50.0, mean_prompt_tokens=64,
-        mean_output_tokens=8, seed=1,
-    )
-    direct = ClusterSimulator(
-        TINY_DENSE, replicas=2, router="least-loaded", arch="a100", max_batch_size=4
-    ).simulate(workload, workload="steady")
-    wrapped = simulate_cluster(
-        TINY_DENSE, workload, replicas=2, router="least-loaded", arch="a100",
-        max_batch_size=4, workload="steady",
-    )
-    assert wrapped.digest() == direct.digest()
 
 
 def test_report_digest_is_content_sensitive():

@@ -13,6 +13,8 @@ from repro.synthesis import (
     reduce_tv_layout,
 )
 
+from strategies import covers_tile_oracle, is_replicated_oracle
+
 
 def fp16_mma():
     return instruction_set(80).fastest_mma(types.float16, types.float16, types.float32)
@@ -20,11 +22,11 @@ def fp16_mma():
 
 def test_tiled_mma_covers_all_operands():
     tiled = make_tiled_mma(fp16_mma(), (64, 64, 32), num_warps=4)
-    assert tiled.c_tv.covers_tile()
+    assert covers_tile_oracle(tiled.c_tv)
     assert tiled.a_tv.num_threads == 128
     # A and B are replicated across the warp dimension they do not own.
-    assert tiled.a_tv.is_replicated() or tiled.warp_grid[1] == 1
-    assert tiled.b_tv.is_replicated() or tiled.warp_grid[0] == 1
+    assert is_replicated_oracle(tiled.a_tv) or tiled.warp_grid[1] == 1
+    assert is_replicated_oracle(tiled.b_tv) or tiled.warp_grid[0] == 1
 
 
 def test_tiled_mma_satisfies_gemm_constraints():
@@ -52,7 +54,7 @@ def test_pick_warp_grid_prefers_square_partitions():
 
 def test_coalesced_copy_row_major():
     tv = coalesced_copy_tv((64, 64), Layout((64, 64), (64, 1)), 128, 8)
-    assert tv.covers_tile()
+    assert covers_tile_oracle(tv)
     dim, run = tv.vector_run
     assert dim == 1 and run >= 8  # vectorized along the contiguous dim
 
@@ -66,7 +68,7 @@ def test_coalesced_copy_column_major():
 def test_coalesced_copy_small_tensor_replicates():
     tv = coalesced_copy_tv((16, 1), Layout((16, 1), (1, 1)), 128, 8)
     assert tv.num_threads == 128
-    assert tv.is_replicated()
+    assert is_replicated_oracle(tv)
 
 
 def test_coalesced_copy_rejects_non_integer_tile_extents():

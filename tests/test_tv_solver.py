@@ -11,6 +11,8 @@ from repro.kernels.gemm import GemmConfig, build_fp16_gemm
 from repro.layout import Layout
 from repro.synthesis import ThreadValueSolver, TVSynthesisError, check_gemm_constraint
 
+from strategies import covers_tile_oracle
+
 
 def small_gemm_program():
     return build_fp16_gemm(64, 64, 64, GemmConfig(bm=64, bn=64, bk=32, num_stages=2))
@@ -53,7 +55,7 @@ def test_copy_anchor_component_without_gemm():
     hx.copy(reg, dst)
     program = hx.build()
     solution = ThreadValueSolver(program, instruction_set(80)).solve()
-    assert reg.tv_layout.covers_tile()
+    assert covers_tile_oracle(reg.tv_layout)
     assert len(solution.anchors) == 1
 
 
