@@ -3,10 +3,13 @@ ballpark as Triton's autotuning (the paper: 48.4 s for 102 candidates vs
 57.1 s; here we check candidates are enumerated and timed, per compile),
 plus two smoke checks:
 
-* the compile-cache check: a warm (cached) recompile must be at least 5x
-  faster than the cold compile, and a replay on an *equivalent* program
-  (re-built from scratch, so a different object) must also beat the cold
-  search while producing a bit-identical kernel;
+* the compile-cache check: a recompile of the same program object must be
+  a direct hit that runs no pass (``cache_hit`` and empty ``pass_stats``),
+  and a compile of an *equivalent* program (re-built from scratch, so a
+  different object) must replay the cached assignment instead of
+  searching (one candidate, one leaf evaluated, none pruned), both
+  producing a bit-identical kernel; the cold/warm time ratios are
+  printed, not gated;
 * the branch-and-bound regression guard (``--smoke``, run in CI): the cold
   compile of the fig22 GEMM config must finish with strictly fewer full
   leaf evaluations than ``candidates_explored`` under the old (flat
@@ -172,13 +175,15 @@ def test_compile_time(once):
         ref_sel.program
     )
     assert cold.cost.total_cycles == ref_best.total_cycles
-    # The compile-cache smoke check: warm recompiles must be >= 5x faster.
-    assert warm.cache_hit and replay.cache_hit
-    assert warm_s * 5 <= cold_s
+    # The compile-cache smoke check, on counters rather than the wall
+    # clock: the same program object is a direct hit that runs no pass.
+    assert warm.cache_hit and warm.pass_stats == {}
     # The replay still runs all passes (layouts must be installed on the new
-    # program), but evaluates one candidate instead of searching ~100.
-    assert replay_s * 2 <= cold_s
-    assert replay.candidates_explored <= 2
+    # program), but evaluates the one cached leaf instead of searching ~100.
+    assert replay.cache_hit
+    assert replay.candidates_explored == 1
+    assert replay.pass_stats["instruction-selection.leaves_evaluated"] == 1
+    assert replay.pass_stats["instruction-selection.leaves_pruned"] == 0
     # Bit-identical results on all warm paths.
     for cached in (warm, replay):
         assert cached.latency_us == cold.latency_us

@@ -162,13 +162,16 @@ class KernelProgram:
     # ------------------------------------------------------------------ #
     # Validation
     # ------------------------------------------------------------------ #
-    def validate(self) -> None:
+    def validate(self) -> List[List[Operation]]:
         """Check structural invariants before synthesis.
 
         * every register/shared tensor is produced by an alloc before use;
         * every global tensor comes from a ``global_view``;
         * every component contains at least one copy (otherwise it would be
           dead code, cf. Section IV-B).
+
+        Returns the components it checked (:meth:`connected_components`),
+        so synthesis partitions the program once.
         """
         allocated: Set[int] = set()
         for op in self.operations:
@@ -183,12 +186,14 @@ class KernelProgram:
                         f"tensor {tensor.short_desc()} used by {op.describe()} was never "
                         f"declared via global_view/register_tensor/shared_tensor"
                     )
-        for component in self.connected_components():
+        components = self.connected_components()
+        for component in components:
             if not any(isinstance(op, Copy) for op in component):
                 names = ", ".join(op.describe() for op in component)
                 raise ProgramError(
                     f"component [{names}] never reads or writes memory; it is dead code"
                 )
+        return components
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -70,7 +70,7 @@ class Layout:
         If omitted, the compact column-major strides of ``shape`` are used.
     """
 
-    __slots__ = ("shape", "stride", "_hash", "_flat")
+    __slots__ = ("shape", "stride", "_hash", "_flat", "_repr")
 
     def __init__(self, shape: IntTuple, stride: IntTuple | None = None):
         if stride is None:
@@ -93,6 +93,9 @@ class Layout:
         self._hash = None
         # The flat form (see _FlatForm), built on first use.
         self._flat = None
+        # The printed form, built on first use: codegen prints every layout
+        # it declares, and the compile key every global layout.
+        self._repr = None
 
     def _flat_form(self) -> _FlatForm:
         shape, stride = self.shape, self.stride
@@ -256,7 +259,9 @@ class Layout:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"{_fmt(self.shape)}:{_fmt(self.stride)}"
+        if self._repr is None:
+            self._repr = f"{_fmt(self.shape)}:{_fmt(self.stride)}"
+        return self._repr
 
 
 def _well_formed(shape: IntTuple, stride: IntTuple) -> bool:

@@ -2,8 +2,9 @@
 
 A compile is keyed by a stable fingerprint of ``(KernelProgram, arch,
 backend, instruction set, max_candidates)``.  Program fingerprints are
-*structural*: tensors and operations are numbered in program order, so two
-independently built but identical programs (whose global
+*structural*: tensors and operations are numbered in program order (a
+tensor is described at its first operand and by its number after that), so
+two independently built but identical programs (whose global
 ``tensor_id``/``op_id`` counters differ) produce the same fingerprint, while
 any change to shapes, dtypes, layouts, annotations, per-copy width caps,
 trip counts or launch configuration changes it.
@@ -34,7 +35,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.instructions.registry import InstructionSet
 from repro.ir.graph import KernelProgram
@@ -52,25 +53,31 @@ __all__ = [
     "default_cache",
 ]
 
-_DISK_FORMAT_VERSION = 1
+# Version 2: a tensor's token appears once per program (later operands are
+# its local id), so version-1 keys no longer match and their stores load empty.
+_DISK_FORMAT_VERSION = 2
 
 
 # --------------------------------------------------------------------------- #
 # Fingerprinting
 # --------------------------------------------------------------------------- #
 def _layout_token(layout) -> str:
-    return f"{layout.shape!r}:{layout.stride!r}"
+    # The printed form, which the layout keeps (codegen prints it too).
+    return repr(layout)
 
 
-def _tensor_token(tensor: TileTensor, local_ids: Dict[int, int]) -> list:
-    """A serializable description of one tensor, assigning a program-local
-    id on first encounter.  Only *user-specified* layout information is
-    included (global layouts, TV annotations); synthesized layouts are
-    excluded so fingerprints are stable across compilation."""
-    if tensor.tensor_id not in local_ids:
-        local_ids[tensor.tensor_id] = len(local_ids)
+def _tensor_token(tensor: TileTensor, local_ids: Dict[int, int]) -> Union[int, list]:
+    """A serializable description of one tensor on its first encounter in
+    a program, which assigns it a program-local id; later encounters are
+    that id alone.  Only *user-specified* layout information is included
+    (global layouts, TV annotations); synthesized layouts are excluded so
+    fingerprints are stable across compilation."""
+    local_id = local_ids.get(tensor.tensor_id)
+    if local_id is not None:
+        return local_id
+    local_id = local_ids[tensor.tensor_id] = len(local_ids)
     token = [
-        local_ids[tensor.tensor_id],
+        local_id,
         tensor.name,
         tensor.dtype.name,
         tensor.scope.value,
@@ -200,9 +207,23 @@ class CacheEntry:
 
     @classmethod
     def from_json(cls, record: dict) -> "CacheEntry":
-        # Records may carry other fields (older stores wrote result
-        # metadata); only the key and the assignment are read.
-        return cls(record["key"], [tuple(triple) for triple in record["assignment"]])
+        """The entry a store record describes.  Records may carry other
+        fields (older stores wrote result metadata); only the key and the
+        assignment are read.  Raises ``TypeError`` unless the assignment is
+        a list of ``[name, direction, vector_bytes]`` triples of two strings
+        and an integer, so a damaged record is skipped at load instead of
+        failing the replay."""
+        assignment = record["assignment"]
+        if not isinstance(assignment, list) or not all(
+            isinstance(triple, list)
+            and len(triple) == 3
+            and isinstance(triple[0], str)
+            and isinstance(triple[1], str)
+            and type(triple[2]) is int
+            for triple in assignment
+        ):
+            raise TypeError(f"cache record assignment {assignment!r} is not a list of triples")
+        return cls(record["key"], [tuple(triple) for triple in assignment])
 
 
 @dataclass
@@ -385,9 +406,12 @@ class CompileCache:
             return 0
         if not isinstance(payload, dict) or payload.get("version") != _DISK_FORMAT_VERSION:
             return 0
+        entries = payload.get("entries")
+        if not isinstance(entries, dict):
+            return 0
         loaded = 0
         with self._lock:
-            for key, record in payload.get("entries", {}).items():
+            for key, record in entries.items():
                 if key in self._entries:
                     continue
                 try:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.instructions.instruction import MemoryInstruction
@@ -135,8 +136,9 @@ class InstructionSelector:
     """Enumerates, validates and ranks candidate programs.
 
     Program structure that the search reuses for every leaf — the copy list,
-    the per-copy instruction menus, the per-buffer touching-copy lists and
-    the cost model's table — is computed once here rather than per leaf.
+    the per-buffer touching-copy lists and the cost model's table — is
+    computed once here rather than per leaf; the per-copy instruction menus
+    are listed once, when the search first reads them.
     """
 
     def __init__(
@@ -164,9 +166,6 @@ class InstructionSelector:
         for copy in self.copies:
             reg = copy.register_operand()
             self._reg_tv[copy.op_id] = reg.tv_layout if reg is not None else None
-        self._menus: Dict[int, List[MemoryInstruction]] = {
-            c.op_id: self._build_menu(c) for c in self.copies
-        }
         # Search order: biggest copies first (ties keep program order); the
         # greedy repair degrades in the opposite (cheapest-first) order.
         self._search_order: List[Copy] = sorted(
@@ -194,6 +193,12 @@ class InstructionSelector:
         # place by now).
         self.cost_model = AnalyticalCostModel(program)
 
+    @cached_property
+    def _menus(self) -> Dict[int, List[MemoryInstruction]]:
+        """Every copy's menu, listed on first use by the search; a replay
+        that resolves its seed never lists one."""
+        return {c.op_id: self._build_menu(c) for c in self.copies}
+
     @property
     def candidates_explored(self) -> int:
         """Leaf equivalents accounted for by the search — the same count the
@@ -204,31 +209,33 @@ class InstructionSelector:
     # ------------------------------------------------------------------ #
     # Per-copy candidate instructions
     # ------------------------------------------------------------------ #
-    def _build_menu(self, copy: Copy) -> List[MemoryInstruction]:
-        menu = self.instructions.copies(
-            copy.src.scope, copy.dst.scope, max_vector_bytes=copy.max_vector_bytes
-        )
+    def _menu(self, copy: Copy) -> Iterator[MemoryInstruction]:
+        """The menu rule, in menu order: the instructions valid for
+        ``copy``, widest first, cut at ``MAX_CHOICES_PER_COPY``, then the
+        scalar fallback unless it is among them (so it stays reachable).
+        Each entry is validated only when the walk reaches it."""
         reg_tv = self._reg_tv[copy.op_id]
-        valid: List[MemoryInstruction] = []
-        for instr in menu:
+        kept: List[MemoryInstruction] = []
+        for instr in self.instructions.copies(
+            copy.src.scope, copy.dst.scope, max_vector_bytes=copy.max_vector_bytes
+        ):
+            if len(kept) == MAX_CHOICES_PER_COPY:
+                break
             if instr.collective:
-                if not self._collective_valid(copy, instr):
-                    continue
+                valid = self._collective_valid(copy, instr)
             elif instr.single_thread:
-                if copy.dst.scope is not Scope.SHARED:
-                    continue
+                valid = copy.dst.scope is Scope.SHARED
             else:
-                if not self._vector_valid(copy, instr, reg_tv):
-                    continue
-            valid.append(instr)
-        if not valid:
-            valid.append(self.instructions.scalar_copy(copy.src.scope, copy.dst.scope))
-        # Keep the scalar fallback reachable even after truncation.
-        truncated = valid[:MAX_CHOICES_PER_COPY]
+                valid = self._vector_valid(copy, instr, reg_tv)
+            if valid:
+                kept.append(instr)
+                yield instr
         scalar = self.instructions.scalar_copy(copy.src.scope, copy.dst.scope)
-        if scalar not in truncated:
-            truncated.append(scalar)
-        return truncated
+        if scalar not in kept:
+            yield scalar
+
+    def _build_menu(self, copy: Copy) -> List[MemoryInstruction]:
+        return list(self._menu(copy))
 
     def _collective_valid(self, copy: Copy, instr: MemoryInstruction) -> bool:
         """ldmatrix/stmatrix validity: 16-bit data feeding a Tensor Core
@@ -293,9 +300,10 @@ class InstructionSelector:
         program's copies.  Each triple must resolve to an instruction the
         current per-copy validity rules would still offer (so a persisted
         assignment from an older code revision cannot replay choices the
-        present search would reject).  Returns ``None`` when the program
-        shape, instruction set or validity rules no longer match — callers
-        fall back to the full search."""
+        present search would reject): the copy's menu is walked only as far
+        as the named entry, so a replay lists no menu.  Returns ``None``
+        when the program shape, instruction set or validity rules no longer
+        match — callers fall back to the full search."""
         if len(named) != len(self.copies):
             return None
         assignment: Dict[int, MemoryInstruction] = {}
@@ -305,7 +313,7 @@ class InstructionSelector:
             instr = next(
                 (
                     i
-                    for i in self._menus[copy.op_id]
+                    for i in self._menu(copy)
                     if i.name == name
                     and i.direction == direction
                     and i.vector_bytes == vector_bytes

@@ -6,7 +6,9 @@ For every shared-memory tensor the solver:
    touches the buffer (the instruction selected for the copy dictates how
    many elements must be contiguous and along which tensor dimension);
 2. unifies the constraints of all copies and materializes the free strides,
-   yielding the base memory layout ``m``;
+   yielding the base memory layout ``m`` (memoized by the buffer shape and
+   the constraints, failures included, since buffers recur across the
+   subproblems of a search and the programs of a batch);
 3. selects a swizzle function ``S`` that minimizes shared-memory bank
    conflicts for the actual warp access patterns, giving the final layout
    ``M = S ∘ m``;
@@ -37,6 +39,7 @@ from repro.layout.swizzle import (
 )
 from repro.layout.tv import TVLayout
 from repro.utils.inttuple import product
+from repro.utils.memo import memoized
 
 __all__ = [
     "CopyAccess",
@@ -98,12 +101,14 @@ class CopyAccess:
     vector_elems: int
     thread_coords: Sequence[Tuple[int, ...]] = field(default_factory=tuple)
 
-    def constraint(self, tensor_shape: Sequence[int]) -> LayoutConstraint:
+    @property
+    def constraint_key(self) -> Optional[Tuple[int, int]]:
+        """The alignment constraint as a value: ``None`` when the access
+        leaves the buffer unconstrained (scalar or single-thread), else
+        ``(contiguous_dim, vector_elems)``."""
         if self.vector_elems <= 1 or self.instruction.single_thread:
-            return LayoutConstraint.unconstrained(tensor_shape)
-        return LayoutConstraint.from_vectorized_access(
-            tensor_shape, self.contiguous_dim, self.vector_elems
-        )
+            return None
+        return as_ints((self.contiguous_dim, self.vector_elems), "copy access constraint")
 
 
 @dataclass
@@ -188,11 +193,22 @@ def _global_contiguous_dim(copy: Copy, smem_shape: Sequence[int]) -> int:
 
 def _strided_warp_coords(
     shape: Sequence[int], contiguous_dim: int, vec: int
-) -> List[Tuple[int, ...]]:
+) -> Tuple[Tuple[int, ...], ...]:
     """Coordinates of the 32 simultaneous per-thread accesses of one warp
     when each thread owns one ``vec``-element run along ``contiguous_dim``
-    and consecutive threads walk the other dimensions first."""
+    and consecutive threads walk the other dimensions first.
+
+    Memoized by value, so equal accesses share one tuple; the arguments
+    are checked first (``4.0`` would find the entry of ``4``)."""
     shape = as_ints(shape, "warp access shape")
+    contiguous_dim, vec = as_ints((contiguous_dim, vec), "warp access run")
+    return _warp_coords(shape, contiguous_dim, vec)
+
+
+@memoized(maxsize=4096)
+def _warp_coords(
+    shape: Tuple[int, ...], contiguous_dim: int, vec: int
+) -> Tuple[Tuple[int, ...], ...]:
     other_dims = [i for i in range(len(shape)) if i != contiguous_dim]
     coords = []
     for t in range(32):
@@ -203,7 +219,7 @@ def _strided_warp_coords(
             remaining //= shape[dim]
         coord[contiguous_dim] = (remaining * vec) % max(shape[contiguous_dim], 1)
         coords.append(tuple(coord))
-    return coords
+    return tuple(coords)
 
 
 # --------------------------------------------------------------------------- #
@@ -410,6 +426,27 @@ def _access_window_bits(offsets: Sequence[Sequence[int]]) -> int:
     return max((max(access) for access in offsets if access), default=0).bit_length()
 
 
+@memoized(maxsize=4096)
+def _base_layout(
+    shape: Tuple[int, ...], constraint_keys: Tuple[Optional[Tuple[int, int]], ...]
+) -> Tuple[Optional[Layout], Optional[str]]:
+    """The materialized base layout of a buffer of ``shape`` under one
+    access constraint per key (:attr:`CopyAccess.constraint_key`), unified
+    in order, or ``(None, reason)`` when they do not unify.  Memoized by
+    value, failures included: buffers of one shape recur across the
+    subproblems of a search and across the programs of a batch."""
+    constraints = [
+        LayoutConstraint.unconstrained(shape)
+        if key is None
+        else LayoutConstraint.from_vectorized_access(shape, *key)
+        for key in constraint_keys
+    ]
+    try:
+        return unify(constraints).materialize(), None
+    except UnificationError as exc:
+        return None, str(exc)
+
+
 def solve_subproblem(
     tensor: TileTensor,
     accesses: Sequence[CopyAccess],
@@ -435,11 +472,11 @@ def solve_subproblem(
         # An unused buffer: any compact layout works.
         return SmemSolution(Layout(tensor.shape), Swizzle(0, 0, 0), 1.0)
 
-    constraints = [access.constraint(tensor.shape) for access in accesses]
-    try:
-        base = unify(constraints).materialize()
-    except UnificationError as exc:
-        return SmemSolution(None, None, 0.0, failure=str(exc))
+    base, failure = _base_layout(
+        tuple(tensor.shape), tuple(access.constraint_key for access in accesses)
+    )
+    if failure is not None:
+        return SmemSolution(None, None, 0.0, failure=failure)
 
     # TMA feasibility check for single-thread copies.
     tma = any(access.instruction.single_thread for access in accesses)

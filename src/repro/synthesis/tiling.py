@@ -12,6 +12,14 @@ Algorithm 1 *initializes* thread-value layouts at anchor operations:
 Both constructions are expressed with the layout algebra (rebasing atom
 strides into the block tile's coordinate space, composing access orders),
 so the resulting layouts are correct by construction.
+
+The anchors recur across the programs of a batch (every equivalent
+program, and every program with the same tile and memory order), so each
+construction is memoized by value (:mod:`repro.utils.memo`): equal
+anchors share one :class:`TVLayout`, and with it the modes, vector run,
+warp coordinates and hash the layout computes once.  The public functions
+check their integer arguments with :func:`as_ints` before the lookup,
+because ``64.0`` and ``True`` hash and compare like ``64`` and ``1``.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from repro.layout.algebra import coalesce, composition
 from repro.layout.layout import Layout, as_ints, make_layout
 from repro.layout.tv import TVLayout, _restride, rebase_strides
 from repro.utils.inttuple import flatten, prefix_product, product
+from repro.utils.memo import memoized
 
 __all__ = [
     "TiledMma",
@@ -107,6 +116,20 @@ def make_tiled_mma(
     atom over it, so A fragments are replicated across the WN warps and B
     fragments across the WM warps (stride-0 thread modes).
     """
+    block_tile = as_ints(block_tile, "make_tiled_mma block tile")
+    (num_warps,) = as_ints((num_warps,), "make_tiled_mma warp count")
+    if warp_grid is not None:
+        warp_grid = as_ints(warp_grid, "make_tiled_mma warp grid")
+    return _tiled_mma(instruction, block_tile, num_warps, warp_grid)
+
+
+@memoized(maxsize=1024)
+def _tiled_mma(
+    instruction: MmaInstruction,
+    block_tile: Tuple[int, ...],
+    num_warps: int,
+    warp_grid: Optional[Tuple[int, ...]],
+) -> TiledMma:
     bm, bn, bk = block_tile
     if warp_grid is None:
         warp_grid = pick_warp_grid(num_warps, bm, bn, instruction.m, instruction.n)
@@ -174,6 +197,19 @@ def coalesced_copy_tv(
     threads then access consecutive vectors (Algorithm 1, line 15).
     """
     tile_shape = as_ints(tile_shape, "coalesced_copy_tv tile shape")
+    num_threads, max_vector_elems = as_ints(
+        (num_threads, max_vector_elems), "coalesced_copy_tv thread and vector counts"
+    )
+    return _coalesced_copy_tv(tile_shape, memory_layout, num_threads, max_vector_elems)
+
+
+@memoized(maxsize=4096)
+def _coalesced_copy_tv(
+    tile_shape: Tuple[int, ...],
+    memory_layout: Layout,
+    num_threads: int,
+    max_vector_elems: int,
+) -> TVLayout:
     total = product(tile_shape)
     tile_strides = flatten(prefix_product(tile_shape))
 
@@ -245,6 +281,12 @@ def reduce_tv_layout(tv: TVLayout, dim: int) -> TVLayout:
     that held different slices along ``dim`` now hold replicated copies of
     the partial results.
     """
+    (dim,) = as_ints((dim,), "reduce_tv_layout dimension")
+    return _reduce_tv_layout(tv, dim)
+
+
+@memoized(maxsize=4096)
+def _reduce_tv_layout(tv: TVLayout, dim: int) -> TVLayout:
     out_tile = tuple(1 if i == dim else extent for i, extent in enumerate(tv.tile_shape))
     out_strides = list(flatten(prefix_product(out_tile)))
     out_strides[dim] = 0

@@ -75,9 +75,8 @@ class ThreadValueSolver:
     # ------------------------------------------------------------------ #
     def solve(self) -> TVSolution:
         self._remove_inserted_rearranges()
-        self.program.validate()
+        components = self.program.validate()
         self._apply_annotations()
-        components = self.program.connected_components()
         for component in components:
             self._solve_component(component)
         self._check_all_solved()

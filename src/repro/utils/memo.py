@@ -16,6 +16,15 @@ coordinates on its flat form, which it computes once
 (:mod:`repro.layout.layout`), and only other coordinates reach the
 unmemoized ``crd2idx``.
 
+The registry also holds the anchor tilings that TV synthesis seeds from
+and that recur across the compiles of a batch (the tiled MMA, the
+coalesced-copy and reduce TV layouts of :mod:`repro.synthesis.tiling`),
+a warp's strided access coordinates and a shared buffer's materialized
+base layout (:mod:`repro.synthesis.smem_solver`), so equal anchors share
+one value across programs.  Their public functions check integer
+arguments before the lookup: ``64.0`` and ``True`` hash and compare like
+``64`` and ``1``, so a key built from raw arguments would skip the check.
+
 :func:`memoized` wraps a function in a bounded :func:`functools.lru_cache`
 and records it in a process-wide registry so that benchmarks and tests can
 inspect hit rates (:func:`cache_stats`) or reset state (:func:`clear_caches`)

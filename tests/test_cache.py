@@ -10,16 +10,22 @@ from repro.compiler import compile_kernel
 from repro.kernels.attention import build_mha_forward
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm
 from repro.pipeline import (
+    CacheEntry,
     CompileCache,
     compile_key,
     program_fingerprint,
 )
+from repro.pipeline.cache import _DISK_FORMAT_VERSION
 from repro.sim.arch import get_arch
 from repro.instructions.registry import instruction_set
 
 
 def small_gemm(bm=64, bn=64, bk=32, k=64):
     return build_fp16_gemm(64, 64, k, GemmConfig(bm=bm, bn=bn, bk=bk))
+
+
+def write_store(path, entries, version=_DISK_FORMAT_VERSION):
+    path.write_text(json.dumps({"version": version, "entries": entries}))
 
 
 def capped(program, max_vector_bytes):
@@ -253,7 +259,7 @@ def test_disk_store_with_result_metadata_still_replays(tmp_path):
         "pass_stats": dict(cold.pass_stats),
     }
     path = tmp_path / "compile_cache.json"
-    path.write_text(json.dumps({"version": 1, "entries": {cold.fingerprint: record}}))
+    write_store(path, {cold.fingerprint: record})
     cache = CompileCache(disk_path=str(path))
     warm = compile_kernel(small_gemm(), arch="a100", max_candidates=4, cache=cache)
     assert warm.cache_hit and warm.candidates_explored == 1
@@ -266,6 +272,62 @@ def test_disk_store_rejects_unknown_version(tmp_path):
     path.write_text('{"version": 999, "entries": {"x": {}}}')
     cache = CompileCache(disk_path=str(path))
     assert len(cache) == 0
+
+
+def test_version_one_disk_store_loads_no_entries(tmp_path):
+    """Version-1 keys spelled every operand's tensor in full: no current
+    key matches one, so such a store loads empty instead of missing."""
+    cold = compile_kernel(small_gemm(), arch="a100", max_candidates=4, cache=CompileCache())
+    record = {
+        "key": cold.fingerprint,
+        "assignment": [list(t) for t in cold.candidate.named_assignment(cold.program)],
+    }
+    path = tmp_path / "compile_cache.json"
+    write_store(path, {cold.fingerprint: record}, version=1)
+    assert len(CompileCache(disk_path=str(path))) == 0
+
+
+def test_disk_store_with_non_mapping_entries_loads_empty(tmp_path):
+    path = tmp_path / "compile_cache.json"
+    write_store(path, [])
+    cache = CompileCache(disk_path=str(path))
+    assert len(cache) == 0
+    kernel = compile_kernel(small_gemm(), arch="a100", max_candidates=4, cache=cache)
+    assert not kernel.cache_hit
+    assert len(CompileCache(disk_path=str(path))) == 1
+
+
+@pytest.mark.parametrize("damage", ["pairs", "string"])
+def test_damaged_disk_assignment_is_searched_and_repaired(tmp_path, damage):
+    """A record whose assignment is not a list of (name, direction,
+    vector_bytes) triples is skipped at load: the compile searches and its
+    put rewrites the record."""
+    cold = compile_kernel(small_gemm(), arch="a100", max_candidates=4, cache=CompileCache())
+    named = cold.candidate.named_assignment(cold.program)
+    if damage == "pairs":
+        assignment = [[name, direction] for name, direction, _ in named]
+    else:
+        assignment = "x" * len(named)
+    path = tmp_path / "compile_cache.json"
+    write_store(path, {cold.fingerprint: {"key": cold.fingerprint, "assignment": assignment}})
+    cache = CompileCache(disk_path=str(path))
+    kernel = compile_kernel(small_gemm(), arch="a100", max_candidates=4, cache=cache)
+    assert not kernel.cache_hit and kernel.candidates_explored > 1
+    assert kernel.source == cold.source
+    assert CompileCache(disk_path=str(path)).get(cold.fingerprint).assignment == named
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    ["abc", [["ld", "G2S"]], [("ld", "G2S", 16)], [["ld", "G2S", 16.0]],
+     [["ld", "G2S", True]], [["ld", 7, 16]], None],
+    ids=["string", "pair", "tuple", "float", "bool", "direction", "none"],
+)
+def test_cache_entry_rejects_assignments_that_are_not_triples(assignment):
+    with pytest.raises(TypeError):
+        CacheEntry.from_json({"key": "k", "assignment": assignment})
+    entry = CacheEntry.from_json({"key": "k", "assignment": [["ld", "G2S", 16]]})
+    assert entry.assignment == [("ld", "G2S", 16)]
 
 
 def test_stale_entry_falls_back_to_search_and_is_repaired():

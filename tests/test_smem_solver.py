@@ -84,7 +84,7 @@ def test_bank_conflict_factor_bounds():
 def test_strided_warp_coords_reject_non_integer_extents():
     from repro.synthesis.smem_solver import _strided_warp_coords
 
-    assert _strided_warp_coords((4, 8), 1, 2)[:3] == [(0, 0), (1, 0), (2, 0)]
+    assert _strided_warp_coords((4, 8), 1, 2)[:3] == ((0, 0), (1, 0), (2, 0))
     with pytest.raises(TypeError, match="4.5"):
         _strided_warp_coords((4.5, 8), 1, 2)
 

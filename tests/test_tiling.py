@@ -13,6 +13,9 @@ from repro.synthesis import (
     reduce_tv_layout,
 )
 
+from repro.synthesis.smem_solver import _strided_warp_coords
+from repro.utils.memo import clear_caches
+
 from strategies import covers_tile_oracle, is_replicated_oracle
 
 
@@ -90,3 +93,35 @@ def test_reduce_tv_layout_collapses_dimension():
         for v in range(reduced.values_per_thread):
             assert reduced.coords(t, v)[1] == 0
             assert reduced.coords(t, v)[0] == tv.coords(t, v)[0]
+
+
+def test_anchor_memos_check_arguments_before_the_lookup():
+    """``64.0 == 64`` and ``True == 1`` hash alike, so a memo keyed on the
+    raw arguments would answer these calls from the integer call's entry
+    instead of rejecting them."""
+    clear_caches()
+    row = Layout((64, 32), (32, 1))
+    coalesced_copy_tv((64, 32), row, 128, 8)
+    coalesced_copy_tv((1, 32), Layout((1, 32), (32, 1)), 128, 8)
+    _strided_warp_coords((4, 8), 1, 2)
+    make_tiled_mma(fp16_mma(), (64, 64, 32), num_warps=4)
+    with pytest.raises(TypeError, match="64.0"):
+        coalesced_copy_tv((64.0, 32), row, 128, 8)
+    with pytest.raises(TypeError, match="True"):
+        coalesced_copy_tv((True, 32), Layout((1, 32), (32, 1)), 128, 8)
+    with pytest.raises(TypeError, match="4.0"):
+        _strided_warp_coords((4.0, 8), 1, 2)
+    with pytest.raises(TypeError, match="64.0"):
+        make_tiled_mma(fp16_mma(), (64.0, 64, 32), num_warps=4)
+
+
+def test_equal_anchors_share_one_layout_until_the_memos_clear():
+    row = Layout((64, 32), (32, 1))
+    first = coalesced_copy_tv((64, 32), row, 128, 8)
+    assert coalesced_copy_tv([64, 32], Layout((64, 32), (32, 1)), 128, 8) is first
+    tiled = make_tiled_mma(fp16_mma(), (64, 64, 32), num_warps=4)
+    assert make_tiled_mma(fp16_mma(), (64, 64, 32), num_warps=4) is tiled
+    assert reduce_tv_layout(first, 1) is reduce_tv_layout(first, 1)
+    clear_caches()
+    again = coalesced_copy_tv((64, 32), row, 128, 8)
+    assert again == first and again is not first
