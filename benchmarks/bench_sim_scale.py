@@ -417,9 +417,10 @@ def main(argv=None) -> int:
             if cell.traffic not in workloads:
                 gen_start = time.perf_counter()
                 workloads[cell.traffic] = TRAFFIC[cell.traffic][1](num_requests, args.seed)
+                gen_s = time.perf_counter() - gen_start
                 print(
                     f"[{tier}] generated {num_requests} {cell.traffic} requests in "
-                    f"{time.perf_counter() - gen_start:.1f} s"
+                    f"{gen_s:.1f} s ({gen_s / num_requests * 1e6:.2f} us/request)"
                 )
             workload = workloads[cell.traffic]
             entry = run_cell(tier, cell, workload, args.seed)

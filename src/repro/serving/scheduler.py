@@ -124,8 +124,11 @@ class Scheduler:
 
         ``waiting`` is sorted by :meth:`queue_key`, so a policy that
         admits in its own key order takes a head slice; ``free_slots`` is
-        how many requests may be admitted (none when it is ``<= 0``),
-        ``more_arrivals`` whether any request has yet to arrive (so a
+        how many requests may be admitted.  The engine calls ``select``
+        only with a nonempty ``waiting`` and at least one free slot (a
+        full batch admits nothing, whatever the policy); a policy called
+        directly with ``free_slots <= 0`` must still admit nothing.
+        ``more_arrivals`` says whether any request has yet to arrive (so a
         policy can distinguish "wait for more traffic" from "this is all
         the traffic there will ever be"), and ``memory`` the replica's KV
         block pool: every returned request must fit it, together with the

@@ -581,24 +581,25 @@ class ReplicaEngine:
         if running:
             self._grow_running()
 
-        if waiting:
+        free_slots = sim.max_batch_size - len(running)
+        if waiting and free_slots > 0:
             admitted = sim.scheduler.select(
                 waiting,
-                free_slots=sim.max_batch_size - len(running),
+                free_slots=free_slots,
                 now_ms=self.now,
                 more_arrivals=len(self.queue) > 0 or external_pending,
                 memory=store.view(),
             )
         else:
-            # Every policy admits nothing from an empty waiting list (and
-            # whatever a hypothetical one returned could not join anyway —
-            # joining requests come *out of* the waiting list).
+            # Nothing can join: whatever a policy returned from an empty
+            # waiting list, or into a full batch, would be refused below
+            # (joining requests come *out of* the waiting list, and no
+            # more may join than there are free slots).
             admitted = ()
         joined: List[_ActiveRequest] = []
         if admitted:
             admitted_ids = {r.request_id for r in admitted}
             count = len(admitted_ids)
-            free_slots = sim.max_batch_size - len(running)
             if count > free_slots:
                 raise RuntimeError(
                     f"scheduler {sim.scheduler.name!r} admitted {count} "

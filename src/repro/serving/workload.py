@@ -39,12 +39,13 @@ a continuous-batching engine is exercised with:
 triple always produces the identical request list — the property every
 digest check downstream (simulator, cluster, CI smoke) relies on.
 Requests are immutable; arrival times are rounded to microseconds at
-generation so the trace serializes bit-exactly.
+generation so the trace serializes bit-exactly.  Every generator checks
+its parameters before its first draw and raises a ``ValueError`` naming
+the parameter and the value it got.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import numbers
@@ -242,11 +243,15 @@ class RequestQueue:
 # --------------------------------------------------------------------------- #
 # Generators
 # --------------------------------------------------------------------------- #
-def _token_count(rng: random.Random, mean: int, minimum: int = 1) -> int:
-    """An exponentially distributed token count with the given mean."""
-    return max(minimum, int(round(rng.expovariate(1.0 / mean))))
-
-
+# Every draw is written out inline over the generator's bound ``rng.random``:
+# an exponential variate is CPython's own ``Random.expovariate`` expression,
+# ``-log(1.0 - random()) / rate`` (divided by the rate, never multiplied by
+# the mean: ``x / (1.0 / m)`` and ``x * m`` differ in the last bit for most
+# means), and an exponential token count with mean ``m`` is
+# ``round(-log(1.0 - random()) / (1.0 / m)) or 1`` -- the variate is never
+# negative, so ``or 1`` is ``max(1, ...)``.  The random stream, and with it
+# every trace, is bit-identical to calling the ``Random`` methods
+# (``tests/test_workload_oracle.py`` holds those generators as the oracle).
 def _default_slo_ms(output_tokens: int) -> float:
     # A per-token latency budget plus fixed queueing slack: generous enough
     # that an unloaded engine always meets it, tight enough that saturation
@@ -254,30 +259,80 @@ def _default_slo_ms(output_tokens: int) -> float:
     return 2000.0 + 75.0 * output_tokens
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (not a bool)
+    of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite number above 0."""
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not (_is_real(value) and 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _check_at_least(name: str, value, minimum: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite number of at least
+    ``minimum`` (token means: at least 1)."""
+    if not (_is_real(value) and minimum <= value < math.inf):
+        raise ValueError(f"{name} must be finite and >= {minimum}, got {value!r}")
+
+
+def _check_traffic(num_requests, slo_ms) -> None:
+    """The parameters every generator takes: the request count and an
+    optional fixed SLO."""
+    _check_count("num_requests", num_requests, 0)
+    if slo_ms is not None:
+        _check_positive("slo_ms", slo_ms)
+
+
+def _poisson_arrivals(rng: random.Random, num_requests: int, rate_rps: float) -> List[float]:
+    """``num_requests`` Poisson arrival times at ``rate_rps`` (ms, unrounded)."""
+    random_ = rng.random
+    log = math.log
+    now = 0.0
+    arrivals = []
+    for _ in range(num_requests):
+        now += -log(1.0 - random_()) / rate_rps * 1000.0
+        arrivals.append(now)
+    return arrivals
+
+
 def _build_requests(
     arrivals_ms: List[float],
     rng: random.Random,
-    mean_prompt_tokens: int,
-    mean_output_tokens: int,
+    mean_prompt_tokens: float,
+    mean_output_tokens: float,
     slo_ms: Optional[float],
-    output_sampler: Optional[Callable[[random.Random], int]] = None,
+    deadline_factor: Optional[float],
 ) -> List[Request]:
+    """One request per arrival: its prompt length, then its output length.
+
+    With a ``deadline_factor`` each request's hard deadline is its
+    (rounded) arrival plus that multiple of its SLO budget.
+    """
+    random_ = rng.random
+    log = math.log
+    prompt_rate = 1.0 / mean_prompt_tokens
+    output_rate = 1.0 / mean_output_tokens
     requests = []
+    append = requests.append
     for request_id, arrival_ms in enumerate(arrivals_ms):
-        prompt = _token_count(rng, mean_prompt_tokens)
-        if output_sampler is not None:
-            output = output_sampler(rng)
+        prompt = round(-log(1.0 - random_()) / prompt_rate) or 1
+        output = round(-log(1.0 - random_()) / output_rate) or 1
+        arrival_ms = round(arrival_ms, 6)
+        slo = _default_slo_ms(output) if slo_ms is None else slo_ms
+        if deadline_factor is None:
+            append(Request(request_id, arrival_ms, prompt, output, slo))
         else:
-            output = _token_count(rng, mean_output_tokens)
-        requests.append(
-            Request(
-                request_id=request_id,
-                arrival_ms=round(arrival_ms, 6),
-                prompt_tokens=prompt,
-                output_tokens=output,
-                slo_ms=slo_ms if slo_ms is not None else _default_slo_ms(output),
-            )
-        )
+            deadline = round(arrival_ms + deadline_factor * slo, 6)
+            append(Request(request_id, arrival_ms, prompt, output, slo, None, 0, deadline))
     return requests
 
 
@@ -290,13 +345,13 @@ def steady_workload(
     seed: int = 0,
 ) -> List[Request]:
     """Poisson arrivals at ``rate_rps`` requests per second."""
+    _check_traffic(num_requests, slo_ms)
+    _check_positive("rate_rps", rate_rps)
+    _check_at_least("mean_prompt_tokens", mean_prompt_tokens, 1)
+    _check_at_least("mean_output_tokens", mean_output_tokens, 1)
     rng = random.Random(seed)
-    now = 0.0
-    arrivals = []
-    for _ in range(num_requests):
-        now += rng.expovariate(rate_rps) * 1000.0
-        arrivals.append(now)
-    return _build_requests(arrivals, rng, mean_prompt_tokens, mean_output_tokens, slo_ms)
+    arrivals = _poisson_arrivals(rng, num_requests, rate_rps)
+    return _build_requests(arrivals, rng, mean_prompt_tokens, mean_output_tokens, slo_ms, None)
 
 
 def bursty_workload(
@@ -309,16 +364,31 @@ def bursty_workload(
     slo_ms: Optional[float] = None,
     seed: int = 0,
 ) -> List[Request]:
-    """Bursts of ``burst_size`` near-simultaneous requests, then silence."""
+    """Bursts of ``burst_size`` near-simultaneous requests, then silence.
+
+    Burst starts are a unit-rate Poisson process scaled by
+    ``burst_interval_ms``; each request lands uniformly within
+    ``intra_burst_ms`` of its burst's start (0 makes a burst simultaneous).
+    """
+    _check_traffic(num_requests, slo_ms)
+    _check_count("burst_size", burst_size, 1)
+    _check_positive("burst_interval_ms", burst_interval_ms)
+    _check_at_least("intra_burst_ms", intra_burst_ms, 0.0)
+    _check_at_least("mean_prompt_tokens", mean_prompt_tokens, 1)
+    _check_at_least("mean_output_tokens", mean_output_tokens, 1)
     rng = random.Random(seed)
+    random_ = rng.random
+    log = math.log
     arrivals = []
     burst_start = 0.0
     while len(arrivals) < num_requests:
-        burst_start += rng.expovariate(1.0) * burst_interval_ms
+        # expovariate(1.0) is the variate divided by 1.0, which is exact.
+        burst_start += -log(1.0 - random_()) * burst_interval_ms
         for _ in range(min(burst_size, num_requests - len(arrivals))):
-            arrivals.append(burst_start + rng.uniform(0.0, intra_burst_ms))
+            # uniform(0.0, b) is 0.0 + b * random(), and 0.0 + x == x here.
+            arrivals.append(burst_start + intra_burst_ms * random_())
     arrivals.sort()
-    return _build_requests(arrivals, rng, mean_prompt_tokens, mean_output_tokens, slo_ms)
+    return _build_requests(arrivals, rng, mean_prompt_tokens, mean_output_tokens, slo_ms, None)
 
 
 def heavy_tail_workload(
@@ -336,19 +406,26 @@ def heavy_tail_workload(
     Most generations are short, but the tail is long enough that a handful
     of requests dominate batch occupancy — the scheduling-sensitive regime.
     """
+    _check_traffic(num_requests, slo_ms)
+    _check_positive("rate_rps", rate_rps)
+    _check_at_least("mean_prompt_tokens", mean_prompt_tokens, 1)
+    _check_count("min_output_tokens", min_output_tokens, 1)
+    _check_positive("pareto_alpha", pareto_alpha)
+    _check_count("max_output_tokens", max_output_tokens, 1)
     rng = random.Random(seed)
-    now = 0.0
-    arrivals = []
-    for _ in range(num_requests):
-        now += rng.expovariate(rate_rps) * 1000.0
-        arrivals.append(now)
-
-    def sample_output(r: random.Random) -> int:
-        return min(max_output_tokens, int(min_output_tokens * r.paretovariate(pareto_alpha)))
-
-    return _build_requests(
-        arrivals, rng, mean_prompt_tokens, 0, slo_ms, output_sampler=sample_output
-    )
+    arrivals = _poisson_arrivals(rng, num_requests, rate_rps)
+    random_ = rng.random
+    log = math.log
+    prompt_rate = 1.0 / mean_prompt_tokens
+    # paretovariate(alpha) is (1.0 - random()) ** (-1.0 / alpha).
+    shape = -1.0 / pareto_alpha
+    requests = []
+    for request_id, arrival_ms in enumerate(arrivals):
+        prompt = round(-log(1.0 - random_()) / prompt_rate) or 1
+        output = min(max_output_tokens, int(min_output_tokens * (1.0 - random_()) ** shape))
+        slo = _default_slo_ms(output) if slo_ms is None else slo_ms
+        requests.append(Request(request_id, round(arrival_ms, 6), prompt, output, slo))
+    return requests
 
 
 def memory_pressure_workload(
@@ -371,23 +448,25 @@ def memory_pressure_workload(
     generators) so the worst-case single-request footprint is bounded and
     a deliberately small block budget stays feasible.
     """
+    _check_traffic(num_requests, slo_ms)
+    _check_positive("rate_rps", rate_rps)
+    _check_at_least("mean_prompt_tokens", mean_prompt_tokens, 1)
+    _check_at_least("mean_output_tokens", mean_output_tokens, 1)
+    _check_count("max_prompt_tokens", max_prompt_tokens, 1)
+    _check_count("max_output_tokens", max_output_tokens, 1)
     rng = random.Random(seed)
-    now = 0.0
-    arrivals = []
-    for _ in range(num_requests):
-        now += rng.expovariate(rate_rps) * 1000.0
-        arrivals.append(now)
-
-    def sample_output(r: random.Random) -> int:
-        return min(max_output_tokens, _token_count(r, mean_output_tokens))
-
-    requests = _build_requests(
-        arrivals, rng, mean_prompt_tokens, 0, slo_ms, output_sampler=sample_output
-    )
-    return [
-        dataclasses.replace(r, prompt_tokens=min(r.prompt_tokens, max_prompt_tokens))
-        for r in requests
-    ]
+    arrivals = _poisson_arrivals(rng, num_requests, rate_rps)
+    random_ = rng.random
+    log = math.log
+    prompt_rate = 1.0 / mean_prompt_tokens
+    output_rate = 1.0 / mean_output_tokens
+    requests = []
+    for request_id, arrival_ms in enumerate(arrivals):
+        prompt = min(max_prompt_tokens, round(-log(1.0 - random_()) / prompt_rate) or 1)
+        output = min(max_output_tokens, round(-log(1.0 - random_()) / output_rate) or 1)
+        slo = _default_slo_ms(output) if slo_ms is None else slo_ms
+        requests.append(Request(request_id, round(arrival_ms, 6), prompt, output, slo))
+    return requests
 
 
 def diurnal_workload(
@@ -423,44 +502,57 @@ def diurnal_workload(
     the simulator's hot loop is exercised under realistic backlog rather
     than steady state.
     """
-    if not 0.0 < base_rate_rps <= peak_rate_rps:
+    _check_traffic(num_requests, slo_ms)
+    _check_positive("base_rate_rps", base_rate_rps)
+    _check_positive("peak_rate_rps", peak_rate_rps)
+    if base_rate_rps > peak_rate_rps:
         raise ValueError(
             f"need 0 < base_rate_rps <= peak_rate_rps, got "
             f"{base_rate_rps} and {peak_rate_rps}"
         )
-    if period_s <= 0:
-        raise ValueError(f"period_s must be > 0, got {period_s}")
-    if num_spikes < 0 or spike_multiplier < 1.0:
+    _check_positive("period_s", period_s)
+    _check_count("num_spikes", num_spikes, 0)
+    _check_at_least("spike_multiplier", spike_multiplier, 1.0)
+    if not (_is_real(spike_duration_s) and 0.0 <= spike_duration_s < period_s):
         raise ValueError(
-            f"need num_spikes >= 0 and spike_multiplier >= 1, got "
-            f"{num_spikes} and {spike_multiplier}"
+            f"spike_duration_s must be in [0, period_s), got {spike_duration_s!r}"
         )
-    if not 0.0 <= spike_duration_s < period_s:
-        raise ValueError(
-            f"spike_duration_s must be in [0, period_s), got {spike_duration_s}"
-        )
+    _check_at_least("mean_prompt_tokens", mean_prompt_tokens, 1)
+    _check_at_least("mean_output_tokens", mean_output_tokens, 1)
     rng = random.Random(seed)
     spike_offsets = sorted(rng.uniform(0.0, period_s) for _ in range(num_spikes))
-    swing = peak_rate_rps - base_rate_rps
+    # Each spike covers [start, end) of the period's offset; a window that
+    # runs past the period's end also covers [0, end - period_s) (offsets
+    # are never negative).  Empty windows (zero duration) never match.
+    windows = []
+    for start in spike_offsets:
+        end = start + spike_duration_s
+        if start < end:
+            windows.append((start, end))
+        if end > period_s:
+            windows.append((0.0, end - period_s))
+    half_swing = (peak_rate_rps - base_rate_rps) * 0.5
     omega = 2.0 * math.pi / period_s
     rate_bound = peak_rate_rps * spike_multiplier
-
-    def rate_at(t_s: float) -> float:
-        rate = base_rate_rps + swing * 0.5 * (1.0 + math.sin(omega * t_s))
-        offset = t_s % period_s
-        for start in spike_offsets:
-            end = start + spike_duration_s
-            if start <= offset < end or offset < end - period_s:  # wrapped window
-                return rate * spike_multiplier
-        return rate
+    random_ = rng.random
+    log = math.log
+    sin = math.sin
 
     now_s = 0.0
     arrivals: List[float] = []
     while len(arrivals) < num_requests:
-        now_s += rng.expovariate(rate_bound)
-        if rng.random() * rate_bound <= rate_at(now_s):
+        now_s += -log(1.0 - random_()) / rate_bound
+        threshold = random_() * rate_bound
+        rate = base_rate_rps + half_swing * (1.0 + sin(omega * now_s))
+        if windows:
+            offset = now_s % period_s
+            for start, end in windows:
+                if start <= offset < end:
+                    rate *= spike_multiplier
+                    break
+        if threshold <= rate:
             arrivals.append(now_s * 1000.0)
-    return _build_requests(arrivals, rng, mean_prompt_tokens, mean_output_tokens, slo_ms)
+    return _build_requests(arrivals, rng, mean_prompt_tokens, mean_output_tokens, slo_ms, None)
 
 
 def _prefix_hash(system_prompt_tokens: int, tenant: int, template_tokens: int) -> str:
@@ -501,41 +593,49 @@ def prefix_shared_workload(
     Arrival times, tenants and token counts are drawn identically
     regardless of ``shared_fraction`` — the fraction only flips identity
     bits — so sweeping it compares sharing regimes on the *same* traffic,
-    and ``shared_fraction=0`` is the exact no-sharing baseline.
+    and ``shared_fraction=0`` is the exact no-sharing baseline.  Each
+    tenant's prefix is hashed once, on its first declared request, and
+    every declared request of that tenant carries that one string.
     """
-    if num_tenants < 1:
-        raise ValueError(f"num_tenants must be >= 1, got {num_tenants}")
-    if not 0.0 <= shared_fraction <= 1.0:
-        raise ValueError(f"shared_fraction must be in [0, 1], got {shared_fraction}")
-    if system_prompt_tokens < 0 or tenant_template_tokens < 0:
-        raise ValueError("prefix token counts must be >= 0")
+    _check_traffic(num_requests, slo_ms)
+    _check_positive("rate_rps", rate_rps)
+    _check_count("num_tenants", num_tenants, 1)
+    if not (_is_real(shared_fraction) and 0.0 <= shared_fraction <= 1.0):
+        raise ValueError(f"shared_fraction must be in [0, 1], got {shared_fraction!r}")
+    _check_count("system_prompt_tokens", system_prompt_tokens, 0)
+    _check_count("tenant_template_tokens", tenant_template_tokens, 0)
     prefix_tokens = system_prompt_tokens + tenant_template_tokens
     if prefix_tokens < 1:
         raise ValueError("need a nonempty shared prefix (system prompt + template)")
+    _check_at_least("mean_unique_tokens", mean_unique_tokens, 1)
+    _check_at_least("mean_output_tokens", mean_output_tokens, 1)
     rng = random.Random(seed)
+    random_ = rng.random
+    randrange = rng.randrange
+    log = math.log
+    unique_rate = 1.0 / mean_unique_tokens
+    output_rate = 1.0 / mean_output_tokens
+    prefix_ids: Dict[int, str] = {}
     now = 0.0
     requests = []
+    append = requests.append
     for request_id in range(num_requests):
-        now += rng.expovariate(rate_rps) * 1000.0
-        tenant = rng.randrange(num_tenants)
-        unique = _token_count(rng, mean_unique_tokens)
-        output = _token_count(rng, mean_output_tokens)
-        declared = rng.random() < shared_fraction
-        requests.append(
-            Request(
-                request_id=request_id,
-                arrival_ms=round(now, 6),
-                prompt_tokens=prefix_tokens + unique,
-                output_tokens=output,
-                slo_ms=slo_ms if slo_ms is not None else _default_slo_ms(output),
-                prefix_id=(
-                    _prefix_hash(system_prompt_tokens, tenant, tenant_template_tokens)
-                    if declared
-                    else None
-                ),
-                prefix_tokens=prefix_tokens if declared else 0,
+        now += -log(1.0 - random_()) / rate_rps * 1000.0
+        tenant = randrange(num_tenants)
+        prompt = prefix_tokens + (round(-log(1.0 - random_()) / unique_rate) or 1)
+        output = round(-log(1.0 - random_()) / output_rate) or 1
+        slo = _default_slo_ms(output) if slo_ms is None else slo_ms
+        if random_() < shared_fraction:
+            prefix_id = prefix_ids.get(tenant)
+            if prefix_id is None:
+                prefix_id = prefix_ids[tenant] = _prefix_hash(
+                    system_prompt_tokens, tenant, tenant_template_tokens
+                )
+            append(
+                Request(request_id, round(now, 6), prompt, output, slo, prefix_id, prefix_tokens)
             )
-        )
+        else:
+            append(Request(request_id, round(now, 6), prompt, output, slo))
     return requests
 
 
@@ -560,22 +660,16 @@ def deadline_workload(
     shedding bound — so comparing the two isolates the deadline policy on
     the *same* traffic.
     """
-    if deadline_factor <= 0:
-        raise ValueError(f"deadline_factor must be > 0, got {deadline_factor}")
-    base = steady_workload(
-        num_requests=num_requests,
-        rate_rps=rate_rps,
-        mean_prompt_tokens=mean_prompt_tokens,
-        mean_output_tokens=mean_output_tokens,
-        slo_ms=slo_ms,
-        seed=seed,
+    _check_traffic(num_requests, slo_ms)
+    _check_positive("rate_rps", rate_rps)
+    _check_at_least("mean_prompt_tokens", mean_prompt_tokens, 1)
+    _check_at_least("mean_output_tokens", mean_output_tokens, 1)
+    _check_positive("deadline_factor", deadline_factor)
+    rng = random.Random(seed)
+    arrivals = _poisson_arrivals(rng, num_requests, rate_rps)
+    return _build_requests(
+        arrivals, rng, mean_prompt_tokens, mean_output_tokens, slo_ms, deadline_factor
     )
-    return [
-        dataclasses.replace(
-            r, deadline_ms=round(r.arrival_ms + deadline_factor * r.slo_ms, 6)
-        )
-        for r in base
-    ]
 
 
 WORKLOADS: Dict[str, Callable[..., List[Request]]] = {

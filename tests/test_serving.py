@@ -219,6 +219,34 @@ def test_no_free_slot_admits_nothing(name):
             assert scheduler.select(waiting, free_slots, 1e6, more_arrivals, _view(1000)) == []
 
 
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_engine_asks_for_admissions_only_with_a_free_slot(name):
+    slots_seen = []
+
+    class Counting(SCHEDULERS[name]):
+        def select(self, waiting, free_slots, now_ms, more_arrivals, memory):
+            slots_seen.append(free_slots)
+            return super().select(waiting, free_slots, now_ms, more_arrivals, memory)
+
+    # 60 requests at 3000 rps into 4 slots: a backlog for the whole play.
+    workload = steady_workload(
+        num_requests=60, rate_rps=3000.0, mean_prompt_tokens=64, mean_output_tokens=24, seed=4
+    )
+
+    def play(scheduler):
+        sim = ServingSimulator(
+            TINY_DENSE, backend="baseline", scheduler=scheduler, arch="a100", max_batch_size=4
+        )
+        return sim.simulate(workload, workload="steady")
+
+    counted = play(Counting())
+    plain = play(name)
+    assert slots_seen and min(slots_seen) >= 1
+    assert counted.digest() == plain.digest()
+    # The batch was full while requests waited: most steps asked nothing.
+    assert len(slots_seen) < plain.steps / 2
+
+
 def test_max_batch_defers_until_full_or_final():
     scheduler = MaxBatchScheduler(max_wait_ms=500.0)
     waiting = [_request(0, 0.0), _request(1, 1.0)]
