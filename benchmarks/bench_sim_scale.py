@@ -438,9 +438,12 @@ def main(argv=None) -> int:
                     f"availability {entry['availability'] * 100.0:.1f}%, "
                     f"goodput {entry['goodput_tok_s']:,.0f} tok/s"
                 )
+            # Wall time per replica step: what one engine iteration costs,
+            # whatever the cell's request count and queueing.
+            us_per_step = entry["wall_seconds"] / max(entry["steps"], 1) * 1e6
             print(
-                f"[{tier}] {cell_label(entry)}: {entry['rps']:,.0f} req/s "
-                f"({', '.join(details)})"
+                f"[{tier}] {cell_label(entry)}: {entry['rps']:,.0f} req/s, "
+                f"{us_per_step:.2f} us/step ({', '.join(details)})"
             )
             failures.extend(cell_failures(entry))
             if args.smoke:

@@ -70,7 +70,7 @@ from repro.serving.router import Router, get_router
 from repro.serving.scheduler import Scheduler
 from repro.serving.simulator import ReplicaEngine, ServingSimulator
 from repro.serving.step_model import PrecompileStats, StepLatencyModel, shared_step_model
-from repro.serving.workload import Request, arrival_key, check_unique_ids
+from repro.serving.workload import Request, arrival_key, check_count, check_unique_ids
 from repro.sim.arch import DEFAULT_EVAL_ARCH
 
 __all__ = [
@@ -344,8 +344,8 @@ class ClusterSimulator:
         kv_budget_blocks: Union[int, Sequence[int], None] = None,
         health_aware: bool = True,
     ):
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
+        check_count("replicas", replicas, 1)
+        replicas = int(replicas)
         if isinstance(kv_budget_blocks, (list, tuple)):
             if len(kv_budget_blocks) != replicas:
                 raise ValueError(

@@ -108,7 +108,10 @@ class Scheduler:
 
         It must be static for as long as the request waits and end in
         ``request_id`` (unique keys make insertion equal a full sort).
-        The default is arrival order, ``(arrival_ms, request_id)``.
+        The engine calls it once per enqueue (an arrival, a crash retry,
+        a preemption victim) and keeps the result beside ``waiting``, so
+        it never re-keys a waiting request.  The default is arrival
+        order, ``(arrival_ms, request_id)``.
         """
         return arrival_key(request)
 

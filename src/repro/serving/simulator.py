@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.serving.memory import KvBlockManager, kv_budget_blocks as _derive_kv_budget_blocks
@@ -70,7 +71,13 @@ from repro.serving.prefix import PrefixStore
 from repro.serving.report import RequestMetrics, ServeReport
 from repro.serving.scheduler import RunningInfo, Scheduler, get_scheduler
 from repro.serving.step_model import PrecompileStats, StepLatencyModel, shared_step_model
-from repro.serving.workload import Request, RequestQueue, arrival_key, check_unique_ids
+from repro.serving.workload import (
+    Request,
+    RequestQueue,
+    arrival_key,
+    check_count,
+    check_unique_ids,
+)
 from repro.sim.arch import DEFAULT_EVAL_ARCH, get_arch
 
 __all__ = ["PREFILL_PARALLELISM", "ReplicaEngine", "ServingSimulator"]
@@ -78,6 +85,8 @@ __all__ = ["PREFILL_PARALLELISM", "ReplicaEngine", "ServingSimulator"]
 # How many times more efficiently prefill processes a token than a decode
 # step does (its compute-dense batching).
 PREFILL_PARALLELISM = 8.0
+
+_request_id = attrgetter("request_id")
 
 
 @dataclass(slots=True)
@@ -139,8 +148,9 @@ class ServingSimulator:
         step_model: Optional[StepLatencyModel] = None,
         kv_budget_blocks: Optional[int] = None,
     ):
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
+        # Counts: a float or a bool would be truncated or fail far from here.
+        check_count("max_batch_size", max_batch_size, 1)
+        max_batch_size = int(max_batch_size)
         self.model_config = model_config
         self.backend = backend
         self.scheduler = get_scheduler(scheduler)
@@ -152,8 +162,7 @@ class ServingSimulator:
         # every step is timed at a bucket covering the actual batch.
         self.step_model.ensure_bucket(max_batch_size)
         if kv_budget_blocks is not None:
-            if kv_budget_blocks < 1:
-                raise ValueError(f"kv_budget_blocks must be >= 1, got {kv_budget_blocks}")
+            check_count("kv_budget_blocks", kv_budget_blocks, 1)
             self.kv_budget_blocks = int(kv_budget_blocks)
         else:
             self.kv_budget_blocks = _derive_kv_budget_blocks(model_config, self.arch)
@@ -219,11 +228,20 @@ class ReplicaEngine:
         # shedding keeps the survivors' order and admission splits off the
         # head), so the scheduler admits from the head instead of scanning
         # the backlog.  The key is unique per request, so this order is
-        # bit-identical to a full sort.  A preempted request waits as its
-        # bare Request too; its runtime state waits in ``_preempted`` so
-        # that readmission keeps its first scheduling and first-token times.
+        # bit-identical to a full sort.  Each waiting request's key is
+        # computed once, when it is enqueued, and kept in
+        # ``_waiting_keys``: its last ``len(waiting)`` entries are the keys
+        # of ``waiting``, in the same order (see :meth:`_live_keys`).  The
+        # entries before them belong to requests admitted since: a head
+        # split leaves the keys list alone, because a second memmove per
+        # admission would double what a deep backlog's head split costs,
+        # and :meth:`_enqueue` drops them once they are at least as many
+        # as the live ones.  A preempted request waits as its bare Request
+        # too; its runtime state waits in ``_preempted`` so that
+        # readmission keeps its first scheduling and first-token times.
         self._queue_key = sim.scheduler.queue_key
         self.waiting: List[Request] = []
+        self._waiting_keys: list = []
         self._preempted: Dict[int, _ActiveRequest] = {}
         # Request id -> state, in join order: the order preemption victims
         # and finishers detach from their prefixes in, which decides the
@@ -311,6 +329,7 @@ class ReplicaEngine:
         lost.sort(key=arrival_key)
         self.queue = RequestQueue(())
         self.waiting = []
+        self._waiting_keys = []
         self._preempted.clear()
         self.running = {}
         self._crossings.clear()
@@ -408,17 +427,35 @@ class ReplicaEngine:
         """Insert ``request`` into ``waiting`` at its scheduler key.
 
         The one insertion path for arrivals, crash retries and preemption
-        victims.  Keys mostly grow with arrival time, so the common case
-        appends past the tail; anything keyed below the tail (a tighter
-        deadline, an early-arrival retry, a victim) bisects in.
+        victims, and the one ``queue_key`` call per insertion: the keys of
+        the requests already waiting are held in ``_waiting_keys``.  Keys
+        mostly grow with arrival time, so the common case appends past
+        the tail; anything keyed below the tail (a tighter deadline, an
+        early-arrival retry, a victim) bisects in.
         """
-        key = self._queue_key
+        key = self._queue_key(request)
+        keys = self._waiting_keys
         waiting = self.waiting
-        k = key(request)
-        if not waiting or k > key(waiting[-1]):
+        # The first ``head`` keys belong to requests admitted since.  They
+        # are dropped once they are at least as many as the live keys, so
+        # a drop moves no more keys than it removes: O(1) per admission on
+        # average, however deep the backlog.
+        head = len(keys) - len(waiting)
+        if head and head >= len(waiting):
+            del keys[:head]
+            head = 0
+        if not waiting or key > keys[-1]:
+            keys.append(key)
             waiting.append(request)
         else:
-            waiting.insert(bisect_left(waiting, k, key=key), request)
+            index = bisect_left(keys, key, head)
+            keys.insert(index, key)
+            waiting.insert(index - head, request)
+
+    def _live_keys(self) -> list:
+        """The keys of ``waiting``, in its order (a copy)."""
+        keys = self._waiting_keys
+        return keys[len(keys) - len(self.waiting) :]
 
     def _grow_running(self) -> None:
         """Allocate the next decode token of each request whose private
@@ -431,31 +468,37 @@ class ReplicaEngine:
         blocks minus the reclaimable cached prefixes) plus one block per
         crosser, and it fits exactly when the crossers number at most the
         free plus reclaimable blocks.  Otherwise :meth:`_preempt` sweeps
-        the whole batch.  Growth evicts cached prefix entries on demand
-        before allocating, and books each grown request's next crossing.
+        the whole batch.  A crosser grows by one block, so cached prefix
+        entries are evicted only when the pool has no free block left;
+        each grown request's next crossing is booked.
         """
         step = self.steps
-        entries = self._crossings.pop(step, None)
+        crossings = self._crossings
+        entries = crossings.pop(step, None)
         if entries is None:
             return
         crossers = [state for state, join in entries if state.join_step == join]
         manager = self.manager
         store = self.prefix_store
-        if len(crossers) > manager.free_blocks + store.reclaimable_blocks:
+        free = manager.free_blocks
+        if len(crossers) > free + store.reclaimable_blocks:
             self._preempt()
+            free = manager.free_blocks
             # Victims leave with ``join_step`` reset to -1.
             crossers = [state for state in crossers if state.join_step >= 0]
         next_step = step + manager.block_tokens
         for state in crossers:
             request = state.request
             join = state.join_step
-            store.ensure_free(1)
-            manager.allocate(
+            if free < 1:
+                store.ensure_free(1)
+                free = manager.free_blocks
+            free -= manager.allocate(
                 request.request_id,
                 request.prompt_tokens + step - join + 1 - state.shared_tokens,
             )
             if next_step < join + request.output_tokens:
-                self._crossings.setdefault(next_step, []).append((state, join))
+                crossings.setdefault(next_step, []).append((state, join))
 
     def _preempt(self) -> None:
         """Preempt running requests in the scheduler's victim order until
@@ -545,16 +588,23 @@ class ReplicaEngine:
         external_pending: bool = False,
     ) -> bool:
         """Run one engine iteration; ``False`` when blocked, down or drained."""
-        if not self.healthy or self.idle:
+        if not self.healthy:
+            return False
+        running = self.running  # mutated in place; only crash() replaces it
+        waiting = self.waiting
+        queue = self.queue
+        # The ``idle`` test, busiest part first, with the queue read
+        # through its ``next_arrival_ms`` (``None`` exactly when empty).
+        if not (running or waiting) and queue.next_arrival_ms is None:
             return False
         sim = self.sim
         manager = self.manager
         store = self.prefix_store
-        running = self.running  # mutated in place; only crash() replaces it
-        waiting = self.waiting
 
-        for r in self.queue.pop_arrived(self.now):
-            self._enqueue(r)
+        arrival = queue.next_arrival_ms
+        if arrival is not None and arrival <= self.now:
+            for r in queue.pop_arrived(self.now):
+                self._enqueue(r)
 
         if self._has_deadlines and waiting:
             # Deadline-driven load shedding: a request still waiting past
@@ -572,6 +622,11 @@ class ReplicaEngine:
                         self._reserved_blocks -= manager.blocks_for(
                             r.prompt_tokens + r.output_tokens
                         )
+                self._waiting_keys = [
+                    key
+                    for r, key in zip(waiting, self._live_keys())
+                    if r.deadline_ms is None or r.deadline_ms > now
+                ]
                 self.waiting = waiting = kept
 
         # Grow the already-running requests first (preempting if the
@@ -587,7 +642,7 @@ class ReplicaEngine:
                 waiting,
                 free_slots=free_slots,
                 now_ms=self.now,
-                more_arrivals=len(self.queue) > 0 or external_pending,
+                more_arrivals=queue.next_arrival_ms is not None or external_pending,
                 memory=store.view(),
             )
         else:
@@ -598,37 +653,24 @@ class ReplicaEngine:
             admitted = ()
         joined: List[_ActiveRequest] = []
         if admitted:
-            admitted_ids = {r.request_id for r in admitted}
-            count = len(admitted_ids)
-            if count > free_slots:
-                raise RuntimeError(
-                    f"scheduler {sim.scheduler.name!r} admitted {count} "
-                    f"requests into {free_slots} free slots"
-                )
-            if count <= len(waiting) and all(
-                waiting[i].request_id in admitted_ids for i in range(count)
-            ):
-                # The admitted set is exactly the head of the queue (always
-                # true for a policy that admits in its own key order, like
-                # fcfs/slo/max-batch) — split off the prefix.
-                joining = waiting[:count]
+            count = len(admitted) if type(admitted) is list else 0
+            joining = waiting[:count]
+            if 0 < count <= free_slots and joining == admitted:
+                # The policy returned the head of the queue (always, for a
+                # policy that admits in its own key order, like
+                # fcfs/slo/max-batch): split it off.  List equality tests
+                # identity before ``==``, so this check runs no Python
+                # code, and the waiting objects themselves join.  Their
+                # keys stay behind in ``_waiting_keys`` (see __init__).
                 del waiting[:count]
             else:
-                joining = [r for r in waiting if r.request_id in admitted_ids]
-                if len(joining) < count:
-                    found = {r.request_id for r in joining}
-                    stray = next(r.request_id for r in admitted if r.request_id not in found)
-                    raise RuntimeError(
-                        f"scheduler {sim.scheduler.name!r} admitted request "
-                        f"{stray}, which is not waiting"
-                    )
-                self.waiting = waiting = [
-                    r for r in waiting if r.request_id not in admitted_ids
-                ]
+                joining = self._take_admitted(admitted, free_slots)
+                waiting = self.waiting
             # Join in arrival order whatever the admission key: the order
             # of ``running`` decides the order of prefix acquires and of
             # ensure_free evictions, here and in every later step.
-            joining.sort(key=arrival_key)
+            if len(joining) > 1:
+                joining.sort(key=arrival_key)
             now = self.now
             step = self.steps
             block_tokens = manager.block_tokens
@@ -677,7 +719,7 @@ class ReplicaEngine:
             # (local or external) or the scheduler's own re-poll time (so a
             # time-based deferral like max_wait_ms cannot be slept past).
             hints = [
-                self.queue.next_arrival_ms,
+                queue.next_arrival_ms,
                 sim.scheduler.next_event_ms(waiting, self.now),
                 external_next_arrival_ms,
             ]
@@ -730,6 +772,45 @@ class ReplicaEngine:
         self._retire(joined)
         return True
 
+    def _take_admitted(self, admitted, free_slots: int) -> List[Request]:
+        """Remove the requests ``admitted`` names (by request id) from
+        ``waiting`` and return them, in waiting order; raise if they
+        number more than ``free_slots`` or one of them is not waiting.
+
+        The admission path for whatever is not the head of the queue as
+        a list: a reordered or partial choice (``memory-aware``), a tuple,
+        a repeated request.
+        """
+        name = self.sim.scheduler.name
+        waiting = self.waiting
+        admitted_ids = {r.request_id for r in admitted}
+        count = len(admitted_ids)
+        if count > free_slots:
+            raise RuntimeError(
+                f"scheduler {name!r} admitted {count} requests into {free_slots} free slots"
+            )
+        if count <= len(waiting) and all(
+            waiting[i].request_id in admitted_ids for i in range(count)
+        ):
+            # The admitted set is exactly the head of the queue.
+            joining = waiting[:count]
+            del waiting[:count]
+            return joining
+        joining = [r for r in waiting if r.request_id in admitted_ids]
+        if len(joining) < count:
+            found = {r.request_id for r in joining}
+            stray = next(r.request_id for r in admitted if r.request_id not in found)
+            raise RuntimeError(
+                f"scheduler {name!r} admitted request {stray}, which is not waiting"
+            )
+        self._waiting_keys = [
+            key
+            for r, key in zip(waiting, self._live_keys())
+            if r.request_id not in admitted_ids
+        ]
+        self.waiting = [r for r in waiting if r.request_id not in admitted_ids]
+        return joining
+
     def _retire(self, joining: List[_ActiveRequest]) -> None:
         """Stamp the joiners' first token and retire this step's finishers.
 
@@ -762,17 +843,20 @@ class ReplicaEngine:
         self._reserved_blocks -= manager.blocks_for(
             request.prompt_tokens + request.output_tokens
         )
+        # Positional, in RequestMetrics' field order: request_id,
+        # arrival_ms, scheduled_ms, first_token_ms, finish_ms,
+        # prompt_tokens, output_tokens, slo_ms, deadline_ms.
         self.finished.append(
             RequestMetrics(
-                request_id=request.request_id,
-                arrival_ms=request.arrival_ms,
-                scheduled_ms=state.scheduled_ms,
-                first_token_ms=state.first_token_ms,
-                finish_ms=self.now,
-                prompt_tokens=request.prompt_tokens,
-                output_tokens=request.output_tokens,
-                slo_ms=request.slo_ms,
-                deadline_ms=request.deadline_ms,
+                request.request_id,
+                request.arrival_ms,
+                state.scheduled_ms,
+                state.first_token_ms,
+                self.now,
+                request.prompt_tokens,
+                request.output_tokens,
+                request.slo_ms,
+                request.deadline_ms,
             )
         )
 
@@ -787,7 +871,7 @@ class ReplicaEngine:
         sim = self.sim
         manager = self.manager
         store = self.prefix_store
-        finished = sorted(self.finished, key=lambda m: m.request_id)
+        finished = sorted(self.finished, key=_request_id)
         first_arrival = min((m.arrival_ms for m in finished), default=0.0)
         return ServeReport(
             model=sim.model_config.name,

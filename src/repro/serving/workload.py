@@ -52,6 +52,7 @@ import numbers
 import random
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 __all__ = [
@@ -157,11 +158,13 @@ class Request:
         return self.arrival_ms + self.slo_ms
 
 
-def arrival_key(request: Request):
-    """Arrival order, unique per request: the order the queue releases
-    requests in, a cluster routes them in, they join a running batch in,
-    and a crash hands its lost requests back in."""
-    return (request.arrival_ms, request.request_id)
+# Arrival order, unique per request: the order the queue releases requests
+# in, a cluster routes them in, they join a running batch in, and a crash
+# hands its lost requests back in.  ``arrival_key(request)`` is
+# ``(request.arrival_ms, request.request_id)``; as an ``attrgetter`` a sort
+# or bisect keyed by it runs no Python frame per element.
+arrival_key = attrgetter("arrival_ms", "request_id")
+_arrival_ms = attrgetter("arrival_ms")
 
 
 def check_unique_ids(requests) -> None:
@@ -177,8 +180,9 @@ def check_unique_ids(requests) -> None:
 class RequestQueue:
     """Arrival-ordered queue of not-yet-arrived requests.
 
-    The simulator pops the prefix whose arrival time has passed each step
-    and jumps simulated time to :attr:`next_arrival_ms` when idle.
+    The simulator pops the prefix whose arrival time has passed on each
+    step that has an arrival, and jumps simulated time to
+    :attr:`next_arrival_ms` when idle.
 
     Backed by one arrival-sorted array plus a moving cursor: the popped
     prefix is sliced off in one cut per step instead of element-by-element
@@ -186,6 +190,11 @@ class RequestQueue:
     exactly once, while only the cluster ever pushes), and pushes keep the
     pending suffix ordered via bisect.  The consumed prefix is compacted
     away periodically so a long run does not pin every popped request.
+
+    ``next_arrival_ms`` is a plain attribute that :meth:`push` and
+    :meth:`pop_arrived` keep current: the arrival time of the earliest
+    pending request, ``None`` once nothing is pending.  The engine reads
+    it every step, so the read must not call back into Python.
     """
 
     _COMPACT_AT = 4096
@@ -193,6 +202,9 @@ class RequestQueue:
     def __init__(self, requests):
         self._ordered: List[Request] = sorted(requests, key=arrival_key)
         self._cursor = 0
+        self.next_arrival_ms: Optional[float] = (
+            self._ordered[0].arrival_ms if self._ordered else None
+        )
 
     def __len__(self) -> int:
         return len(self._ordered) - self._cursor
@@ -200,12 +212,6 @@ class RequestQueue:
     def __iter__(self):
         """Iterate the pending requests in arrival order (read-only)."""
         return iter(self._ordered[self._cursor :])
-
-    @property
-    def next_arrival_ms(self) -> Optional[float]:
-        if self._cursor < len(self._ordered):
-            return self._ordered[self._cursor].arrival_ms
-        return None
 
     def push(self, request: Request) -> None:
         """Insert one more request, keeping ``(arrival_ms, request_id)`` order.
@@ -215,28 +221,29 @@ class RequestQueue:
         the pending suffix.
         """
         ordered = self._ordered
-        if not ordered or len(ordered) == self._cursor or arrival_key(
-            request
-        ) >= arrival_key(ordered[-1]):
+        cursor = self._cursor
+        if len(ordered) == cursor or arrival_key(request) >= arrival_key(ordered[-1]):
             ordered.append(request)
         else:
-            insort(ordered, request, lo=self._cursor, key=arrival_key)
+            insort(ordered, request, lo=cursor, key=arrival_key)
+        self.next_arrival_ms = ordered[cursor].arrival_ms
 
     def pop_arrived(self, now_ms: float) -> List[Request]:
         """Remove and return every request with ``arrival_ms <= now_ms``."""
+        if self.next_arrival_ms is None or self.next_arrival_ms > now_ms:
+            return []
         ordered = self._ordered
         cursor = self._cursor
-        if cursor >= len(ordered) or ordered[cursor].arrival_ms > now_ms:
-            return []
         # First index whose arrival is strictly after now: the sorted order
         # is (arrival_ms, request_id), so arrival times alone are also
         # non-decreasing and bisect on them finds the popped prefix's end.
-        end = bisect_right(ordered, now_ms, lo=cursor, key=lambda r: r.arrival_ms)
+        end = bisect_right(ordered, now_ms, lo=cursor, key=_arrival_ms)
         arrived = ordered[cursor:end]
-        self._cursor = end
         if end >= self._COMPACT_AT and end * 2 >= len(ordered):
             del ordered[:end]
-            self._cursor = 0
+            end = 0
+        self._cursor = end
+        self.next_arrival_ms = ordered[end].arrival_ms if end < len(ordered) else None
         return arrived
 
 
@@ -263,7 +270,7 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_count(name: str, value, minimum: int) -> None:
+def check_count(name: str, value, minimum: int) -> None:
     """Raise ``ValueError`` unless ``value`` is an integer (not a bool)
     of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
@@ -287,7 +294,7 @@ def _check_at_least(name: str, value, minimum: float) -> None:
 def _check_traffic(num_requests, slo_ms) -> None:
     """The parameters every generator takes: the request count and an
     optional fixed SLO."""
-    _check_count("num_requests", num_requests, 0)
+    check_count("num_requests", num_requests, 0)
     if slo_ms is not None:
         _check_positive("slo_ms", slo_ms)
 
@@ -371,7 +378,7 @@ def bursty_workload(
     ``intra_burst_ms`` of its burst's start (0 makes a burst simultaneous).
     """
     _check_traffic(num_requests, slo_ms)
-    _check_count("burst_size", burst_size, 1)
+    check_count("burst_size", burst_size, 1)
     _check_positive("burst_interval_ms", burst_interval_ms)
     _check_at_least("intra_burst_ms", intra_burst_ms, 0.0)
     _check_at_least("mean_prompt_tokens", mean_prompt_tokens, 1)
@@ -409,9 +416,9 @@ def heavy_tail_workload(
     _check_traffic(num_requests, slo_ms)
     _check_positive("rate_rps", rate_rps)
     _check_at_least("mean_prompt_tokens", mean_prompt_tokens, 1)
-    _check_count("min_output_tokens", min_output_tokens, 1)
+    check_count("min_output_tokens", min_output_tokens, 1)
     _check_positive("pareto_alpha", pareto_alpha)
-    _check_count("max_output_tokens", max_output_tokens, 1)
+    check_count("max_output_tokens", max_output_tokens, 1)
     rng = random.Random(seed)
     arrivals = _poisson_arrivals(rng, num_requests, rate_rps)
     random_ = rng.random
@@ -452,8 +459,8 @@ def memory_pressure_workload(
     _check_positive("rate_rps", rate_rps)
     _check_at_least("mean_prompt_tokens", mean_prompt_tokens, 1)
     _check_at_least("mean_output_tokens", mean_output_tokens, 1)
-    _check_count("max_prompt_tokens", max_prompt_tokens, 1)
-    _check_count("max_output_tokens", max_output_tokens, 1)
+    check_count("max_prompt_tokens", max_prompt_tokens, 1)
+    check_count("max_output_tokens", max_output_tokens, 1)
     rng = random.Random(seed)
     arrivals = _poisson_arrivals(rng, num_requests, rate_rps)
     random_ = rng.random
@@ -511,7 +518,7 @@ def diurnal_workload(
             f"{base_rate_rps} and {peak_rate_rps}"
         )
     _check_positive("period_s", period_s)
-    _check_count("num_spikes", num_spikes, 0)
+    check_count("num_spikes", num_spikes, 0)
     _check_at_least("spike_multiplier", spike_multiplier, 1.0)
     if not (_is_real(spike_duration_s) and 0.0 <= spike_duration_s < period_s):
         raise ValueError(
@@ -599,11 +606,11 @@ def prefix_shared_workload(
     """
     _check_traffic(num_requests, slo_ms)
     _check_positive("rate_rps", rate_rps)
-    _check_count("num_tenants", num_tenants, 1)
+    check_count("num_tenants", num_tenants, 1)
     if not (_is_real(shared_fraction) and 0.0 <= shared_fraction <= 1.0):
         raise ValueError(f"shared_fraction must be in [0, 1], got {shared_fraction!r}")
-    _check_count("system_prompt_tokens", system_prompt_tokens, 0)
-    _check_count("tenant_template_tokens", tenant_template_tokens, 0)
+    check_count("system_prompt_tokens", system_prompt_tokens, 0)
+    check_count("tenant_template_tokens", tenant_template_tokens, 0)
     prefix_tokens = system_prompt_tokens + tenant_template_tokens
     if prefix_tokens < 1:
         raise ValueError("need a nonempty shared prefix (system prompt + template)")

@@ -17,9 +17,11 @@ calendars under stress: tight KV pools preempt and readmit requests
 each request's first crossing by its private prompt length, and
 crashing fleets wipe the calendars.
 
-A second test pins the work bound without a clock: a pressure-free play
+Two more tests pin work bounds without a clock: a pressure-free play
 asks ``KvBlockManager.blocks_for`` well under once per decoded token,
-where the per-step scans asked about twice.
+where the per-step scans asked about twice, and calls
+``PrefixStore.ensure_free`` at most once per admitted request: a block
+crossing that finds a free block evicts nothing and asks nothing.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import repro.serving.cluster as cluster_module
 import repro.serving.simulator as simulator_module
 from repro.serving import SCHEDULERS, ServingSimulator, steady_workload
 from repro.serving.memory import KvBlockManager
+from repro.serving.prefix import PrefixStore
 from repro.serving.simulator import ReplicaEngine
 
 from test_slo_order import ARCH, CASES, PRESSURE_CASES, SIM_MODEL, _play, _workload
@@ -109,22 +112,22 @@ def test_cases_preempt_and_readmit_under_every_scheduler(scheduler):
     assert report.num_requests == len(_workload(seed, blocks, deadline_factor))
 
 
-@pytest.mark.parametrize("mean_output", [32, 128])
-def test_blocks_for_calls_per_decoded_token_are_bounded(monkeypatch, mean_output):
-    """A pressure-free play asks for block counts at admission, at each
-    block crossing and at finish — a fraction of a call per decoded token.
-    Scanning the batch every step asks twice per running request per step:
-    2.15 and 2.09 calls per decoded token here."""
-    calls = 0
-    original = KvBlockManager.blocks_for
+def _count_calls(monkeypatch, cls, name):
+    """Patch ``cls.name`` to count its calls; returns the one-entry count."""
+    calls = [0]
+    original = getattr(cls, name)
 
-    def counted(self, tokens):
-        nonlocal calls
-        calls += 1
-        return original(self, tokens)
+    def counted(self, *args):
+        calls[0] += 1
+        return original(self, *args)
 
-    monkeypatch.setattr(KvBlockManager, "blocks_for", counted)
-    # About 90% of the batch-16 decode capacity, so batches run nearly full.
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def _pressure_free_play(mean_output):
+    """fcfs at about 90% of the batch-16 decode capacity, so batches run
+    nearly full, on the default KV pool, so nothing is preempted."""
     workload = steady_workload(
         num_requests=3000, rate_rps=40_000.0 / mean_output, mean_prompt_tokens=64,
         mean_output_tokens=mean_output, seed=0,
@@ -134,6 +137,29 @@ def test_blocks_for_calls_per_decoded_token_are_bounded(monkeypatch, mean_output
     )
     report = sim.simulate(workload, workload="steady")
     assert report.num_requests == len(workload) and report.preemptions == 0
-    assert report.mean_batch_size > 8  # a real batch, or the bound says nothing
-    per_token = calls / report.total_output_tokens
+    assert report.mean_batch_size > 8  # a real batch, or the bounds say nothing
+    return report
+
+
+@pytest.mark.parametrize("mean_output", [32, 128])
+def test_blocks_for_calls_per_decoded_token_are_bounded(monkeypatch, mean_output):
+    """A pressure-free play asks for block counts at admission, at each
+    block crossing and at finish — a fraction of a call per decoded token.
+    Scanning the batch every step asks twice per running request per step:
+    2.15 and 2.09 calls per decoded token here."""
+    calls = _count_calls(monkeypatch, KvBlockManager, "blocks_for")
+    report = _pressure_free_play(mean_output)
+    per_token = calls[0] / report.total_output_tokens
     assert per_token <= 0.5, f"{per_token:.2f} blocks_for calls per decoded token"
+
+
+@pytest.mark.parametrize("mean_output", [32, 128])
+def test_ensure_free_calls_per_admission_are_bounded(monkeypatch, mean_output):
+    """Without pressure every admission makes room once and no block
+    crossing asks at all: the pool always has the one free block a
+    crossing grows into.  Asking at every crossing too made 2.92 and 8.92
+    calls per admitted request here."""
+    calls = _count_calls(monkeypatch, PrefixStore, "ensure_free")
+    report = _pressure_free_play(mean_output)
+    per_request = calls[0] / report.num_requests
+    assert per_request <= 1.0, f"{per_request:.2f} ensure_free calls per admitted request"

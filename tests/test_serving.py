@@ -1,7 +1,9 @@
 """Tests for the continuous-batching serving subsystem (repro.serving)."""
 
 import dataclasses
+import re
 
+import numpy as np
 import pytest
 
 from repro.e2e import ModelConfig
@@ -1045,6 +1047,41 @@ def test_cluster_per_replica_budgets_and_validation():
         kv_budget_blocks=[64, 128],
     )
     assert [sim.kv_budget_blocks for sim in cluster.replicas] == [64, 128]
+
+
+# (simulator, keyword, value, the offending value the error must name)
+SIZE_CASES = [
+    (ServingSimulator, "max_batch_size", 2.5, 2.5),
+    (ServingSimulator, "max_batch_size", True, True),
+    (ServingSimulator, "max_batch_size", float("nan"), float("nan")),
+    (ServingSimulator, "kv_budget_blocks", 80.7, 80.7),
+    (ServingSimulator, "kv_budget_blocks", True, True),
+    (ClusterSimulator, "kv_budget_blocks", [80.5, 80], 80.5),
+    (ClusterSimulator, "replicas", 2.5, 2.5),
+    (ClusterSimulator, "replicas", True, True),
+]
+
+
+@pytest.mark.parametrize(
+    "simulator, name, value, bad", SIZE_CASES,
+    ids=[f"{cls.__name__}-{name}={value!r}" for cls, name, value, _ in SIZE_CASES],
+)
+def test_simulator_sizes_must_be_integers(simulator, name, value, bad):
+    """Batch slots, KV blocks and replicas are counts: a float is not
+    truncated and a bool is not read as 0 or 1."""
+    message = re.escape(f"{name} must be an integer >= 1, got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        simulator(TINY_DENSE, arch="a100", **{name: value})
+
+
+def test_simulator_sizes_accept_numpy_integers():
+    sim = ServingSimulator(
+        TINY_DENSE, arch="a100", max_batch_size=np.int64(4), kv_budget_blocks=np.int32(64)
+    )
+    assert (sim.max_batch_size, sim.kv_budget_blocks) == (4, 64)
+    assert type(sim.max_batch_size) is int and type(sim.kv_budget_blocks) is int
+    cluster = ClusterSimulator(TINY_DENSE, replicas=np.int64(2), arch="a100")
+    assert cluster.num_replicas == 2
 
 
 def test_report_digest_is_content_sensitive():

@@ -14,9 +14,19 @@ victims re-enter by key, prefix acquire and eviction order follow the
 running batch), hard deadlines (shedding filters the key-ordered list)
 and crashing fleets (retries re-enter with their original arrival).
 
-A second test pins the work bound without a clock: the engine calls
-``queue_key`` a bounded number of times per request, where the full scan
-made hundreds of key calls per request under a flash crowd.
+The engine computes each waiting request's key once, when it enqueues
+the request, and keeps the keys beside ``waiting``.  A checking engine
+asserts after every step, on the same 40 cases under every policy, that
+those keys are the scheduler's keys of ``waiting`` in increasing order.
+A clock-free test pins the work bound: the engine calls ``queue_key``
+once per enqueue, where the bisect probes made about ten calls per
+request under a flash crowd and the full scan hundreds.
+
+Admission splits the head off ``waiting`` when the policy returns it as
+a list of the same requests, and otherwise matches the returned requests
+to waiting ones by request id.  Policies that return the head in other
+shapes (a value-equal copy, reversed, a tuple, a repeated request) must
+admit the waiting objects themselves, once each and in arrival order.
 """
 
 from __future__ import annotations
@@ -26,8 +36,11 @@ import heapq
 
 import pytest
 
+import repro.serving.cluster as cluster_module
+import repro.serving.simulator as simulator_module
 from repro.e2e import ModelConfig
 from repro.serving import (
+    SCHEDULERS,
     ClusterSimulator,
     FaultSchedule,
     Scheduler,
@@ -38,6 +51,8 @@ from repro.serving import (
     prefix_shared_workload,
 )
 from repro.serving.memory import DEFAULT_KV_BLOCK_TOKENS
+from repro.serving.simulator import ReplicaEngine
+from repro.serving.workload import arrival_key
 
 SIM_MODEL = ModelConfig(
     name="sim-scale-dense",
@@ -161,10 +176,10 @@ def test_cases_exercise_preemption_shedding_and_crashes():
 
 
 def test_slo_queue_key_calls_per_request_are_bounded(monkeypatch):
-    """A flash-crowd ``slo`` play keys each request a handful of times
-    (its insertion and the bisect probes), never once per waiting request
-    per step — a select that scans the backlog by this key makes over 200
-    calls per request here."""
+    """A flash-crowd ``slo`` play keys each request once, when it is
+    enqueued (nothing is preempted here).  Bisecting by calling the key
+    on each probe made 9.7 calls per request here, and a select that
+    scans the backlog by this key makes over 200."""
     calls = 0
     original = SloScheduler.queue_key
 
@@ -187,4 +202,84 @@ def test_slo_queue_key_calls_per_request_are_bounded(monkeypatch):
     report = sim.simulate(workload, workload="diurnal")
     assert report.num_requests == len(workload)
     assert report.max_queue_depth > 500  # a real backlog, or the bound says nothing
-    assert calls <= 24 * len(workload), f"{calls / len(workload):.1f} queue_key calls per request"
+    assert calls <= 2 * len(workload), f"{calls / len(workload):.1f} queue_key calls per request"
+
+
+class KeyCheckedEngine(ReplicaEngine):
+    """The engine, checking after every step that the keys it holds
+    beside ``waiting`` are the scheduler's keys of ``waiting``, in
+    increasing order (keys are unique: they end in ``request_id``)."""
+
+    def advance(self, *args, **kwargs):
+        progressed = super().advance(*args, **kwargs)
+        keys = list(map(self.sim.scheduler.queue_key, self.waiting))
+        assert self._live_keys() == keys == sorted(keys)
+        return progressed
+
+
+# Every registered policy, plus the full scan: it and memory-aware return
+# choices that are not the head of ``waiting``.
+KEYED_POLICIES = {**{name: name for name in sorted(SCHEDULERS)}, "full-scan-edf": FullScanEdf()}
+
+
+@pytest.mark.parametrize("policy", sorted(KEYED_POLICIES))
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "s{}-b{}-x{}-d{}-r{}".format(*c))
+def test_waiting_keys_are_the_queue_keys_after_every_step(monkeypatch, policy, case):
+    monkeypatch.setattr(simulator_module, "ReplicaEngine", KeyCheckedEngine)
+    monkeypatch.setattr(cluster_module, "ReplicaEngine", KeyCheckedEngine)
+    report = _play(KEYED_POLICIES[policy], *case)
+    seed, blocks, _, deadline_factor, _ = case
+    assert report.num_requests + report.shed == len(_workload(seed, blocks, deadline_factor))
+
+
+class HeadShaped(Scheduler):
+    """fcfs whose ``select`` returns its choice reshaped by ``shape``."""
+
+    name = "fcfs"  # the digest covers the policy name
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def select(self, waiting, free_slots, now_ms, more_arrivals, memory):
+        chosen = fitting_prefix(waiting[:free_slots], memory)
+        return self.shape(chosen) if chosen else chosen
+
+
+# Shape -> (what the policy returns for the fitting head, the plain list
+# of waiting requests that must join for it).
+HEAD_SHAPES = {
+    "value-equal-copy": (lambda head: [dataclasses.replace(head[0])], lambda head: head[:1]),
+    "reversed": (lambda head: head[::-1], lambda head: head),
+    "tuple": (tuple, lambda head: head),
+    "head-twice": (lambda head: [head[0], head[0]], lambda head: head[:1]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(HEAD_SHAPES))
+def test_admission_joins_the_waiting_objects_whatever_shape_the_policy_returns(shape):
+    returned, plain = HEAD_SHAPES[shape]
+    seed, blocks, batch, deadline_factor, _ = PRESSURE_CASES[0]
+    workload = _workload(seed, blocks, deadline_factor)
+    queued = {r.request_id: r for r in workload}
+    common = dict(
+        backend="hexcute", arch=ARCH, max_batch_size=batch, kv_budget_blocks=blocks
+    )
+    engine = ReplicaEngine(
+        ServingSimulator(SIM_MODEL, scheduler=HeadShaped(returned), **common), workload
+    )
+    while engine.advance():
+        running = list(engine.running.values())
+        # The queued objects themselves, never the policy's: a copy is
+        # equal to the queued request but is not it.
+        assert all(s.request is queued[s.request.request_id] for s in running)
+        # This step's joiners, in join order, arrived in that order.
+        joined = [s.request for s in running if s.join_step == engine.steps - 1]
+        assert joined == sorted(joined, key=arrival_key)
+        # Each request is in exactly one place: queued, waiting, running
+        # or finished (a joiner left in ``waiting`` would count twice).
+        assert engine.assigned + len(engine.finished) == len(workload)
+        assert engine._live_keys() == [arrival_key(r) for r in engine.waiting]
+    report = engine.report("prefix-shared")
+    assert report.num_requests == len(workload) and report.preemptions > 0
+    expected = ServingSimulator(SIM_MODEL, scheduler=HeadShaped(plain), **common)
+    assert report.digest() == expected.simulate(workload, "prefix-shared").digest()
