@@ -52,6 +52,7 @@ from repro.synthesis.search import InstructionSelector
 from repro.synthesis.smem_solver import (
     SmemBankParams,
     clear_smem_cache,
+    copy_access_for,
     solve_subproblem,
     subproblem_key,
 )
@@ -342,9 +343,9 @@ def _prune_gate_cell(build, arch: str, bank_params: SmemBankParams):
     it solved, solved again with pruning off and with pruning on.
 
     The subproblems come from the selector's ``(tensor, instructions)``
-    memo, rebuilt through its access memo and deduplicated by structural
-    key, as the process-wide cache deduplicates them: after a cleared cache
-    they are exactly the subproblems the search solved.
+    memo, their accesses rebuilt with ``copy_access_for`` and deduplicated
+    by structural key, as the process-wide cache deduplicates them: after
+    a cleared cache they are exactly the subproblems the search solved.
     """
     gpu = get_arch(arch)
     iset = instruction_set(gpu.sm_arch)
@@ -360,7 +361,7 @@ def _prune_gate_cell(build, arch: str, bank_params: SmemBankParams):
     for tensor_id, instructions in selector._smem_cache:
         tensor = tensors[tensor_id]
         accesses = [
-            selector._access_for(copy, instr, tensor)
+            copy_access_for(copy, instr, tensor, selector._reg_tv[copy.op_id])
             for copy, instr in zip(selector._touching[tensor_id], instructions)
         ]
         key = subproblem_key(tensor, accesses, bank_params)

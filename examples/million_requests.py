@@ -5,9 +5,9 @@ The scale run the hot-loop optimizations exist for: a full simulated
 curve with seeded flash-crowd spikes — played through a 4-replica
 cluster behind round-robin routing, one million requests end to end.
 Deep queues build at the peaks and drain through the troughs, which is
-exactly the regime where the incrementally sorted waiting list, the
-cursor-backed request queue and the event-heap cluster stepping earn
-their keep (see "Scaling & performance" in ``docs/serving.md``).
+exactly the regime where the incrementally sorted waiting list and the
+cursor-backed request queue earn their keep (see "Scaling & performance"
+in ``docs/serving.md``).
 
 The kernel compiles are warmed before the clock starts, so the printed
 simulated-requests-per-second measures the discrete-event loop itself —

@@ -58,7 +58,6 @@ or account as downtime, so an empty schedule changes nothing.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -437,47 +436,29 @@ class ClusterSimulator:
                 f"but the fleet has {len(engines)} replicas"
             )
         healthy_only = self.health_aware
-        retry_counts: Dict[int, int] = {}
+        retries = 0
         failovers = 0
         shed_while_down = 0
         deferred: List[Request] = []  # arrivals held while the whole fleet is down
-        # Min-heap of (engine clock, replica id): only the replicas whose
-        # clocks still trail the next arrival are touched per event,
-        # instead of scanning the whole fleet.  An engine leaves the heap
-        # when advance() returns False — which, for an engine behind the
-        # arrival, only happens when it is fully drained (every blocked
-        # path either wakes at a hint > now, and the arrival itself is
-        # such a hint, or requires the hints to be in the past) or
-        # crashed — and re-enters when a request is injected into it (or
-        # it recovers).  Per-engine advance() call sequences (and hints)
-        # are exactly the scan loop's, and replicas are independent, so
-        # the traces (and every digest) are bit-identical.
-        heap = [(engine.now, index) for index, engine in enumerate(engines)]
-        heapq.heapify(heap)
-        in_heap = [True] * len(engines)
         num_arrivals = len(ordered)
         num_faults = len(fault_events)
         ai = fi = 0
 
         def advance_to(horizon: float, pending: bool) -> None:
-            # Advance every trailing replica as far as this event allows
-            # so the router (or the fault) sees state as of its time, not
-            # launch time.  A replica may overshoot (a decode step
-            # crossing the horizon) or stop short (idle/blocked — its
+            # Advance every replica, in id order, as far as this event
+            # allows so the router (or the fault) sees state as of its
+            # time, not launch time.  A replica may overshoot (a decode
+            # step crossing the horizon) or stop short (idle/blocked — its
             # clock then reads its last event, but nothing about it can
             # change before new input) — both are exactly the states the
-            # monolithic loop would be in at this time.
-            while heap and heap[0][0] < horizon:
-                clock, index = heapq.heappop(heap)
-                engine = engines[index]
-                if clock != engine.now:  # stale entry superseded by a re-push
-                    continue
-                if engine.advance(
+            # monolithic loop would be in at this time.  Behind its
+            # horizon, advance() returns False only for a replica that is
+            # down or drained, and then changes nothing.
+            for engine in engines:
+                while engine.now < horizon and engine.advance(
                     external_next_arrival_ms=horizon, external_pending=pending
                 ):
-                    heapq.heappush(heap, (engine.now, index))
-                else:
-                    in_heap[index] = False
+                    pass
 
         def place(request: Request, healthy_required: bool) -> None:
             nonlocal failovers
@@ -511,15 +492,11 @@ class ClusterSimulator:
                 failovers += 1
             assignments[request.request_id] = choice
             engines[choice].inject(request)
-            if engines[choice].healthy and not in_heap[choice]:
-                in_heap[choice] = True
-                heapq.heappush(heap, (engines[choice].now, choice))
 
         def reroute(lost: Sequence[Request], healthy_required: bool) -> None:
+            nonlocal retries
+            retries += len(lost)
             for request in lost:
-                retry_counts[request.request_id] = (
-                    retry_counts.get(request.request_id, 0) + 1
-                )
                 place(request, healthy_required)
 
         while ai < num_arrivals or fi < num_faults:
@@ -534,14 +511,10 @@ class ClusterSimulator:
                 if isinstance(event, ReplicaCrash):
                     lost = engine.crash(event.at_ms)
                     healthy_views = tuple(v for v in views if v.healthy)
-                    in_heap[event.replica_id] = False
                     reroute(lost, healthy_only)
                 elif isinstance(event, ReplicaRecover):
                     engine.recover(event.at_ms)
                     healthy_views = tuple(v for v in views if v.healthy)
-                    if not in_heap[event.replica_id]:
-                        in_heap[event.replica_id] = True
-                        heapq.heappush(heap, (engine.now, event.replica_id))
                     if deferred:
                         held = deferred[:]
                         del deferred[:]
@@ -588,7 +561,7 @@ class ClusterSimulator:
             num_replicas=len(self.replicas),
             replicas=reports,
             assignments=assignments,
-            retries=sum(retry_counts.values()),
+            retries=retries,
             failovers=failovers,
             shed_while_down=shed_while_down,
         )

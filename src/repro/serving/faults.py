@@ -41,6 +41,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple, Union
 
+from repro.serving.workload import _check_at_least, _check_positive, check_count
+
 __all__ = [
     "FaultEvent",
     "FaultSchedule",
@@ -205,21 +207,16 @@ class FaultSchedule:
         generated schedule never strands the fleet.  Pass
         ``mean_time_between_slowdowns_ms=0`` to disable slowdowns.
         """
-        if num_replicas < 1:
-            raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
-        if horizon_ms <= 0:
-            raise ValueError(f"horizon_ms must be > 0, got {horizon_ms}")
-        if mean_uptime_ms <= 0 or mean_downtime_ms <= 0 or mean_slowdown_ms <= 0:
-            raise ValueError("mean uptime/downtime/slowdown durations must be > 0")
-        if mean_time_between_slowdowns_ms < 0:
-            raise ValueError(
-                f"mean_time_between_slowdowns_ms must be >= 0, got "
-                f"{mean_time_between_slowdowns_ms}"
-            )
+        check_count("num_replicas", num_replicas, 1)
+        _check_positive("horizon_ms", horizon_ms)
+        _check_positive("mean_uptime_ms", mean_uptime_ms)
+        _check_positive("mean_downtime_ms", mean_downtime_ms)
+        _check_positive("mean_slowdown_ms", mean_slowdown_ms)
+        _check_at_least("mean_time_between_slowdowns_ms", mean_time_between_slowdowns_ms, 0.0)
         lo, hi = slowdown_factor_range
-        if not 0.0 < lo <= hi:
+        if not 0.0 < lo <= hi < math.inf:
             raise ValueError(
-                f"slowdown_factor_range must satisfy 0 < lo <= hi, got {lo}, {hi}"
+                f"slowdown_factor_range must satisfy 0 < lo <= hi < inf, got {lo}, {hi}"
             )
         events: List[FaultEvent] = []
         for rid in range(num_replicas):

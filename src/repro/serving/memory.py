@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Mapping
 
+from repro.serving.workload import check_count
 from repro.sim.arch import GpuArch, get_arch
 
 __all__ = [
@@ -229,10 +230,8 @@ class KvBlockManager:
     """
 
     def __init__(self, total_blocks: int, block_tokens: int = DEFAULT_KV_BLOCK_TOKENS):
-        if total_blocks < 1:
-            raise ValueError(f"total_blocks must be >= 1, got {total_blocks}")
-        if block_tokens < 1:
-            raise ValueError(f"block_tokens must be >= 1, got {block_tokens}")
+        check_count("total_blocks", total_blocks, 1)
+        check_count("block_tokens", block_tokens, 1)
         self.total_blocks = total_blocks
         self.block_tokens = block_tokens
         self._held: Dict[int, int] = {}

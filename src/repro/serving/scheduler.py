@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple, Type, Union
 
 from repro.serving.memory import KvMemoryView
-from repro.serving.workload import Request, arrival_key
+from repro.serving.workload import Request, _is_real, arrival_key
 
 __all__ = [
     "FcfsScheduler",
@@ -206,6 +206,14 @@ class SloScheduler(Scheduler):
         )
 
 
+def _check_max_wait(max_wait_ms) -> None:
+    """Raise ``ValueError`` unless ``max_wait_ms`` is a real number (not a
+    bool) of at least 0; infinity turns aging off."""
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not (_is_real(max_wait_ms) and max_wait_ms >= 0):
+        raise ValueError(f"max_wait_ms must be a real number >= 0, got {max_wait_ms!r}")
+
+
 class MaxBatchScheduler(Scheduler):
     """Admit only when the batch can be filled (bounded by ``max_wait_ms``).
 
@@ -219,8 +227,7 @@ class MaxBatchScheduler(Scheduler):
     name = "max-batch"
 
     def __init__(self, max_wait_ms: float = 500.0):
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
+        _check_max_wait(max_wait_ms)
         self.max_wait_ms = max_wait_ms
 
     def select(self, waiting, free_slots, now_ms, more_arrivals, memory):
@@ -259,8 +266,7 @@ class MemoryAwareScheduler(Scheduler):
     name = "memory-aware"
 
     def __init__(self, max_wait_ms: float = 2000.0):
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
+        _check_max_wait(max_wait_ms)
         self.max_wait_ms = max_wait_ms
 
     def select(self, waiting, free_slots, now_ms, more_arrivals, memory):

@@ -789,13 +789,6 @@ class ReplicaEngine:
             raise RuntimeError(
                 f"scheduler {name!r} admitted {count} requests into {free_slots} free slots"
             )
-        if count <= len(waiting) and all(
-            waiting[i].request_id in admitted_ids for i in range(count)
-        ):
-            # The admitted set is exactly the head of the queue.
-            joining = waiting[:count]
-            del waiting[:count]
-            return joining
         joining = [r for r in waiting if r.request_id in admitted_ids]
         if len(joining) < count:
             found = {r.request_id for r in joining}

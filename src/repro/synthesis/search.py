@@ -50,7 +50,6 @@ from repro.ir.tensor import Scope, TileTensor
 from repro.synthesis.cost_model import AnalyticalCostModel, CostBreakdown
 from repro.synthesis.smem_solver import (
     DEFAULT_BANK_PARAMS,
-    CopyAccess,
     SmemBankParams,
     SmemPlan,
     copy_access_for,
@@ -181,8 +180,6 @@ class InstructionSelector:
         # --- memoized subproblems -------------------------------------- #
         # (tensor_id, (instruction per touching copy)) -> SmemPlan | None
         self._smem_cache: Dict[tuple, Optional[SmemPlan]] = {}
-        # (op_id, instruction, tensor_id) -> CopyAccess
-        self._access_cache: Dict[tuple, CopyAccess] = {}
         # (instruction per copy) -> (Candidate | None, failed tensor | None);
         # the greedy repair and the DFS revisit identical assignments (the
         # incumbent's leaf in particular), which replay from here for free.
@@ -328,16 +325,6 @@ class InstructionSelector:
     # ------------------------------------------------------------------ #
     # Memoized shared-memory subproblems
     # ------------------------------------------------------------------ #
-    def _access_for(
-        self, copy: Copy, instr: MemoryInstruction, tensor: TileTensor
-    ) -> CopyAccess:
-        key = (copy.op_id, instr, tensor.tensor_id)
-        access = self._access_cache.get(key)
-        if access is None:
-            access = copy_access_for(copy, instr, tensor, self._reg_tv[copy.op_id])
-            self._access_cache[key] = access
-        return access
-
     def _plan_for(
         self, tensor: TileTensor, assignment: Dict[int, MemoryInstruction]
     ) -> Optional[SmemPlan]:
@@ -350,7 +337,10 @@ class InstructionSelector:
         if key in self._smem_cache:
             self.stats.subproblems_memoized += 1
             return self._smem_cache[key]
-        accesses = [self._access_for(c, assignment[c.op_id], tensor) for c in touching]
+        accesses = [
+            copy_access_for(c, assignment[c.op_id], tensor, self._reg_tv[c.op_id])
+            for c in touching
+        ]
         solution, hit = smem_solution_for(tensor, accesses, self.bank_params)
         if hit:
             # The process-wide structural cache already knew this subproblem

@@ -98,12 +98,33 @@ def test_generate_can_disable_slowdowns():
 
 
 def test_generate_validates_knobs():
-    with pytest.raises(ValueError):
-        FaultSchedule.generate(0)
-    with pytest.raises(ValueError):
-        FaultSchedule.generate(2, horizon_ms=0.0)
-    with pytest.raises(ValueError):
-        FaultSchedule.generate(2, mean_uptime_ms=-1.0)
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        (dict(num_replicas=0), "num_replicas"),
+        # Replicas are a count: a bool is not one, and 2.5 is not truncated.
+        (dict(num_replicas=True), "num_replicas"),
+        (dict(num_replicas=2.5), "num_replicas"),
+        (dict(horizon_ms=0.0), "horizon_ms"),
+        # Non-finite knobs: NaN fails every sign check, infinity passes it.
+        (dict(horizon_ms=nan), "horizon_ms"),
+        (dict(horizon_ms=inf), "horizon_ms"),
+        (dict(mean_uptime_ms=-1.0), "mean_uptime_ms"),
+        (dict(mean_downtime_ms=inf), "mean_downtime_ms"),
+        (dict(mean_slowdown_ms=nan), "mean_slowdown_ms"),
+        (dict(mean_time_between_slowdowns_ms=-1.0), "mean_time_between_slowdowns_ms"),
+        (dict(mean_time_between_slowdowns_ms=nan), "mean_time_between_slowdowns_ms"),
+        (dict(mean_time_between_slowdowns_ms=inf), "mean_time_between_slowdowns_ms"),
+        # An infinite factor used to pass and fail at the first drawn event.
+        (dict(slowdown_factor_range=(1.5, inf)), "slowdown_factor_range"),
+        (dict(slowdown_factor_range=(2.0, 1.5)), "slowdown_factor_range"),
+    ]
+    for knobs, name in cases:
+        knobs = {"num_replicas": 2, **knobs}
+        with pytest.raises(ValueError, match=rf"^{name} must "):
+            FaultSchedule.generate(**knobs)
+    # An interval of 0 still turns slowdowns off.
+    calm = FaultSchedule.generate(2, horizon_ms=60_000.0, mean_time_between_slowdowns_ms=0)
+    assert calm and not any(isinstance(e, ReplicaSlowdown) for e in calm)
 
 
 def test_event_validation():

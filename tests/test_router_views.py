@@ -18,6 +18,11 @@ prefix evictions.
 A second test pins the work bound without a clock: a crashing 4-replica
 fleet builds exactly one view per replica per run, where the per-arrival
 snapshots built one per replica per placement.
+
+A third test checks what makes the cluster's id-order replica scan exact
+over the same fleets: a call to ``ReplicaEngine.advance`` behind its
+horizon that returns ``False`` finds the replica down or drained, and
+leaves its clock where it was.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import pytest
 
 from repro.serving import ROUTERS, ClusterSimulator, ReplicaSnapshot, get_router
 from repro.serving.router import Router
+from repro.serving.simulator import ReplicaEngine
 
 from test_slo_order import FLEET_CASES, _play
 
@@ -142,3 +148,31 @@ def test_views_are_built_once_per_replica_per_run(monkeypatch):
             setattr(views[0], name, 7)
     with pytest.raises(TypeError):
         views[0].resident_prefixes["intruder"] = 16
+
+
+@pytest.mark.parametrize("health_aware", [True, False], ids=["aware", "blind"])
+@pytest.mark.parametrize("case", FLEET_CASES, ids=lambda c: "s{}-b{}-x{}-d{}-r{}".format(*c))
+def test_advance_stops_behind_its_horizon_only_down_or_drained(monkeypatch, case, health_aware):
+    """The cluster calls ``advance`` on every replica at every event until
+    its clock reaches the event; a replica that cannot move returns
+    ``False`` at once.  That is exact only if such a call changes nothing,
+    which holds when nothing but a down or drained replica stops."""
+    stops = 0
+    original = ReplicaEngine.advance
+
+    def checked(self, external_next_arrival_ms=None, external_pending=False):
+        nonlocal stops
+        before = self.now
+        down, drained = not self.healthy, self.idle
+        moved = original(self, external_next_arrival_ms, external_pending)
+        behind = external_next_arrival_ms is not None and before < external_next_arrival_ms
+        if behind and not moved:
+            assert down or drained, f"replica {self.replica_id} stopped at t={before}"
+            assert self.now == before
+            stops += 1
+        return moved
+
+    monkeypatch.setattr(ReplicaEngine, "advance", checked)
+    report = _play("fcfs", *case, health_aware=health_aware)
+    assert report.crashes > 0
+    assert stops > 0

@@ -27,6 +27,7 @@ from repro.synthesis.search import InstructionSelector
 from repro.synthesis.smem_solver import (
     SmemBankParams,
     clear_smem_cache,
+    copy_access_for,
     smem_solution_for,
     solve_subproblem,
 )
@@ -105,7 +106,9 @@ def test_memoized_smem_subproblems_match_fresh_solves(name, build, arch):
         for tensor in selector.program.shared_tensors():
             touching = selector._touching[tensor.tensor_id]
             accesses = [
-                selector._access_for(copy, assignment[copy.op_id], tensor)
+                copy_access_for(
+                    copy, assignment[copy.op_id], tensor, selector._reg_tv[copy.op_id]
+                )
                 for copy in touching
             ]
             fresh = solve_subproblem(tensor, accesses, selector.bank_params)
@@ -140,7 +143,7 @@ def test_structural_smem_cache_round_trip():
     assignment = next(selector.enumerate_assignments())
     tensor = program.shared_tensors()[0]
     accesses = [
-        selector._access_for(copy, assignment[copy.op_id], tensor)
+        copy_access_for(copy, assignment[copy.op_id], tensor, selector._reg_tv[copy.op_id])
         for copy in selector._touching[tensor.tensor_id]
     ]
     clear_smem_cache()

@@ -264,6 +264,19 @@ def test_max_batch_defers_until_full_or_final():
     assert len(scheduler.select(waiting, 4, now_ms=600.0, more_arrivals=True, memory=pool)) == 2
 
 
+@pytest.mark.parametrize("policy", [MaxBatchScheduler, MemoryAwareScheduler])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), True, "500"])
+def test_max_wait_must_be_a_real_at_least_zero(policy, value):
+    """A NaN age threshold counts no request as aged or as fresh, so
+    memory-aware would admit nothing and max-batch would lose its aging
+    escape; a bool or a string is not a time."""
+    message = re.escape(f"max_wait_ms must be a real number >= 0, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        policy(max_wait_ms=value)
+    for fine in (0, 250.0, np.float64(250.0), float("inf")):
+        assert policy(max_wait_ms=fine).max_wait_ms == fine
+
+
 def test_get_scheduler_resolves_names_and_instances():
     assert isinstance(get_scheduler("fcfs"), FcfsScheduler)
     custom = MaxBatchScheduler(max_wait_ms=10.0)
@@ -642,8 +655,17 @@ def test_kv_block_manager_accounting():
     view = PrefixStore(manager).view()
     assert view.free_blocks == 10 and view.total_blocks == 10
     assert view.blocks_for(17) == 2
-    with pytest.raises(ValueError):
-        KvBlockManager(total_blocks=0)
+    # Sizes are counts: a fractional pool is not truncated, a bool is not
+    # read as 1, and a NaN pool, which would never run out, is refused.
+    for name, value in [
+        ("total_blocks", 0), ("total_blocks", 2.5), ("total_blocks", True),
+        ("total_blocks", float("nan")), ("block_tokens", 0), ("block_tokens", 8.0),
+        ("block_tokens", True),
+    ]:
+        sizes = {"total_blocks": 10, "block_tokens": 16, name: value}
+        message = re.escape(f"{name} must be an integer >= 1, got {value!r}")
+        with pytest.raises(ValueError, match=message):
+            KvBlockManager(**sizes)
 
 
 def _pressure_workload(seed=3):

@@ -2,10 +2,10 @@
 
 The PR that scaled the discrete-event core to millions of requests
 (incremental waiting-order maintenance, the cursor-backed ``RequestQueue``,
-event-heap cluster stepping, O(1) KV pool accounting, per-engine step
-caches) is gated by **bit-identical digests**: every optimization must
-reproduce the exact per-request trace of the unoptimized loop.  The golden
-digests in ``tests/data/golden_sim_digests.json`` were recorded from the
+O(1) KV pool accounting, per-engine step caches) is gated by
+**bit-identical digests**: every optimization must reproduce the exact
+per-request trace of the unoptimized loop.  The golden digests in
+``tests/data/golden_sim_digests.json`` were recorded from the
 pre-optimization engine (the commit before the scale PR); these tests
 assert the current engine still matches them, cell by cell:
 
@@ -13,7 +13,15 @@ assert the current engine still matches them, cell by cell:
   at N=5000, plus a preemption-heavy memory-pressure cell at a tight KV
   budget (exercising the bisect readmission path the old per-step sort
   used to cover);
-* ``ClusterSimulator`` — every router over a 3-replica diurnal fleet.
+* ``ClusterSimulator`` — every router over a 3-replica diurnal fleet,
+  stepped by the id-order replica scan these cells were recorded from.
+
+Two more fleet cells (``FLEET_SHAPES``) cover the shapes that scan
+touches beyond those: a 16-replica least-loaded fleet, most of it
+drained between arrivals, and a 4-replica health-blind round-robin fleet
+under generated crashes, which routes requests into down replicas.  They
+were recorded from the engine that stepped fleets with a ``(clock, id)``
+event heap instead, so they pin that the scan plays them identically.
 
 Five more cells pin the prefix-cache paths: every scheduler over a
 multi-tenant prefix-shared workload at a tight budget (preemption,
@@ -136,12 +144,39 @@ def _run_sim(scheduler: str, workload_name: str, workload, **kwargs):
     return sim.simulate(workload, workload=workload_name)
 
 
-def _run_cluster(router: str, workload):
+def _run_cluster(router: str, workload, replicas=3, faults=None, health_aware=True):
     cluster = ClusterSimulator(
-        SIM_MODEL, replicas=3, router=router, backend="hexcute",
+        SIM_MODEL, replicas=replicas, router=router, backend="hexcute",
         scheduler="fcfs", arch=ARCH, max_batch_size=MAX_BATCH, seed=11,
+        health_aware=health_aware,
     )
-    return cluster.simulate(workload, workload="diurnal")
+    return cluster.simulate(workload, workload="diurnal", faults=faults)
+
+
+def _run_wide_fleet(workload):
+    # 16 replicas for traffic sized for 3: most of the fleet sits drained
+    # between arrivals.
+    return _run_cluster("least-loaded", workload, replicas=16)
+
+
+def _run_blind_faults(workload):
+    # Health-blind round-robin keeps injecting into crashed replicas, whose
+    # queues wait out the outage.
+    span = max(r.arrival_ms for r in workload)
+    faults = FaultSchedule.generate(
+        4, horizon_ms=span, seed=11, mean_uptime_ms=span / 3.0,
+        mean_downtime_ms=span / 10.0,
+    )
+    return _run_cluster(
+        "round-robin", workload, replicas=4, faults=faults, health_aware=False
+    )
+
+
+# Fleet cells beyond the 3-replica health-aware ones: key -> player.
+FLEET_SHAPES = {
+    "cluster/least-loaded/diurnal-16x": _run_wide_fleet,
+    "cluster/round-robin/blind-faults": _run_blind_faults,
+}
 
 
 def _run_prefix_faults(workload):
@@ -191,6 +226,8 @@ def compute_digests():
     for router in sorted(ROUTERS):
         digests[f"cluster/{router}/diurnal"] = _run_cluster(router, fleet).digest()
     digests["cluster/prefix-affinity/prefix-faults"] = _run_prefix_faults(shared).digest()
+    for key, play in FLEET_SHAPES.items():
+        digests[key] = play(fleet).digest()
     return digests
 
 
@@ -271,9 +308,17 @@ def test_cluster_digest_matches_golden(golden, router):
     report = _run_cluster(router, _cluster_workload())
     assert report.num_requests == 2000
     assert report.digest() == golden[f"cluster/{router}/diurnal"], (
-        f"event-heap cluster stepping diverged from the replica-scan loop "
-        f"({router})"
+        f"cluster stepping diverged from the replica-scan loop ({router})"
     )
+
+
+@pytest.mark.parametrize("key", sorted(FLEET_SHAPES))
+def test_cluster_digest_matches_golden_on_other_fleet_shapes(golden, key):
+    report = FLEET_SHAPES[key](_cluster_workload())
+    assert report.num_requests == 2000
+    if "faults" in key:
+        assert report.crashes > 0 and report.retries > 0
+    assert report.digest() == golden[key], f"fleet diverged ({key})"
 
 
 def test_golden_matrix_is_complete(golden):
@@ -284,7 +329,7 @@ def test_golden_matrix_is_complete(golden):
         for w in ["steady", "bursty", "diurnal", "pressure", "prefix-pressure"]
     } | {f"cluster/{r}/diurnal" for r in ROUTERS} | {
         "cluster/prefix-affinity/prefix-faults"
-    }
+    } | set(FLEET_SHAPES)
     assert set(golden) == expected
 
 
