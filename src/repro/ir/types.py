@@ -2,19 +2,22 @@
 
 The DSL supports the types listed in the paper's Appendix B: the usual IEEE
 floats, bfloat16, the FP8 formats, and sub-byte integers used by
-weight-only quantization (``int4``/``uint4`` down to 1-bit).  Because the
-execution substrate is a numpy-based simulator, every type carries the numpy
-dtype used for *storage in the functional executor* together with its true
-bit width used for *memory traffic accounting* in the timing model — a
-4-bit weight occupies 4 bits of simulated DRAM/shared memory even though the
-executor stores it in an ``int8`` array.
+weight-only quantization (``int4``/``uint4`` down to 1-bit).  Every type
+carries the name of the numpy dtype used for *storage in the functional
+executor* together with its true bit width used for *memory traffic
+accounting* in the timing model — a 4-bit weight occupies 4 bits of
+simulated DRAM/shared memory even though the executor stores it in an
+``int8`` array.  Compiling never touches array data, so this module does
+not import numpy: :meth:`DataType.quantize` imports it when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DataType",
@@ -42,13 +45,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DataType:
-    """A scalar type: logical bit width plus simulation storage dtype."""
+    """A scalar type: logical bit width plus the name of the numpy dtype
+    the functional executor stores it in."""
 
     name: str
     bits: int
     is_float: bool
     is_signed: bool
-    storage: np.dtype
+    storage: str
 
     @property
     def is_integer(self) -> bool:
@@ -79,6 +83,8 @@ class DataType:
         precision the way they would on hardware (saturating for ints,
         truncating mantissa bits for the reduced floats).
         """
+        import numpy as np
+
         if self.is_float:
             if self.name == "float16":
                 return array.astype(np.float16).astype(np.float32)
@@ -103,23 +109,23 @@ class DataType:
         return self.name
 
 
-float64 = DataType("float64", 64, True, True, np.dtype(np.float64))
-float32 = DataType("float32", 32, True, True, np.dtype(np.float32))
-float16 = DataType("float16", 16, True, True, np.dtype(np.float32))
-bfloat16 = DataType("bfloat16", 16, True, True, np.dtype(np.float32))
-float8_e4m3 = DataType("float8_e4m3", 8, True, True, np.dtype(np.float32))
-float8_e5m2 = DataType("float8_e5m2", 8, True, True, np.dtype(np.float32))
-int32 = DataType("int32", 32, False, True, np.dtype(np.int32))
-uint32 = DataType("uint32", 32, False, False, np.dtype(np.uint32))
-int16 = DataType("int16", 16, False, True, np.dtype(np.int16))
-int8 = DataType("int8", 8, False, True, np.dtype(np.int8))
-uint8 = DataType("uint8", 8, False, False, np.dtype(np.uint8))
-int4 = DataType("int4", 4, False, True, np.dtype(np.int8))
-uint4 = DataType("uint4", 4, False, False, np.dtype(np.uint8))
-int2 = DataType("int2", 2, False, True, np.dtype(np.int8))
-uint2 = DataType("uint2", 2, False, False, np.dtype(np.uint8))
-int1 = DataType("int1", 1, False, True, np.dtype(np.int8))
-uint1 = DataType("uint1", 1, False, False, np.dtype(np.uint8))
+float64 = DataType("float64", 64, True, True, "float64")
+float32 = DataType("float32", 32, True, True, "float32")
+float16 = DataType("float16", 16, True, True, "float32")
+bfloat16 = DataType("bfloat16", 16, True, True, "float32")
+float8_e4m3 = DataType("float8_e4m3", 8, True, True, "float32")
+float8_e5m2 = DataType("float8_e5m2", 8, True, True, "float32")
+int32 = DataType("int32", 32, False, True, "int32")
+uint32 = DataType("uint32", 32, False, False, "uint32")
+int16 = DataType("int16", 16, False, True, "int16")
+int8 = DataType("int8", 8, False, True, "int8")
+uint8 = DataType("uint8", 8, False, False, "uint8")
+int4 = DataType("int4", 4, False, True, "int8")
+uint4 = DataType("uint4", 4, False, False, "uint8")
+int2 = DataType("int2", 2, False, True, "int8")
+uint2 = DataType("uint2", 2, False, False, "uint8")
+int1 = DataType("int1", 1, False, True, "int8")
+uint1 = DataType("uint1", 1, False, False, "uint8")
 
 _ALL = [
     float64,

@@ -21,12 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.pipeline import CompileRequest, compile_many
 from repro.frontend.script import KernelBuilder
 from repro.ir import types
-from repro.kernels.common import OperatorResult
+from repro.kernels.common import OperatorResult, numpy_module
 from repro.layout.layout import Layout
 from repro.sim.arch import get_arch
 from repro.utils.inttuple import ceil_div
@@ -100,7 +98,7 @@ def build_mha_forward(
         hx.gemm(r_scores, rq, rk)  # scores = Q @ K^T
         r_max = hx.reduce(r_scores, dim=1, kind="max", name="r_max")
         r_prob = hx.elementwise(
-            lambda s, m: np.exp((s - m) * scale),
+            lambda s, m: numpy_module().exp((s - m) * scale),
             r_scores,
             r_max,
             fn_name="softmax_exp",
@@ -121,7 +119,7 @@ def build_mha_forward(
         # stored (d, bkv) so the contraction runs over the KV dimension.
         hx.gemm(r_acc, r_prob16, rv)
     r_out = hx.elementwise(
-        lambda acc, lse: acc / np.maximum(lse, 1e-20),
+        lambda acc, lse: acc / numpy_module().maximum(lse, 1e-20),
         r_acc,
         r_lse,
         fn_name="normalize",
@@ -182,7 +180,7 @@ def build_mha_decoding(
         )
         r_scores = hx.reduce(r_qk, dim=1, kind="sum", name="r_scores")
         r_prob = hx.elementwise(
-            lambda s: np.exp(s * scale), r_scores, fn_name="softmax_exp", name="r_prob"
+            lambda s: numpy_module().exp(s * scale), r_scores, fn_name="softmax_exp", name="r_prob"
         )
         r_sum = hx.reduce(r_prob, dim=0, kind="sum", name="r_sum")
         hx.elementwise(
@@ -196,7 +194,11 @@ def build_mha_decoding(
             lambda acc, c: acc + c, r_acc, r_contrib, fn_name="accumulate_o", out=r_acc
         )
     r_out = hx.elementwise(
-        lambda acc, n: acc / np.maximum(n, 1e-20), r_acc, r_norm, fn_name="normalize", name="r_out"
+        lambda acc, n: acc / numpy_module().maximum(n, 1e-20),
+        r_acc,
+        r_norm,
+        fn_name="normalize",
+        name="r_out",
     )
     r_out16 = hx.cast(r_out, f16, name="r_out16")
     hx.copy(r_out16, go)

@@ -17,7 +17,19 @@ from repro.frontend.autotune import autotune_compile, build_sweep
 from repro.pipeline import CompileRequest
 from repro.sim.arch import GpuArch, get_arch
 
-__all__ = ["OperatorResult", "TileSweepOperator"]
+__all__ = ["OperatorResult", "TileSweepOperator", "numpy_module"]
+
+
+def numpy_module():
+    """The numpy module, imported on first call.
+
+    Elementwise functions that need numpy's ufuncs (softmax's ``exp``, the
+    scan's gate) fetch it through this: only the functional executor calls
+    them, so building, compiling and serving a kernel never load numpy.
+    """
+    import numpy
+
+    return numpy
 
 
 @dataclass

@@ -19,14 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.compiler import CompiledKernel
 from repro.pipeline import CompileRequest, compile_many
 from repro.frontend.script import KernelBuilder
 from repro.instructions.registry import instruction_set
 from repro.ir import types
-from repro.kernels.common import OperatorResult
+from repro.kernels.common import OperatorResult, numpy_module
 from repro.layout.layout import Layout
 from repro.sim.arch import get_arch
 from repro.utils.inttuple import ceil_div
@@ -105,7 +103,7 @@ def build_selective_scan(
 
         # Discretize and update the recurrent state, then gate the output.
         r_decay = hx.elementwise(
-            lambda delta, a_row: np.exp(delta * a_row),
+            lambda delta, a_row: numpy_module().exp(delta * a_row),
             regs["delta"],
             r_a_row,
             fn_name="discretize",
@@ -135,7 +133,7 @@ def build_selective_scan(
             lambda state, chunk: chunk, r_state, r_chunk_state, fn_name="carry_state", out=r_state
         )
         r_y = hx.elementwise(
-            lambda scan, c, z, u: scan * c * (z / (1.0 + np.abs(z))) + u,
+            lambda scan, c, z, u: scan * c * (z / (1.0 + numpy_module().abs(z))) + u,
             r_scan,
             regs["c"],
             regs["z"],

@@ -86,13 +86,17 @@ class ReplicaSlowdown:
     def __post_init__(self):
         _check_common(self)
         # Written so that NaN fails too: every comparison with NaN is false.
-        for name in ("factor", "duration_ms"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(
-                    f"ReplicaSlowdown.{name} must be finite and > 0, got {value!r} "
-                    f"(replica {self.replica_id} at t={self.at_ms})"
-                )
+        # A factor of exactly 1 is a no-op; below 1 the replica would speed up.
+        where = f"(replica {self.replica_id} at t={self.at_ms})"
+        if not 1.0 <= self.factor < math.inf:
+            raise ValueError(
+                f"ReplicaSlowdown.factor must be finite and >= 1, got {self.factor!r} {where}"
+            )
+        if not 0.0 < self.duration_ms < math.inf:
+            raise ValueError(
+                f"ReplicaSlowdown.duration_ms must be finite and > 0, "
+                f"got {self.duration_ms!r} {where}"
+            )
 
 
 FaultEvent = Union[ReplicaCrash, ReplicaRecover, ReplicaSlowdown]
@@ -214,9 +218,9 @@ class FaultSchedule:
         _check_positive("mean_slowdown_ms", mean_slowdown_ms)
         _check_at_least("mean_time_between_slowdowns_ms", mean_time_between_slowdowns_ms, 0.0)
         lo, hi = slowdown_factor_range
-        if not 0.0 < lo <= hi < math.inf:
+        if not 1.0 <= lo <= hi < math.inf:
             raise ValueError(
-                f"slowdown_factor_range must satisfy 0 < lo <= hi < inf, got {lo}, {hi}"
+                f"slowdown_factor_range must satisfy 1 <= lo <= hi < inf, got {lo}, {hi}"
             )
         events: List[FaultEvent] = []
         for rid in range(num_replicas):

@@ -166,6 +166,9 @@ class FunctionalExecutor:
                 globals_[tensor.tensor_id] = _GlobalBuffer(tensor, buffers[key])
             elif isinstance(op, AllocRegister):
                 registers[op.tensor.tensor_id] = _RegisterFile(op.tensor)
+            elif isinstance(op, Rearrange) and op.inserted:
+                # TV synthesis inserts no AllocRegister for its destination.
+                registers[op.dst.tensor_id] = _RegisterFile(op.dst)
             elif isinstance(op, AllocShared):
                 shared[op.tensor.tensor_id] = _SharedBuffer(op.tensor)
 

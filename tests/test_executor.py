@@ -1,12 +1,16 @@
 """Functional-correctness tests: compiled programs executed on numpy match
 plain numpy references (the "correct by construction" claim)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.compiler import compile_kernel
 from repro.frontend import KernelBuilder
 from repro.ir import types
+from repro.ir.ops import Rearrange
+from repro.kernels.attention import AttentionConfig, build_mha_forward
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm
 from repro.layout import Layout
 from repro.sim import ExecutionError, run_kernel
@@ -49,6 +53,51 @@ def test_gemm_matches_numpy_reference():
     reference = (a.astype(np.float32) @ b.astype(np.float32).T).astype(np.float32)
     out = buffers["c"].reshape(m, n).astype(np.float32)
     np.testing.assert_allclose(out, reference, rtol=2e-2, atol=2e-1)
+
+
+def _softmax_attention(q, k, v):
+    scores = q.astype(np.float64) @ k.astype(np.float64).T / math.sqrt(q.shape[1])
+    probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return probs / probs.sum(axis=1, keepdims=True) @ v.astype(np.float64)
+
+
+@pytest.mark.parametrize("arch", ["a100", "mi300", "cpu-sim"])
+@pytest.mark.parametrize(
+    "kv_len",
+    [
+        64,
+        pytest.param(
+            128,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="ROADMAP item 8: no rescale across KV tiles (no online softmax)",
+            ),
+        ),
+    ],
+)
+def test_mha_forward_matches_softmax_attention(arch, kv_len):
+    # TV synthesis inserts a rearrange into this kernel; the executor must
+    # give the rearrange's destination a register file of its own.
+    d = 64
+    config = AttentionConfig(block_q=64, block_kv=64, head_dim=d)
+    program = build_mha_forward(kv_len, d, 1, 1, config)
+    compile_kernel(program, arch=arch, max_candidates=8)
+    assert any(isinstance(op, Rearrange) and op.inserted for op in program.operations)
+
+    rng = np.random.default_rng(8)
+    q = rng.standard_normal((64, d)).astype(np.float16)
+    k = rng.standard_normal((kv_len, d)).astype(np.float16)
+    v = rng.standard_normal((kv_len, d)).astype(np.float16)
+    buffers = {
+        "q": q.reshape(-1).copy(),
+        "k": k.reshape(-1).copy(),
+        "v": v.reshape(-1).copy(),
+        "o": np.zeros(64 * d, dtype=np.float16),
+    }
+    run_kernel(program, buffers)
+    out = buffers["o"].reshape(64, d).astype(np.float64)
+    np.testing.assert_allclose(out, _softmax_attention(q, k, v), rtol=0, atol=1e-3)
 
 
 def test_elementwise_and_reduce_semantics():

@@ -117,6 +117,10 @@ def test_generate_validates_knobs():
         # An infinite factor used to pass and fail at the first drawn event.
         (dict(slowdown_factor_range=(1.5, inf)), "slowdown_factor_range"),
         (dict(slowdown_factor_range=(2.0, 1.5)), "slowdown_factor_range"),
+        # A factor below 1 would speed the replica up.
+        (dict(slowdown_factor_range=(0.5, 0.9)), "slowdown_factor_range"),
+        (dict(slowdown_factor_range=(0.5, 2.0)), "slowdown_factor_range"),
+        (dict(slowdown_factor_range=(nan, 2.0)), "slowdown_factor_range"),
     ]
     for knobs, name in cases:
         knobs = {"num_replicas": 2, **knobs}
@@ -125,6 +129,10 @@ def test_generate_validates_knobs():
     # An interval of 0 still turns slowdowns off.
     calm = FaultSchedule.generate(2, horizon_ms=60_000.0, mean_time_between_slowdowns_ms=0)
     assert calm and not any(isinstance(e, ReplicaSlowdown) for e in calm)
+    # A factor of exactly 1 stays legal: a no-op slowdown.
+    noop = FaultSchedule.generate(2, horizon_ms=60_000.0, slowdown_factor_range=(1.0, 1.0))
+    slowdowns = [e for e in noop if isinstance(e, ReplicaSlowdown)]
+    assert slowdowns and all(e.factor == 1.0 for e in slowdowns)
 
 
 def test_event_validation():
@@ -133,6 +141,10 @@ def test_event_validation():
         (lambda: ReplicaCrash(-1.0, 0), "at_ms"),
         (lambda: ReplicaRecover(0.0, -1), "replica_id"),
         (lambda: ReplicaSlowdown(0.0, 0, factor=0.0, duration_ms=10.0), "factor"),
+        # A factor below 1 would speed the replica up.
+        (lambda: ReplicaSlowdown(0.0, 0, factor=0.5, duration_ms=10.0), "factor"),
+        (lambda: ReplicaSlowdown(0.0, 0, factor=0.999, duration_ms=10.0), "factor"),
+        (lambda: ReplicaSlowdown(0.0, 0, factor=-2.0, duration_ms=10.0), "factor"),
         (lambda: ReplicaSlowdown(0.0, 0, factor=2.0, duration_ms=0.0), "duration_ms"),
         # Non-finite values: NaN fails every sign check, infinity passes it.
         (lambda: ReplicaSlowdown(0.0, 0, factor=nan, duration_ms=10.0), "factor"),
@@ -146,6 +158,7 @@ def test_event_validation():
     for build, field in cases:
         with pytest.raises(ValueError, match=rf"^Replica\w+\.{field} "):
             build()
+    assert ReplicaSlowdown(0.0, 0, factor=1.0, duration_ms=10.0).factor == 1.0
 
 
 def test_schedule_sorts_events_and_orders_ties():
