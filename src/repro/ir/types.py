@@ -80,27 +80,32 @@ class DataType:
         """Round-trip an array through this type's representable values.
 
         Used by the functional executor so low-precision casts lose
-        precision the way they would on hardware (saturating for ints,
-        truncating mantissa bits for the reduced floats).
+        precision the way they would on hardware: ints saturate, float16
+        overflows to infinity, bfloat16 truncates its mantissa, and the
+        FP8 formats round within their exponent range (subnormals below
+        the smallest normal value, saturation at the largest finite one,
+        as a ``satfinite`` conversion does).
         """
         import numpy as np
 
         if self.is_float:
             if self.name == "float16":
-                return array.astype(np.float16).astype(np.float32)
+                with np.errstate(over="ignore"):
+                    return array.astype(np.float16).astype(np.float32)
             if self.name == "bfloat16":
                 as_int = array.astype(np.float32).view(np.uint32)
                 truncated = (as_int & np.uint32(0xFFFF0000)).view(np.float32)
                 return truncated
-            if self.name.startswith("float8"):
-                # 3 (e4m3) or 2 (e5m2) mantissa bits: quantize the mantissa.
-                mantissa_bits = 3 if self.name.endswith("e4m3") else 2
-                scale = 2.0**mantissa_bits
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    exponent = np.where(array == 0, 0.0, np.floor(np.log2(np.abs(array))))
-                step = np.exp2(exponent) / scale
-                result = np.where(step == 0, array, np.round(array / np.maximum(step, 1e-30)) * step)
-                return result.astype(np.float32)
+            if self.name in _FP8_FORMATS:
+                # Round to the grid of the value's binade, the binade clamped
+                # to the format's exponent range: below the smallest normal
+                # exponent the grid is the subnormal step.
+                mantissa_bits, min_exponent, max_exponent, max_finite = _FP8_FORMATS[self.name]
+                with np.errstate(divide="ignore"):
+                    exponent = np.floor(np.log2(np.abs(array)))
+                step = np.exp2(np.clip(exponent, min_exponent, max_exponent) - mantissa_bits)
+                result = np.round(array / step) * step
+                return np.clip(result, -max_finite, max_finite).astype(np.float32)
             return array.astype(self.storage)
         clipped = np.clip(np.round(array), self.min_value(), self.max_value())
         return clipped.astype(self.storage)
@@ -108,6 +113,13 @@ class DataType:
     def __repr__(self) -> str:
         return self.name
 
+
+# Mantissa bits, smallest normal exponent, largest exponent and largest
+# finite value of each FP8 format (e4m3 has no infinity: 448 = 1.75 * 2**8).
+_FP8_FORMATS = {
+    "float8_e4m3": (3, -6, 8, 448.0),
+    "float8_e5m2": (2, -14, 15, 57344.0),
+}
 
 float64 = DataType("float64", 64, True, True, "float64")
 float32 = DataType("float32", 32, True, True, "float32")

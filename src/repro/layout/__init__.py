@@ -6,7 +6,7 @@ right inverse), thread-value layouts for register tensors, swizzles
 for bank-conflict-free shared memory, parameterized layout constraints
 with unification, and the integer-set-relation view
 (:mod:`repro.layout.relation`) that serves as an independent oracle for
-the closed-form algebra and answers feasibility queries analytically.
+the closed-form algebra.
 """
 
 from repro.layout.layout import (
@@ -22,7 +22,7 @@ from repro.layout.algebra import (
     complement,
     right_inverse,
 )
-from repro.layout.relation import LayoutRelation, layout_is_injective
+from repro.layout.relation import LayoutRelation
 from repro.layout.tv import TVLayout, make_tv_layout, rebase_strides
 from repro.layout.swizzle import (
     Swizzle,
@@ -49,7 +49,6 @@ __all__ = [
     "complement",
     "right_inverse",
     "LayoutRelation",
-    "layout_is_injective",
     "TVLayout",
     "make_tv_layout",
     "rebase_strides",

@@ -12,7 +12,10 @@ such as Appendix C's ``g ∘ q⁻¹`` with.  CuTe's divides and products are
 not implemented: no compile splits or repeats one layout by another.
 
 The algorithms follow the ``pycute`` reference implementation distributed
-with CUTLASS, restricted to non-negative strides.
+with CUTLASS, restricted to non-negative strides.  Only ``coalesce`` is
+memoized (:mod:`repro.utils.memo`): the compiler reaches composition and
+complement only through memoized anchor tilings and shared-memory base
+layouts, which already absorb the repeats.
 """
 
 from __future__ import annotations
@@ -50,12 +53,8 @@ def _as_layout(value: LayoutOrInt) -> Layout:
 # --------------------------------------------------------------------------- #
 # Coalesce
 # --------------------------------------------------------------------------- #
-# The four hot algebra operations below are memoized behind bounded caches
-# (see repro.utils.memo): layouts are immutable values with structural
-# hashing, so each operation is a pure function of its arguments, and the
-# instruction-selection search re-derives the same composites for every
-# candidate leaf.  Exceptions (e.g. a non-complementable layout) are never
-# cached.
+# Layouts are immutable values with structural hashing, so a bounded cache
+# (see repro.utils.memo) can answer the repeats.
 @memoized(maxsize=16384)
 def coalesce(layout: Layout) -> Layout:
     """Simplify a layout without changing it as a function.
@@ -88,7 +87,6 @@ def coalesce(layout: Layout) -> Layout:
 # --------------------------------------------------------------------------- #
 # Composition
 # --------------------------------------------------------------------------- #
-@memoized(maxsize=16384)
 def composition(layout_a: LayoutOrInt, layout_b) -> Layout:
     """Functional composition ``A ∘ B``: ``(A ∘ B)(c) = A(B(c))``.
 
@@ -149,17 +147,13 @@ def composition(layout_a: LayoutOrInt, layout_b) -> Layout:
 # --------------------------------------------------------------------------- #
 # Complement
 # --------------------------------------------------------------------------- #
-@memoized(maxsize=8192)
-def complement(layout: LayoutOrInt, cosize_hi: int | None = None) -> Layout:
+def complement(layout: LayoutOrInt, cosize_hi: int) -> Layout:
     """The layout covering the codomain indices *not* touched by ``layout``.
 
     ``complement(L, M)`` is the "rest" layout ``R`` such that ``(L, R)`` is
     an admissible (injective) cover of ``[0, M)``.
     """
     layout = _as_layout(layout)
-    if cosize_hi is None:
-        cosize_hi = layout.cosize()
-
     flat_shape = flatten(layout.shape)
     flat_stride = flatten(layout.stride)
     pairs = sorted(
@@ -188,7 +182,6 @@ def complement(layout: LayoutOrInt, cosize_hi: int | None = None) -> Layout:
 # --------------------------------------------------------------------------- #
 # Right inverse
 # --------------------------------------------------------------------------- #
-@memoized(maxsize=8192)
 def right_inverse(layout: LayoutOrInt) -> Layout:
     """A layout ``R`` with ``L(R(i)) = i`` for every ``i`` in ``[0, size(R))``.
 

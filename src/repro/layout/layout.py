@@ -223,14 +223,40 @@ class Layout:
     def is_injective(self) -> bool:
         """Whether distinct coordinates map to distinct indices.
 
-        Delegates to the memoized relation predicate
-        (:func:`repro.layout.relation.layout_is_injective`): an analytic
-        sorted-stride check with an exact early-exit fallback, cached
-        beside the other layout-algebra hot paths.
-        """
-        from repro.layout.relation import layout_is_injective
+        Decided analytically where it can be, all exact:
 
-        return layout_is_injective(self)
+        * a mode with extent > 1 and stride 0 collapses two coordinates —
+          not injective;
+        * with the other modes sorted by stride, if every stride exceeds
+          the reach ``sum((shape_j - 1) * stride_j)`` of the smaller-stride
+          modes, every index has one mixed-radix representation —
+          injective (this covers every layout the smem solver
+          materializes);
+        * otherwise an early-exit scan of the image decides (the
+          condition is sufficient, not necessary: ``(3,2):(2,3)`` fails it
+          yet is injective).
+        """
+        modes = sorted(
+            (stride, extent)
+            for extent, stride in zip(self.flat_shape(), self.flat_stride())
+            if extent > 1
+        )
+        if modes and modes[0][0] == 0:
+            return False
+        reach = 0
+        for stride, extent in modes:
+            if stride <= reach:
+                break
+            reach += (extent - 1) * stride
+        else:
+            return True
+        seen: set[int] = set()
+        for i in range(self.size()):
+            index = self(i)
+            if index in seen:
+                return False
+            seen.add(index)
+        return True
 
     def is_compact(self) -> bool:
         """Whether the layout is a bijection onto ``[0, size)``."""

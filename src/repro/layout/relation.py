@@ -20,19 +20,15 @@ definition on relations:
 
 None of these definitions share any code with the closed-form algebra in
 :mod:`repro.layout.algebra` — the whole point.  ``tests/test_relation.py``
-cross-checks the memoized algebra (coalesce / composition / complement /
-right_inverse) and the enumerated bank-conflict model
-against this view on hundreds of randomized layouts per operation, so a
-wrong cached composite cannot silently corrupt synthesis.
+cross-checks the algebra (coalesce / composition / complement /
+right_inverse), ``Layout.is_injective`` and the enumerated bank-conflict
+model against this view on hundreds of randomized layouts per operation,
+so a wrong composite cannot silently corrupt synthesis.
 
-The relation view also answers *feasibility* queries analytically:
+The relation view also answers two queries by enumeration:
 
-* :meth:`LayoutRelation.is_injective` / :func:`layout_is_injective` — a
-  sorted-stride sufficient condition with an exact early-exit fallback,
-  memoized beside the other :mod:`repro.utils.memo` hot paths.  Since a
-  :class:`~repro.layout.swizzle.Swizzle` is an XOR *bijection*, a
-  swizzle-composed layout is injective iff its base is — which turns the
-  old O(size) scan in ``ComposedLayout.is_injective`` into a cache hit.
+* :meth:`LayoutRelation.is_injective` — the oracle of
+  ``Layout.is_injective``'s analytic sorted-stride test;
 * :meth:`LayoutRelation.bank_conflict_degree` — the banked conflict
   multiplier computed from the relation pairs alone (the oracle twin of
   ``smem_solver.bank_conflict_factor``).
@@ -49,12 +45,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Tuple
 
 from repro.layout.layout import Layout
-from repro.utils.memo import memoized
 
-__all__ = [
-    "LayoutRelation",
-    "layout_is_injective",
-]
+__all__ = ["LayoutRelation"]
 
 Pair = Tuple[int, int]
 
@@ -312,50 +304,3 @@ class LayoutRelation:
             head = ", ".join(f"({x},{y})" for x, y in self.pairs[:4])
             body = f"{head}, ... {len(self.pairs) - 4} more"
         return f"LayoutRelation{{{body}}}"
-
-
-# --------------------------------------------------------------------------- #
-# Analytic injectivity
-# --------------------------------------------------------------------------- #
-@memoized(maxsize=8192)
-def layout_is_injective(layout: Layout) -> bool:
-    """Whether distinct coordinates of ``layout`` map to distinct indices.
-
-    A memoized hot path (:mod:`repro.utils.memo`) backing
-    ``Layout.is_injective``.  Fast paths, all exact:
-
-    * any mode with extent > 1 and stride 0 collapses two coordinates —
-      not injective, no enumeration needed;
-    * sorting the remaining flat modes by stride, if every stride strictly
-      exceeds the maximum reach ``sum((shape_j - 1) * stride_j)`` of the
-      smaller-stride modes, the mixed-radix representation of every index
-      is unique — injective, no enumeration needed (this covers every
-      layout the smem solver materializes);
-    * otherwise fall back to an exact early-exit scan of the image (the
-      sufficient condition is not necessary: ``(3,2):(2,3)`` fails it yet
-      is injective).
-    """
-    modes = [
-        (s, d)
-        for s, d in zip(layout.flat_shape(), layout.flat_stride())
-        if s > 1
-    ]
-    if any(d == 0 for _, d in modes):
-        return False  # two coordinates differing only in that mode collide
-    modes.sort(key=lambda sd: sd[1])
-    reach = 0
-    analytic = True
-    for shape, stride in modes:
-        if stride <= reach:
-            analytic = False
-            break
-        reach += (shape - 1) * stride
-    if analytic:
-        return True
-    seen: set[int] = set()
-    for i in range(layout.size()):
-        index = layout(i)
-        if index in seen:
-            return False
-        seen.add(index)
-    return True

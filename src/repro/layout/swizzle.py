@@ -97,11 +97,8 @@ class ComposedLayout:
 
     def is_injective(self) -> bool:
         # A swizzle is an XOR bijection on addresses, so the composition
-        # is injective iff the base layout is — answered by the memoized
-        # relation predicate instead of an O(size) image scan.
-        from repro.layout.relation import layout_is_injective
-
-        return layout_is_injective(self.base)
+        # is injective iff the base layout is.
+        return self.base.is_injective()
 
     def __repr__(self) -> str:
         return f"{self.swizzle} o {self.base}"

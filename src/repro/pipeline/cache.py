@@ -15,15 +15,13 @@ and after it has been compiled.
 
 The cache itself is a thread-safe in-memory LRU with an optional on-disk
 JSON store.  An entry records only its key and the winning instruction
-assignment in a serializable form; in-memory entries additionally pin the
-full :class:`CompiledKernel`.  On a hit the driver either returns the
-pinned kernel directly (same program object, already carrying its
-synthesized layouts) or *replays* the cached assignment through the pass
-pipeline — evaluating a single candidate instead of searching — which
-reproduces a bit-identical result on an equivalent program, including all
-layout installation side effects.  Disk entries (no pinned kernel) always
-take the replay path, which is what makes the store useful across
-processes.
+assignment in a serializable form, in memory as on disk.  On every hit the
+driver *replays* the cached assignment through the pass pipeline —
+evaluating a single candidate instead of searching — which reproduces a
+bit-identical result on an equivalent program (the same program object
+included), with all its layout installation side effects.  The same path
+serves entries loaded from disk, which is what makes the store useful
+across processes.
 """
 
 from __future__ import annotations
@@ -34,14 +32,13 @@ import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.instructions.registry import InstructionSet
 from repro.ir.graph import KernelProgram
 from repro.ir.ops import Copy, Elementwise, Fill, Rearrange, Reduce
 from repro.ir.tensor import Scope, TileTensor
-from repro.pipeline.context import CompiledKernel
 from repro.sim.arch import GpuArch
 
 __all__ = [
@@ -193,14 +190,11 @@ class CacheEntry:
 
     ``assignment`` is the winning instruction choice per copy in program
     order (``(name, direction, vector_bytes)`` triples) — enough to replay
-    the compile on an equivalent program without searching.  ``kernel``
-    pins the full in-memory result and is ``None`` for entries loaded from
-    disk.
+    the compile on an equivalent program without searching.
     """
 
     key: str
     assignment: List[Tuple[str, str, int]]
-    kernel: Optional[CompiledKernel] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {"key": self.key, "assignment": [list(triple) for triple in self.assignment]}

@@ -74,13 +74,11 @@ class CompiledKernel:
     # --- cache state and instrumentation ------------------------------- #
     # The compile_key of this compile, set by the driver.
     fingerprint: Optional[str] = None
-    # Set when instruction selection replays the seed assignment, or when the
-    # driver returns a pinned kernel.
+    # Set when instruction selection replays the seed assignment.
     cache_hit: bool = False
     # Per-pass wall time of the compile that produced this kernel, keyed by
-    # pass name (empty when the kernel came straight from the cache).  Keys
-    # of the form "<pass>.<stat>" carry search counters (leaves evaluated /
-    # pruned, memoized subproblems) instead of seconds.
+    # pass name.  Keys of the form "<pass>.<stat>" carry search counters
+    # (leaves evaluated / pruned, memoized subproblems) instead of seconds.
     pass_stats: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #

@@ -14,7 +14,6 @@ repeated request is a cache hit — the substrate of the autotuning sweep in
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Optional, Sequence, Union
 
 from repro.instructions.registry import InstructionSet, instruction_set
@@ -60,23 +59,16 @@ def compile_program(
 
     key = compile_key(program, gpu, iset, max_candidates, backend=target.name)
     entry = cache.get(key)
-    # Same program object, already carrying its synthesized layouts and
-    # instructions: the pinned kernel *is* the answer.  pass_stats is
-    # emptied per the CompiledKernel contract: no passes ran for this
-    # result, so compile_seconds() must not re-report the cold search.
-    if entry is not None and entry.kernel is not None and entry.kernel.program is program:
-        return replace(entry.kernel, cache_hit=True, pass_stats={})
-
     kernel = CompiledKernel(
         program=program,
         arch=gpu,
         instructions=iset,
         max_candidates=max_candidates,
         backend=target,
-        # Equivalent program: replay the cached winning assignment through
-        # the pipeline.  All passes run (so the new program gets identical
-        # layouts installed), but instruction selection evaluates exactly
-        # one candidate instead of searching.
+        # A hit replays the cached winning assignment through the pipeline.
+        # All passes run (so the program gets identical layouts installed),
+        # but instruction selection evaluates exactly one candidate instead
+        # of searching.
         seed_assignment=entry.assignment if entry is not None else None,
         fingerprint=key,
     )
@@ -87,7 +79,7 @@ def compile_program(
         # A miss, or a seed that failed to resolve (e.g. a damaged disk
         # entry) and fell back to the full search: store the fresh result so
         # a stale entry is repaired.
-        cache.put(key, CacheEntry(key, kernel.candidate.named_assignment(program), kernel))
+        cache.put(key, CacheEntry(key, kernel.candidate.named_assignment(program)))
     return kernel
 
 

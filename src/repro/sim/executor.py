@@ -117,7 +117,6 @@ class _GlobalBuffer:
         self.tensor = tensor
         self.layout = tensor.require_layout()
         self.storage = storage.reshape(-1)
-        self.tile_rank = len(tensor.shape)
 
     def _tile_indices(self, tile_shape: Tuple[int, ...], iteration: int) -> np.ndarray:
         indices = np.empty(int(np.prod(tile_shape)), dtype=np.int64)

@@ -18,7 +18,9 @@ each copy) but exploits two factorizations to avoid touching most leaves:
   assigned, and an unsatisfiable buffer prunes the entire subtree below the
   offending prefix.  Subproblem results (both plans and failures) are
   memoized per ``(buffer, touching-instruction tuple)`` and shared across
-  the whole search, including the greedy repair and cache replays.
+  the whole search, including the greedy repair, so a leaf the search
+  revisits (the greedy incumbent, usually) re-reads its plans and re-runs
+  only the cost estimate.
 * **Incremental cost with an admissible lower bound.**  The
   assignment-invariant operation costs (gemm/elementwise/reduce/rearrange)
   are computed once per program; per-copy issue costs accumulate as the DFS
@@ -86,7 +88,6 @@ class SelectionStats:
 
     leaves_evaluated: int = 0
     leaves_pruned: int = 0
-    leaf_memo_hits: int = 0
     subproblems_memoized: int = 0
     smem_solves: int = 0
     swizzles_scored: int = 0
@@ -94,9 +95,8 @@ class SelectionStats:
 
     @property
     def leaf_equivalents(self) -> int:
-        """Leaves accounted for by the search: evaluated, replayed from the
-        leaf memo, or pruned."""
-        return self.leaves_evaluated + self.leaf_memo_hits + self.leaves_pruned
+        """Leaves accounted for by the search: evaluated or pruned."""
+        return self.leaves_evaluated + self.leaves_pruned
 
 
 @dataclass
@@ -180,10 +180,6 @@ class InstructionSelector:
         # --- memoized subproblems -------------------------------------- #
         # (tensor_id, (instruction per touching copy)) -> SmemPlan | None
         self._smem_cache: Dict[tuple, Optional[SmemPlan]] = {}
-        # (instruction per copy) -> (Candidate | None, failed tensor | None);
-        # the greedy repair and the DFS revisit identical assignments (the
-        # incumbent's leaf in particular), which replay from here for free.
-        self._leaf_cache: Dict[tuple, tuple] = {}
         # One cost model per search: every operation's assignment-invariant
         # facts, read by each leaf's estimate and by the lower bound (the
         # gemm instructions and TV layouts tv-synthesis installed are in
@@ -379,16 +375,8 @@ class InstructionSelector:
         constraints) and records the offending buffer in
         ``self.last_failed_tensor`` so the greedy repair can degrade the right
         copies.  Buffer subproblems come from the shared memo, so repeated
-        evaluations of overlapping assignments never re-unify constraints,
-        and identical assignments replay their complete result.
+        evaluations of overlapping assignments never re-unify constraints.
         """
-        leaf_key = tuple(assignment[c.op_id] for c in self.copies)
-        cached = self._leaf_cache.get(leaf_key)
-        if cached is not None:
-            self.stats.leaf_memo_hits += 1
-            candidate, failed = cached
-            self.last_failed_tensor = failed
-            return candidate
         self.stats.leaves_evaluated += 1
         self.last_failed_tensor = None
         candidate = Candidate(assignment=dict(assignment))
@@ -398,7 +386,6 @@ class InstructionSelector:
             plan = self._plan_for(tensor, assignment)
             if plan is None:
                 self.last_failed_tensor = tensor
-                self._leaf_cache[leaf_key] = (None, tensor)
                 return None
             candidate.smem_plans[tensor] = plan
             for access in plan.accesses:
@@ -410,7 +397,6 @@ class InstructionSelector:
         # The model reads the assignment directly, so nothing needs to be
         # installed on the program.
         candidate.cost = self.cost_model.estimate(assignment, candidate.conflict_factors)
-        self._leaf_cache[leaf_key] = (candidate, None)
         return candidate
 
     # ------------------------------------------------------------------ #

@@ -107,35 +107,27 @@ def make_tiled_mma(
     instruction: MmaInstruction,
     block_tile: Tuple[int, int, int],
     num_warps: int,
-    warp_grid: Optional[Tuple[int, int]] = None,
 ) -> TiledMma:
     """Tile a Tensor Core atom over a block tile, producing the operand TV layouts.
 
-    ``block_tile`` is (BM, BN, BK).  Warps are arranged on a (WM, WN) grid;
-    each warp owns a contiguous (BM/WM, BN/WN) region of C and iterates the
-    atom over it, so A fragments are replicated across the WN warps and B
-    fragments across the WM warps (stride-0 thread modes).
+    ``block_tile`` is (BM, BN, BK).  Warps are arranged on the (WM, WN) grid
+    that :func:`pick_warp_grid` chooses; each warp owns a contiguous
+    (BM/WM, BN/WN) region of C and iterates the atom over it, so A
+    fragments are replicated across the WN warps and B fragments across the
+    WM warps (stride-0 thread modes).
     """
     block_tile = as_ints(block_tile, "make_tiled_mma block tile")
     (num_warps,) = as_ints((num_warps,), "make_tiled_mma warp count")
-    if warp_grid is not None:
-        warp_grid = as_ints(warp_grid, "make_tiled_mma warp grid")
-    return _tiled_mma(instruction, block_tile, num_warps, warp_grid)
+    return _tiled_mma(instruction, block_tile, num_warps)
 
 
 @memoized(maxsize=1024)
 def _tiled_mma(
-    instruction: MmaInstruction,
-    block_tile: Tuple[int, ...],
-    num_warps: int,
-    warp_grid: Optional[Tuple[int, ...]],
+    instruction: MmaInstruction, block_tile: Tuple[int, ...], num_warps: int
 ) -> TiledMma:
     bm, bn, bk = block_tile
-    if warp_grid is None:
-        warp_grid = pick_warp_grid(num_warps, bm, bn, instruction.m, instruction.n)
+    warp_grid = pick_warp_grid(num_warps, bm, bn, instruction.m, instruction.n)
     wm, wn = warp_grid
-    if wm * wn != num_warps:
-        raise ValueError(f"warp grid {warp_grid} does not use {num_warps} warps")
     if bm % (wm * instruction.m) or bn % (wn * instruction.n) or bk % instruction.k:
         raise ValueError(
             f"block tile {block_tile} is not divisible by warp grid {warp_grid} x "

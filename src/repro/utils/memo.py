@@ -1,17 +1,15 @@
 """Bounded memoization for the pure layout-algebra hot paths.
 
 Layouts (and the IntTuples they are built from) are immutable, structurally
-hashable values, so the algebraic operations on them — ``coalesce``,
-``composition``, ``complement``, ``right_inverse``, ``idx2crd``,
-``prefix_product``, and the relation-backed injectivity predicate
-``layout.relation.layout_is_injective`` — are pure functions of their
-arguments.  The compiler calls them with a small working set of distinct
-arguments but an enormous number of repeats (every candidate leaf of the
-instruction-selection search re-derives the same composites, and constraint
-materialization queries injectivity on the same layouts throughout the
-search), which makes them ideal memoization targets.
+hashable values, so functions of them are pure.  Three layout-algebra
+helpers are memoized — ``coalesce``, ``idx2crd`` and ``prefix_product`` —
+because the compiler calls them with a small working set of distinct
+arguments and many repeats.  Composition, complement, right inverse and
+injectivity are not: the compiler reaches them only below the anchor and
+base-layout memos described further down, so their own memos mostly
+missed.
 
-Layout evaluation is not among them: a ``Layout`` evaluates integer
+Layout evaluation is not memoized either: a ``Layout`` evaluates integer
 coordinates on its flat form, which it computes once
 (:mod:`repro.layout.layout`), and only other coordinates reach the
 unmemoized ``crd2idx``.
@@ -28,7 +26,9 @@ arguments before the lookup: ``64.0`` and ``True`` hash and compare like
 :func:`memoized` wraps a function in a bounded :func:`functools.lru_cache`
 and records it in a process-wide registry so that benchmarks and tests can
 inspect hit rates (:func:`cache_stats`) or reset state (:func:`clear_caches`)
-without importing every cached module individually.
+without importing every cached module individually.  A memo stays only
+while measured traffic pays for it: ``benchmarks/bench_compile_time.py
+--smoke`` prints each one's hits and lookups over a cold batch of compiles.
 
 The caches are *value* caches: results may be shared between callers, which
 is safe precisely because layouts are never mutated after construction.

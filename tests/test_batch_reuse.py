@@ -6,7 +6,9 @@ order -- shares its anchor tilings and shared-memory base layouts through
 the process memos, partitions each program once per TV solve, and a warm
 startup's replays walk each copy's menu only as far as the entry the
 cached assignment names.  Each bound below was 166/746/44 calls, or no
-sharing at all, before those reuses.
+sharing at all, before those reuses.  One GEMM compiled for every backend
+in turn reuses the shared-memory base layouts of the first backend's
+compile: that traffic is what keeps the base-layout memo.
 """
 
 import random
@@ -15,12 +17,13 @@ import pytest
 
 from repro.e2e import DEEPSEEK_R1_AWQ, JAMBA_MINI, QWEN3_32B
 from repro.ir.graph import KernelProgram
-from repro.pipeline import CompileCache, compile_many, program_fingerprint
+from repro.kernels.gemm import GemmConfig, build_fp16_gemm
+from repro.pipeline import CompileCache, compile_many, compile_program, program_fingerprint
 from repro.serving.step_model import StepLatencyModel
 from repro.synthesis.search import InstructionSelector
 from repro.synthesis.smem_solver import clear_smem_cache
 from repro.synthesis.tv_solver import ThreadValueSolver
-from repro.utils.memo import clear_caches
+from repro.utils.memo import cache_stats, clear_caches
 
 ARCH = "h100"
 BUCKETS = (1, 256)
@@ -121,3 +124,24 @@ def test_equivalent_programs_of_a_batch_share_their_tv_layouts():
     pairs = list(zip(fresh.program.register_tensors(), first.register_tensors()))
     assert all(mine.tv_layout == theirs.tv_layout for mine, theirs in pairs)
     assert not any(mine.tv_layout is theirs.tv_layout for mine, theirs in pairs)
+
+
+def test_later_backends_find_every_base_layout_in_the_memo():
+    """bench_compile_time.py's Fig. 22 GEMM config compiled from cleared
+    memos for a100, then mi300, then cpu-sim.  The banking differs per
+    backend, the buffers and their access constraints do not, so the second
+    and third compiles materialize no base layout (15 lookups each)."""
+    name = "repro.synthesis.smem_solver._base_layout"
+    clear_caches()
+    clear_smem_cache()
+    cache = CompileCache()
+    counts = []
+    for arch in ("a100", "mi300", "cpu-sim"):
+        before = cache_stats()[name]
+        program = build_fp16_gemm(4096, 4096, 4096, GemmConfig(bm=128, bn=128, bk=32))
+        compile_program(program, arch=arch, max_candidates=102, cache=cache)
+        after = cache_stats()[name]
+        counts.append((after.hits - before.hits, after.misses - before.misses))
+    assert counts[0][1] > 0
+    for hits, misses in counts[1:]:
+        assert hits > 0 and misses == 0

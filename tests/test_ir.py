@@ -1,5 +1,7 @@
 """Tests for the tile IR: types, tensors, operations, program graph, printer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,35 @@ def test_datatype_properties():
 def test_quantize_int4_saturates():
     q = types.int4.quantize(np.array([100.0, -100.0, 3.4]))
     assert q.tolist() == [7, -8, 3]
+
+
+# Each row: inputs and what the format holds for them.  Past the largest
+# finite value a cast saturates (satfinite); below the smallest normal
+# value (2**-6 and 2**-14) it rounds on the subnormal grid (steps of 2**-9
+# and 2**-16), so under half a step it is 0.  3.3 is an ordinary normal.
+FP8_CASES = {
+    "float8_e4m3": (
+        [1000.0, -1e6, 448.0, 470.0, 3.3, 0.011, 2.0**-9, 1e-4, 1e-10, np.inf],
+        [448.0, -448.0, 448.0, 448.0, 3.25, 6 * 2.0**-9, 2.0**-9, 0.0, 0.0, 448.0],
+    ),
+    "float8_e5m2": (
+        [1e6, -1e5, 57344.0, 3.3, 1e-5, 1e-6, -np.inf],
+        [57344.0, -57344.0, 57344.0, 3.5, 2.0**-16, 0.0, -57344.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FP8_CASES))
+def test_quantize_fp8_saturates_and_rounds_subnormals(name):
+    inputs, expected = FP8_CASES[name]
+    assert types.from_name(name).quantize(np.array(inputs)).tolist() == expected
+
+
+def test_quantize_float16_overflows_to_infinity_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = types.float16.quantize(np.array([1e30, -1e30, 65504.0, 70000.0]))
+    assert q.tolist() == [np.inf, -np.inf, 65504.0, np.inf]
 
 
 def test_quantize_bfloat16_truncates_mantissa():

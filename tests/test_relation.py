@@ -7,7 +7,7 @@ Two jobs:
    the conflict-degree model.
 
 2. **Property-based cross-checks of the closed-form algebra** — every
-   memoized operation in ``repro.layout.algebra`` (coalesce, composition,
+   operation in ``repro.layout.algebra`` (coalesce, composition,
    complement, right_inverse) and the enumerated
    ``bank_conflict_factor`` is compared against its set-theoretic
    definition on hundreds of seeded random layouts (see
@@ -46,7 +46,6 @@ from repro.layout import (
     coalesce,
     complement,
     composition,
-    layout_is_injective,
     make_layout,
     right_inverse,
     swizzle_window_key,
@@ -57,7 +56,6 @@ from repro.layout.swizzle import candidate_swizzles
 from repro.synthesis import smem_solver
 from repro.synthesis.smem_solver import CopyAccess, SmemBankParams, bank_conflict_factor
 from repro.utils.inttuple import crd2idx, flatten, idx2crd, is_tuple, product, unflatten_like
-from repro.utils.memo import cache_stats
 
 from strategies import LayoutSampler, is_replicated_oracle, layout_cases, tv_elements
 
@@ -380,13 +378,13 @@ def test_right_inverse_of_compact_layouts_is_a_full_inverse():
 # Randomized oracle: injectivity
 # --------------------------------------------------------------------------- #
 def test_is_injective_equivalence():
-    """Layout.is_injective (analytic + memoized) ≡ the relation predicate
-    ≡ brute force, across every generator style including zero strides."""
+    """Layout.is_injective (analytic, with an exact fallback) ≡ the
+    relation predicate ≡ brute force, across every generator style
+    including zero strides."""
     for layout in layout_cases(seed=501, count=CASES + 100):
         image = layout.all_indices()
         brute = len(set(image)) == len(image)
         assert layout.is_injective() == brute, layout
-        assert layout_is_injective(layout) == brute, layout
         assert relation_of(layout).is_injective() == brute, layout
 
 
@@ -408,17 +406,6 @@ def test_swizzled_injectivity_matches_base():
         assert swizzled.is_injective() == expected, swizzled
         image = swizzled.all_indices()
         assert (len(set(image)) == len(image)) == expected, swizzled
-
-
-def test_layout_is_injective_is_memoized():
-    layout = Layout((7, 3), (3, 1))
-    layout.is_injective()
-    stats = cache_stats()
-    name = "repro.layout.relation.layout_is_injective"
-    assert name in stats
-    before = stats[name].hits
-    Layout((7, 3), (3, 1)).is_injective()  # equal layout, distinct object
-    assert cache_stats()[name].hits == before + 1
 
 
 # --------------------------------------------------------------------------- #
