@@ -43,16 +43,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
+import timeit
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.e2e import ModelConfig
 from repro.serving import (
     ClusterSimulator,
     FaultSchedule,
+    Request,
+    RequestMetrics,
     ServingSimulator,
     diurnal_workload,
     prefix_shared_workload,
@@ -186,6 +190,24 @@ def prefix_tier_workload(num_requests: int, seed: int) -> List:
         mean_unique_tokens=16,
         mean_output_tokens=32,
         seed=seed,
+    )
+
+
+def record_costs_us() -> Tuple[float, float]:
+    """What building one ``Request`` and one ``RequestMetrics`` costs, in
+    us: the medians of five short ``timeit`` runs.  Every generated
+    request builds the first and every finish the second, so they are
+    the per-request floor of trace generation and of the finish phase;
+    printed beside each tier's generation time, not gated."""
+    names = {"Request": Request, "RequestMetrics": RequestMetrics}
+
+    def median_us(statement: str) -> float:
+        runs = timeit.repeat(statement, number=20_000, repeat=5, globals=names)
+        return statistics.median(runs) / 20_000 * 1e6
+
+    return (
+        median_us("Request(1, 2.5, 80, 33, 4475.0)"),
+        median_us("RequestMetrics(1, 2.5, 3.0, 4.5, 30.0, 80, 33, 4475.0, None)"),
     )
 
 
@@ -418,9 +440,12 @@ def main(argv=None) -> int:
                 gen_start = time.perf_counter()
                 workloads[cell.traffic] = TRAFFIC[cell.traffic][1](num_requests, args.seed)
                 gen_s = time.perf_counter() - gen_start
+                request_us, metrics_us = record_costs_us()
                 print(
                     f"[{tier}] generated {num_requests} {cell.traffic} requests in "
-                    f"{gen_s:.1f} s ({gen_s / num_requests * 1e6:.2f} us/request)"
+                    f"{gen_s:.1f} s ({gen_s / num_requests * 1e6:.2f} us/request; "
+                    f"one Request {request_us:.2f} us, one RequestMetrics "
+                    f"{metrics_us:.2f} us)"
                 )
             workload = workloads[cell.traffic]
             entry = run_cell(tier, cell, workload, args.seed)

@@ -224,9 +224,9 @@ class KvBlockManager:
     """Paged KV-cache accounting: request id -> blocks held.
 
     ``allocate`` is *absolute* (it sets the holding to what ``tokens``
-    tokens require), so growing a request by one decode token is
-    ``allocate(rid, prompt + done + 1)`` and re-admission after preemption
-    naturally starts from the prompt again.
+    tokens require), so re-admission after preemption naturally starts
+    from the prompt again; a decode token that crosses into a new block
+    takes exactly one more, through :meth:`grow`.
     """
 
     def __init__(self, total_blocks: int, block_tokens: int = DEFAULT_KV_BLOCK_TOKENS):
@@ -295,6 +295,21 @@ class KvBlockManager:
         if self._used > self.peak_used_blocks:
             self.peak_used_blocks = self._used
         return delta
+
+    def grow(self, request_id: int) -> None:
+        """Add one block to an existing holding: a decode token that
+        crosses into a new block, which the engine books ahead, so no
+        ``blocks_for`` is asked.  Raises like :meth:`allocate` if the pool
+        has no free block."""
+        if self._used >= self.total_blocks:
+            raise RuntimeError(
+                f"KV pool exhausted: request {request_id} needs 1 more "
+                f"blocks but only {self.free_blocks}/{self.total_blocks} are free"
+            )
+        self._held[request_id] += 1
+        self._used += 1
+        if self._used > self.peak_used_blocks:
+            self.peak_used_blocks = self._used
 
     def release(self, request_id: int) -> int:
         """Free a request's blocks (finish or preemption); returns them."""

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.reporting.tables import TableRow, format_table
+from repro.serving.workload import slot_setters
 
 __all__ = [
     "BaseReport",
@@ -49,7 +50,7 @@ def percentile(values: Sequence[float], pct: float) -> float:
     return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RequestMetrics:
     """The lifecycle of one completed request.
 
@@ -57,6 +58,9 @@ class RequestMetrics:
     goodput can tell useful completions from too-late ones.  It is
     deliberately absent from :meth:`record`: the digest hashes what was
     served and when, so deadlines that never lapse leave it unchanged.
+
+    Every finishing request builds one, so the constructor stores each
+    field through its slot (:func:`~repro.serving.workload.slot_setters`).
     """
 
     request_id: int
@@ -68,6 +72,28 @@ class RequestMetrics:
     output_tokens: int
     slo_ms: float
     deadline_ms: Optional[float] = None
+
+    def __init__(
+        self,
+        request_id: int,
+        arrival_ms: float,
+        scheduled_ms: float,
+        first_token_ms: float,
+        finish_ms: float,
+        prompt_tokens: int,
+        output_tokens: int,
+        slo_ms: float,
+        deadline_ms: Optional[float] = None,
+    ):
+        _set_request_id(self, request_id)
+        _set_arrival_ms(self, arrival_ms)
+        _set_scheduled_ms(self, scheduled_ms)
+        _set_first_token_ms(self, first_token_ms)
+        _set_finish_ms(self, finish_ms)
+        _set_prompt_tokens(self, prompt_tokens)
+        _set_output_tokens(self, output_tokens)
+        _set_slo_ms(self, slo_ms)
+        _set_deadline_ms(self, deadline_ms)
 
     @property
     def latency_ms(self) -> float:
@@ -101,6 +127,19 @@ class RequestMetrics:
             self.output_tokens,
             float(self.slo_ms).hex(),
         ]
+
+
+(
+    _set_request_id,
+    _set_arrival_ms,
+    _set_scheduled_ms,
+    _set_first_token_ms,
+    _set_finish_ms,
+    _set_prompt_tokens,
+    _set_output_tokens,
+    _set_slo_ms,
+    _set_deadline_ms,
+) = slot_setters(RequestMetrics)
 
 
 def report_columns(*middle) -> tuple:

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple, Type, Union
 
 from repro.serving.memory import KvMemoryView
-from repro.serving.workload import Request, _is_real, arrival_key
+from repro.serving.workload import Request, _is_real, arrival_key, slot_setters
 
 __all__ = [
     "FcfsScheduler",
@@ -84,18 +84,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RunningInfo:
     """A read-only snapshot of one running request, for preemption policy.
 
     ``admitted_ms`` is the time of the request's *latest* admission (so a
     readmitted request counts as new again — LIFO preemption is over
     residency, not first arrival); ``blocks_held`` its current KV holding.
+    A preemption sweep builds one per running request, storing each field
+    through its slot (:func:`~repro.serving.workload.slot_setters`).
     """
 
     request: Request
     admitted_ms: float
     blocks_held: int
+
+    def __init__(self, request: Request, admitted_ms: float, blocks_held: int):
+        _set_request(self, request)
+        _set_admitted_ms(self, admitted_ms)
+        _set_blocks_held(self, blocks_held)
+
+
+_set_request, _set_admitted_ms, _set_blocks_held = slot_setters(RunningInfo)
 
 
 class Scheduler:

@@ -468,9 +468,10 @@ class ReplicaEngine:
         blocks minus the reclaimable cached prefixes) plus one block per
         crosser, and it fits exactly when the crossers number at most the
         free plus reclaimable blocks.  Otherwise :meth:`_preempt` sweeps
-        the whole batch.  A crosser grows by one block, so cached prefix
-        entries are evicted only when the pool has no free block left;
-        each grown request's next crossing is booked.
+        the whole batch.  A crosser grows by exactly one block
+        (:meth:`KvBlockManager.grow`, which asks no ``blocks_for``), so
+        cached prefix entries are evicted only when the pool has no free
+        block left; each grown request's next crossing is booked.
         """
         step = self.steps
         crossings = self._crossings
@@ -487,16 +488,15 @@ class ReplicaEngine:
             # Victims leave with ``join_step`` reset to -1.
             crossers = [state for state in crossers if state.join_step >= 0]
         next_step = step + manager.block_tokens
+        grow = manager.grow
         for state in crossers:
             request = state.request
             join = state.join_step
             if free < 1:
                 store.ensure_free(1)
                 free = manager.free_blocks
-            free -= manager.allocate(
-                request.request_id,
-                request.prompt_tokens + step - join + 1 - state.shared_tokens,
-            )
+            grow(request.request_id)
+            free -= 1
             if next_step < join + request.output_tokens:
                 crossings.setdefault(next_step, []).append((state, join))
 

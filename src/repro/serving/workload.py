@@ -51,8 +51,8 @@ import math
 import numbers
 import random
 from bisect import bisect_right, insort
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, fields
+from operator import attrgetter, index
 from typing import Callable, Dict, List, Optional
 
 __all__ = [
@@ -71,9 +71,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+def slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot descriptor of the frozen slots
+    dataclass ``cls``, in field order.
+
+    A frozen dataclass's generated ``__init__`` stores every field through
+    ``object.__setattr__``, which looks the name up on the type at each
+    call; a slot's member descriptor stores straight into the slot.  The
+    records built once per request (``Request``, ``RequestMetrics``,
+    ``RunningInfo``) therefore declare ``init=False``, fetch their setters
+    here once, after the decorator has built the final class
+    (``slots=True`` replaces the class the body defined), and call them
+    from a hand-written ``__init__``: the records stay frozen, and
+    assigning a field still raises ``FrozenInstanceError``.
+    """
+    return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Request:
     """One user request: the immutable workload spec.
+
+    ``request_id`` is a non-negative integer, unique within one
+    ``simulate()`` call: a replica's prefix store books its entries in
+    the same block pool as the requests, under the negative ids.
 
     ``slo_ms`` is the end-to-end deadline (full generation) relative to
     arrival; runtime state (scheduling, token progress, completion) lives in
@@ -95,6 +116,9 @@ class Request:
     distinct from the soft SLO (:attr:`slo_deadline_ms` =
     ``arrival_ms + slo_ms``), which schedulers optimize for but never
     enforce.  ``None`` (the default) means "never shed".
+
+    The constructor checks its arguments before it stores them (see
+    :func:`slot_setters`), so ``dataclasses.replace`` checks too.
     """
 
     request_id: int
@@ -106,50 +130,68 @@ class Request:
     prefix_tokens: int = 0
     deadline_ms: Optional[float] = None
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        request_id: int,
+        arrival_ms: float,
+        prompt_tokens: int,
+        output_tokens: int,
+        slo_ms: float,
+        prefix_id: Optional[str] = None,
+        prefix_tokens: int = 0,
+        deadline_ms: Optional[float] = None,
+    ):
+        if type(request_id) is not int or request_id < 0:
+            # Non-negative: the prefix store books its entries under the
+            # negative ids.  Any integral type (a numpy integer, say), but
+            # not bool.
+            check_count("request_id", request_id, 0)
         # Generators build millions of requests: plain ints, the common
         # case, skip the per-field check.
-        if not (
-            type(self.prompt_tokens) is type(self.output_tokens)
-            is type(self.prefix_tokens) is int
-        ):
-            for name in ("prompt_tokens", "output_tokens", "prefix_tokens"):
-                value = getattr(self, name)
-                # Any integral type (a numpy integer, say), but not bool.
+        if not (type(prompt_tokens) is type(output_tokens) is type(prefix_tokens) is int):
+            for name, value in (
+                ("prompt_tokens", prompt_tokens),
+                ("output_tokens", output_tokens),
+                ("prefix_tokens", prefix_tokens),
+            ):
+                # Any integral type, but not bool.
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                     raise ValueError(
-                        f"request {self.request_id}: {name} must be an integer, "
-                        f"got {value!r}"
+                        f"request {request_id}: {name} must be an integer, got {value!r}"
                     )
-        if self.prompt_tokens < 1 or self.output_tokens < 1:
+        if prompt_tokens < 1 or output_tokens < 1:
             raise ValueError(
-                f"request {self.request_id}: prompt/output token counts must be "
-                f">= 1, got {self.prompt_tokens}/{self.output_tokens}"
+                f"request {request_id}: prompt/output token counts must be "
+                f">= 1, got {prompt_tokens}/{output_tokens}"
             )
         # Written so that NaN fails too: every comparison with NaN is false.
-        if not (0.0 <= self.arrival_ms < math.inf and 0.0 < self.slo_ms < math.inf):
+        if not (0.0 <= arrival_ms < math.inf and 0.0 < slo_ms < math.inf):
             raise ValueError(
-                f"request {self.request_id}: need finite arrival_ms >= 0 and slo_ms > 0, "
-                f"got arrival_ms={self.arrival_ms}, slo_ms={self.slo_ms}"
+                f"request {request_id}: need finite arrival_ms >= 0 and slo_ms > 0, "
+                f"got arrival_ms={arrival_ms}, slo_ms={slo_ms}"
             )
-        if self.prefix_id is not None:
-            if not 1 <= self.prefix_tokens <= self.prompt_tokens:
+        if prefix_id is not None:
+            if not 1 <= prefix_tokens <= prompt_tokens:
                 raise ValueError(
-                    f"request {self.request_id}: prefix_tokens must be in "
+                    f"request {request_id}: prefix_tokens must be in "
                     f"[1, prompt_tokens] when prefix_id is set, got "
-                    f"{self.prefix_tokens} of {self.prompt_tokens}"
+                    f"{prefix_tokens} of {prompt_tokens}"
                 )
-        elif self.prefix_tokens:
+        elif prefix_tokens:
+            raise ValueError(f"request {request_id}: prefix_tokens without a prefix_id")
+        if deadline_ms is not None and not (arrival_ms < deadline_ms < math.inf):
             raise ValueError(
-                f"request {self.request_id}: prefix_tokens without a prefix_id"
+                f"request {request_id}: deadline_ms ({deadline_ms}) "
+                f"must be finite and after arrival_ms ({arrival_ms})"
             )
-        if self.deadline_ms is not None and not (
-            self.arrival_ms < self.deadline_ms < math.inf
-        ):
-            raise ValueError(
-                f"request {self.request_id}: deadline_ms ({self.deadline_ms}) "
-                f"must be finite and after arrival_ms ({self.arrival_ms})"
-            )
+        _set_request_id(self, request_id)
+        _set_arrival_ms(self, arrival_ms)
+        _set_prompt_tokens(self, prompt_tokens)
+        _set_output_tokens(self, output_tokens)
+        _set_slo_ms(self, slo_ms)
+        _set_prefix_id(self, prefix_id)
+        _set_prefix_tokens(self, prefix_tokens)
+        _set_deadline_ms(self, deadline_ms)
 
     @property
     def slo_deadline_ms(self) -> float:
@@ -157,6 +199,17 @@ class Request:
         on — always defined, never enforced (contrast ``deadline_ms``)."""
         return self.arrival_ms + self.slo_ms
 
+
+(
+    _set_request_id,
+    _set_arrival_ms,
+    _set_prompt_tokens,
+    _set_output_tokens,
+    _set_slo_ms,
+    _set_prefix_id,
+    _set_prefix_tokens,
+    _set_deadline_ms,
+) = slot_setters(Request)
 
 # Arrival order, unique per request: the order the queue releases requests
 # in, a cluster routes them in, they join a running batch in, and a crash
@@ -256,7 +309,8 @@ class RequestQueue:
 # the mean: ``x / (1.0 / m)`` and ``x * m`` differ in the last bit for most
 # means), and an exponential token count with mean ``m`` is
 # ``round(-log(1.0 - random()) / (1.0 / m)) or 1`` -- the variate is never
-# negative, so ``or 1`` is ``max(1, ...)``.  The random stream, and with it
+# negative, so ``or 1`` is ``max(1, ...)``.  A tenant is ``randrange``'s own
+# loop over the bound ``rng.getrandbits``.  The random stream, and with it
 # every trace, is bit-identical to calling the ``Random`` methods
 # (``tests/test_workload_oracle.py`` holds those generators as the oracle).
 def _default_slo_ms(output_tokens: int) -> float:
@@ -618,8 +672,12 @@ def prefix_shared_workload(
     _check_at_least("mean_output_tokens", mean_output_tokens, 1)
     rng = random.Random(seed)
     random_ = rng.random
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     log = math.log
+    # ``randrange(num_tenants)`` is CPython's ``_randbelow_with_getrandbits``:
+    # draw ``num_tenants.bit_length()`` bits until the draw falls below it.
+    num_tenants = index(num_tenants)
+    tenant_bits = num_tenants.bit_length()
     unique_rate = 1.0 / mean_unique_tokens
     output_rate = 1.0 / mean_output_tokens
     prefix_ids: Dict[int, str] = {}
@@ -628,7 +686,9 @@ def prefix_shared_workload(
     append = requests.append
     for request_id in range(num_requests):
         now += -log(1.0 - random_()) / rate_rps * 1000.0
-        tenant = randrange(num_tenants)
+        tenant = getrandbits(tenant_bits)
+        while tenant >= num_tenants:
+            tenant = getrandbits(tenant_bits)
         prompt = prefix_tokens + (round(-log(1.0 - random_()) / unique_rate) or 1)
         output = round(-log(1.0 - random_()) / output_rate) or 1
         slo = _default_slo_ms(output) if slo_ms is None else slo_ms

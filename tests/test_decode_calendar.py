@@ -17,11 +17,20 @@ calendars under stress: tight KV pools preempt and readmit requests
 each request's first crossing by its private prompt length, and
 crashing fleets wipe the calendars.
 
-Two more tests pin work bounds without a clock: a pressure-free play
-asks ``KvBlockManager.blocks_for`` well under once per decoded token,
-where the per-step scans asked about twice, and calls
-``PrefixStore.ensure_free`` at most once per admitted request: a block
-crossing that finds a free block evicts nothing and asks nothing.
+A checking engine asserts after every step, on the same cases under
+every scheduler, that each running request holds exactly the blocks
+its private context needs (a crossing grows it by one block, never
+more, never none) and that the pool holds nothing but those holdings
+and the resident prefix entries, so a drained pool holds only its
+prefixes.
+
+More tests pin work bounds without a clock: a pressure-free play asks
+``KvBlockManager.blocks_for`` well under once per decoded token, where
+the per-step scans asked about twice, and at most four times per
+admitted request, whatever its output length: a block crossing asks
+nothing.  It calls ``PrefixStore.ensure_free`` at most once per
+admitted request: a block crossing that finds a free block evicts
+nothing and asks nothing.
 """
 
 from __future__ import annotations
@@ -102,6 +111,49 @@ def test_calendar_engine_matches_batch_scan(monkeypatch, scheduler, case):
     assert calendar == _observed(_play(scheduler, *case))
 
 
+class HoldingCheckedEngine(ReplicaEngine):
+    """The calendar engine, checking after every step that each running
+    request holds the blocks of its private context (prompt plus decoded
+    tokens, less its attached shared tokens) and that the pool holds
+    nothing else but the resident prefix entries."""
+
+    def advance(self, *args, **kwargs):
+        progressed = super().advance(*args, **kwargs)
+        manager = self.manager
+        holdings = 0
+        for request_id, state in self.running.items():
+            private = (
+                state.request.prompt_tokens + self.steps - state.join_step - state.shared_tokens
+            )
+            held = manager.held(request_id)
+            assert held == manager.blocks_for(private), (request_id, self.steps)
+            holdings += held
+        assert manager.used_blocks == holdings + self.prefix_store.resident_blocks
+        return progressed
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "s{}-b{}-x{}-d{}-r{}".format(*c))
+def test_running_holdings_are_what_the_calendar_booked(monkeypatch, scheduler, case):
+    engines = []
+
+    class Recorded(HoldingCheckedEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(simulator_module, "ReplicaEngine", Recorded)
+    monkeypatch.setattr(cluster_module, "ReplicaEngine", Recorded)
+    _play(scheduler, *case)
+    # Drained, a pool holds exactly its resident prefix entries, which
+    # the prefix store books under negative ids that no request has.
+    assert engines and all(engine.idle for engine in engines)
+    assert [e.manager.used_blocks for e in engines] == [
+        e.prefix_store.resident_blocks for e in engines
+    ]
+    assert any(e.prefix_store.resident_blocks for e in engines)
+
+
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 def test_cases_preempt_and_readmit_under_every_scheduler(scheduler):
     """Stale calendar entries only exist once a request is preempted and
@@ -151,6 +203,19 @@ def test_blocks_for_calls_per_decoded_token_are_bounded(monkeypatch, mean_output
     report = _pressure_free_play(mean_output)
     per_token = calls[0] / report.total_output_tokens
     assert per_token <= 0.5, f"{per_token:.2f} blocks_for calls per decoded token"
+
+
+@pytest.mark.parametrize("mean_output", [32, 128])
+def test_blocks_for_calls_per_admitted_request_are_bounded(monkeypatch, mean_output):
+    """A request asks for block counts four times, however long it
+    decodes: its reservation, its admission (eviction and allocation)
+    and its finish.  A block crossing grows its holding by one block and
+    asks nothing; allocating each crossing's token made 5.92 and 11.92
+    calls per admitted request here."""
+    calls = _count_calls(monkeypatch, KvBlockManager, "blocks_for")
+    report = _pressure_free_play(mean_output)
+    per_request = calls[0] / report.num_requests
+    assert per_request <= 4.0, f"{per_request:.2f} blocks_for calls per admitted request"
 
 
 @pytest.mark.parametrize("mean_output", [32, 128])

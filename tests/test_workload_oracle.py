@@ -1,15 +1,17 @@
 """The seeded generators draw the same random stream as before.
 
 Every generator in ``repro.serving.workload`` writes its draws out
-inline (``-log(1.0 - random()) / rate`` over a bound ``rng.random``),
+inline (``-log(1.0 - random()) / rate`` over a bound ``rng.random``, and
+a tenant as ``randrange``'s loop over a bound ``rng.getrandbits``),
 hashes each tenant's prefix once, and builds each ``Request``
 positionally.  The oracle below is the generator module as it stood
 before that change, copied verbatim: each draw a ``Random`` method call
 (``expovariate``, ``uniform``, ``randrange``, ``paretovariate``), one
 prefix hash per declared request and keyword ``Request`` construction.
 The differential test asks both for ``==`` request lists over seeded
-parameter draws of all seven generators, and two draw tests compare the
-inline exponential with ``random.Random.expovariate`` directly.
+parameter draws of all seven generators; two draw tests compare the
+inline exponential with ``random.Random.expovariate`` directly, and one
+compares 10,000 inline tenant draws with ``random.Random.randrange``.
 
 Rounding hides a last-bit slip in most cases: token counts are integers
 and arrival times are rounded to microseconds.  Means above ``2**53``
@@ -554,6 +556,29 @@ def test_inline_token_draw_is_expovariate(mean):
     expected = [_token_count(rng, mean) for _ in range(10_000)]
     built = workload._build_requests([0.0] * 5000, random.Random(11), mean, mean, None, None)
     assert [n for r in built for n in (r.prompt_tokens, r.output_tokens)] == expected
+
+
+@pytest.mark.parametrize("num_tenants", [1, 2, 3, 16, 17, 10**9, 2**40 + 1])
+def test_inline_tenant_draw_is_randrange(monkeypatch, num_tenants):
+    """The generator draws each tenant with ``randrange``'s own loop over
+    ``getrandbits``; sizes just above a power of two reject almost half
+    of the draws, and ``2**40 + 1`` takes two 32-bit words per draw."""
+    # Every request declares its prefix, whose id is then its tenant.
+    monkeypatch.setattr(workload, "_prefix_hash", lambda system, tenant, template: str(tenant))
+    requests = workload.prefix_shared_workload(
+        num_requests=10_000, num_tenants=num_tenants, shared_fraction=1.0, seed=5
+    )
+    # The same stream drawn through ``Random``: per request an arrival,
+    # the tenant, the unique and output token counts and the sharing coin.
+    rng = random.Random(5)
+    expected = []
+    for _ in range(10_000):
+        rng.random()
+        expected.append(rng.randrange(num_tenants))
+        rng.random(), rng.random(), rng.random()
+    assert [int(r.prefix_id) for r in requests] == expected
+    if num_tenants <= 17:
+        assert set(expected) == set(range(num_tenants))
 
 
 def test_prefix_hashed_once_per_tenant(monkeypatch):
