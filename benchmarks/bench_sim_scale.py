@@ -25,7 +25,10 @@ seconds, simulated-requests-per-second and the report digest, plus the
 recorded pre-optimization baseline so the speedup is tracked in-repo.
 
 The CI guards (``--smoke``): one cell of each kind at the 10k tier; every
-cell is run twice and must produce bit-equal digests; the fcfs cell must
+cell is run twice and must produce bit-equal digests (the rerun also
+counts the Python calls the simulation makes per decode step, printed
+beside us/step and not gated: ``tests/test_step_calls.py`` gates two
+plays in tier-1); the fcfs cell must
 clear a minimum requests-per-second floor (a catastrophic-regression
 tripwire, far below the measured rate); the crash-recovery cell must see
 at least one crash, report availability < 1 with positive goodput and
@@ -211,6 +214,26 @@ def record_costs_us() -> Tuple[float, float]:
     )
 
 
+def counting_calls(play) -> Tuple[object, int]:
+    """Run ``play()`` counting its Python ``call`` events
+    (``sys.setprofile``); returns its result and the count.  The count
+    is deterministic for a given trace, unlike a clock."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = play()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
 def ceiling_failures() -> List[str]:
     """Play the fixed 100k diurnal run once; it must finish every request
     within ``CEILING_SECONDS`` of wall-clock time."""
@@ -281,7 +304,9 @@ TIER_CELLS = {
 SMOKE_CELLS = [Cell("fcfs"), Cell("slo"), FLEET_CELL, PREFIX_CELL, FAULT_CELL]
 
 
-def run_cell(tier: str, cell: Cell, workload, seed: int) -> Dict:
+def run_cell(tier: str, cell: Cell, workload, seed: int, count_calls: bool = False) -> Dict:
+    """Play one cell; ``count_calls`` also counts the Python calls of
+    the simulation (``python_calls``), which slows the timed play."""
     label = TRAFFIC[cell.traffic][0]
     common = dict(
         backend="hexcute", scheduler=cell.scheduler, arch=ARCH, max_batch_size=MAX_BATCH
@@ -318,7 +343,10 @@ def run_cell(tier: str, cell: Cell, workload, seed: int) -> Dict:
         )
         extra = {"faults": faults}
     start = time.perf_counter()
-    report = sim.simulate(workload, workload=label, **extra)
+    if count_calls:
+        report, calls = counting_calls(lambda: sim.simulate(workload, workload=label, **extra))
+    else:
+        report, calls = sim.simulate(workload, workload=label, **extra), None
     wall = time.perf_counter() - start
     entry = {
         "config": config,
@@ -328,6 +356,8 @@ def run_cell(tier: str, cell: Cell, workload, seed: int) -> Dict:
         "steps": sum(r.steps for r in getattr(report, "replicas", [report])),
         "preemptions": report.preemptions,
     }
+    if calls is not None:
+        entry["python_calls"] = calls
     if cell.traffic == "prefix-shared":
         entry["prefix_hit_rate"] = report.prefix_hit_rate
     if cell.faults:
@@ -465,19 +495,25 @@ def main(argv=None) -> int:
                 )
             # Wall time per replica step: what one engine iteration costs,
             # whatever the cell's request count and queueing.
-            us_per_step = entry["wall_seconds"] / max(entry["steps"], 1) * 1e6
+            per_step = [f"{entry['wall_seconds'] / max(entry['steps'], 1) * 1e6:.2f} us/step"]
+            rerun = None
+            if args.smoke:
+                # The digest-stability rerun counts what one engine
+                # iteration runs without a clock: its Python calls.
+                rerun = run_cell(tier, cell, workload, args.seed, count_calls=True)
+                per_step.append(
+                    f"{rerun['python_calls'] / max(rerun['steps'], 1):.1f} calls/step"
+                )
             print(
                 f"[{tier}] {cell_label(entry)}: {entry['rps']:,.0f} req/s, "
-                f"{us_per_step:.2f} us/step ({', '.join(details)})"
+                f"{', '.join(per_step)} ({', '.join(details)})"
             )
             failures.extend(cell_failures(entry))
-            if args.smoke:
-                rerun = run_cell(tier, cell, workload, args.seed)
-                if rerun["digest"] != entry["digest"]:
-                    failures.append(
-                        f"digest instability at {cell_label(entry)}: "
-                        f"{entry['digest'][:12]} vs {rerun['digest'][:12]}"
-                    )
+            if rerun is not None and rerun["digest"] != entry["digest"]:
+                failures.append(
+                    f"digest instability at {cell_label(entry)}: "
+                    f"{entry['digest'][:12]} vs {rerun['digest'][:12]}"
+                )
 
     # ------------------------------------------------------------------ #
     # Floors and trajectory

@@ -17,9 +17,9 @@ simulator that constraint, vLLM-style:
   request holds ``ceil(tokens / block_tokens)`` blocks, growing one token
   per decode step; the simulator allocates/releases through it and
   preempts when a step would exceed the budget;
-* :class:`KvMemoryView` — the per-step record handed to schedulers so a
-  memory-aware policy can order admissions by block cost without being
-  able to mutate the accounting.
+* :class:`KvMemoryView` — the record handed to schedulers at each
+  admission call so a memory-aware policy can order admissions by block
+  cost without being able to mutate the accounting.
 
 **Determinism contract.** Everything is integer block arithmetic on
 deterministic inputs, so the accounting adds no nondeterminism to the
@@ -78,13 +78,14 @@ _KV_DTYPE_BYTES = 2.0
 def blocks_for_tokens(tokens: int, block_tokens: int = DEFAULT_KV_BLOCK_TOKENS) -> int:
     """Blocks a context of ``tokens`` tokens occupies (>= 1).
 
-    The one place the block-granularity arithmetic lives;
-    :class:`KvBlockManager` and :class:`KvMemoryView` delegate here, and
+    The one place the block-granularity arithmetic lives; the engine,
+    :class:`KvBlockManager` and :class:`KvMemoryView` call it directly
+    (their ``blocks_for`` methods are one-line public wrappers), and
     benchmarks/tests sizing a budget against a workload should too.
     Memoized: admission prices the same token counts over and over (every
     scheduler's ``select`` asks for each candidate it admits, and
     ``memory-aware`` for the whole backlog), and the answer is pure integer
-    arithmetic.
+    arithmetic; a hit runs no Python frame.
     """
     return max(1, math.ceil(tokens / block_tokens))
 
@@ -176,11 +177,12 @@ class KvMemoryView:
     manager.  ``resident_prefixes`` maps a shared prefix id to the tokens
     of that prefix pinned in the pool (whole blocks only), and
     ``free_blocks`` counts reclaimable prefix blocks as free; see
-    :meth:`repro.serving.prefix.PrefixStore.view`, which builds a fresh
-    record per call for the engine to hand its scheduler.  The block
-    counts are fixed when the record is built; the map the store passes
-    is its live read-only proxy, so a policy reads it within the call
-    and copies it if it keeps it.
+    :meth:`repro.serving.prefix.PrefixStore.view`, which refreshes the
+    store's one record before each admission call for the engine to hand
+    its scheduler.  The block counts are the pool's at that call, and the
+    map the store passes is its live read-only proxy, so a policy reads
+    the record within the call and copies what it keeps (as routers do
+    with their replica views).
     """
 
     block_tokens: int
@@ -205,19 +207,19 @@ class KvMemoryView:
         sum to exactly ``blocks_for(prompt + 1)``, so without residency
         the prefix changes nothing.
         """
+        block_tokens = self.block_tokens
         prefix_id = getattr(request, "prefix_id", None)
         if prefix_id is not None:
-            shared_blocks = request.prefix_tokens // self.block_tokens
+            shared_blocks = request.prefix_tokens // block_tokens
             if shared_blocks:
-                private = self.blocks_for(
-                    request.prompt_tokens + 1 - shared_blocks * self.block_tokens
+                shared_tokens = shared_blocks * block_tokens
+                private = blocks_for_tokens(
+                    request.prompt_tokens + 1 - shared_tokens, block_tokens
                 )
-                if self.resident_prefixes.get(prefix_id, 0) >= (
-                    shared_blocks * self.block_tokens
-                ):
+                if self.resident_prefixes.get(prefix_id, 0) >= shared_tokens:
                     return private
                 return shared_blocks + private
-        return self.blocks_for(request.prompt_tokens + 1)
+        return blocks_for_tokens(request.prompt_tokens + 1, block_tokens)
 
 
 class KvBlockManager:
@@ -235,24 +237,21 @@ class KvBlockManager:
         self.total_blocks = total_blocks
         self.block_tokens = block_tokens
         self._held: Dict[int, int] = {}
-        # Incremental sum of self._held.values(): the engine reads the pool
-        # level every step (and the cluster per routed request), so it must
-        # be O(1), not a scan of every holding.
-        self._used = 0
+        # The sum of every holding, a plain attribute that allocate, grow,
+        # release and reset keep current: the engine reads the pool level
+        # every step (and the cluster per routed request), so the read is
+        # an attribute load, neither a scan nor a property frame.
+        self.used_blocks = 0
         self.peak_used_blocks = 0
 
     # ------------------------------------------------------------------ #
     @property
-    def used_blocks(self) -> int:
-        return self._used
-
-    @property
     def free_blocks(self) -> int:
-        return self.total_blocks - self._used
+        return self.total_blocks - self.used_blocks
 
     @property
     def utilization(self) -> float:
-        return self._used / self.total_blocks
+        return self.used_blocks / self.total_blocks
 
     def blocks_for(self, tokens: int) -> int:
         """Blocks a context of ``tokens`` tokens occupies (>= 1)."""
@@ -277,7 +276,7 @@ class KvBlockManager:
         :meth:`release` (finish or preemption), so a shrinking allocate is
         a caller bug, not a request to free blocks.
         """
-        target = self.blocks_for(tokens)
+        target = blocks_for_tokens(tokens, self.block_tokens)
         held = self._held.get(request_id, 0)
         delta = target - held
         if delta < 0:
@@ -285,15 +284,16 @@ class KvBlockManager:
                 f"allocate would shrink request {request_id}'s holding from "
                 f"{held} to {target} blocks; use release() to free blocks"
             )
-        if delta > self.total_blocks - self._used:
+        if delta > self.total_blocks - self.used_blocks:
             raise RuntimeError(
                 f"KV pool exhausted: request {request_id} needs {delta} more "
                 f"blocks but only {self.free_blocks}/{self.total_blocks} are free"
             )
         self._held[request_id] = target
-        self._used += delta
-        if self._used > self.peak_used_blocks:
-            self.peak_used_blocks = self._used
+        used = self.used_blocks + delta
+        self.used_blocks = used
+        if used > self.peak_used_blocks:
+            self.peak_used_blocks = used
         return delta
 
     def grow(self, request_id: int) -> None:
@@ -301,20 +301,21 @@ class KvBlockManager:
         crosses into a new block, which the engine books ahead, so no
         ``blocks_for`` is asked.  Raises like :meth:`allocate` if the pool
         has no free block."""
-        if self._used >= self.total_blocks:
+        used = self.used_blocks + 1
+        if used > self.total_blocks:
             raise RuntimeError(
                 f"KV pool exhausted: request {request_id} needs 1 more "
                 f"blocks but only {self.free_blocks}/{self.total_blocks} are free"
             )
         self._held[request_id] += 1
-        self._used += 1
-        if self._used > self.peak_used_blocks:
-            self.peak_used_blocks = self._used
+        self.used_blocks = used
+        if used > self.peak_used_blocks:
+            self.peak_used_blocks = used
 
     def release(self, request_id: int) -> int:
         """Free a request's blocks (finish or preemption); returns them."""
         freed = self._held.pop(request_id, 0)
-        self._used -= freed
+        self.used_blocks -= freed
         return freed
 
     def reset(self) -> None:
@@ -325,4 +326,4 @@ class KvBlockManager:
         mark, not the current pool.
         """
         self._held.clear()
-        self._used = 0
+        self.used_blocks = 0

@@ -82,10 +82,20 @@ class PrefixStore:
         self._referenced: Dict[str, int] = {}
         self._resident_view = MappingProxyType(self._resident)
         self._referenced_view = MappingProxyType(self._referenced)
-        # Incremental block sums, split by whether any running request is
-        # attached: the engine reads both every step under pressure.
-        self._referenced_blocks = 0
-        self._reclaimable_blocks = 0
+        # Blocks of entries some running request is attached to, and of
+        # cached zero-refcount entries (evictable on demand, so the
+        # scheduler's view counts them as free): plain attributes that
+        # every entry change keeps current, because the engine reads them
+        # every step under pressure.
+        self.referenced_blocks = 0
+        self.reclaimable_blocks = 0
+        # The one record view() refreshes for every admission call.
+        self._view = KvMemoryView(
+            block_tokens=manager.block_tokens,
+            total_blocks=manager.total_blocks,
+            free_blocks=manager.total_blocks,
+            resident_prefixes=self._referenced_view,
+        )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -99,19 +109,8 @@ class PrefixStore:
         return len(self._entries)
 
     @property
-    def referenced_blocks(self) -> int:
-        """Blocks of entries at least one running request is attached to."""
-        return self._referenced_blocks
-
-    @property
-    def reclaimable_blocks(self) -> int:
-        """Blocks of cached zero-refcount entries — evictable on demand,
-        so the scheduler's view counts them as free."""
-        return self._reclaimable_blocks
-
-    @property
     def resident_blocks(self) -> int:
-        return self._referenced_blocks + self._reclaimable_blocks
+        return self.referenced_blocks + self.reclaimable_blocks
 
     @property
     def hit_rate(self) -> float:
@@ -165,20 +164,19 @@ class PrefixStore:
         so a request hoping to re-attach is charged in full — if the
         entry survives, admission simply under-uses its charge.
 
-        A fresh record per call whose block counts are fixed at the call;
-        its residency map is the live :meth:`referenced_tokens` proxy, so
-        read it before the store changes again (the engine hands the view
-        to one ``select`` call and never reads it back).
+        The store's one record, refreshed by each call: its block counts
+        are the pool's at the call, and its residency map is the live
+        :meth:`referenced_tokens` proxy.  Read it during the ``select``
+        call the engine hands it to and copy what you keep, as routers do
+        with their replica views: the next call rewrites the same record.
         """
         manager = self.manager
-        return KvMemoryView(
-            block_tokens=manager.block_tokens,
-            total_blocks=manager.total_blocks,
-            free_blocks=manager.free_blocks + self._reclaimable_blocks,
-            used_blocks=manager.used_blocks,
-            peak_used_blocks=manager.peak_used_blocks,
-            resident_prefixes=self._referenced_view,
-        )
+        view = self._view
+        used = manager.used_blocks
+        view.free_blocks = manager.total_blocks - used + self.reclaimable_blocks
+        view.used_blocks = used
+        view.peak_used_blocks = manager.peak_used_blocks
+        return view
 
     # ------------------------------------------------------------------ #
     def ensure_free(self, blocks: int) -> None:
@@ -187,12 +185,12 @@ class PrefixStore:
         remains.  The caller's allocate decides whether that sufficed."""
         manager = self.manager
         reclaimable = self._reclaimable
-        while manager.free_blocks < blocks and reclaimable:
+        while manager.total_blocks - manager.used_blocks < blocks and reclaimable:
             key, _ = reclaimable.popitem(last=False)
             entry = self._entries.pop(key)
             del self._resident[key]
             manager.release(entry.entry_id)
-            self._reclaimable_blocks -= entry.blocks
+            self.reclaimable_blocks -= entry.blocks
             self.evictions += 1
 
     def acquire(self, key: str, prefix_tokens: int) -> int:
@@ -220,8 +218,8 @@ class PrefixStore:
             if entry.refcount == 0:
                 del self._reclaimable[key]
                 self._referenced[key] = entry.tokens
-                self._reclaimable_blocks -= entry.blocks
-                self._referenced_blocks += entry.blocks
+                self.reclaimable_blocks -= entry.blocks
+                self.referenced_blocks += entry.blocks
             entry.refcount += 1
             self.hits += 1
             self.blocks_saved += entry.blocks
@@ -236,7 +234,7 @@ class PrefixStore:
         )
         self._entries[key] = entry
         self._resident[key] = self._referenced[key] = shared_tokens
-        self._referenced_blocks += blocks
+        self.referenced_blocks += blocks
         self.misses += 1
         if len(self._entries) > self.peak_resident:
             self.peak_resident = len(self._entries)
@@ -256,8 +254,8 @@ class PrefixStore:
         if entry.refcount == 0:
             self._reclaimable[key] = None
             del self._referenced[key]
-            self._referenced_blocks -= entry.blocks
-            self._reclaimable_blocks += entry.blocks
+            self.referenced_blocks -= entry.blocks
+            self.reclaimable_blocks += entry.blocks
 
     def clear(self) -> None:
         """Wipe every resident entry — the replica-crash reset path.
@@ -277,5 +275,5 @@ class PrefixStore:
         self._resident.clear()
         self._referenced.clear()
         self._reclaimable.clear()
-        self._referenced_blocks = 0
-        self._reclaimable_blocks = 0
+        self.referenced_blocks = 0
+        self.reclaimable_blocks = 0

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.reporting.tables import TableRow, format_table
-from repro.serving.workload import slot_setters
+from repro.serving.workload import frozen_record, slot_setters
 
 __all__ = [
     "BaseReport",
@@ -50,6 +50,7 @@ def percentile(values: Sequence[float], pct: float) -> float:
     return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True, init=False)
 class RequestMetrics:
     """The lifecycle of one completed request.

@@ -284,9 +284,14 @@ class PrefixAffinityRouter(Router):
         _require_replicas(replicas)
         prefix_id = getattr(request, "prefix_id", None)
         if prefix_id is not None:
-            holders = [
-                s for s in replicas if s.resident_prefixes.get(prefix_id, 0) > 0
-            ]
+            # A loop, not a comprehension (a frame per routed request).
+            holders = []
+            for s in replicas:
+                if s.resident_prefixes.get(prefix_id, 0) > 0:
+                    holders.append(s)
+            if len(holders) == 1:
+                # A sole holder wins without a ranking.
+                return holders[0].replica_id
             if holders:
                 return min(
                     holders,

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple, Type, Union
 
 from repro.serving.memory import KvMemoryView
-from repro.serving.workload import Request, _is_real, arrival_key, slot_setters
+from repro.serving.workload import Request, _is_real, arrival_key, frozen_record, slot_setters
 
 __all__ = [
     "FcfsScheduler",
@@ -84,6 +84,7 @@ __all__ = [
 ]
 
 
+@frozen_record
 @dataclass(frozen=True, slots=True, init=False)
 class RunningInfo:
     """A read-only snapshot of one running request, for preemption policy.
@@ -145,7 +146,9 @@ class Scheduler:
         policy can distinguish "wait for more traffic" from "this is all
         the traffic there will ever be"), and ``memory`` the replica's KV
         block pool: every returned request must fit it, together with the
-        ones returned before it (see :func:`fitting_prefix`).
+        ones returned before it (see :func:`fitting_prefix`).  ``memory``
+        is the replica's one record, refreshed before each call: read it
+        during the call and copy what you keep.
         """
         raise NotImplementedError
 

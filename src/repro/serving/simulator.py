@@ -66,7 +66,11 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.serving.memory import KvBlockManager, kv_budget_blocks as _derive_kv_budget_blocks
+from repro.serving.memory import (
+    KvBlockManager,
+    blocks_for_tokens,
+    kv_budget_blocks as _derive_kv_budget_blocks,
+)
 from repro.serving.prefix import PrefixStore
 from repro.serving.report import RequestMetrics, ServeReport
 from repro.serving.scheduler import RunningInfo, Scheduler, get_scheduler
@@ -87,6 +91,8 @@ __all__ = ["PREFILL_PARALLELISM", "ReplicaEngine", "ServingSimulator"]
 PREFILL_PARALLELISM = 8.0
 
 _request_id = attrgetter("request_id")
+_arrival_ms = attrgetter("arrival_ms")
+_output_tokens = attrgetter("output_tokens")
 
 
 @dataclass(slots=True)
@@ -288,12 +294,15 @@ class ReplicaEngine:
     def _reserve(self, request: Request) -> None:
         """Validate ``request`` against the KV budget and add its
         full-context footprint to :attr:`kv_reserved_blocks`."""
-        full = self.manager.blocks_for(request.prompt_tokens + request.output_tokens)
-        if full > self.manager.total_blocks:
+        manager = self.manager
+        full = blocks_for_tokens(
+            request.prompt_tokens + request.output_tokens, manager.block_tokens
+        )
+        if full > manager.total_blocks:
             raise ValueError(
                 f"request {request.request_id} needs {full} KV blocks at full "
                 f"context ({request.prompt_tokens}+{request.output_tokens} tokens) "
-                f"but the replica budget is {self.manager.total_blocks} blocks"
+                f"but the replica budget is {manager.total_blocks} blocks"
             )
         self._reserved_blocks += full
 
@@ -478,23 +487,28 @@ class ReplicaEngine:
         entries = crossings.pop(step, None)
         if entries is None:
             return
-        crossers = [state for state, join in entries if state.join_step == join]
         manager = self.manager
         store = self.prefix_store
-        free = manager.free_blocks
-        if len(crossers) > free + store.reclaimable_blocks:
-            self._preempt()
-            free = manager.free_blocks
-            # Victims leave with ``join_step`` reset to -1.
-            crossers = [state for state in crossers if state.join_step >= 0]
+        free = manager.total_blocks - manager.used_blocks
+        # An entry is live while its join step is its request's: stale
+        # entries (preempted since) are rare, so the crossers are counted
+        # only when the entries alone outnumber the headroom.
+        if len(entries) > free + store.reclaimable_blocks:
+            crossers = [state for state, join in entries if state.join_step == join]
+            if len(crossers) > free + store.reclaimable_blocks:
+                self._preempt()
+                free = manager.total_blocks - manager.used_blocks
         next_step = step + manager.block_tokens
         grow = manager.grow
-        for state in crossers:
+        for state, join in entries:
+            # Skips stale entries, and this sweep's victims, which leave
+            # with ``join_step`` reset to -1.
+            if state.join_step != join:
+                continue
             request = state.request
-            join = state.join_step
             if free < 1:
                 store.ensure_free(1)
-                free = manager.free_blocks
+                free = manager.total_blocks - manager.used_blocks
             grow(request.request_id)
             free -= 1
             if next_step < join + request.output_tokens:
@@ -518,35 +532,34 @@ class ReplicaEngine:
         store = self.prefix_store
         running = self.running
         step = self.steps
-        bf = manager.blocks_for
-        needed = {
-            request_id: bf(
-                s.request.prompt_tokens + step - s.join_step + 1 - s.shared_tokens
-            )
-            for request_id, s in running.items()
-        }
-        total_needed = store.referenced_blocks + sum(needed.values())
-        # Attachment counts among the running batch (== the store's
-        # refcounts: only running requests hold references), so the
-        # sweep can tell when a victim was a prefix's last holder.
+        block_tokens = manager.block_tokens
+        held = manager.held
+        # One pass over the batch: each request's demand, its policy
+        # snapshot, and the attachment counts among the running batch
+        # (== the store's refcounts: only running requests hold
+        # references), so the sweep can tell when a victim was a prefix's
+        # last holder.
+        needed: dict = {}
+        infos: List[RunningInfo] = []
         ref_counts: dict = {}
         ref_blocks: dict = {}
-        for s in running.values():
-            if s.shared_tokens:
-                key = s.request.prefix_id
-                ref_counts[key] = ref_counts.get(key, 0) + 1
-                ref_blocks[key] = s.shared_tokens // manager.block_tokens
-        infos = [
-            RunningInfo(
-                request=s.request,
-                admitted_ms=s.admitted_ms,
-                blocks_held=manager.held(request_id),
+        for request_id, s in running.items():
+            request = s.request
+            shared = s.shared_tokens
+            needed[request_id] = blocks_for_tokens(
+                request.prompt_tokens + step - s.join_step + 1 - shared, block_tokens
             )
-            for request_id, s in running.items()
-        ]
+            infos.append(RunningInfo(request, s.admitted_ms, held(request_id)))
+            if shared:
+                key = request.prefix_id
+                ref_counts[key] = ref_counts.get(key, 0) + 1
+                ref_blocks[key] = shared // block_tokens
+        total_needed = store.referenced_blocks + sum(needed.values())
         order = self.sim.scheduler.preempt_order(infos, self.now)
         order_ids = [info.request.request_id for info in order]
-        if sorted(order_ids) != sorted(needed):
+        # A permutation: as many entries as running requests, and the
+        # same ids (so none repeats).
+        if len(order_ids) != len(needed) or needed.keys() != set(order_ids):
             raise RuntimeError(
                 f"scheduler {self.sim.scheduler.name!r} preempt_order is not a "
                 f"permutation of the running batch"
@@ -619,8 +632,8 @@ class ReplicaEngine:
                     if r.deadline_ms is not None and r.deadline_ms <= now:
                         self.shed.append(r.request_id)
                         self._preempted.pop(r.request_id, None)
-                        self._reserved_blocks -= manager.blocks_for(
-                            r.prompt_tokens + r.output_tokens
+                        self._reserved_blocks -= blocks_for_tokens(
+                            r.prompt_tokens + r.output_tokens, manager.block_tokens
                         )
                 self._waiting_keys = [
                     key
@@ -652,6 +665,7 @@ class ReplicaEngine:
             # more may join than there are free slots).
             admitted = ()
         joined: List[_ActiveRequest] = []
+        prefill_tokens = 0
         if admitted:
             count = len(admitted) if type(admitted) is list else 0
             joining = waiting[:count]
@@ -684,13 +698,14 @@ class ReplicaEngine:
                 # KvMemoryView.admission_blocks; an attached shared prefix
                 # covers its whole-block head, so only the private
                 # remainder is allocated to the request.
-                admit_tokens = request.prompt_tokens + 1
+                prompt_tokens = request.prompt_tokens
+                admit_tokens = prompt_tokens + 1
                 try:
                     if request.prefix_id is not None:
                         shared = store.acquire(request.prefix_id, request.prefix_tokens)
                         state.shared_tokens = shared
                         admit_tokens -= shared
-                    store.ensure_free(manager.blocks_for(admit_tokens))
+                    store.ensure_free(blocks_for_tokens(admit_tokens, block_tokens))
                     manager.allocate(request.request_id, admit_tokens)
                 except RuntimeError as exc:
                     raise RuntimeError(
@@ -700,6 +715,7 @@ class ReplicaEngine:
                 state.join_step = step
                 running[request.request_id] = state
                 joined.append(state)
+                prefill_tokens += prompt_tokens
                 # Book the finish, and the first crossing: the grow phase
                 # at ``step + d`` covers ``admit_tokens + d`` tokens, which
                 # needs one more block than the holding when
@@ -755,7 +771,6 @@ class ReplicaEngine:
             else:
                 self._slow_factor = 1.0
         if joined:
-            prefill_tokens = sum(s.request.prompt_tokens for s in joined)
             self.now += step_ms + (
                 prefill_tokens * (step_ms / batch) / PREFILL_PARALLELISM
             )
@@ -767,7 +782,8 @@ class ReplicaEngine:
         self.queue_depth_sum += depth
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
-        self.kv_utilization_sum += manager.utilization
+        # ``KvBlockManager.utilization``, without its property frame.
+        self.kv_utilization_sum += manager.used_blocks / manager.total_blocks
 
         self._retire(joined)
         return True
@@ -833,8 +849,8 @@ class ReplicaEngine:
             # Detach from the shared prefix; the entry stays cached for
             # later arrivals until evicted.
             self.prefix_store.release(request.prefix_id)
-        self._reserved_blocks -= manager.blocks_for(
-            request.prompt_tokens + request.output_tokens
+        self._reserved_blocks -= blocks_for_tokens(
+            request.prompt_tokens + request.output_tokens, manager.block_tokens
         )
         # Positional, in RequestMetrics' field order: request_id,
         # arrival_ms, scheduled_ms, first_token_ms, finish_ms,
@@ -865,7 +881,7 @@ class ReplicaEngine:
         manager = self.manager
         store = self.prefix_store
         finished = sorted(self.finished, key=_request_id)
-        first_arrival = min((m.arrival_ms for m in finished), default=0.0)
+        first_arrival = min(map(_arrival_ms, finished), default=0.0)
         return ServeReport(
             model=sim.model_config.name,
             backend=sim.backend,
@@ -873,7 +889,7 @@ class ReplicaEngine:
             workload=workload,
             arch=sim.arch.name,
             num_requests=len(finished),
-            total_output_tokens=sum(m.output_tokens for m in finished),
+            total_output_tokens=sum(map(_output_tokens, finished)),
             duration_ms=self.now - first_arrival,
             steps=self.steps,
             mean_batch_size=self.batch_size_sum / self.steps if self.steps else 0.0,

@@ -51,7 +51,7 @@ import math
 import numbers
 import random
 from bisect import bisect_right, insort
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from operator import attrgetter, index
 from typing import Callable, Dict, List, Optional
 
@@ -88,6 +88,34 @@ def slot_setters(cls) -> tuple:
     return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
 
 
+def _refuse_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen_record(cls):
+    """Give the frozen slots dataclass ``cls`` the ``__setattr__`` and
+    ``__delattr__`` the serving records share, which raise
+    ``FrozenInstanceError`` for every name.
+
+    The pair ``frozen=True`` generates compares ``type(self)`` with the
+    class the body defined, which ``slots=True`` replaces, so assigning
+    or deleting a name that is not a field falls through to ``super()``
+    and raises ``TypeError`` instead.  Apply it above ``@dataclass``, to
+    the final class.  Nothing that builds a record goes through these:
+    the constructors store through the slots (:func:`slot_setters`), and
+    ``dataclasses.replace`` constructs, while unpickling and copies call
+    ``object.__setattr__``.
+    """
+    cls.__setattr__ = _refuse_setattr
+    cls.__delattr__ = _refuse_delattr
+    return cls
+
+
+@frozen_record
 @dataclass(frozen=True, slots=True, init=False)
 class Request:
     """One user request: the immutable workload spec.

@@ -128,7 +128,8 @@ def _tiled_mma(
     bm, bn, bk = block_tile
     warp_grid = pick_warp_grid(num_warps, bm, bn, instruction.m, instruction.n)
     wm, wn = warp_grid
-    if bm % (wm * instruction.m) or bn % (wn * instruction.n) or bk % instruction.k:
+    # pick_warp_grid returns only grids that divide bm and bn.
+    if bk % instruction.k:
         raise ValueError(
             f"block tile {block_tile} is not divisible by warp grid {warp_grid} x "
             f"atom ({instruction.m}, {instruction.n}, {instruction.k})"

@@ -37,7 +37,7 @@ from repro.serving import (
     ServingSimulator,
     prefix_shared_workload,
 )
-from repro.serving.memory import blocks_for_tokens
+from repro.serving.memory import KvMemoryView, blocks_for_tokens
 
 TINY_DENSE = ModelConfig(
     name="tiny-dense",
@@ -218,8 +218,6 @@ def test_memory_view_exposes_used_and_peak():
 
 
 def test_admission_blocks_discounts_resident_prefixes():
-    from repro.serving.memory import KvMemoryView
-
     request = Request(
         request_id=0,
         arrival_ms=0.0,
@@ -345,6 +343,96 @@ def test_randomized_store_invariants(seed):
         if attached[key] == 0 and store.refcount(key) == 0:
             with pytest.raises(ValueError):
                 store.release(key)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pool_level_and_view_follow_every_call(seed):
+    """The pool level (``KvBlockManager.used_blocks``), the store's block
+    counts and its one ``view()`` record are plain attributes that every
+    call keeps current.  After each call of a random mix (allocate, grow,
+    release and crash resets on the manager; acquire, release and
+    ensure_free on the store), failed calls included, the level equals
+    the sum of the holdings and the view equals, field for field, a
+    record built afresh from the pool."""
+    rng = random.Random(seed)
+    block_tokens = 16
+    manager = KvBlockManager(total_blocks=48, block_tokens=block_tokens)
+    store = PrefixStore(manager)
+    view = store.view()
+    keys = [f"prefix-{i}" for i in range(4)]
+    key_tokens = {key: rng.randint(1, 3 * block_tokens) for key in keys}
+    held = {}  # request id -> blocks: our model of the private holdings
+    next_rid = 0
+
+    def check():
+        entry_blocks = sum(t // block_tokens for t in store.resident_tokens().values())
+        referenced = sum(t // block_tokens for t in store.referenced_tokens().values())
+        assert [manager.held(rid) for rid in held] == list(held.values())
+        assert manager.used_blocks == sum(held.values()) + entry_blocks
+        assert manager.used_blocks <= manager.peak_used_blocks <= manager.total_blocks
+        assert store.referenced_blocks == referenced
+        assert store.reclaimable_blocks == entry_blocks - referenced
+        assert store.view() is view
+        fresh = KvMemoryView(
+            block_tokens=block_tokens,
+            total_blocks=manager.total_blocks,
+            free_blocks=manager.free_blocks + store.reclaimable_blocks,
+            used_blocks=manager.used_blocks,
+            peak_used_blocks=manager.peak_used_blocks,
+            resident_prefixes=dict(store.referenced_tokens()),
+        )
+        for field in dataclasses.fields(KvMemoryView):
+            assert getattr(view, field.name) == getattr(fresh, field.name), field.name
+
+    for _ in range(1500):
+        op = rng.random()
+        if op < 0.2:  # admit a request, or fail to: the pool is full
+            tokens = rng.randint(1, 80)
+            try:
+                manager.allocate(next_rid, tokens)
+            except RuntimeError:
+                pass
+            else:
+                held[next_rid] = blocks_for_tokens(tokens, block_tokens)
+            next_rid += 1
+        elif op < 0.3 and held:  # re-allocate a holding, shrinking ones refused
+            rid = rng.choice(list(held))
+            tokens = rng.randint(1, 96)
+            target = blocks_for_tokens(tokens, block_tokens)
+            try:
+                manager.allocate(rid, tokens)
+            except (RuntimeError, ValueError):
+                assert target < held[rid] or target - held[rid] > manager.free_blocks
+            else:
+                held[rid] = target
+        elif op < 0.45 and held:  # a block crossing, refused on a full pool
+            rid = rng.choice(list(held))
+            try:
+                manager.grow(rid)
+            except RuntimeError:
+                assert manager.free_blocks == 0
+            else:
+                held[rid] += 1
+        elif op < 0.55:  # finish a request (or release an id holding nothing)
+            rid = rng.choice(list(held) or [next_rid])
+            assert manager.release(rid) == held.pop(rid, 0)
+        elif op < 0.75:  # attach to a prefix, or fail to after evicting
+            key = rng.choice(keys)
+            try:
+                store.acquire(key, key_tokens[key])
+            except RuntimeError:
+                pass
+        elif op < 0.85:  # detach
+            attached = [key for key in keys if store.refcount(key)]
+            if attached:
+                store.release(rng.choice(attached))
+        elif op < 0.98:  # make room, evicting cached entries
+            store.ensure_free(rng.randint(1, manager.total_blocks))
+        else:  # a crash: the store wipes its entries, the manager the rest
+            store.clear()
+            manager.reset()
+            held.clear()
+        check()
 
 
 # --------------------------------------------------------------------------- #

@@ -45,8 +45,17 @@ def test_tiled_mma_invocation_count():
 
 
 def test_tiled_mma_rejects_indivisible_tiles():
-    with pytest.raises(ValueError):
+    # M or N: no warp grid divides the tile, so pick_warp_grid refuses it.
+    message = r"^cannot tile block \(60, 64\) with 4 warps of atoms \(16, 8\)$"
+    with pytest.raises(ValueError, match=message):
         make_tiled_mma(fp16_mma(), (60, 64, 32), num_warps=4)
+    # K: the warp grid is fine, the atom's K does not divide the tile's.
+    message = (
+        r"^block tile \(64, 64, 24\) is not divisible by warp grid \(2, 2\) x "
+        r"atom \(16, 8, 16\)$"
+    )
+    with pytest.raises(ValueError, match=message):
+        make_tiled_mma(fp16_mma(), (64, 64, 24), num_warps=4)
 
 
 def test_pick_warp_grid_prefers_square_partitions():
